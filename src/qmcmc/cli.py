@@ -410,6 +410,10 @@ def _cmd_experiment(run_cfg: RunConfig) -> int:
         _report_hierarchy(spec, cfg, o["hierarchy-threshold"], run_cfg.verbosity)
     rows = run_plan(plan)
     _emit_rows(rows, run_cfg)
+    failed = sum(1 for row in rows if row.error)
+    if failed:
+        print(f"error: {failed} of {len(rows)} sweep points failed", file=sys.stderr)
+        return 1
     return 0
 
 

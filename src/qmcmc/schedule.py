@@ -39,6 +39,10 @@ class ProtocolConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "ancilla_map", tuple(int(q) for q in self.ancilla_map))
+        for name in ("g", "beta", "omega_m"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.g <= 0:
             raise ValueError(f"coupling g must be > 0, got {self.g}")
         if self.beta < 0:

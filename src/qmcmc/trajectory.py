@@ -9,11 +9,16 @@ period applies, in order:
    back to ``|0>``;
 2. excitation: each ancilla (ascending index) receives an X gate with
    probability ``1 - p0(t_k)``, one uniform draw per ancilla;
-3. the ``n_trotter`` Trotter steps of the period unitary, applied gate by
-   gate to the state vector (ancilla phases, system step, interactions).
+3. the period unitary ``W(Omega_k)``, as one product of the amplitude batch
+   with the matrix the channel module builds for the exact cycle map. Each
+   distinct comb value's ``W`` is built once per run, before any batch
+   starts, and is only read afterwards.
 
 Averaged over trajectories, steps 1-2 reproduce the reset-plus-excitation
-preparation of the channel module.
+preparation of the channel module. ``W`` is the power of one Trotter step
+by repeated squaring, which matches applying the steps one by one to
+roundoff, so seeded samples are those of step-by-step application unless a
+uniform lands within roundoff of a branch probability.
 
 Randomness comes exclusively from the fixed generator in :mod:`qmcmc.rng`;
 shot ``s`` under master seed ``seed`` owns the stream seeded by
@@ -30,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NormalizationLoss
-from .hamiltonians import PAULIS, HamiltonianSpec, to_matrix
-from .linalg import apply_gate, expm_hermitian
+from .channel import _period_unitary, _trotter_parts
+from .errors import NormalizationLoss
+from .hamiltonians import HamiltonianSpec
 from .rng import derive_streams, next_uniform
 from .schedule import ProtocolConfig, comb_value, ground_probability
 
@@ -67,48 +72,23 @@ class SampleSet:
         return p
 
 
-@dataclass(frozen=True)
-class _GateSet:
-    n_system: int
-    m_count: int
-    n_total: int
-    dim: int
-    n_trotter: int
-    dt: float
-    u_s: np.ndarray
-    interaction: np.ndarray
-    pairs: tuple[tuple[int, int], ...]
-    phase_weights: np.ndarray
+def _cycle_periods(spec: HamiltonianSpec,
+                   cfg: ProtocolConfig) -> list[tuple[np.ndarray, float]]:
+    """``(W(Omega_k), p0(Omega_k))`` for each period k of one comb cycle.
 
-
-def _build_gates(spec: HamiltonianSpec, cfg: ProtocolConfig) -> _GateSet:
-    from .channel import _phase_weights  # shared with the dense-channel path
-
-    n_s = spec.qubit_count
-    m = cfg.m_count
-    if any(q >= n_s for q in cfg.ancilla_map):
-        raise DimensionMismatch(
-            f"ancilla_map {cfg.ancilla_map} references qubits outside 0..{n_s - 1}"
-        )
-    n = n_s + m
-    dt = cfg.t_g / cfg.n_trotter
-    u_s = expm_hermitian(to_matrix(spec), -1j * dt)
-    theta = np.pi / cfg.n_trotter
-    xx = np.kron(PAULIS["X"], PAULIS["X"])
-    interaction = np.cos(theta) * np.eye(4, dtype=complex) - 1j * np.sin(theta) * xx
-    pairs = tuple((principal, n_s + anc) for anc, principal in enumerate(cfg.ancilla_map))
-    return _GateSet(
-        n_system=n_s,
-        m_count=m,
-        n_total=n,
-        dim=2**n,
-        n_trotter=cfg.n_trotter,
-        dt=dt,
-        u_s=u_s,
-        interaction=interaction,
-        pairs=pairs,
-        phase_weights=_phase_weights(n_s, m),
-    )
+    The comb is symmetric, so periods share at most ``n_cycle // 2 + 1``
+    distinct unitaries; each is built once and shared by every period with
+    that comb value.
+    """
+    ab, weights = _trotter_parts(spec, cfg)
+    by_omega: dict[float, np.ndarray] = {}
+    periods = []
+    for k in range(cfg.n_cycle):
+        omega = comb_value(cfg, k)
+        if omega not in by_omega:
+            by_omega[omega] = _period_unitary(ab, weights, cfg, omega)
+        periods.append((by_omega[omega], ground_probability(omega, cfg.beta)))
+    return periods
 
 
 def _renormalize(amps: np.ndarray) -> None:
@@ -118,15 +98,24 @@ def _renormalize(amps: np.ndarray) -> None:
     amps /= norms[:, np.newaxis]
 
 
-def _period(amps: np.ndarray, states: np.ndarray, gates: _GateSet,
-            omega: float, p0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Advance a batch of trajectories by one interaction period in place
-    (the amplitude buffer is reused; a fresh buffer is returned)."""
+def _apply_unitary(amps: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # BLAS takes a one-row product through gemv, which rounds differently from
+    # the gemm of wider batches; a duplicated row keeps a shot's amplitudes
+    # independent of the batch it runs in
+    if amps.shape[0] == 1:
+        return (np.concatenate([amps, amps]) @ w.T)[:1]
+    return amps @ w.T
+
+
+def _period(amps: np.ndarray, states: np.ndarray, w: np.ndarray, p0: float,
+            m_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Advance a batch of trajectories by one interaction period with period
+    unitary ``w`` and ancilla ground probability ``p0`` (reset and flips write
+    into the amplitude buffer; a fresh buffer is returned)."""
     amps = np.ascontiguousarray(amps)  # reset/flip phases write through views
     batch = amps.shape[0]
-    for m in range(gates.m_count):
-        q = gates.n_system + m
-        view = amps.reshape(batch, 2**q, 2, -1)
+    for m in range(m_count):
+        view = amps.reshape(batch, -1, 2, 2**(m_count - 1 - m))
         p_one = np.abs(view[:, :, 1, :]) ** 2
         p_one = p_one.sum(axis=(1, 2))
         u, states = next_uniform(states)
@@ -137,22 +126,14 @@ def _period(amps: np.ndarray, states: np.ndarray, gates: _GateSet,
         if got_one.any():
             view[got_one, :, 0, :], view[got_one, :, 1, :] = (
                 view[got_one, :, 1, :], view[got_one, :, 0, :])
-    for m in range(gates.m_count):
-        q = gates.n_system + m
+    for m in range(m_count):
         u, states = next_uniform(states)
         flip = u < (1.0 - p0)
         if flip.any():
-            view = amps.reshape(batch, 2**q, 2, -1)
+            view = amps.reshape(batch, -1, 2, 2**(m_count - 1 - m))
             view[flip, :, 0, :], view[flip, :, 1, :] = (
                 view[flip, :, 1, :], view[flip, :, 0, :])
-    phase = np.exp(1j * (omega * gates.dt / 2.0) * gates.phase_weights)
-    system_qubits = list(range(gates.n_system))
-    for _ in range(gates.n_trotter):
-        amps *= phase[np.newaxis, :]
-        amps = apply_gate(gates.u_s, system_qubits, amps, gates.n_total, axis=1)
-        for principal, anc_q in gates.pairs:
-            amps = apply_gate(gates.interaction, [principal, anc_q], amps,
-                              gates.n_total, axis=1)
+    amps = _apply_unitary(amps, w)
     norms = np.linalg.norm(amps, axis=1)
     drift = np.abs(norms - 1.0).max()
     if drift > 1e-6:
@@ -161,12 +142,10 @@ def _period(amps: np.ndarray, states: np.ndarray, gates: _GateSet,
     return amps, states
 
 
-def _run_cycles(amps, states, cfg: ProtocolConfig, gates: _GateSet, n_cycles: int):
+def _run_cycles(amps, states, periods, m_count: int, n_cycles: int):
     for _ in range(n_cycles):
-        for k in range(cfg.n_cycle):
-            omega = comb_value(cfg, k)
-            p0 = ground_probability(omega, cfg.beta)
-            amps, states = _period(amps, states, gates, omega, p0)
+        for w, p0 in periods:
+            amps, states = _period(amps, states, w, p0, m_count)
     return amps, states
 
 
@@ -178,31 +157,32 @@ def make_initial_state(spec: HamiltonianSpec, cfg: ProtocolConfig, seed: int,
     state, consuming the stream's first draw (exactly as batch shot 0 would);
     passing an index pins the start without consuming a draw.
     """
-    gates = _build_gates(spec, cfg)
+    ds, da = 2**spec.qubit_count, 2**cfg.m_count
     states = derive_streams(seed, 1)
     if system_index is None:
         u, states = next_uniform(states)
-        system_index = min(int(u[0] * 2**gates.n_system), 2**gates.n_system - 1)
-    if not 0 <= system_index < 2**gates.n_system:
+        system_index = min(int(u[0] * ds), ds - 1)
+    if not 0 <= system_index < ds:
         raise ValueError(f"system_index {system_index} outside register")
-    amps = np.zeros(gates.dim, dtype=complex)
-    amps[system_index * 2**gates.m_count] = 1.0
+    amps = np.zeros(ds * da, dtype=complex)
+    amps[system_index * da] = 1.0
     return TrajectoryState(amplitudes=amps, rng_state=int(states[0]))
 
 
 def run_cycle(state: TrajectoryState, spec: HamiltonianSpec,
               cfg: ProtocolConfig) -> TrajectoryState:
     """Advance one trajectory through a full comb cycle (n_cycle periods)."""
-    gates = _build_gates(spec, cfg)
+    periods = _cycle_periods(spec, cfg)
+    dim = 2**(spec.qubit_count + cfg.m_count)
     amps = np.array(state.amplitudes, dtype=complex, copy=True)
-    if amps.shape != (gates.dim,):
+    if amps.shape != (dim,):
         raise NormalizationLoss(
-            f"state has {amps.shape[0]} amplitudes, expected {gates.dim}")
+            f"state has {amps.shape[0]} amplitudes, expected {dim}")
     if abs(np.linalg.norm(amps) - 1.0) > 1e-6:
         raise NormalizationLoss("input trajectory state is not normalized")
     batch = amps[np.newaxis, :]
     states = np.array([state.rng_state], dtype=np.uint64)
-    batch, states = _run_cycles(batch, states, cfg, gates, 1)
+    batch, states = _run_cycles(batch, states, periods, cfg.m_count, 1)
     return TrajectoryState(
         amplitudes=batch[0],
         rng_state=int(states[0]),
@@ -216,18 +196,18 @@ def _chunk_ranges(shots: int, dim: int):
     return [(lo, min(lo + chunk, shots)) for lo in range(0, shots, chunk)]
 
 
-def _start_chunk(seed: int, lo: int, hi: int, gates: _GateSet,
+def _start_chunk(seed: int, lo: int, hi: int, n_s: int, m_count: int,
                  system_index: int | None):
     states = derive_streams(seed, hi - lo, start=lo)
     batch = hi - lo
-    ds = 2**gates.n_system
+    ds, da = 2**n_s, 2**m_count
     if system_index is None:
         u, states = next_uniform(states)
         idx = np.minimum((u * ds).astype(int), ds - 1)
     else:
         idx = np.full(batch, system_index, dtype=int)
-    amps = np.zeros((batch, gates.dim), dtype=complex)
-    amps[np.arange(batch), idx * 2**gates.m_count] = 1.0
+    amps = np.zeros((batch, ds * da), dtype=complex)
+    amps[np.arange(batch), idx * da] = 1.0
     return amps, states
 
 
@@ -238,16 +218,17 @@ def run_trajectories(spec: HamiltonianSpec, cfg: ProtocolConfig, cycles: int,
     as a (shots, 2^(N_s+M)) array. Memory scales with both factors."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    gates = _build_gates(spec, cfg)
-    out = np.empty((shots, gates.dim), dtype=complex)
+    n_s, m = spec.qubit_count, cfg.m_count
+    periods = _cycle_periods(spec, cfg)
+    out = np.empty((shots, 2**(n_s + m)), dtype=complex)
 
     def run_range(bounds):
         lo, hi = bounds
-        amps, states = _start_chunk(seed, lo, hi, gates, system_index)
-        amps, _ = _run_cycles(amps, states, cfg, gates, cycles)
+        amps, states = _start_chunk(seed, lo, hi, n_s, m, system_index)
+        amps, _ = _run_cycles(amps, states, periods, m, cycles)
         out[lo:hi] = amps
 
-    ranges = _chunk_ranges(shots, gates.dim)
+    ranges = _chunk_ranges(shots, out.shape[1])
     if workers is not None and workers > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_range, ranges))
@@ -264,14 +245,14 @@ def ensemble_reduced_state(amplitudes: np.ndarray, n_s: int, m_count: int) -> np
     return np.einsum("bia,bja->ij", psi, psi.conj()) / batch
 
 
-def _measure_system(amps: np.ndarray, states: np.ndarray, gates: _GateSet):
+def _measure_system(amps: np.ndarray, states: np.ndarray, n_s: int):
     batch = amps.shape[0]
-    probs = np.abs(amps.reshape(batch, 2**gates.n_system, -1)) ** 2
+    probs = np.abs(amps.reshape(batch, 2**n_s, -1)) ** 2
     probs = probs.sum(axis=2)
     cum = np.cumsum(probs, axis=1)
     u, states = next_uniform(states)
     idx = (cum < u[:, np.newaxis] * cum[:, -1:]).sum(axis=1)
-    return np.minimum(idx, 2**gates.n_system - 1), states
+    return np.minimum(idx, 2**n_s - 1), states
 
 
 def sample_gibbs(spec: HamiltonianSpec, cfg: ProtocolConfig, burn_in_cycles: int,
@@ -282,17 +263,17 @@ def sample_gibbs(spec: HamiltonianSpec, cfg: ProtocolConfig, burn_in_cycles: int
         raise ValueError(f"shots must be >= 1, got {shots}")
     if burn_in_cycles < 0:
         raise ValueError(f"burn_in_cycles must be >= 0, got {burn_in_cycles}")
-    gates = _build_gates(spec, cfg)
-    ds = 2**gates.n_system
+    n_s, m = spec.qubit_count, cfg.m_count
+    periods = _cycle_periods(spec, cfg)
 
     def run_range(bounds):
         lo, hi = bounds
-        amps, states = _start_chunk(seed, lo, hi, gates, None)
-        amps, states = _run_cycles(amps, states, cfg, gates, burn_in_cycles)
-        idx, _ = _measure_system(amps, states, gates)
-        return np.bincount(idx, minlength=ds)
+        amps, states = _start_chunk(seed, lo, hi, n_s, m, None)
+        amps, states = _run_cycles(amps, states, periods, m, burn_in_cycles)
+        idx, _ = _measure_system(amps, states, n_s)
+        return np.bincount(idx, minlength=2**n_s)
 
-    ranges = _chunk_ranges(shots, gates.dim)
+    ranges = _chunk_ranges(shots, 2**(n_s + m))
     if workers is not None and workers > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(run_range, ranges))
@@ -300,7 +281,7 @@ def sample_gibbs(spec: HamiltonianSpec, cfg: ProtocolConfig, burn_in_cycles: int
         partials = [run_range(bounds) for bounds in ranges]
     totals = np.sum(partials, axis=0)
     counts = {
-        format(i, f"0{gates.n_system}b"): int(c)
+        format(i, f"0{n_s}b"): int(c)
         for i, c in enumerate(totals) if c
     }
     return SampleSet(counts=counts, shots=shots, seed=seed)

@@ -262,6 +262,20 @@ def test_main_experiment_tfim_json(tmp_path):
     assert {row["h"] for row in loaded} == {0.5, 1.0}
 
 
+def test_main_experiment_failed_point_exits_1(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code = main([
+        "experiment", "tfim", "-q", "--n", "1", "--hj", "1,nan", "--beta", "0.5",
+        "--nt", "30", "--ncycle", "8", "--out", str(out),
+    ])
+    assert code == 1
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2
+    assert [bool(row["error"]) for row in rows] == [False, True]
+    assert "1 of 2 sweep points failed" in capsys.readouterr().err
+
+
 def test_main_experiment_qubit_cap(tmp_path):
     code = main([
         "experiment", "tfim", "-q", "--n", "7", "--beta", "1",

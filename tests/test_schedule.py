@@ -38,6 +38,16 @@ def test_config_validation(bad):
         make_config(**bad)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("g", math.nan), ("beta", math.nan), ("omega_m", math.nan),
+    ("g", math.inf), ("g", -math.inf), ("omega_m", math.inf),
+    ("omega_m", -math.inf), ("beta", math.inf),
+])
+def test_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be finite"):
+        make_config(**{field: value})
+
+
 def test_comb_value_endpoints():
     cfg = make_config(n_cycle=500, omega_m=3.0)
     assert comb_value(cfg, 0) == 0.0

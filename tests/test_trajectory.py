@@ -4,7 +4,14 @@ import pytest
 import qmcmc.trajectory as trajectory
 from qmcmc.channel import build_cycle_map, build_period_unitary
 from qmcmc.errors import NormalizationLoss
-from qmcmc.hamiltonians import GraphInstance, build_graph_ising, build_tfim, spectral_width
+from qmcmc.experiments import generate_er_instance
+from qmcmc.hamiltonians import (
+    GraphInstance,
+    build_graph_ising,
+    build_tfim,
+    spectral_width,
+    to_matrix,
+)
 from qmcmc.rng import Stream, derive_streams, next_uniform, splitmix64
 from qmcmc.schedule import ProtocolConfig
 from qmcmc.trajectory import (
@@ -15,7 +22,7 @@ from qmcmc.trajectory import (
     sample_gibbs,
 )
 
-from oracles import splitmix64_py, xorshift64star_py
+from oracles import composite_period_unitary, splitmix64_py, xorshift64star_py
 
 
 def field_config(spec, **overrides):
@@ -106,14 +113,41 @@ def test_forced_ground_branch_equals_period_unitary():
     spec = build_tfim(1, 1.0, 1.0)
     cfg = field_config(spec, n_trotter=40, n_cycle=4)
     omega = 1.7
-    gates = trajectory._build_gates(spec, cfg)
+    w = build_period_unitary(spec, cfg, omega)
     amps = np.zeros((1, 4), dtype=complex)
     amps[0, 0] = 1.0
     states = derive_streams(0, 1)
-    out, _ = trajectory._period(amps, states, gates, omega, p0=1.0)
-    w = build_period_unitary(spec, cfg, omega)
+    out, _ = trajectory._period(amps, states, w, p0=1.0, m_count=1)
     expected = w @ np.eye(4)[:, 0]
     assert np.linalg.norm(out[0] - expected) < 1e-9
+
+
+@pytest.mark.parametrize("omega", [0.0, 0.9, 2.6])
+def test_forced_ground_period_equals_composite_oracle(omega):
+    # n_s = 2, M = 2: with p0 = 1 a period is W(Omega) alone, checked against
+    # the factor-by-factor composite-space product on a random batch
+    spec = build_tfim(2, 1.0, 0.7)
+    cfg = field_config(spec, n_trotter=30, ancilla_map=(1, 0))
+    w_oracle = composite_period_unitary(to_matrix(spec), cfg.ancilla_map, cfg.g,
+                                        omega, cfg.n_trotter)
+    rng = np.random.default_rng(5)
+    sys_part = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    sys_part /= np.linalg.norm(sys_part, axis=1, keepdims=True)
+    amps = np.zeros((3, 16), dtype=complex)
+    amps[:, ::4] = sys_part  # both ancillas in |0>, so the reset keeps every shot
+    w = build_period_unitary(spec, cfg, omega)
+    out, _ = trajectory._period(amps.copy(), derive_streams(0, 3), w, p0=1.0,
+                                m_count=2)
+    assert np.abs(out - amps @ w_oracle.T).max() < 1e-9
+
+
+def test_single_shot_batch_matches_wider_batch_bitwise():
+    # at 2^8 amplitudes a one-row product rounds differently from a wider one
+    spec = build_tfim(4, 1.0, 0.8)
+    cfg = field_config(spec, n_trotter=10, n_cycle=4)
+    wide = run_trajectories(spec, cfg, cycles=1, shots=5, seed=0)
+    single = run_trajectories(spec, cfg, cycles=1, shots=1, seed=0)
+    assert np.array_equal(single[0], wide[0])
 
 
 def test_ensemble_matches_dense_cycle_map():
@@ -199,6 +233,28 @@ def test_sample_gibbs_two_level_boltzmann():
     target = np.array([np.exp(-1.0) / z, np.exp(1.0) / z])
     emp = samples.probabilities()
     assert 0.5 * np.abs(emp - target).sum() < 0.05
+
+
+# counts of the step-by-step period sampler at these seeds; applying W(Omega)
+# as one product must reproduce them exactly
+PINNED_COUNTS = [
+    (lambda: build_tfim(1, 1.0, 1.0), {}, 2, 400, 101, {"0": 202, "1": 198}),
+    (lambda: build_tfim(2, 1.0, 1.0), dict(n_trotter=10, n_cycle=4, ancilla_map=(1,)),
+     2, 300, 5, {"00": 82, "01": 66, "10": 78, "11": 74}),
+    (lambda: build_graph_ising(generate_er_instance(3, 0.5, 7)),
+     dict(g=0.02, n_trotter=40, n_cycle=4), 1, 200, 11,
+     {"000": 37, "001": 28, "010": 27, "011": 44,
+      "100": 14, "101": 16, "110": 18, "111": 16}),
+]
+
+
+@pytest.mark.parametrize("make_spec, overrides, burn_in, shots, seed, expected",
+                         PINNED_COUNTS)
+def test_sample_gibbs_pinned_counts(make_spec, overrides, burn_in, shots, seed, expected):
+    spec = make_spec()
+    cfg = field_config(spec, **{"n_trotter": 20, "n_cycle": 5, **overrides})
+    samples = sample_gibbs(spec, cfg, burn_in_cycles=burn_in, shots=shots, seed=seed)
+    assert samples.counts == expected
 
 
 def test_sample_set_probabilities():
