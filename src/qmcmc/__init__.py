@@ -66,7 +66,6 @@ from .observables import (
     tvd,
 )
 from .schedule import (
-    CombKind,
     HierarchyReport,
     ProtocolConfig,
     comb_value,

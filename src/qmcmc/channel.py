@@ -21,14 +21,24 @@ convention (see :mod:`qmcmc.linalg`).
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CompletenessViolation, DimensionMismatch, NegativeEigenvalue, NoUnitEigenvalue
+from .errors import (
+    CompletenessViolation,
+    DimensionMismatch,
+    InvalidSize,
+    NegativeEigenvalue,
+    NoUnitEigenvalue,
+)
 from .hamiltonians import PAULIS, HamiltonianSpec, to_matrix
 from .linalg import apply_gate, dominant_eigs, expm_hermitian, kron, unvec, vec
 from .schedule import ProtocolConfig, comb_value, ground_probability
+
+# Largest cycle-map dimension d_s**2 (n_s = 6): the dense map alone is 256 MiB
+# here and one more spin makes it 4 GiB, out of reach of the dense eigensolver.
+MAX_CYCLE_DIM = 4096
 
 
 @dataclass(frozen=True)
@@ -73,6 +83,17 @@ class CycleMap:
     config: ProtocolConfig
     omegas: tuple[float, ...]
     ground_probs: tuple[float, ...]
+    _spectrum: list | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def spectrum(self) -> list[tuple[complex, np.ndarray]]:
+        """Every eigenpair of the map, by descending ``|lam|``: the one dense
+        diagonalization that :func:`steady_state` and :func:`spectral_gap`
+        share. Computed on first use; the matrix must not change afterwards."""
+        if self._spectrum is None:
+            mat = self.superoperator.matrix
+            object.__setattr__(self, "_spectrum", dominant_eigs(mat, mat.shape[0]))
+        return self._spectrum
 
 
 def apply_channel(kraus: KrausSet, rho: np.ndarray) -> np.ndarray:
@@ -180,19 +201,26 @@ def build_period_channel(w: np.ndarray, prep: np.ndarray, n_s: int, m_count: int
     return kset
 
 
+def _kraus_gram(kraus: KrausSet) -> np.ndarray:
+    """``G[a, b, c, e] = sum_K conj(K[a, b]) K[c, e]`` as one GEMM over the
+    flattened operators; the superoperator and the Choi matrix are index
+    reshuffles of it."""
+    d = kraus.dim
+    flat = kraus.operators.reshape(-1, d * d)
+    return (flat.conj().T @ flat).reshape(d, d, d, d)
+
+
 def to_superoperator(kraus: KrausSet) -> Superoperator:
     """Column-stacking superoperator ``sum_K kron(conj(K), K)``."""
-    k = kraus.operators
     d = kraus.dim
-    mat = np.einsum("nab,ncd->acbd", k.conj(), k).reshape(d * d, d * d)
+    mat = _kraus_gram(kraus).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     return Superoperator(dim=d * d, matrix=mat)
 
 
 def choi_matrix(kraus: KrausSet) -> np.ndarray:
     """Unnormalized Choi matrix ``sum_K vec(K) vec(K)^dag`` (column stacking)."""
-    k = kraus.operators
     d = kraus.dim
-    return np.einsum("nrc,nsq->crqs", k, k.conj()).reshape(d * d, d * d)
+    return _kraus_gram(kraus).transpose(3, 2, 1, 0).reshape(d * d, d * d)
 
 
 def superoperator_to_choi(s: Superoperator) -> np.ndarray:
@@ -209,9 +237,15 @@ def build_cycle_map(spec: HamiltonianSpec, cfg: ProtocolConfig,
     the ancilla preparation. The comb is symmetric about mid-cycle, so only
     the distinct Omega values are built (data-parallel across ``workers``
     threads when requested); composition is the sequential product with
-    period 0 applied first.
+    period 0 applied first. Systems whose map exceeds ``MAX_CYCLE_DIM``
+    (more than six spins) are refused with InvalidSize before any work.
     """
     n_s = spec.qubit_count
+    if 4**n_s > MAX_CYCLE_DIM:
+        raise InvalidSize(
+            f"{n_s} system qubits give a {4**n_s}-dimensional cycle map; the "
+            f"dense eigensolver is limited to {MAX_CYCLE_DIM} (6 qubits)"
+        )
     m = cfg.m_count
     ab, weights = _trotter_parts(spec, cfg)
     omegas = [comb_value(cfg, k) for k in range(cfg.n_cycle)]
@@ -242,8 +276,7 @@ def build_cycle_map(spec: HamiltonianSpec, cfg: ProtocolConfig,
     )
 
 
-def steady_state(m: CycleMap, max_cluster: int = 16,
-                 dense_threshold: int = 4096) -> tuple[np.ndarray, complex]:
+def steady_state(m: CycleMap, max_cluster: int = 16) -> tuple[np.ndarray, complex]:
     """Fixed point of the cycle map and its dominant eigenvalue.
 
     Requires ``|lam_1 - 1| < 1e-6``. When the unit eigenvalue is simple, the
@@ -253,18 +286,14 @@ def steady_state(m: CycleMap, max_cluster: int = 16,
 
     Models with conserved quantities can make the unit eigenvalue exactly
     degenerate (the infinite-temperature single-site chain is one such
-    case), leaving "the" eigenvector ill-defined. On the dense path the
-    fixed point is then chosen as the least-squares projection of the
-    maximally mixed state onto the near-unit eigenspace: the natural
-    infinite-time limit seeded from an unbiased state, and exactly ``I/d``
-    whenever that is a fixed point. Above ``dense_threshold`` only the
-    dominant eigenvector is available, so degeneracy surfaces through the
-    repair checks instead.
+    case), leaving "the" eigenvector ill-defined. The fixed point is then
+    chosen as the least-squares projection of the maximally mixed state onto
+    the near-unit eigenspace among the ``max_cluster`` dominant pairs: the
+    natural infinite-time limit seeded from an unbiased state, and exactly
+    ``I/d`` whenever that is a fixed point.
     """
-    mat = m.superoperator.matrix
-    dim = mat.shape[0]
-    k = min(dim, max_cluster) if dim <= dense_threshold else 1
-    pairs = dominant_eigs(mat, k, dense_threshold)
+    pairs = m.spectrum[:max_cluster]
+    k = len(pairs)
     lam1, v1 = pairs[0]
     if abs(lam1 - 1.0) >= 1e-6:
         raise NoUnitEigenvalue(
@@ -301,21 +330,14 @@ def steady_state(m: CycleMap, max_cluster: int = 16,
     return rho, complex(lam1)
 
 
-def spectral_gap(m: CycleMap, dense_threshold: int = 4096) -> tuple[float, bool]:
+def spectral_gap(m: CycleMap) -> tuple[float, bool]:
     """``1 - |lam_2|`` of the cycle map and whether the unit eigenvalue is
-    non-degenerate (exactly one eigenvalue within 1e-6 of 1).
-
-    The full spectrum is used up to ``dense_threshold``; beyond that only the
-    two dominant eigenvalues are extracted and uniqueness is judged from them.
-    Sub-roundoff negative gaps (above -1e-6) are clamped to zero.
+    non-degenerate (exactly one eigenvalue within 1e-6 of 1), read off the
+    map's full spectrum. Sub-roundoff negative gaps (above -1e-6) are clamped
+    to zero.
     """
-    mat = m.superoperator.matrix
-    if mat.shape[0] <= dense_threshold:
-        w = np.linalg.eigvals(mat)
-    else:
-        w = np.array([lam for lam, _ in dominant_eigs(mat, 2, dense_threshold)])
-    mods = np.sort(np.abs(w))[::-1]
-    gap = 1.0 - mods[1]
+    w = np.array([lam for lam, _ in m.spectrum])
+    gap = 1.0 - abs(w[1])
     if -1e-6 < gap < 0.0:
         gap = 0.0
     unique = int(np.sum(np.abs(w - 1.0) < 1e-6)) == 1

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -32,6 +33,7 @@ from .experiments import (
     ResultRow,
     RESULT_FIELDS,
     generate_er_instance,
+    protocol_config,
     row_to_dict,
     run_plan,
 )
@@ -41,7 +43,6 @@ from .hamiltonians import (
     build_tfim,
     gibbs_distribution,
     load_hamiltonian,
-    spectral_width,
     thermal_state,
     to_matrix,
 )
@@ -131,7 +132,10 @@ _PROTO_FLAGS = ("beta", "g", "nt", "ncycle", "qubit-cap", "hierarchy-threshold")
 _IO_FLAGS = ("format", "out", "workers")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser; parsing leaves no state on it, while
+    building it anew per call would keep each copy's argparse state alive."""
     parser = argparse.ArgumentParser(
         prog="qmcmc",
         description="Spectral-combing thermalization: exact cycle maps and Gibbs sampling.",
@@ -183,7 +187,7 @@ def parse_args(argv=None) -> RunConfig:
     Raises SystemExit(2) for malformed flags (argparse) and UsageError /
     UnknownKey for config problems.
     """
-    ns = _build_parser().parse_args(argv)
+    ns = _parser().parse_args(argv)
     file_values = _read_config_file(ns.config) if ns.config else {}
 
     options = {}
@@ -295,21 +299,14 @@ def _resolve_model(options) -> tuple[HamiltonianSpec, float]:
     return load_hamiltonian(model), 1.0
 
 
-def _protocol_for(spec: HamiltonianSpec, options, beta_scaled: float,
-                  j: float) -> ProtocolConfig:
+def _protocol_for(spec: HamiltonianSpec, options, j: float) -> ProtocolConfig:
     n = spec.qubit_count
     if 2 * n > options["qubit-cap"]:
         raise UsageError(
             f"{n} system + {n} ancilla qubits exceed --qubit-cap {options['qubit-cap']}"
         )
-    return ProtocolConfig(
-        g=options["g"] * j,
-        beta=beta_scaled / j,
-        omega_m=spectral_width(spec),
-        n_trotter=options["nt"],
-        n_cycle=options["ncycle"],
-        ancilla_map=tuple(range(n)),
-    )
+    return protocol_config(spec, options["g"] * j, options["beta"][0] / j,
+                           options["nt"], options["ncycle"])
 
 
 def _report_hierarchy(spec: HamiltonianSpec, cfg: ProtocolConfig,
@@ -333,7 +330,7 @@ def _cmd_thermalize(run_cfg: RunConfig) -> int:
     o = run_cfg.options
     spec, j = _resolve_model(o)
     beta_j = o["beta"][0]
-    cfg = _protocol_for(spec, o, beta_j, j)
+    cfg = _protocol_for(spec, o, j)
     _report_hierarchy(spec, cfg, o["hierarchy-threshold"], run_cfg.verbosity)
     t0 = time.perf_counter()
     cm = build_cycle_map(spec, cfg, workers=o["workers"])
@@ -363,7 +360,7 @@ def _cmd_thermalize(run_cfg: RunConfig) -> int:
 def _cmd_sample(run_cfg: RunConfig) -> int:
     o = run_cfg.options
     spec, j = _resolve_model(o)
-    cfg = _protocol_for(spec, o, o["beta"][0], j)
+    cfg = _protocol_for(spec, o, j)
     _report_hierarchy(spec, cfg, o["hierarchy-threshold"], run_cfg.verbosity)
     samples = sample_gibbs(spec, cfg, o["burnin"], o["shots"], o["seed"],
                            workers=o["workers"])
@@ -395,18 +392,12 @@ def _cmd_experiment(run_cfg: RunConfig) -> int:
         n0 = plan.n_list[0]
         if kind is ExperimentKind.GRAPH_SAMPLING:
             spec = build_graph_ising(generate_er_instance(n0, plan.p_e[0], plan.seed))
-            cfg = ProtocolConfig(
-                g=plan.g, beta=plan.beta[0], omega_m=spectral_width(spec),
-                n_trotter=plan.n_trotter, n_cycle=plan.n_cycle,
-                ancilla_map=tuple(range(n0)),
-            )
+            j = 1.0  # graph weights are absolute
         else:
             spec = build_tfim(n0, plan.j, plan.h_over_j[0] * plan.j)
-            cfg = ProtocolConfig(
-                g=plan.g * plan.j, beta=plan.beta[0] / plan.j,
-                omega_m=spectral_width(spec), n_trotter=plan.n_trotter,
-                n_cycle=plan.n_cycle, ancilla_map=tuple(range(n0)),
-            )
+            j = plan.j
+        cfg = protocol_config(spec, plan.g * j, plan.beta[0] / j,
+                              plan.n_trotter, plan.n_cycle)
         _report_hierarchy(spec, cfg, o["hierarchy-threshold"], run_cfg.verbosity)
     rows = run_plan(plan)
     _emit_rows(rows, run_cfg)
@@ -420,7 +411,7 @@ def _cmd_experiment(run_cfg: RunConfig) -> int:
 def _cmd_validate(run_cfg: RunConfig) -> int:
     o = run_cfg.options
     spec, j = _resolve_model(o)
-    cfg = _protocol_for(spec, o, o["beta"][0], j)
+    cfg = _protocol_for(spec, o, j)
     _report_hierarchy(spec, cfg, o["hierarchy-threshold"], 1, stream=sys.stdout)
     h_s = to_matrix(spec)
     h_s_norm = float(np.abs(hermitian_eig(h_s).eigenvalues).max())

@@ -14,11 +14,7 @@ class DimensionMismatch(QmcmcError):
 
 
 class ConvergenceFailure(QmcmcError):
-    """An iterative eigensolver did not converge."""
-
-    def __init__(self, message, iterations=None):
-        super().__init__(message)
-        self.iterations = iterations
+    """An eigensolver returned an eigenpair that fails its residual check."""
 
 
 class InvalidSize(QmcmcError):

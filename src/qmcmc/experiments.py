@@ -6,13 +6,15 @@ Units: for the chain model, the coupling ``j`` sets the energy scale, so
 ``plan.g`` is g/J and ``plan.beta`` entries are beta*J. Graph instances carry
 raw weights in [0, 1], so there ``g`` and ``beta`` are absolute.
 
-Sweep points run independently (optionally across worker threads); a failing
-point records its error string in the row and the sweep continues.
+Sweep points run independently (optionally across worker threads); a point
+that fails with a package error, a ValueError or a LinAlgError records it in
+its row and the sweep continues. Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
@@ -20,6 +22,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .channel import build_cycle_map, spectral_gap, steady_state
+from .errors import QmcmcError
 from .hamiltonians import (
     GraphInstance,
     HamiltonianSpec,
@@ -77,6 +80,11 @@ class ExperimentPlan:
         object.__setattr__(self, "p_e", tuple(float(p) for p in self.p_e))
         if not self.n_list or not self.beta:
             raise ValueError("n_list and beta must be nonempty")
+        for name, values in (("beta", self.beta), ("h_over_j", self.h_over_j),
+                             ("g", (self.g,))):
+            bad = [v for v in values if not math.isfinite(v)]
+            if bad:
+                raise ValueError(f"{name} must be finite, got {bad[0]}")
         if self.kind is ExperimentKind.TFIM_INFIDELITY and not self.h_over_j:
             raise ValueError("h_over_j must be nonempty")
         if self.kind is ExperimentKind.GRAPH_SAMPLING and not self.p_e:
@@ -155,14 +163,17 @@ def preset_graph_instance(key: str, edges) -> GraphInstance:
     return GraphInstance(4, FOUR_VERTEX_FIELD_PRESETS[key], tuple(edges))
 
 
-def _protocol(plan: ExperimentPlan, spec: HamiltonianSpec, g: float,
-              beta: float) -> ProtocolConfig:
+def protocol_config(spec: HamiltonianSpec, g: float, beta: float,
+                    n_trotter: int, n_cycle: int) -> ProtocolConfig:
+    """The protocol every sweep and CLI command runs on a model: comb
+    amplitude ``spectral_width(spec)`` and one ancilla per spin. ``g`` and
+    ``beta`` are absolute (already scaled by the energy unit)."""
     return ProtocolConfig(
         g=g,
         beta=beta,
         omega_m=spectral_width(spec),
-        n_trotter=plan.n_trotter,
-        n_cycle=plan.n_cycle,
+        n_trotter=n_trotter,
+        n_cycle=n_cycle,
         ancilla_map=tuple(range(spec.qubit_count)),
     )
 
@@ -173,7 +184,7 @@ def _run_points(points, point_fn, workers):
         t0 = time.perf_counter()
         try:
             point_fn(*args)
-        except Exception as exc:  # isolate the failing point
+        except (QmcmcError, ValueError, np.linalg.LinAlgError) as exc:
             row.error = f"{type(exc).__name__}: {exc}"
         row.wall_time = time.perf_counter() - t0
         return row
@@ -210,7 +221,8 @@ def run_tfim_infidelity(plan: ExperimentPlan) -> list[ResultRow]:
     def point(row, n, hj, beta_j):
         spec = build_tfim(n, plan.j, hj * plan.j)
         beta_abs = beta_j / plan.j
-        cfg = _protocol(plan, spec, plan.g * plan.j, beta_abs)
+        cfg = protocol_config(spec, plan.g * plan.j, beta_abs, plan.n_trotter,
+                              plan.n_cycle)
         _, rho, gap, lam_dev = _solve_steady(spec, cfg)
         row.infidelity = 1.0 - fidelity(thermal_state(spec, beta_abs), rho)
         row.spectral_gap = gap
@@ -242,7 +254,8 @@ def run_magnetization_sweep(plan: ExperimentPlan) -> list[ResultRow]:
     def point(row, n, beta_j, point_index):
         spec = build_tfim(n, plan.j, hj * plan.j)
         beta_abs = beta_j / plan.j
-        cfg = _protocol(plan, spec, plan.g * plan.j, beta_abs)
+        cfg = protocol_config(spec, plan.g * plan.j, beta_abs, plan.n_trotter,
+                              plan.n_cycle)
         cm, rho_ss, gap, lam_dev = _solve_steady(spec, cfg)
         if plan.mode == "evolve":
             stream = Stream.from_seed(plan.seed, point_index)
@@ -288,7 +301,7 @@ def run_graph_sampling(plan: ExperimentPlan) -> list[ResultRow]:
     def point(row, n, p_e, instance_seed, beta):
         instance = generate_er_instance(n, p_e, instance_seed)
         spec = build_graph_ising(instance)
-        cfg = _protocol(plan, spec, plan.g, beta)
+        cfg = protocol_config(spec, plan.g, beta, plan.n_trotter, plan.n_cycle)
         _, rho, gap, lam_dev = _solve_steady(spec, cfg)
         row.tvd = tvd(np.diag(rho).real, gibbs_distribution(spec, beta))
         row.infidelity = 1.0 - fidelity(thermal_state(spec, beta), rho)

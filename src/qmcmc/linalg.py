@@ -153,17 +153,12 @@ def apply_gate(gate: np.ndarray, qubits, arr: np.ndarray, qubit_count: int,
     return np.ascontiguousarray(t).reshape(shape)
 
 
-def dominant_eigs(m: np.ndarray, k: int, dense_threshold: int = 4096,
-                  tol: float = 1e-10, max_iter: int = 100_000):
+def dominant_eigs(m: np.ndarray, k: int):
     """The ``k`` eigenpairs of largest modulus, sorted by descending ``|lam|``.
 
-    Dense non-Hermitian diagonalization up to ``dense_threshold``; above that,
-    power iteration with Wielandt deflation (the deflation uses converged left
-    eigenvectors so remaining right eigenvectors are preserved). The iterative
-    branch raises ConvergenceFailure for equal-modulus eigenvalue clusters,
-    e.g. complex-conjugate dominant pairs, rather than returning bad pairs.
-
-    Every returned pair satisfies ``||M v - lam v|| <= 1e-8 ||M||_F``.
+    One dense non-Hermitian diagonalization; eigenvectors are unit-norm
+    columns of the sorted eigenvector matrix. Every returned pair satisfies
+    ``||M v - lam v|| <= 1e-8 ||M||_F``, else ConvergenceFailure is raised.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -172,60 +167,15 @@ def dominant_eigs(m: np.ndarray, k: int, dense_threshold: int = 4096,
     if not 1 <= k <= dim:
         raise DimensionMismatch(f"k={k} outside 1..{dim}")
 
-    if dim <= dense_threshold:
-        w, v = scipy.linalg.eig(m)
-        order = np.argsort(-np.abs(w))
-        pairs = [(complex(w[i]), v[:, i].copy()) for i in order[:k]]
-    else:
-        pairs = _power_deflation(m, k, tol, max_iter)
-
+    w, v = scipy.linalg.eig(m)
+    order = np.argsort(-np.abs(w))[:k]
+    w, v = w[order], v[:, order]
+    res = np.linalg.norm(m @ v - v * w, axis=0)
     norm = np.linalg.norm(m)
-    for lam, vv in pairs:
-        res = np.linalg.norm(m @ vv - lam * vv)
-        if res > 1e-8 * max(norm, 1e-300):
-            raise ConvergenceFailure(
-                f"eigenpair residual {res:.3e} exceeds 1e-8 * ||M|| = "
-                f"{1e-8 * norm:.3e}", iterations=max_iter,
-            )
-    return pairs
-
-
-def _power_iterate(a: np.ndarray, tol: float, max_iter: int):
-    """Power iteration for the largest-|lam| eigenpair of a dense matrix."""
-    rng = np.random.default_rng(0x5EED)
-    v = rng.standard_normal(a.shape[0]) + 1j * rng.standard_normal(a.shape[0])
-    v /= np.linalg.norm(v)
-    norm_a = max(np.linalg.norm(a), 1e-300)
-    lam = 0.0 + 0.0j
-    for it in range(1, max_iter + 1):
-        w = a @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0 + 0.0j, v, it
-        w /= nw
-        lam = np.vdot(w, a @ w)
-        if np.linalg.norm(a @ w - lam * w) <= tol * norm_a:
-            return complex(lam), w, it
-        v = w
-    raise ConvergenceFailure(
-        f"power iteration did not reach tolerance {tol:g} within "
-        f"{max_iter} iterations (last |lam| = {abs(lam):.6g})",
-        iterations=max_iter,
-    )
-
-
-def _power_deflation(m: np.ndarray, k: int, tol: float, max_iter: int):
-    a = m.copy()
-    pairs = []
-    for _ in range(k):
-        lam, v, _ = _power_iterate(a, tol, max_iter)
-        _, u, _ = _power_iterate(a.conj().T, tol, max_iter)
-        overlap = np.vdot(u, v)
-        if abs(overlap) < 1e-12:
-            raise ConvergenceFailure(
-                "left/right eigenvector overlap vanished during deflation",
-                iterations=max_iter,
-            )
-        pairs.append((lam, v))
-        a = a - lam * np.outer(v, u.conj()) / overlap
-    return pairs
+    worst = int(np.argmax(res))
+    if res[worst] > 1e-8 * max(norm, 1e-300):
+        raise ConvergenceFailure(
+            f"eigenpair residual {res[worst]:.3e} exceeds 1e-8 * ||M|| = "
+            f"{1e-8 * norm:.3e}"
+        )
+    return [(complex(w[i]), v[:, i]) for i in range(k)]

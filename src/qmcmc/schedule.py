@@ -7,17 +7,12 @@ of length ``T_g = pi / g`` and sampled at the period start ``t_k = k T_g``.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 from scipy.special import expit
 
 from .errors import IndexOutOfRange, InvalidTolerance
-
-
-class CombKind(enum.Enum):
-    SIN_SQUARED = "sin_squared"
 
 
 @dataclass(frozen=True)
@@ -35,7 +30,6 @@ class ProtocolConfig:
     n_trotter: int
     n_cycle: int
     ancilla_map: tuple[int, ...]
-    comb_kind: CombKind = CombKind.SIN_SQUARED
 
     def __post_init__(self):
         object.__setattr__(self, "ancilla_map", tuple(int(q) for q in self.ancilla_map))

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmcmc.channel import (
     CycleMap,
@@ -16,7 +19,12 @@ from qmcmc.channel import (
     superoperator_to_choi,
     to_superoperator,
 )
-from qmcmc.errors import CompletenessViolation, NegativeEigenvalue, NoUnitEigenvalue
+from qmcmc.errors import (
+    CompletenessViolation,
+    InvalidSize,
+    NegativeEigenvalue,
+    NoUnitEigenvalue,
+)
 from qmcmc.hamiltonians import HamiltonianSpec, build_tfim, spectral_width, to_matrix
 from qmcmc.linalg import kron, vec, unvec
 from qmcmc.schedule import ProtocolConfig, comb_value, ground_probability
@@ -218,6 +226,19 @@ def test_random_period_channels_are_cptp():
             assert abs(np.trace(apply_channel(kraus, rho)) - 1.0) < 1e-8
 
 
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([2, 4, 8]), count=st.integers(1, 16),
+       seed=st.integers(0, 2**32 - 1))
+def test_gemm_superoperator_and_choi_match_kraus_sums(d, count, seed):
+    rng = np.random.default_rng(seed)
+    ops = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
+    kset = KrausSet(dim=d, operators=ops)
+    superop = sum(np.kron(k.conj(), k) for k in ops)
+    choi = sum(np.outer(vec(k), vec(k).conj()) for k in ops)
+    assert np.abs(to_superoperator(kset).matrix - superop).max() < 1e-12
+    assert np.abs(choi_matrix(kset) - choi).max() < 1e-12
+
+
 # -------------------------------------------------------------- cycle map
 
 def test_cycle_map_identity_when_w_is_scalar():
@@ -283,6 +304,17 @@ def test_cycle_map_workers_match_serial():
     serial = build_cycle_map(spec, cfg).superoperator.matrix
     threaded = build_cycle_map(spec, cfg, workers=4).superoperator.matrix
     assert np.array_equal(serial, threaded)
+
+
+def test_cycle_map_refuses_seven_spins_up_front(monkeypatch):
+    # building the period parts first would already take 4 GiB at n_s = 7
+    def built_too_early(*args):
+        raise AssertionError("period parts built before the size check")
+
+    monkeypatch.setattr("qmcmc.channel._trotter_parts", built_too_early)
+    spec = field_spec(7)
+    with pytest.raises(InvalidSize):
+        build_cycle_map(spec, config(spec))
 
 
 def test_cycle_map_matches_composite_space_oracle():
@@ -407,3 +439,49 @@ def test_spectral_gap_reference_point_positive_and_unique():
     # cross-check against the raw dense spectrum of the 16x16 matrix
     mods = np.sort(np.abs(np.linalg.eigvals(cm.superoperator.matrix)))[::-1]
     assert abs(gap - (1.0 - mods[1])) < 1e-12
+
+
+# ------------------------------------------------- shared eigendecomposition
+
+# steady state, dominant eigenvalue and gap of the n_s = 2 chain at the
+# reference point, as computed when steady_state and spectral_gap each
+# diagonalized the cycle map themselves
+REFERENCE_LAMBDA_1 = 1.0000000006954006 + 5.551115123125783e-17j
+REFERENCE_GAP = 0.4351439293997412
+REFERENCE_RHO_DIAG = (0.36143450731012572, 0.13856549268986865,
+                      0.13856549268986793, 0.36143450731013788)
+REFERENCE_RHO_01 = -3.0710022415460279e-04 - 2.2293823402552534e-01j
+REFERENCE_RHO_03 = -3.5879838655851071e-01 + 3.0721884557930262e-16j
+REFERENCE_RHO_12 = 1.3746895990064681e-01 - 3.8895752937917487e-15j
+
+
+def test_steady_state_and_gap_share_one_eig(monkeypatch):
+    spec = build_tfim(2, 1.0, 1.0)
+    cfg = ProtocolConfig(g=0.005, beta=10.0, omega_m=spectral_width(spec),
+                         n_trotter=5000, n_cycle=500, ancilla_map=(0, 1))
+    cm = build_cycle_map(spec, cfg)
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(scipy.linalg, "eig")
+    counted(scipy.linalg, "eigvals")
+    counted(np.linalg, "eig")
+    counted(np.linalg, "eigvals")
+    rho, lam1 = steady_state(cm)
+    gap, unique = spectral_gap(cm)
+    assert calls == ["eig"]
+    assert abs(lam1 - REFERENCE_LAMBDA_1) < 1e-10
+    assert abs(gap - REFERENCE_GAP) < 1e-10
+    assert unique
+    assert np.abs(np.diag(rho) - REFERENCE_RHO_DIAG).max() < 1e-10
+    assert abs(rho[0, 1] - REFERENCE_RHO_01) < 1e-10
+    assert abs(rho[0, 3] - REFERENCE_RHO_03) < 1e-10
+    assert abs(rho[1, 2] - REFERENCE_RHO_12) < 1e-10

@@ -69,6 +69,14 @@ def test_parse_verbosity_flag():
     assert parse_args("validate --n 1".split()).verbosity == 1
 
 
+def test_successive_parses_are_independent():
+    first = parse_args("thermalize -q --n 2 --beta 1".split())
+    second = parse_args("thermalize --n 2 --beta 2,3".split())
+    assert (first.verbosity, first.options["beta"]) == (0, (1.0,))
+    assert (second.verbosity, second.options["beta"]) == (1, (2.0, 3.0))
+    assert first.options is not second.options
+
+
 def test_config_file_supplies_values(tmp_path):
     conf = tmp_path / "run.conf"
     conf.write_text(
@@ -264,8 +272,10 @@ def test_main_experiment_tfim_json(tmp_path):
 
 def test_main_experiment_failed_point_exits_1(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
+    # h/J = 1e308 passes the plan's finiteness check but overflows the
+    # spectral width to inf, so that point fails while it runs
     code = main([
-        "experiment", "tfim", "-q", "--n", "1", "--hj", "1,nan", "--beta", "0.5",
+        "experiment", "tfim", "-q", "--n", "1", "--hj", "1,1e308", "--beta", "0.5",
         "--nt", "30", "--ncycle", "8", "--out", str(out),
     ])
     assert code == 1
@@ -274,6 +284,16 @@ def test_main_experiment_failed_point_exits_1(tmp_path, capsys):
     assert len(rows) == 2
     assert [bool(row["error"]) for row in rows] == [False, True]
     assert "1 of 2 sweep points failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("quiet", [["-q"], []])
+def test_main_experiment_non_finite_beta_exits_2(quiet, capsys):
+    code = main(["experiment", "tfim", *quiet, "--n", "1", "--beta", "nan",
+                 "--nt", "30", "--ncycle", "8"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "beta must be finite" in captured.err
 
 
 def test_main_experiment_qubit_cap(tmp_path):

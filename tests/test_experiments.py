@@ -82,6 +82,29 @@ def test_plan_validation():
     assert plan.n_list == (7,)
 
 
+@pytest.mark.parametrize("field, overrides", [
+    ("beta", dict(beta=(1.0, math.nan))),
+    ("beta", dict(beta=(math.inf,))),
+    ("h_over_j", dict(h_over_j=(math.nan,))),
+    ("h_over_j", dict(h_over_j=(1.0, -math.inf))),
+    ("g", dict(g=math.nan)),
+    ("g", dict(g=math.inf)),
+])
+def test_plan_rejects_non_finite(field, overrides):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        small_plan(ExperimentKind.TFIM_INFIDELITY, **overrides)
+
+
+def test_point_programming_error_propagates(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("bug in a sweep point")
+
+    monkeypatch.setattr("qmcmc.experiments.build_tfim", broken)
+    plan = small_plan(ExperimentKind.TFIM_INFIDELITY, n_trotter=30, n_cycle=8)
+    with pytest.raises(TypeError, match="bug in a sweep point"):
+        run_tfim_infidelity(plan)
+
+
 def test_run_plan_rejects_mismatched_kind():
     plan = small_plan(ExperimentKind.TFIM_INFIDELITY)
     with pytest.raises(ValueError):
@@ -113,13 +136,15 @@ def test_tfim_beta_zero_fixed_point():
 
 
 def test_tfim_sweep_grid_and_error_isolation():
+    # h/J = 1e308 is finite, so the plan accepts it, but its spectral width
+    # overflows to inf and the point's protocol config refuses it
     plan = small_plan(ExperimentKind.TFIM_INFIDELITY, n_list=(1,),
-                      h_over_j=(1.0, float("nan")), beta=(0.5, 1.0),
+                      h_over_j=(1.0, 1e308), beta=(0.5, 1.0),
                       n_trotter=30, n_cycle=8)
     rows = run_tfim_infidelity(plan)
     assert len(rows) == 4
     good = [r for r in rows if r.h == 1.0]
-    bad = [r for r in rows if math.isnan(r.h)]
+    bad = [r for r in rows if r.h == 1e308]
     assert all(r.error is None and r.infidelity is not None for r in good)
     assert all(r.error is not None and r.infidelity is None for r in bad)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qmcmc.errors import ConvergenceFailure, DimensionMismatch, NonHermitianInput
+from qmcmc.errors import DimensionMismatch, NonHermitianInput
 from qmcmc.linalg import (
     apply_gate,
     dominant_eigs,
@@ -205,24 +205,6 @@ def test_dominant_eigs_stochastic_matrix():
     pairs = dominant_eigs(s, 2)
     assert abs(pairs[0][0] - 1.0) < 1e-12
     assert abs(pairs[1][0] - 0.7) < 1e-12
-
-
-def test_dominant_eigs_iterative_branch_matches_dense():
-    rng = np.random.default_rng(21)
-    basis = random_unitary(rng, 6)
-    lams = np.array([0.95, -0.6, 0.3, 0.1, 0.05, 0.01])
-    m = (basis * lams) @ np.linalg.inv(basis)
-    dense = dominant_eigs(m, 3)
-    iterative = dominant_eigs(m, 3, dense_threshold=1)
-    for (ld, _), (li, _) in zip(dense, iterative):
-        assert abs(ld - li) < 1e-8
-
-
-def test_dominant_eigs_iterative_rejects_complex_pair():
-    rot = np.array([[0.0, -1.0], [1.0, 0.0]])  # eigenvalues +-i
-    with pytest.raises(ConvergenceFailure) as err:
-        dominant_eigs(rot, 1, dense_threshold=1, max_iter=2000)
-    assert err.value.iterations == 2000
 
 
 def test_dominant_eigs_validates_k():
