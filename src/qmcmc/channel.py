@@ -96,6 +96,15 @@ class CycleMap:
         return self._spectrum
 
 
+def _thread_map(fn, items: list, workers: int | None) -> list:
+    """``[fn(x) for x in items]``, across ``workers`` threads when that is
+    more than one and there is more than one item."""
+    if workers is not None and workers > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
 def apply_channel(kraus: KrausSet, rho: np.ndarray) -> np.ndarray:
     """Direct Kraus application ``sum K rho K^dag``."""
     return np.einsum("nij,jk,nlk->il", kraus.operators, rho, kraus.operators.conj())
@@ -257,12 +266,7 @@ def build_cycle_map(spec: HamiltonianSpec, cfg: ProtocolConfig,
         prep = ancilla_preparation(omega, cfg.beta, m)
         return to_superoperator(build_period_channel(w, prep, n_s, m)).matrix
 
-    if workers is not None and workers > 1 and len(distinct) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            mats = list(pool.map(one_superop, distinct))
-    else:
-        mats = [one_superop(om) for om in distinct]
-    by_omega = dict(zip(distinct, mats))
+    by_omega = dict(zip(distinct, _thread_map(one_superop, distinct, workers)))
 
     d_s = 2**n_s
     total = np.eye(d_s * d_s, dtype=complex)

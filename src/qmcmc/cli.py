@@ -9,12 +9,15 @@ comments, keys mirroring flag names; explicit flags override file values.
 Energies are quoted in units of the chain coupling J and times in 1/J; graph
 models carry absolute weights, so there g and beta are absolute.
 
-Exit codes: 0 success, 1 runtime or I/O failure, 2 usage or config error.
+Exit codes: 0 success; 2 for a bad value from a flag, a config file or
+``QMCMC_WORKERS``, or a model or protocol that refuses its parameters; 1 for
+a failure during computation or I/O.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -22,6 +25,7 @@ import json
 import os
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,7 +38,6 @@ from .experiments import (
     RESULT_FIELDS,
     generate_er_instance,
     protocol_config,
-    row_to_dict,
     run_plan,
 )
 from .hamiltonians import (
@@ -52,36 +55,65 @@ from .schedule import ProtocolConfig, suggest_trotter_steps, validate_hierarchy
 from .trajectory import SampleSet, sample_gibbs
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+def _list_of(convert: Callable) -> Callable:
+    """Converter for a comma-separated list of ``convert`` values; an empty
+    list is refused."""
+    def parse(text: str) -> tuple:
+        values = tuple(convert(tok) for tok in text.split(",") if tok.strip())
+        if not values:
+            raise ValueError(f"empty list {text!r}")
+        return values
+
+    parse.__name__ = f"{convert.__name__} list"  # argparse names it in errors
+    return parse
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+def _checked(convert: Callable, name: str, ok: Callable) -> Callable:
+    """``convert``, refusing values for which ``ok`` is false."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise ValueError(f"{value!r} is not a {name}")
+        return value
+
+    parse.__name__ = name
+    return parse
 
 
-# key -> (converter, default); config-file keys mirror these flag names
-_KEYS = {
-    "model": (str, "tfim"),
-    "n": (_int_list, (2,)),
-    "hj": (_float_list, (1.0,)),
-    "jj": (float, 1.0),
-    "beta": (_float_list, None),
-    "g": (float, 0.005),
-    "nt": (int, None),
-    "ncycle": (int, None),
-    "pe": (_float_list, (0.4,)),
-    "seed": (int, 0),
-    "shots": (int, 1000),
-    "burnin": (int, 20),
-    "format": (str, "csv"),
-    "out": (str, None),
-    "workers": (int, None),
-    "qubit-cap": (int, 12),
-    "hierarchy-threshold": (float, 10.0),
-    "mode": (str, "steady_state"),
-    "sweeps": (int, 20),
-    "epsilon": (float, 0.1),
+class _Option(NamedTuple):
+    convert: Callable
+    default: object
+    help: str
+    choices: tuple | None = None
+
+
+# The one definition of every option. Flags, config-file keys and the
+# QMCMC_WORKERS fallback all convert through it; config keys are these names.
+_OPTIONS = {
+    "model": _Option(str, "tfim", "tfim, graph, or a Hamiltonian file path"),
+    "n": _Option(_list_of(int), (2,), "system size(s), comma separated"),
+    "hj": _Option(_list_of(float), (1.0,), "transverse field(s) h/J, comma separated"),
+    "jj": _Option(float, 1.0, "chain coupling J (energy unit)"),
+    "beta": _Option(_list_of(float), None, "inverse temperature(s) beta*J, comma separated"),
+    "g": _Option(float, 0.005, "system-ancilla coupling g/J"),
+    "nt": _Option(int, 5000, "Trotter steps per period"),
+    "ncycle": _Option(int, None, "periods per comb cycle"),
+    "pe": _Option(_list_of(float), (0.4,), "edge probability(ies), comma separated"),
+    "seed": _Option(int, 0, "master seed"),
+    "shots": _Option(_checked(int, "positive int", lambda v: v > 0), 1000,
+                     "number of measurement shots"),
+    "burnin": _Option(_checked(int, "non-negative int", lambda v: v >= 0), 20,
+                      "comb cycles before measuring"),
+    "format": _Option(str, "csv", "output format", ("csv", "json")),
+    "out": _Option(str, None, "output file (default: stdout)"),
+    "workers": _Option(int, None, "worker threads (env QMCMC_WORKERS)"),
+    "qubit-cap": _Option(int, 12, "max system+ancilla qubits"),
+    "hierarchy-threshold": _Option(float, 10.0, "factor counted as 'much less'"),
+    "mode": _Option(str, "steady_state", "algorithm column source",
+                    ("steady_state", "evolve")),
+    "sweeps": _Option(int, 20, "cycle-map applications in evolve mode"),
+    "epsilon": _Option(_checked(float, "positive float", lambda v: v > 0), 0.1,
+                       "target Trotter error for the suggestion"),
 }
 
 
@@ -92,39 +124,16 @@ class RunConfig:
     command: str
     experiment_kind: str | None
     options: dict
-    config_path: str | None
-    output_format: str
-    out: str | None
     verbosity: int
 
 
 def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
-    spec = {
-        "model": dict(help="tfim, graph, or a Hamiltonian file path"),
-        "n": dict(type=str, help="system size(s), comma separated"),
-        "hj": dict(type=str, help="transverse field(s) h/J, comma separated"),
-        "jj": dict(type=float, help="chain coupling J (energy unit)"),
-        "beta": dict(type=str, help="inverse temperature(s) beta*J, comma separated"),
-        "g": dict(type=float, help="system-ancilla coupling g/J"),
-        "nt": dict(type=int, help="Trotter steps per period"),
-        "ncycle": dict(type=int, help="periods per comb cycle"),
-        "pe": dict(type=str, help="edge probability(ies), comma separated"),
-        "seed": dict(type=int, help="master seed"),
-        "shots": dict(type=int, help="number of measurement shots"),
-        "burnin": dict(type=int, help="comb cycles before measuring"),
-        "format": dict(choices=["csv", "json"], help="output format"),
-        "out": dict(help="output file (default: stdout)"),
-        "workers": dict(type=int, help="worker threads (env QMCMC_WORKERS)"),
-        "qubit-cap": dict(type=int, help="max system+ancilla qubits"),
-        "hierarchy-threshold": dict(type=float, help="factor counted as 'much less'"),
-        "mode": dict(choices=["steady_state", "evolve"], help="algorithm column source"),
-        "sweeps": dict(type=int, help="cycle-map applications in evolve mode"),
-        "epsilon": dict(type=float, help="target Trotter error for the suggestion"),
-    }
     parser.add_argument("--config", help="key = value config file")
     parser.add_argument("-q", "--quiet", action="store_true", help="suppress the hierarchy report")
     for name in names:
-        parser.add_argument(f"--{name}", default=None, **spec[name])
+        opt = _OPTIONS[name]
+        parser.add_argument(f"--{name}", type=opt.convert, default=None,
+                            choices=opt.choices, help=opt.help)
 
 
 _MODEL_FLAGS = ("model", "n", "hj", "jj", "pe", "seed")
@@ -159,6 +168,19 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _convert(key: str, text: str, where: str):
+    """Convert a config-file or environment value exactly as its flag is."""
+    opt = _OPTIONS[key]
+    try:
+        value = opt.convert(text)
+    except ValueError:
+        raise UsageError(f"{where}: invalid {opt.convert.__name__} value: {text!r}") from None
+    if opt.choices and value not in opt.choices:
+        raise UsageError(f"{where}: invalid choice: {value!r} "
+                         f"(choose from {', '.join(opt.choices)})")
+    return value
+
+
 def _read_config_file(path: str) -> dict:
     values = {}
     try:
@@ -174,9 +196,9 @@ def _read_config_file(path: str) -> dict:
                 raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in _KEYS:
+            if key not in _OPTIONS:
                 raise UnknownKey(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = value.strip()
+            values[key] = _convert(key, value.strip(), f"{path}:{lineno}: config key {key!r}")
     return values
 
 
@@ -185,26 +207,17 @@ def parse_args(argv=None) -> RunConfig:
 
     Precedence: explicit flag > config-file value > built-in default.
     Raises SystemExit(2) for malformed flags (argparse) and UsageError /
-    UnknownKey for config problems.
+    UnknownKey for config-file or QMCMC_WORKERS problems.
     """
     ns = _parser().parse_args(argv)
     file_values = _read_config_file(ns.config) if ns.config else {}
 
     options = {}
-    for key, (convert, default) in _KEYS.items():
-        attr = key.replace("-", "_")
-        flag_val = getattr(ns, attr, None)
-        if flag_val is not None:
-            options[key] = convert(flag_val) if isinstance(flag_val, str) else flag_val
-        elif key in file_values:
-            try:
-                options[key] = convert(file_values[key])
-            except ValueError as exc:
-                raise UsageError(f"config key {key!r}: {exc}") from exc
-        else:
-            options[key] = default
+    for key, opt in _OPTIONS.items():
+        flag_val = getattr(ns, key.replace("-", "_"), None)
+        options[key] = flag_val if flag_val is not None else file_values.get(key, opt.default)
     if options["workers"] is None and os.environ.get("QMCMC_WORKERS"):
-        options["workers"] = int(os.environ["QMCMC_WORKERS"])
+        options["workers"] = _convert("workers", os.environ["QMCMC_WORKERS"], "QMCMC_WORKERS")
 
     command = ns.command
     kind = getattr(ns, "experiment_kind", None)
@@ -212,34 +225,33 @@ def parse_args(argv=None) -> RunConfig:
         raise UsageError("missing required flag --beta")
     if command == "validate" and options["beta"] is None:
         options["beta"] = (1.0,)
-    if options["nt"] is None:
-        options["nt"] = 5000
     if options["ncycle"] is None:
         options["ncycle"] = 100 if kind == "graph" else 500
-    if options["format"] not in ("csv", "json"):
-        raise UsageError(f"unknown output format {options['format']!r}")
 
     return RunConfig(
         command=command,
         experiment_kind=kind,
         options=options,
-        config_path=ns.config,
-        output_format=options["format"],
-        out=options["out"],
         verbosity=0 if ns.quiet else 1,
     )
-
-
-def _fmt_float(value: float) -> str:
-    return format(value, ".17g")
 
 
 def _cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return _fmt_float(value)
+        return format(value, ".17g")
     return str(value)
+
+
+@contextlib.contextmanager
+def _opened(sink):
+    """A path is opened for writing (and closed); a stream is used as is."""
+    if isinstance(sink, (str, os.PathLike)):
+        with open(sink, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    else:
+        yield sink
 
 
 def emit_results(rows: list[ResultRow], output_format: str, sink) -> None:
@@ -247,27 +259,20 @@ def emit_results(rows: list[ResultRow], output_format: str, sink) -> None:
     floats) or as a JSON array with identical keys per object."""
     if not rows:
         raise EmptyResult("no result rows to emit")
-    own = isinstance(sink, (str, os.PathLike))
-    fh = open(sink, "w", encoding="utf-8", newline="") if own else sink
-    try:
+    with _opened(sink) as fh:
         if output_format == "csv":
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(RESULT_FIELDS)
             for row in rows:
-                writer.writerow([_cell(v) for v in row_to_dict(row).values()])
+                writer.writerow([_cell(v) for v in dataclasses.asdict(row).values()])
         else:
-            fh.write(json.dumps([row_to_dict(r) for r in rows], indent=2))
+            fh.write(json.dumps([dataclasses.asdict(r) for r in rows], indent=2))
             fh.write("\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def emit_samples(samples: SampleSet, output_format: str, sink) -> None:
     """Write a sample set; CSV rows are (outcome, count) sorted by outcome."""
-    own = isinstance(sink, (str, os.PathLike))
-    fh = open(sink, "w", encoding="utf-8", newline="") if own else sink
-    try:
+    with _opened(sink) as fh:
         if output_format == "csv":
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["outcome", "count"])
@@ -281,14 +286,10 @@ def emit_samples(samples: SampleSet, output_format: str, sink) -> None:
             }
             fh.write(json.dumps(payload, indent=2))
             fh.write("\n")
-    finally:
-        if own:
-            fh.close()
 
 
-def _resolve_model(options) -> tuple[HamiltonianSpec, float]:
-    """Build the Hamiltonian named by --model; returns (spec, energy unit J)."""
-    model = options["model"]
+def _resolve_model(model: str, options) -> tuple[HamiltonianSpec, float]:
+    """Build the Hamiltonian named by ``model``; returns (spec, energy unit J)."""
     n = options["n"][0]
     if model == "tfim":
         j = options["jj"]
@@ -309,29 +310,48 @@ def _protocol_for(spec: HamiltonianSpec, options, j: float) -> ProtocolConfig:
                            options["nt"], options["ncycle"])
 
 
+def _prepare(run_cfg: RunConfig):
+    """The entry step of every command: (spec, J, protocol config, plan).
+
+    The plan is built for ``experiment`` only, whose spec and config are
+    those of the sweep's first point. A ValueError or package error raised
+    here is a usage error; an OSError (say, an unreadable model file) is not.
+    """
+    o = run_cfg.options
+    kind = run_cfg.experiment_kind
+    try:
+        plan = None
+        model = o["model"]
+        if run_cfg.command == "experiment":
+            plan = ExperimentPlan(
+                kind=ExperimentKind(kind), n_list=o["n"], beta=o["beta"],
+                h_over_j=o["hj"], p_e=o["pe"], j=o["jj"], g=o["g"],
+                n_trotter=o["nt"], n_cycle=o["ncycle"], seed=o["seed"],
+                qubit_cap=o["qubit-cap"], mode=o["mode"], n_sweeps=o["sweeps"],
+                workers=o["workers"],
+            )
+            model = "graph" if kind == "graph" else "tfim"
+        spec, j = _resolve_model(model, o)
+        return spec, j, _protocol_for(spec, o, j), plan
+    except (ValueError, QmcmcError) as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _report_hierarchy(spec: HamiltonianSpec, cfg: ProtocolConfig,
-                      threshold: float, verbosity: int, stream=None) -> None:
-    if verbosity < 1:
-        return
-    stream = stream if stream is not None else sys.stderr
+                      threshold: float, stream) -> float:
+    """Print the rate-hierarchy report; returns ||H_s||, its largest
+    |eigenvalue|."""
     h_s_norm = float(np.abs(hermitian_eig(to_matrix(spec)).eigenvalues).max())
     report = validate_hierarchy(cfg, h_s_norm, threshold)
     print(report.summary(), file=stream)
+    return h_s_norm
 
 
-def _emit_rows(rows, run_cfg: RunConfig) -> None:
-    if run_cfg.out:
-        emit_results(rows, run_cfg.output_format, run_cfg.out)
-    else:
-        emit_results(rows, run_cfg.output_format, sys.stdout)
-
-
-def _cmd_thermalize(run_cfg: RunConfig) -> int:
+def _cmd_thermalize(run_cfg: RunConfig, spec, j, cfg, plan) -> int:
     o = run_cfg.options
-    spec, j = _resolve_model(o)
     beta_j = o["beta"][0]
-    cfg = _protocol_for(spec, o, j)
-    _report_hierarchy(spec, cfg, o["hierarchy-threshold"], run_cfg.verbosity)
+    if run_cfg.verbosity:
+        _report_hierarchy(spec, cfg, o["hierarchy-threshold"], sys.stderr)
     t0 = time.perf_counter()
     cm = build_cycle_map(spec, cfg, workers=o["workers"])
     rho, lam1 = steady_state(cm)
@@ -353,54 +373,26 @@ def _cmd_thermalize(run_cfg: RunConfig) -> int:
     row.magnetization_error = abs(row.magnetization_exact - row.magnetization_algorithm)
     if spec.is_diagonal:
         row.tvd = tvd(np.diag(rho).real, gibbs_distribution(spec, cfg.beta))
-    _emit_rows([row], run_cfg)
+    emit_results([row], o["format"], o["out"] or sys.stdout)
     return 0
 
 
-def _cmd_sample(run_cfg: RunConfig) -> int:
+def _cmd_sample(run_cfg: RunConfig, spec, j, cfg, plan) -> int:
     o = run_cfg.options
-    spec, j = _resolve_model(o)
-    cfg = _protocol_for(spec, o, j)
-    _report_hierarchy(spec, cfg, o["hierarchy-threshold"], run_cfg.verbosity)
+    if run_cfg.verbosity:
+        _report_hierarchy(spec, cfg, o["hierarchy-threshold"], sys.stderr)
     samples = sample_gibbs(spec, cfg, o["burnin"], o["shots"], o["seed"],
                            workers=o["workers"])
-    if run_cfg.out:
-        emit_samples(samples, run_cfg.output_format, run_cfg.out)
-    else:
-        emit_samples(samples, run_cfg.output_format, sys.stdout)
+    emit_samples(samples, o["format"], o["out"] or sys.stdout)
     return 0
 
 
-def _cmd_experiment(run_cfg: RunConfig) -> int:
+def _cmd_experiment(run_cfg: RunConfig, spec, j, cfg, plan) -> int:
     o = run_cfg.options
-    kind = {
-        "tfim": ExperimentKind.TFIM_INFIDELITY,
-        "magnetization": ExperimentKind.MAGNETIZATION_SWEEP,
-        "graph": ExperimentKind.GRAPH_SAMPLING,
-    }[run_cfg.experiment_kind]
-    try:
-        plan = ExperimentPlan(
-            kind=kind, n_list=o["n"], beta=o["beta"], h_over_j=o["hj"],
-            p_e=o["pe"], j=o["jj"], g=o["g"], n_trotter=o["nt"],
-            n_cycle=o["ncycle"], seed=o["seed"], qubit_cap=o["qubit-cap"],
-            mode=o["mode"], n_sweeps=o["sweeps"], workers=o["workers"],
-            output_path=o["out"],
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    if run_cfg.verbosity >= 1:
-        n0 = plan.n_list[0]
-        if kind is ExperimentKind.GRAPH_SAMPLING:
-            spec = build_graph_ising(generate_er_instance(n0, plan.p_e[0], plan.seed))
-            j = 1.0  # graph weights are absolute
-        else:
-            spec = build_tfim(n0, plan.j, plan.h_over_j[0] * plan.j)
-            j = plan.j
-        cfg = protocol_config(spec, plan.g * j, plan.beta[0] / j,
-                              plan.n_trotter, plan.n_cycle)
-        _report_hierarchy(spec, cfg, o["hierarchy-threshold"], run_cfg.verbosity)
+    if run_cfg.verbosity:
+        _report_hierarchy(spec, cfg, o["hierarchy-threshold"], sys.stderr)
     rows = run_plan(plan)
-    _emit_rows(rows, run_cfg)
+    emit_results(rows, o["format"], o["out"] or sys.stdout)
     failed = sum(1 for row in rows if row.error)
     if failed:
         print(f"error: {failed} of {len(rows)} sweep points failed", file=sys.stderr)
@@ -408,13 +400,9 @@ def _cmd_experiment(run_cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_validate(run_cfg: RunConfig) -> int:
+def _cmd_validate(run_cfg: RunConfig, spec, j, cfg, plan) -> int:
     o = run_cfg.options
-    spec, j = _resolve_model(o)
-    cfg = _protocol_for(spec, o, j)
-    _report_hierarchy(spec, cfg, o["hierarchy-threshold"], 1, stream=sys.stdout)
-    h_s = to_matrix(spec)
-    h_s_norm = float(np.abs(hermitian_eig(h_s).eigenvalues).max())
+    h_s_norm = _report_hierarchy(spec, cfg, o["hierarchy-threshold"], sys.stdout)
     m = cfg.m_count
     lam = max(m * cfg.g, h_s_norm, m * cfg.omega_m / 2.0)
     steps = suggest_trotter_steps(cfg.t_g, lam, o["epsilon"])
@@ -425,11 +413,6 @@ def _cmd_validate(run_cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    try:
-        run_cfg = parse_args(argv)
-    except (UsageError, UnknownKey) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     dispatch = {
         "thermalize": _cmd_thermalize,
         "sample": _cmd_sample,
@@ -437,14 +420,12 @@ def main(argv=None) -> int:
         "validate": _cmd_validate,
     }
     try:
-        return dispatch[run_cfg.command](run_cfg)
+        run_cfg = parse_args(argv)
+        return dispatch[run_cfg.command](run_cfg, *_prepare(run_cfg))
     except (UsageError, UnknownKey) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (QmcmcError, OSError) as exc:
+    except (QmcmcError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -16,12 +16,11 @@ from __future__ import annotations
 import enum
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import build_cycle_map, spectral_gap, steady_state
+from .channel import _thread_map, build_cycle_map, spectral_gap, steady_state
 from .errors import QmcmcError
 from .hamiltonians import (
     GraphInstance,
@@ -71,7 +70,6 @@ class ExperimentPlan:
     mode: str = "steady_state"
     n_sweeps: int = 20
     workers: int | None = None
-    output_path: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
@@ -131,10 +129,6 @@ class ResultRow:
 RESULT_FIELDS = tuple(f.name for f in fields(ResultRow))
 
 
-def row_to_dict(row: ResultRow) -> dict:
-    return asdict(row)
-
-
 def generate_er_instance(n: int, p_e: float, seed: int) -> GraphInstance:
     """Seeded random graph: every unordered pair appears independently with
     probability ``p_e``; included edges and all vertex fields draw U[0,1).
@@ -189,10 +183,7 @@ def _run_points(points, point_fn, workers):
         row.wall_time = time.perf_counter() - t0
         return row
 
-    if workers is not None and workers > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(guarded, points))
-    return [guarded(args) for args in points]
+    return _thread_map(guarded, points, workers)
 
 
 def _solve_steady(spec: HamiltonianSpec, cfg: ProtocolConfig):

@@ -30,12 +30,11 @@ identical ``(spec, cfg, seed)`` reproduce identical samples bit for bit.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _period_unitary, _trotter_parts
+from .channel import _period_unitary, _thread_map, _trotter_parts
 from .errors import NormalizationLoss
 from .hamiltonians import HamiltonianSpec
 from .rng import derive_streams, next_uniform
@@ -228,13 +227,7 @@ def run_trajectories(spec: HamiltonianSpec, cfg: ProtocolConfig, cycles: int,
         amps, _ = _run_cycles(amps, states, periods, m, cycles)
         out[lo:hi] = amps
 
-    ranges = _chunk_ranges(shots, out.shape[1])
-    if workers is not None and workers > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_range, ranges))
-    else:
-        for bounds in ranges:
-            run_range(bounds)
+    _thread_map(run_range, _chunk_ranges(shots, out.shape[1]), workers)
     return out
 
 
@@ -273,12 +266,7 @@ def sample_gibbs(spec: HamiltonianSpec, cfg: ProtocolConfig, burn_in_cycles: int
         idx, _ = _measure_system(amps, states, n_s)
         return np.bincount(idx, minlength=2**n_s)
 
-    ranges = _chunk_ranges(shots, 2**(n_s + m))
-    if workers is not None and workers > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(run_range, ranges))
-    else:
-        partials = [run_range(bounds) for bounds in ranges]
+    partials = _thread_map(run_range, _chunk_ranges(shots, 2**(n_s + m)), workers)
     totals = np.sum(partials, axis=0)
     counts = {
         format(i, f"0{n_s}b"): int(c)

@@ -1,8 +1,13 @@
+import argparse
 import csv
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qmcmc import cli
 from qmcmc.cli import emit_results, emit_samples, main, parse_args
 from qmcmc.errors import EmptyResult, UnknownKey, UsageError
 from qmcmc.experiments import RESULT_FIELDS, ResultRow
@@ -270,6 +275,7 @@ def test_main_experiment_tfim_json(tmp_path):
     assert {row["h"] for row in loaded} == {0.5, 1.0}
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_main_experiment_failed_point_exits_1(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     # h/J = 1e308 passes the plan's finiteness check but overflows the
@@ -326,3 +332,119 @@ def test_main_bad_output_path_is_runtime_error(tmp_path):
 
 def test_main_missing_beta_exit_code():
     assert main(["thermalize", "--model", "tfim", "--n", "1"]) == 2
+
+
+# ------------------------------------------------------------ entry errors
+
+@pytest.mark.parametrize("argv, env, config", [
+    (["thermalize", "--n", "abc", "--beta", "1"], None, None),
+    (["thermalize", "--n", "1", "--beta", "x"], None, None),
+    (["thermalize", "--n", ",", "--beta", "1"], None, None),
+    (["thermalize", "--n", "1", "--beta", ","], None, None),
+    (["validate", "--n", "1"], "abc", None),
+    (["thermalize", "--n", "1", "--beta", "1"], None, "format = xml\n"),
+    (["thermalize", "--beta", "1"], None, "n = abc\n"),
+    (["thermalize", "--n", "0", "--beta", "1"], None, None),
+    (["validate", "--n", "1", "--epsilon", "0"], None, None),
+    (["sample", "--n", "1", "--beta", "1", "--burnin", "-1"], None, None),
+    (["sample", "--n", "1", "--beta", "1", "--shots", "0"], None, None),
+], ids=["n-abc", "beta-x", "n-empty", "beta-empty", "env-workers", "config-format",
+        "config-n", "n-0", "epsilon-0", "burnin-negative", "shots-0"])
+def test_main_bad_input_exits_2(argv, env, config, tmp_path, monkeypatch, capsys):
+    if env is None:
+        monkeypatch.delenv("QMCMC_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("QMCMC_WORKERS", env)
+    if config is not None:
+        (tmp_path / "run.conf").write_text(config)
+        argv = argv + ["--config", str(tmp_path / "run.conf")]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refused the flag
+        code = exc.code
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_main_linalg_failure_is_runtime_error(monkeypatch, capsys):
+    def failing(cm):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr("qmcmc.cli.steady_state", failing)
+    code = main(["thermalize", "-q", "--n", "1", "--beta", "1", "--g", "0.05",
+                 "--nt", "50", "--ncycle", "10"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "LinAlgError" in captured.err
+
+
+# ------------------------------------------------------- the option table
+
+def _subcommand_flags() -> dict:
+    sub = next(a for a in cli._parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {cmd: {s for a in p._actions for s in a.option_strings}
+            for cmd, p in sub.choices.items()}
+
+
+def test_subcommand_flag_sets_are_pinned():
+    common = {"-h", "--help", "--config", "-q", "--quiet", "--beta", "--g",
+              "--nt", "--ncycle", "--qubit-cap", "--hierarchy-threshold",
+              "--n", "--hj", "--jj", "--pe", "--seed"}
+    io = {"--format", "--out", "--workers"}
+    assert _subcommand_flags() == {
+        "thermalize": common | io | {"--model"},
+        "sample": common | io | {"--model", "--shots", "--burnin"},
+        "experiment": common | io | {"--mode", "--sweeps"},
+        "validate": common | {"--model", "--epsilon"},
+    }
+
+
+_TEXT = st.text(alphabet="abcxyz0123456789._-/", min_size=1, max_size=8)
+_NUMBER = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+_CANDIDATE = st.one_of(_NUMBER, st.lists(_NUMBER, min_size=1, max_size=4).map(",".join), _TEXT)
+
+
+@st.composite
+def _valid_options(draw):
+    """A subcommand, plus values its converters accept for some of its flags."""
+    command = draw(st.sampled_from(["thermalize", "sample", "experiment", "validate"]))
+    flags = sorted(f[2:] for f in _subcommand_flags()[command]
+                   if f[2:] in cli._OPTIONS)
+    values = {}
+    for key in draw(st.lists(st.sampled_from(flags), unique=True, max_size=6)):
+        opt = cli._OPTIONS[key]
+        if opt.choices:
+            values[key] = draw(st.sampled_from(opt.choices))
+            continue
+        values[key] = draw(_CANDIDATE.filter(lambda t, c=opt.convert: _accepts(c, t)))
+    return command, values
+
+
+def _accepts(convert, text) -> bool:
+    try:
+        convert(text)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=80, deadline=None)
+@given(_valid_options())
+def test_flag_and_config_file_give_same_options(tmp_path_factory, drawn):
+    command, values = drawn
+    base = [command] + (["tfim"] if command == "experiment" else [])
+    if "beta" not in values:
+        base += ["--beta", "1"]
+    from_flags = parse_args(base + [f"--{k}={v}" for k, v in values.items()])
+    conf = tmp_path_factory.mktemp("conf") / "run.conf"
+    conf.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    from_file = parse_args(base + ["--config", str(conf)])
+    assert from_flags.options == from_file.options

@@ -135,6 +135,7 @@ def test_tfim_beta_zero_fixed_point():
     assert row.infidelity < 1e-6
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_tfim_sweep_grid_and_error_isolation():
     # h/J = 1e308 is finite, so the plan accepts it, but its spectral width
     # overflows to inf and the point's protocol config refuses it
