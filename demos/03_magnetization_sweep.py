@@ -5,7 +5,7 @@ Uses a reduced Trotter load so the sweep finishes in seconds; switch the
 protocol numbers to n_trotter=5000, n_cycle=500 for reference-quality data.
 """
 
-from qmcmc import ExperimentKind, ExperimentPlan, run_magnetization_sweep
+from qmcmc import ExperimentKind, ExperimentPlan, run_plan
 
 plan = ExperimentPlan(
     kind=ExperimentKind.MAGNETIZATION_SWEEP,
@@ -19,7 +19,7 @@ plan = ExperimentPlan(
     workers=4,
 )
 
-rows = run_magnetization_sweep(plan)
+rows = run_plan(plan)
 
 print(f"{'n':>2} {'beta*J':>7} {'m_y exact':>12} {'m_y algo':>12} "
       f"{'|error|':>10} {'gap':>8} {'secs':>6}")

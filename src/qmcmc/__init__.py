@@ -28,10 +28,7 @@ from .experiments import (
     ResultRow,
     generate_er_instance,
     preset_graph_instance,
-    run_graph_sampling,
-    run_magnetization_sweep,
     run_plan,
-    run_tfim_infidelity,
 )
 from .hamiltonians import (
     GraphInstance,

@@ -39,18 +39,16 @@ from .experiments import (
     generate_er_instance,
     protocol_config,
     run_plan,
+    score_steady_state,
 )
 from .hamiltonians import (
     HamiltonianSpec,
     build_graph_ising,
     build_tfim,
-    gibbs_distribution,
     load_hamiltonian,
-    thermal_state,
     to_matrix,
 )
 from .linalg import hermitian_eig
-from .observables import fidelity, transverse_magnetization, tvd
 from .schedule import ProtocolConfig, suggest_trotter_steps, validate_hierarchy
 from .trajectory import SampleSet, sample_gibbs
 
@@ -106,7 +104,8 @@ _OPTIONS = {
                       "comb cycles before measuring"),
     "format": _Option(str, "csv", "output format", ("csv", "json")),
     "out": _Option(str, None, "output file (default: stdout)"),
-    "workers": _Option(int, None, "worker threads (env QMCMC_WORKERS)"),
+    "workers": _Option(_checked(int, "positive int", lambda v: v > 0), None,
+                       "worker threads (env QMCMC_WORKERS)"),
     "qubit-cap": _Option(int, 12, "max system+ancilla qubits"),
     "hierarchy-threshold": _Option(float, 10.0, "factor counted as 'much less'"),
     "mode": _Option(str, "steady_state", "algorithm column source",
@@ -349,30 +348,23 @@ def _report_hierarchy(spec: HamiltonianSpec, cfg: ProtocolConfig,
 
 def _cmd_thermalize(run_cfg: RunConfig, spec, j, cfg, plan) -> int:
     o = run_cfg.options
-    beta_j = o["beta"][0]
     if run_cfg.verbosity:
         _report_hierarchy(spec, cfg, o["hierarchy-threshold"], sys.stderr)
     t0 = time.perf_counter()
     cm = build_cycle_map(spec, cfg, workers=o["workers"])
     rho, lam1 = steady_state(cm)
     gap, _ = spectral_gap(cm)
-    rho_th = thermal_state(spec, cfg.beta)
     row = ResultRow(
         kind="thermalize", n_s=spec.qubit_count, j=j,
         h=o["hj"][0] * j if o["model"] == "tfim" else None,
-        beta=beta_j, p_e=o["pe"][0] if o["model"] == "graph" else None,
+        beta=o["beta"][0], p_e=o["pe"][0] if o["model"] == "graph" else None,
         instance_seed=o["seed"] if o["model"] == "graph" else None,
         g=o["g"], n_trotter=cfg.n_trotter, n_cycle=cfg.n_cycle, mode=None,
-        infidelity=1.0 - fidelity(rho_th, rho),
-        magnetization_exact=transverse_magnetization(rho_th, spec.qubit_count),
-        magnetization_algorithm=transverse_magnetization(rho, spec.qubit_count),
-        spectral_gap=gap,
-        lambda_dev=abs(lam1 - 1.0),
-        wall_time=time.perf_counter() - t0,
+        spectral_gap=gap, lambda_dev=abs(lam1 - 1.0),
     )
-    row.magnetization_error = abs(row.magnetization_exact - row.magnetization_algorithm)
-    if spec.is_diagonal:
-        row.tvd = tvd(np.diag(rho).real, gibbs_distribution(spec, cfg.beta))
+    metrics = ("infidelity", "magnetization") + (("tvd",) if spec.is_diagonal else ())
+    score_steady_state(row, spec, cfg.beta, rho, metrics)
+    row.wall_time = time.perf_counter() - t0
     emit_results([row], o["format"], o["out"] or sys.stdout)
     return 0
 

@@ -1,6 +1,8 @@
-"""Sweep drivers for the three numerical studies: chain-model steady-state
-infidelity, transverse magnetization versus temperature, and Gibbs sampling
-on random graph instances.
+"""The sweep runner for the three numerical studies: chain-model
+steady-state infidelity, transverse magnetization versus temperature, and
+Gibbs sampling on random graph instances. ``run_plan`` runs all three, and
+``score_steady_state`` scores a state against the exact thermal state for
+them and for ``qmcmc thermalize``.
 
 Units: for the chain model, the coupling ``j`` sets the energy scale, so
 ``plan.g`` is g/J and ``plan.beta`` entries are beta*J. Graph instances carry
@@ -14,6 +16,7 @@ its row and the sweep continues. Any other exception is a bug and propagates.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import time
 from dataclasses import dataclass, fields
@@ -83,10 +86,17 @@ class ExperimentPlan:
             bad = [v for v in values if not math.isfinite(v)]
             if bad:
                 raise ValueError(f"{name} must be finite, got {bad[0]}")
-        if self.kind is ExperimentKind.TFIM_INFIDELITY and not self.h_over_j:
+        for beta in self.beta:
+            if beta < 0:
+                raise ValueError(f"beta must be >= 0, got {beta}")
+        if self.kind is ExperimentKind.GRAPH_SAMPLING:
+            if not self.p_e:
+                raise ValueError("p_e must be nonempty")
+            for p_e in self.p_e:
+                if not 0.0 <= p_e <= 1.0:
+                    raise ValueError(f"edge probability must be in [0, 1], got {p_e}")
+        elif not self.h_over_j:
             raise ValueError("h_over_j must be nonempty")
-        if self.kind is ExperimentKind.GRAPH_SAMPLING and not self.p_e:
-            raise ValueError("p_e must be nonempty")
         if self.mode not in ("steady_state", "evolve"):
             raise ValueError(f"unknown mode {self.mode!r}")
         for n in self.n_list:
@@ -172,141 +182,81 @@ def protocol_config(spec: HamiltonianSpec, g: float, beta: float,
     )
 
 
-def _run_points(points, point_fn, workers):
-    def guarded(args):
-        row = args[0]
+# Metric columns each sweep kind scores; see score_steady_state.
+_KIND_METRICS = {
+    ExperimentKind.TFIM_INFIDELITY: ("infidelity",),
+    ExperimentKind.MAGNETIZATION_SWEEP: ("magnetization",),
+    ExperimentKind.GRAPH_SAMPLING: ("tvd", "infidelity"),
+}
+
+
+def score_steady_state(row: ResultRow, spec: HamiltonianSpec, beta: float,
+                       rho: np.ndarray, metrics) -> None:
+    """Fill the metric columns of ``row`` named in ``metrics`` by comparing
+    ``rho`` with the exact thermal state of ``spec`` at absolute ``beta``:
+    ``"infidelity"``, ``"tvd"`` (computational-basis populations against the
+    Boltzmann distribution; diagonal models only) and ``"magnetization"``
+    (exact, algorithm and error columns)."""
+    rho_th = thermal_state(spec, beta)
+    if "tvd" in metrics:
+        row.tvd = tvd(np.diag(rho).real, gibbs_distribution(spec, beta))
+    if "infidelity" in metrics:
+        row.infidelity = 1.0 - fidelity(rho_th, rho)
+    if "magnetization" in metrics:
+        n = spec.qubit_count
+        row.magnetization_exact = transverse_magnetization(rho_th, n)
+        row.magnetization_algorithm = transverse_magnetization(rho, n)
+        row.magnetization_error = abs(row.magnetization_exact - row.magnetization_algorithm)
+
+
+def run_plan(plan: ExperimentPlan) -> list[ResultRow]:
+    """One row per point of the grid ``n x (h/J, or p_e for graph) x beta``,
+    in that order.
+
+    Each point builds its model and cycle map, takes the fixed point and
+    scores it with the plan kind's metrics. Graph point ``index`` draws its
+    instance with seed ``plan.seed + index // len(plan.beta)``, so the betas
+    of one (n, p_e) pair share an instance. A magnetization plan with
+    ``mode="evolve"`` scores instead the state reached by applying the map
+    ``n_sweeps`` times to a random basis state drawn from the stream
+    ``(plan.seed, index)``, mirroring a finite-length run.
+    """
+    graph = plan.kind is ExperimentKind.GRAPH_SAMPLING
+    mode = plan.mode if plan.kind is ExperimentKind.MAGNETIZATION_SWEEP else None
+    grid = itertools.product(plan.n_list, plan.p_e if graph else plan.h_over_j, plan.beta)
+
+    def point(indexed):
+        index, (n, x, beta) = indexed
+        row = ResultRow(
+            kind=plan.kind.value, n_s=n, j=plan.j, h=None if graph else x * plan.j,
+            beta=beta, p_e=x if graph else None,
+            instance_seed=plan.seed + index // len(plan.beta) if graph else None,
+            g=plan.g, n_trotter=plan.n_trotter, n_cycle=plan.n_cycle, mode=mode,
+        )
         t0 = time.perf_counter()
         try:
-            point_fn(*args)
+            if graph:
+                spec, unit = build_graph_ising(generate_er_instance(n, x, row.instance_seed)), 1.0
+            else:
+                spec, unit = build_tfim(n, plan.j, x * plan.j), plan.j
+            cfg = protocol_config(spec, plan.g * unit, beta / unit, plan.n_trotter,
+                                  plan.n_cycle)
+            cm = build_cycle_map(spec, cfg)
+            rho, lam1 = steady_state(cm)
+            gap, _ = spectral_gap(cm)
+            if mode == "evolve":
+                stream = Stream.from_seed(plan.seed, index)
+                start = min(int(stream.uniform() * 2**n), 2**n - 1)
+                rho = np.zeros((2**n, 2**n), dtype=complex)
+                rho[start, start] = 1.0
+                for _ in range(plan.n_sweeps):
+                    rho = cm.superoperator.apply(rho)
+                rho = (rho + rho.conj().T) / 2.0
+            score_steady_state(row, spec, cfg.beta, rho, _KIND_METRICS[plan.kind])
+            row.spectral_gap, row.lambda_dev = gap, abs(lam1 - 1.0)
         except (QmcmcError, ValueError, np.linalg.LinAlgError) as exc:
             row.error = f"{type(exc).__name__}: {exc}"
         row.wall_time = time.perf_counter() - t0
         return row
 
-    return _thread_map(guarded, points, workers)
-
-
-def _solve_steady(spec: HamiltonianSpec, cfg: ProtocolConfig):
-    cm = build_cycle_map(spec, cfg)
-    rho, lam1 = steady_state(cm)
-    gap, _ = spectral_gap(cm)
-    return cm, rho, gap, abs(lam1 - 1.0)
-
-
-def run_tfim_infidelity(plan: ExperimentPlan) -> list[ResultRow]:
-    """Steady-state infidelity against the exact thermal state across
-    (n, h/J, beta*J) for the chain model, one ancilla per principal qubit."""
-    if plan.kind is not ExperimentKind.TFIM_INFIDELITY:
-        raise ValueError(f"plan kind is {plan.kind}, expected TFIM_INFIDELITY")
-    points = []
-    for n in plan.n_list:
-        for hj in plan.h_over_j:
-            for beta_j in plan.beta:
-                row = ResultRow(
-                    kind=plan.kind.value, n_s=n, j=plan.j, h=hj * plan.j,
-                    beta=beta_j, p_e=None, instance_seed=None, g=plan.g,
-                    n_trotter=plan.n_trotter, n_cycle=plan.n_cycle, mode=None,
-                )
-                points.append((row, n, hj, beta_j))
-
-    def point(row, n, hj, beta_j):
-        spec = build_tfim(n, plan.j, hj * plan.j)
-        beta_abs = beta_j / plan.j
-        cfg = protocol_config(spec, plan.g * plan.j, beta_abs, plan.n_trotter,
-                              plan.n_cycle)
-        _, rho, gap, lam_dev = _solve_steady(spec, cfg)
-        row.infidelity = 1.0 - fidelity(thermal_state(spec, beta_abs), rho)
-        row.spectral_gap = gap
-        row.lambda_dev = lam_dev
-
-    return _run_points(points, point, plan.workers)
-
-
-def run_magnetization_sweep(plan: ExperimentPlan) -> list[ResultRow]:
-    """Exact vs algorithm transverse magnetization across (n, beta*J).
-
-    ``mode="steady_state"`` reads the fixed point of the cycle map;
-    ``mode="evolve"`` applies the map ``n_sweeps`` times to a seeded random
-    basis state, mirroring a finite-length run. The mode is recorded per row.
-    """
-    if plan.kind is not ExperimentKind.MAGNETIZATION_SWEEP:
-        raise ValueError(f"plan kind is {plan.kind}, expected MAGNETIZATION_SWEEP")
-    hj = plan.h_over_j[0]
-    points = []
-    for idx_n, n in enumerate(plan.n_list):
-        for idx_b, beta_j in enumerate(plan.beta):
-            row = ResultRow(
-                kind=plan.kind.value, n_s=n, j=plan.j, h=hj * plan.j,
-                beta=beta_j, p_e=None, instance_seed=None, g=plan.g,
-                n_trotter=plan.n_trotter, n_cycle=plan.n_cycle, mode=plan.mode,
-            )
-            points.append((row, n, beta_j, idx_n * len(plan.beta) + idx_b))
-
-    def point(row, n, beta_j, point_index):
-        spec = build_tfim(n, plan.j, hj * plan.j)
-        beta_abs = beta_j / plan.j
-        cfg = protocol_config(spec, plan.g * plan.j, beta_abs, plan.n_trotter,
-                              plan.n_cycle)
-        cm, rho_ss, gap, lam_dev = _solve_steady(spec, cfg)
-        if plan.mode == "evolve":
-            stream = Stream.from_seed(plan.seed, point_index)
-            start = min(int(stream.uniform() * 2**n), 2**n - 1)
-            rho_alg = np.zeros((2**n, 2**n), dtype=complex)
-            rho_alg[start, start] = 1.0
-            for _ in range(plan.n_sweeps):
-                rho_alg = cm.superoperator.apply(rho_alg)
-            rho_alg = (rho_alg + rho_alg.conj().T) / 2.0
-        else:
-            rho_alg = rho_ss
-        exact = transverse_magnetization(thermal_state(spec, beta_abs), n)
-        approx = transverse_magnetization(rho_alg, n)
-        row.magnetization_exact = exact
-        row.magnetization_algorithm = approx
-        row.magnetization_error = abs(exact - approx)
-        row.spectral_gap = gap
-        row.lambda_dev = lam_dev
-
-    return _run_points(points, point, plan.workers)
-
-
-def run_graph_sampling(plan: ExperimentPlan) -> list[ResultRow]:
-    """Gibbs-sampling quality on seeded random graph instances: total
-    variation distance between the steady-state computational-basis
-    distribution and the exact Boltzmann distribution, plus infidelity."""
-    if plan.kind is not ExperimentKind.GRAPH_SAMPLING:
-        raise ValueError(f"plan kind is {plan.kind}, expected GRAPH_SAMPLING")
-    points = []
-    pair_index = 0
-    for n in plan.n_list:
-        for p_e in plan.p_e:
-            instance_seed = plan.seed + pair_index
-            pair_index += 1
-            for beta in plan.beta:
-                row = ResultRow(
-                    kind=plan.kind.value, n_s=n, j=plan.j, h=None, beta=beta,
-                    p_e=p_e, instance_seed=instance_seed, g=plan.g,
-                    n_trotter=plan.n_trotter, n_cycle=plan.n_cycle, mode=None,
-                )
-                points.append((row, n, p_e, instance_seed, beta))
-
-    def point(row, n, p_e, instance_seed, beta):
-        instance = generate_er_instance(n, p_e, instance_seed)
-        spec = build_graph_ising(instance)
-        cfg = protocol_config(spec, plan.g, beta, plan.n_trotter, plan.n_cycle)
-        _, rho, gap, lam_dev = _solve_steady(spec, cfg)
-        row.tvd = tvd(np.diag(rho).real, gibbs_distribution(spec, beta))
-        row.infidelity = 1.0 - fidelity(thermal_state(spec, beta), rho)
-        row.spectral_gap = gap
-        row.lambda_dev = lam_dev
-
-    return _run_points(points, point, plan.workers)
-
-
-def run_plan(plan: ExperimentPlan) -> list[ResultRow]:
-    """Dispatch on the plan kind."""
-    runner = {
-        ExperimentKind.TFIM_INFIDELITY: run_tfim_infidelity,
-        ExperimentKind.MAGNETIZATION_SWEEP: run_magnetization_sweep,
-        ExperimentKind.GRAPH_SAMPLING: run_graph_sampling,
-    }[plan.kind]
-    return runner(plan)
+    return _thread_map(point, list(enumerate(grid)), plan.workers)

@@ -18,7 +18,7 @@ from qmcmc.channel import (
     superoperator_to_choi,
     to_superoperator,
 )
-from qmcmc.experiments import ExperimentKind, ExperimentPlan, generate_er_instance, run_magnetization_sweep
+from qmcmc.experiments import ExperimentKind, ExperimentPlan, generate_er_instance, run_plan
 from qmcmc.hamiltonians import (
     build_graph_ising,
     build_tfim,
@@ -151,7 +151,7 @@ def test_criterion_6_magnetization_consistency():
         beta=(0.1, 1.0, 10.0), h_over_j=(1.0,), g=0.005, n_trotter=5000,
         n_cycle=500, seed=0,
     )
-    rows = run_magnetization_sweep(plan)
+    rows = run_plan(plan)
     ok = all(r.error is None for r in rows)
     for row in rows:
         rho_oracle = series_expm(-row.beta * to_matrix(build_tfim(2, 1.0, 1.0)))

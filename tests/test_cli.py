@@ -348,8 +348,19 @@ def test_main_missing_beta_exit_code():
     (["validate", "--n", "1", "--epsilon", "0"], None, None),
     (["sample", "--n", "1", "--beta", "1", "--burnin", "-1"], None, None),
     (["sample", "--n", "1", "--beta", "1", "--shots", "0"], None, None),
+    (["experiment", "graph", "-q", "--n", "2", "--pe", "0.5,1.5", "--beta", "1",
+      "--nt", "30", "--ncycle", "8"], None, None),
+    (["experiment", "graph", "-q", "--n", "2", "--pe", "0.5", "--beta", "1,-1",
+      "--nt", "30", "--ncycle", "8"], None, None),
+    (["thermalize", "-q", "--n", "1", "--beta", "1", "--nt", "30", "--ncycle", "8",
+      "--workers", "0"], None, None),
+    (["thermalize", "-q", "--n", "1", "--beta", "1", "--nt", "30", "--ncycle", "8",
+      "--workers", "-3"], None, None),
+    (["thermalize", "-q", "--n", "1", "--beta", "1", "--nt", "30", "--ncycle", "8"],
+     "0", None),
 ], ids=["n-abc", "beta-x", "n-empty", "beta-empty", "env-workers", "config-format",
-        "config-n", "n-0", "epsilon-0", "burnin-negative", "shots-0"])
+        "config-n", "n-0", "epsilon-0", "burnin-negative", "shots-0", "pe-second-1.5",
+        "beta-second-negative", "workers-0", "workers-negative", "env-workers-0"])
 def test_main_bad_input_exits_2(argv, env, config, tmp_path, monkeypatch, capsys):
     if env is None:
         monkeypatch.delenv("QMCMC_WORKERS", raising=False)
@@ -380,6 +391,100 @@ def test_main_linalg_failure_is_runtime_error(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "LinAlgError" in captured.err
+
+
+# ------------------------------------------------------- pinned output
+
+_PINNED_ARGV = {
+    "thermalize-tfim": "thermalize -q --model tfim --n 2 --hj 0.8 --beta 1.5 --g 0.05 --nt 40 --ncycle 8",
+    "thermalize-graph": "thermalize -q --model graph --n 2 --pe 0.5 --beta 1 --g 0.05 --nt 40 --ncycle 8 --seed 3",
+    "thermalize-file": "thermalize -q --model {ham} --beta 0.7 --g 0.05 --nt 40 --ncycle 8",
+    "experiment-tfim": "experiment tfim -q --n 1,2 --hj 0.5,1 --beta 0.5,2 --g 0.05 --nt 30 --ncycle 8",
+    "experiment-magnetization": "experiment magnetization -q --n 1,2 --beta 0.3,1 --g 0.05 --nt 30 --ncycle 8",
+    "experiment-magnetization-evolve": "experiment magnetization -q --n 1,2 --beta 0.3,1 --g 0.05 --nt 30 --ncycle 8 --mode evolve --sweeps 5 --seed 4",
+    "experiment-graph": "experiment graph -q --n 2,3 --pe 0.3,0.9 --beta 0.5,2 --g 0.05 --nt 30 --ncycle 8 --seed 5",
+    "experiment-error-row": "experiment tfim -q --n 1 --hj 1,1e308 --beta 0.5 --nt 30 --ncycle 8",
+}
+
+# (exit code, CSV rows with wall_time blanked), recorded from the sweep and
+# thermalize code as it stood before the sweeps shared one runner
+_PINNED_ROWS = {
+    "thermalize-tfim": (0, [
+        'thermalize,2,1,0.80000000000000004,1.5,,,0.050000000000000003,40,8,,0.53208428333409241,,0.65963994986389485,-0.060397012683653099,0.7200369625475479,0.25708165290689666,5.1758618915316967e-13,,',
+    ]),
+    "thermalize-graph": (0, [
+        'thermalize,2,1,,1,0.5,3,0.050000000000000003,40,8,,0.1611567269774915,0.36720124425590261,0,-5.0389808517765318e-18,5.0389808517765318e-18,0.19456077951210582,3.3306690752293941e-14,,',
+    ]),
+    "thermalize-file": (0, [
+        'thermalize,2,1,,0.69999999999999996,,,0.050000000000000003,40,8,,0.010463502864539453,,-0.096273138398785221,-0.06832842349961761,0.027944714899167611,0.65712649707928272,9.8365759981788869e-14,,',
+    ]),
+    "experiment-tfim": (0, [
+        'tfim,1,1,0.5,0.5,,,0.050000000000000003,30,8,,0.0024123780101125147,,,,,0.17968250152143195,8.071321389024888e-14,,',
+        'tfim,1,1,0.5,2,,,0.050000000000000003,30,8,,0.030686083618065574,,,,,0.17968250152143084,7.9825054772059373e-14,,',
+        'tfim,1,1,1,0.5,,,0.050000000000000003,30,8,,0.035237446832701025,,,,,0.016321502353279671,1.6275869629534214e-13,,',
+        'tfim,1,1,1,2,,,0.050000000000000003,30,8,,0.26534137006241898,,,,,0.01632150235327956,1.6464607656536594e-13,,',
+        'tfim,2,1,0.5,0.5,,,0.050000000000000003,30,8,,0.019654537397397309,,,,,0.95617465480236052,9.0816243743180759e-14,,',
+        'tfim,2,1,0.5,2,,,0.050000000000000003,30,8,,0.14585139408242431,,,,,0.95617465480235897,6.9277917081515647e-14,,',
+        'tfim,2,1,1,0.5,,,0.050000000000000003,30,8,,0.17553297373407573,,,,,0.15307766605095663,5.7509559729214384e-14,,',
+        'tfim,2,1,1,2,,,0.050000000000000003,30,8,,0.56995162001060562,,,,,0.15307766605094986,6.3505078314331765e-14,,',
+    ]),
+    "experiment-magnetization": (0, [
+        'magnetization,1,1,1,0.29999999999999999,,,0.050000000000000003,30,8,steady_state,,,0.29131261245159085,0.064088977324596591,0.22722363512699426,0.016321502353279782,1.6353585182841272e-13,,',
+        'magnetization,1,1,1,1,,,0.050000000000000003,30,8,steady_state,,,0.76159415595576452,0.17303454666035156,0.58855960929541296,0.016321502353279449,1.6409096471496126e-13,,',
+        'magnetization,2,1,1,0.29999999999999999,,,0.050000000000000003,30,8,steady_state,,,0.28347992282242257,0.070453309595088803,0.21302661322733377,0.15307766605095463,5.6177398628784583e-14,,',
+        'magnetization,2,1,1,1,,,0.050000000000000003,30,8,steady_state,,,0.65923585511728255,0.089053883727431171,0.57018197138985138,0.15307766605095285,6.0618337111331044e-14,,',
+    ]),
+    "experiment-magnetization-evolve": (0, [
+        'magnetization,1,1,1,0.29999999999999999,,,0.050000000000000003,30,8,evolve,,,0.29131261245159085,0.0097245116994142157,0.28158810075217661,0.016321502353279782,1.6353585182841272e-13,,',
+        'magnetization,1,1,1,1,,,0.050000000000000003,30,8,evolve,,,0.76159415595576452,0.026255317897787882,0.73533883805797662,0.016321502353279449,1.6409096471496126e-13,,',
+        'magnetization,2,1,1,0.29999999999999999,,,0.050000000000000003,30,8,evolve,,,0.28347992282242257,0.075447810029066559,0.20803211279335601,0.15307766605095463,5.6177398628784583e-14,,',
+        'magnetization,2,1,1,1,,,0.050000000000000003,30,8,evolve,,,0.65923585511728255,-0.018059116662008712,0.67729497177929132,0.15307766605095285,6.0618337111331044e-14,,',
+    ]),
+    "experiment-graph": (0, [
+        'graph,2,1,,0.5,0.29999999999999999,5,0.050000000000000003,30,8,,0.0022269482440799848,0.037648649172932827,,,,0.25397301128243421,6.0285110240475384e-14,,',
+        'graph,2,1,,2,0.29999999999999999,5,0.050000000000000003,30,8,,0.033686746713126436,0.14936582044676838,,,,0.17937896655929075,5.9063869903094433e-14,,',
+        'graph,2,1,,0.5,0.90000000000000002,6,0.050000000000000003,30,8,,0.021911649561306312,0.10701685500062177,,,,0.32931199906089847,5.8064664187925336e-14,,',
+        'graph,2,1,,2,0.90000000000000002,6,0.050000000000000003,30,8,,0.16326581572145948,0.22873641150521429,,,,0.36531429119330172,5.7509575161567454e-14,,',
+        'graph,3,1,,0.5,0.29999999999999999,7,0.050000000000000003,30,8,,0.0022094315087515248,0.038089724207000818,,,,0.027680364269476176,6.7503129079649911e-14,,',
+        'graph,3,1,,2,0.29999999999999999,7,0.050000000000000003,30,8,,0.047868684086715629,0.1912955007151988,,,,0.027680364269469515,5.7287570455051873e-14,,',
+        'graph,3,1,,0.5,0.90000000000000002,8,0.050000000000000003,30,8,,0.077563593957594712,0.21112370354256066,,,,0.49245835806626759,8.681944054459625e-14,,',
+        'graph,3,1,,2,0.90000000000000002,8,0.050000000000000003,30,8,,0.2843466353536076,0.39841622454407932,,,,0.46606808705080693,7.9714013806413981e-14,,',
+    ]),
+    "experiment-error-row": (1, [
+        'tfim,1,1,1,0.5,,,0.0050000000000000001,30,8,,0.0030156675840713465,,,,,0.30421923055903388,6.8611872745645188e-14,,',
+        'tfim,1,1,1e+308,0.5,,,0.0050000000000000001,30,8,,,,,,,,,,"ValueError: omega_m must be finite, got inf"',
+    ]),
+}
+
+_FLOAT_FIELDS = {"j", "h", "beta", "p_e", "g", "infidelity", "tvd", "magnetization_exact",
+                 "magnetization_algorithm", "magnetization_error", "spectral_gap",
+                 "lambda_dev"}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("name", list(_PINNED_ARGV))
+def test_main_output_is_pinned(name, tmp_path):
+    ham = tmp_path / "model.ham"
+    ham.write_text("0.7 ZZ\n-0.4 XI\n0.3 IY\n")
+    out = tmp_path / "rows.csv"
+    argv = _PINNED_ARGV[name].format(ham=ham).split()
+    expected_code, expected_lines = _PINNED_ROWS[name]
+    assert main(argv + ["--out", str(out)]) == expected_code
+    with open(out, newline="") as fh:
+        got = list(csv.DictReader(fh))
+    expected = [dict(zip(RESULT_FIELDS, row)) for row in csv.reader(expected_lines)]
+    assert len(got) == len(expected)
+    for got_row, want_row in zip(got, expected):
+        for field in RESULT_FIELDS:
+            if field == "wall_time":
+                continue
+            if field in _FLOAT_FIELDS and want_row[field]:
+                # the abs floor admits rounding noise in values near zero
+                # (lambda_dev, a vanishing magnetization)
+                assert float(got_row[field]) == pytest.approx(
+                    float(want_row[field]), rel=1e-10, abs=1e-12), field
+            else:
+                assert got_row[field] == want_row[field], field
 
 
 # ------------------------------------------------------- the option table

@@ -10,10 +10,7 @@ from qmcmc.experiments import (
     ExperimentPlan,
     generate_er_instance,
     preset_graph_instance,
-    run_graph_sampling,
-    run_magnetization_sweep,
     run_plan,
-    run_tfim_infidelity,
 )
 from qmcmc.hamiltonians import build_graph_ising, gibbs_distribution, to_matrix
 from qmcmc.observables import transverse_magnetization, tvd
@@ -95,6 +92,18 @@ def test_plan_rejects_non_finite(field, overrides):
         small_plan(ExperimentKind.TFIM_INFIDELITY, **overrides)
 
 
+@pytest.mark.parametrize("kind, overrides, message", [
+    (ExperimentKind.TFIM_INFIDELITY, dict(beta=(1.0, -1.0)), "beta must be >= 0"),
+    (ExperimentKind.GRAPH_SAMPLING, dict(beta=(-0.5, 1.0)), "beta must be >= 0"),
+    (ExperimentKind.GRAPH_SAMPLING, dict(p_e=(0.5, 1.5)), "edge probability must be in"),
+    (ExperimentKind.GRAPH_SAMPLING, dict(p_e=(-0.1,)), "edge probability must be in"),
+    (ExperimentKind.GRAPH_SAMPLING, dict(p_e=(math.nan,)), "edge probability must be in"),
+])
+def test_plan_rejects_out_of_range(kind, overrides, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        small_plan(kind, **overrides)
+
+
 def test_point_programming_error_propagates(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("bug in a sweep point")
@@ -102,13 +111,7 @@ def test_point_programming_error_propagates(monkeypatch):
     monkeypatch.setattr("qmcmc.experiments.build_tfim", broken)
     plan = small_plan(ExperimentKind.TFIM_INFIDELITY, n_trotter=30, n_cycle=8)
     with pytest.raises(TypeError, match="bug in a sweep point"):
-        run_tfim_infidelity(plan)
-
-
-def test_run_plan_rejects_mismatched_kind():
-    plan = small_plan(ExperimentKind.TFIM_INFIDELITY)
-    with pytest.raises(ValueError):
-        run_magnetization_sweep(plan)
+        run_plan(plan)
 
 
 # ------------------------------------------------------------------- tfim
@@ -116,7 +119,7 @@ def test_run_plan_rejects_mismatched_kind():
 def test_tfim_single_site_accuracy():
     plan = small_plan(ExperimentKind.TFIM_INFIDELITY, n_list=(1,), beta=(1.0,),
                       g=0.05, n_trotter=200, n_cycle=50)
-    rows = run_tfim_infidelity(plan)
+    rows = run_plan(plan)
     assert len(rows) == 1
     row = rows[0]
     assert row.error is None
@@ -130,7 +133,7 @@ def test_tfim_single_site_accuracy():
 def test_tfim_beta_zero_fixed_point():
     plan = small_plan(ExperimentKind.TFIM_INFIDELITY, n_list=(2,), beta=(0.0,),
                       n_trotter=50, n_cycle=10)
-    row = run_tfim_infidelity(plan)[0]
+    row = run_plan(plan)[0]
     assert row.error is None
     assert row.infidelity < 1e-6
 
@@ -142,7 +145,7 @@ def test_tfim_sweep_grid_and_error_isolation():
     plan = small_plan(ExperimentKind.TFIM_INFIDELITY, n_list=(1,),
                       h_over_j=(1.0, 1e308), beta=(0.5, 1.0),
                       n_trotter=30, n_cycle=8)
-    rows = run_tfim_infidelity(plan)
+    rows = run_plan(plan)
     assert len(rows) == 4
     good = [r for r in rows if r.h == 1.0]
     bad = [r for r in rows if r.h == 1e308]
@@ -153,8 +156,8 @@ def test_tfim_sweep_grid_and_error_isolation():
 def test_tfim_rows_reproducible():
     plan = small_plan(ExperimentKind.TFIM_INFIDELITY, n_list=(1,),
                       beta=(0.5, 2.0), n_trotter=40, n_cycle=10)
-    rows_a = run_tfim_infidelity(plan)
-    rows_b = run_tfim_infidelity(plan)
+    rows_a = run_plan(plan)
+    rows_b = run_plan(plan)
     for a, b in zip(rows_a, rows_b):
         da, db = dataclasses.asdict(a), dataclasses.asdict(b)
         da.pop("wall_time"), db.pop("wall_time")
@@ -166,8 +169,8 @@ def test_tfim_workers_match_serial():
                       beta=(1.0,), n_trotter=30, n_cycle=8)
     threaded = small_plan(ExperimentKind.TFIM_INFIDELITY, n_list=(1, 2),
                           beta=(1.0,), n_trotter=30, n_cycle=8, workers=4)
-    rows_a = run_tfim_infidelity(plan)
-    rows_b = run_tfim_infidelity(threaded)
+    rows_a = run_plan(plan)
+    rows_b = run_plan(threaded)
     for a, b in zip(rows_a, rows_b):
         assert a.infidelity == b.infidelity
 
@@ -177,7 +180,7 @@ def test_tfim_workers_match_serial():
 def test_magnetization_high_temperature_vanishes():
     plan = small_plan(ExperimentKind.MAGNETIZATION_SWEEP, n_list=(2,),
                       beta=(1e-6,), n_trotter=50, n_cycle=10)
-    row = run_magnetization_sweep(plan)[0]
+    row = run_plan(plan)[0]
     assert abs(row.magnetization_exact) < 1e-5
     assert abs(row.magnetization_algorithm) < 1e-3
     assert row.mode == "steady_state"
@@ -186,7 +189,7 @@ def test_magnetization_high_temperature_vanishes():
 def test_magnetization_exact_column_vs_series_oracle():
     plan = small_plan(ExperimentKind.MAGNETIZATION_SWEEP, n_list=(2,),
                       beta=(0.1, 1.0), n_trotter=50, n_cycle=10)
-    rows = run_magnetization_sweep(plan)
+    rows = run_plan(plan)
     from qmcmc.hamiltonians import build_tfim
     for row in rows:
         h = to_matrix(build_tfim(row.n_s, row.j, row.h))
@@ -199,20 +202,31 @@ def test_magnetization_exact_column_vs_series_oracle():
 def test_magnetization_error_column_definitional():
     plan = small_plan(ExperimentKind.MAGNETIZATION_SWEEP, n_list=(1,),
                       beta=(0.7,), n_trotter=40, n_cycle=10)
-    row = run_magnetization_sweep(plan)[0]
+    row = run_plan(plan)[0]
     assert row.magnetization_error == abs(
         row.magnetization_exact - row.magnetization_algorithm)
+
+
+def test_magnetization_runs_every_h_over_j():
+    one = small_plan(ExperimentKind.MAGNETIZATION_SWEEP, h_over_j=(0.8,),
+                     beta=(0.5, 1.0), n_trotter=30, n_cycle=8)
+    rows_one = run_plan(one)
+    rows_two = run_plan(dataclasses.replace(one, h_over_j=(0.8, 3.0)))
+    assert len(rows_two) == 2 * len(rows_one)
+    assert [r.h for r in rows_two] == [0.8, 0.8, 3.0, 3.0]
+    assert [r.magnetization_algorithm for r in rows_two[:2]] == [
+        r.magnetization_algorithm for r in rows_one]
 
 
 def test_magnetization_evolve_mode():
     plan = small_plan(ExperimentKind.MAGNETIZATION_SWEEP, n_list=(1,),
                       beta=(1.0,), n_trotter=50, n_cycle=20, mode="evolve",
                       n_sweeps=60, g=0.05)
-    row = run_magnetization_sweep(plan)[0]
+    row = run_plan(plan)[0]
     assert row.mode == "evolve"
     assert row.error is None
     # after many sweeps the evolved state should sit near the steady value
-    steady = run_magnetization_sweep(
+    steady = run_plan(
         small_plan(ExperimentKind.MAGNETIZATION_SWEEP, n_list=(1,), beta=(1.0,),
                    n_trotter=50, n_cycle=20, g=0.05))[0]
     assert abs(row.magnetization_algorithm - steady.magnetization_algorithm) < 0.05
@@ -223,7 +237,7 @@ def test_magnetization_evolve_mode():
 def test_graph_product_instance_at_beta_zero():
     plan = small_plan(ExperimentKind.GRAPH_SAMPLING, n_list=(2,), p_e=(0.0,),
                       beta=(0.0,), n_trotter=50, n_cycle=10)
-    row = run_graph_sampling(plan)[0]
+    row = run_plan(plan)[0]
     assert row.error is None
     assert row.tvd < 1e-6
     assert row.infidelity < 1e-6
@@ -232,7 +246,7 @@ def test_graph_product_instance_at_beta_zero():
 def test_graph_rows_record_instance_seed():
     plan = small_plan(ExperimentKind.GRAPH_SAMPLING, n_list=(2,), p_e=(0.3, 0.9),
                       beta=(0.5,), n_trotter=30, n_cycle=8)
-    rows = run_graph_sampling(plan)
+    rows = run_plan(plan)
     assert [r.instance_seed for r in rows] == [plan.seed, plan.seed + 1]
     assert all(r.p_e in (0.3, 0.9) for r in rows)
 
@@ -240,7 +254,7 @@ def test_graph_rows_record_instance_seed():
 def test_graph_two_vertex_matches_composite_oracle():
     plan = small_plan(ExperimentKind.GRAPH_SAMPLING, n_list=(2,), p_e=(1.0,),
                       beta=(1.0,), g=0.1, n_trotter=50, n_cycle=10)
-    row = run_graph_sampling(plan)[0]
+    row = run_plan(plan)[0]
     assert row.error is None
 
     instance = generate_er_instance(2, 1.0, plan.seed)
