@@ -12,8 +12,7 @@ from qmcmc import (
     ProtocolConfig,
     build_cycle_map,
     build_tfim,
-    make_initial_state,
-    run_cycle,
+    run_trajectories,
     sample_gibbs,
     spectral_width,
     steady_state,
@@ -24,12 +23,13 @@ spec = build_tfim(1, j=1.0, h=1.0)
 cfg = ProtocolConfig(g=0.05, beta=1.0, omega_m=spectral_width(spec),
                      n_trotter=100, n_cycle=20, ancilla_map=(0,))
 
-# one trajectory, inspected cycle by cycle
-state = make_initial_state(spec, cfg, seed=5, system_index=0)
+# one trajectory, inspected cycle by cycle: shot 0 of seed 5 draws the same
+# stream whatever the cycle count, so each run extends the previous one
 print("single trajectory, system+ancilla amplitudes after each comb cycle:")
-for _ in range(3):
-    state = run_cycle(state, spec, cfg)
-    print(f"  cycle {state.cycle_index}: {np.round(state.amplitudes, 3)}")
+for cycles in (1, 2, 3):
+    amps = run_trajectories(spec, cfg, cycles=cycles, shots=1, seed=5,
+                            system_index=0)[0]
+    print(f"  cycle {cycles}: {np.round(amps, 3)}")
 
 # many shots, measured once after burn-in
 samples = sample_gibbs(spec, cfg, burn_in_cycles=5, shots=4000, seed=11)

@@ -12,7 +12,6 @@ from .channel import (
     KrausSet,
     Superoperator,
     ancilla_preparation,
-    apply_channel,
     build_cycle_map,
     build_period_channel,
     build_period_unitary,
@@ -44,14 +43,12 @@ from .hamiltonians import (
     to_matrix,
 )
 from .linalg import (
-    HermitianEigen,
     apply_gate,
     dominant_eigs,
     expm_hermitian,
     hermitian_eig,
     kron,
     kron_all,
-    partial_trace,
     unvec,
     vec,
 )
@@ -72,10 +69,6 @@ from .schedule import (
 )
 from .trajectory import (
     SampleSet,
-    TrajectoryState,
-    ensemble_reduced_state,
-    make_initial_state,
-    run_cycle,
     run_trajectories,
     sample_gibbs,
 )

@@ -105,11 +105,6 @@ def _thread_map(fn, items: list, workers: int | None) -> list:
     return [fn(item) for item in items]
 
 
-def apply_channel(kraus: KrausSet, rho: np.ndarray) -> np.ndarray:
-    """Direct Kraus application ``sum K rho K^dag``."""
-    return np.einsum("nij,jk,nlk->il", kraus.operators, rho, kraus.operators.conj())
-
-
 def _phase_weights(n_s: int, m: int) -> np.ndarray:
     """Per-composite-basis-state weight of the ancilla phase diagonal.
 

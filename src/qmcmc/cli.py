@@ -110,7 +110,7 @@ _OPTIONS = {
     "hierarchy-threshold": _Option(float, 10.0, "factor counted as 'much less'"),
     "mode": _Option(str, "steady_state", "algorithm column source",
                     ("steady_state", "evolve")),
-    "sweeps": _Option(int, 20, "cycle-map applications in evolve mode"),
+    "sweeps": _Option(int, None, "cycle-map applications in evolve mode (default 20)"),
     "epsilon": _Option(_checked(float, "positive float", lambda v: v > 0), 0.1,
                        "target Trotter error for the suggestion"),
 }
@@ -309,12 +309,18 @@ def _protocol_for(spec: HamiltonianSpec, options, j: float) -> ProtocolConfig:
                            options["nt"], options["ncycle"])
 
 
+# List options of which the single-point commands take exactly one value.
+_POINT_LISTS = ("n", "hj", "beta", "pe")
+
+
 def _prepare(run_cfg: RunConfig):
     """The entry step of every command: (spec, J, protocol config, plan).
 
     The plan is built for ``experiment`` only, whose spec and config are
-    those of the sweep's first point. A ValueError or package error raised
-    here is a usage error; an OSError (say, an unreadable model file) is not.
+    those of the sweep's first point; the other commands run one point and
+    refuse a list option with more than one value. A ValueError or package
+    error raised here is a usage error; an OSError (say, an unreadable model
+    file) is not.
     """
     o = run_cfg.options
     kind = run_cfg.experiment_kind
@@ -330,6 +336,11 @@ def _prepare(run_cfg: RunConfig):
                 workers=o["workers"],
             )
             model = "graph" if kind == "graph" else "tfim"
+        else:
+            for key in _POINT_LISTS:
+                if len(o[key]) > 1:
+                    raise UsageError(f"--{key} takes one value for {run_cfg.command}, "
+                                     f"got {len(o[key])}")
         spec, j = _resolve_model(model, o)
         return spec, j, _protocol_for(spec, o, j), plan
     except (ValueError, QmcmcError) as exc:
@@ -340,7 +351,7 @@ def _report_hierarchy(spec: HamiltonianSpec, cfg: ProtocolConfig,
                       threshold: float, stream) -> float:
     """Print the rate-hierarchy report; returns ||H_s||, its largest
     |eigenvalue|."""
-    h_s_norm = float(np.abs(hermitian_eig(to_matrix(spec)).eigenvalues).max())
+    h_s_norm = float(np.abs(hermitian_eig(to_matrix(spec))[0]).max())
     report = validate_hierarchy(cfg, h_s_norm, threshold)
     print(report.summary(), file=stream)
     return h_s_norm

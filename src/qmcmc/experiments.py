@@ -57,7 +57,9 @@ class ExperimentKind(enum.Enum):
 @dataclass(frozen=True)
 class ExperimentPlan:
     """Parameters of one sweep. Lists that a given kind does not use are
-    ignored; the ones it does use must be nonempty."""
+    ignored; the ones it does use must be nonempty. ``mode="evolve"`` is
+    for magnetization sweeps only, and ``n_sweeps`` (20 when not given) is
+    for evolve mode only."""
 
     kind: ExperimentKind
     n_list: tuple[int, ...]
@@ -71,7 +73,7 @@ class ExperimentPlan:
     seed: int = 0
     qubit_cap: int = 12
     mode: str = "steady_state"
-    n_sweeps: int = 20
+    n_sweeps: int | None = None
     workers: int | None = None
 
     def __post_init__(self):
@@ -99,6 +101,14 @@ class ExperimentPlan:
             raise ValueError("h_over_j must be nonempty")
         if self.mode not in ("steady_state", "evolve"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.mode == "evolve":
+            if self.kind is not ExperimentKind.MAGNETIZATION_SWEEP:
+                raise ValueError(f"mode 'evolve' is for magnetization sweeps, "
+                                 f"not {self.kind.value}")
+            if self.n_sweeps is None:
+                object.__setattr__(self, "n_sweeps", 20)
+        elif self.n_sweeps is not None:
+            raise ValueError(f"n_sweeps is used only in mode 'evolve', got {self.n_sweeps}")
         for n in self.n_list:
             if n < 1:
                 raise ValueError(f"system size must be >= 1, got {n}")

@@ -165,7 +165,7 @@ def diagonal_energies(spec: HamiltonianSpec) -> np.ndarray:
 
 def spectral_width(spec: HamiltonianSpec) -> float:
     """``E_max - E_min`` from full diagonalization."""
-    w = hermitian_eig(to_matrix(spec)).eigenvalues
+    w, _ = hermitian_eig(to_matrix(spec))
     return float(w[-1] - w[0])
 
 
@@ -177,8 +177,7 @@ def thermal_state(spec: HamiltonianSpec, beta: float) -> np.ndarray:
     """
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    eig = hermitian_eig(to_matrix(spec))
-    w, v = eig.eigenvalues, eig.eigenvectors
+    w, v = hermitian_eig(to_matrix(spec))
     weights = np.exp(-beta * (w - w[0]))
     weights /= weights.sum()
     return (v * weights) @ v.conj().T

@@ -12,10 +12,7 @@ All functions are pure and safe to call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceFailure, DimensionMismatch, NonHermitianInput
 
@@ -63,26 +60,13 @@ def _check_hermitian(h: np.ndarray) -> np.ndarray:
     return h
 
 
-@dataclass(frozen=True)
-class HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix.
-
-    ``eigenvalues`` are real and ascending; column i of ``eigenvectors``
-    pairs with eigenvalue i, and the eigenvector matrix is unitary.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eig(h: np.ndarray) -> HermitianEigen:
-    """Full eigendecomposition of a Hermitian matrix.
+def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full eigendecomposition ``(w, v)`` of a Hermitian matrix: ``w`` real
+    and ascending, column i of the unitary ``v`` pairing with ``w[i]``.
 
     Raises NonHermitianInput when ``||h - h^dag||_F`` exceeds 1e-10 ``||h||_F``.
     """
-    h = _check_hermitian(h)
-    w, v = np.linalg.eigh(h)
-    return HermitianEigen(eigenvalues=w, eigenvectors=v)
+    return np.linalg.eigh(_check_hermitian(h))
 
 
 def expm_hermitian(h: np.ndarray, c: complex) -> np.ndarray:
@@ -92,35 +76,8 @@ def expm_hermitian(h: np.ndarray, c: complex) -> np.ndarray:
     this covers every exponentiated operator in the protocol, so no general
     scaling-and-squaring code path is needed.
     """
-    eig = hermitian_eig(h)
-    w, v = eig.eigenvalues, eig.eigenvectors
+    w, v = hermitian_eig(h)
     return (v * np.exp(c * w)) @ v.conj().T
-
-
-def partial_trace(rho: np.ndarray, qubit_count: int, keep) -> np.ndarray:
-    """Trace out all qubits not in ``keep``.
-
-    ``keep`` is a set of qubit indices under the qubit-0-is-MSB convention;
-    the output is ordered by ascending kept index.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    n = int(qubit_count)
-    dim = 2**n
-    if rho.shape != (dim, dim):
-        raise DimensionMismatch(
-            f"state has shape {rho.shape}, expected ({dim}, {dim}) for {n} qubits"
-        )
-    keep = sorted(set(int(q) for q in keep))
-    if any(q < 0 or q >= n for q in keep):
-        raise DimensionMismatch(f"keep indices {keep} outside 0..{n - 1}")
-    traced = [q for q in range(n) if q not in keep]
-    t = rho.reshape((2,) * (2 * n))
-    remaining = n
-    for q in sorted(traced, reverse=True):
-        t = np.trace(t, axis1=q, axis2=q + remaining)
-        remaining -= 1
-    d_keep = 2 ** len(keep)
-    return t.reshape(d_keep, d_keep)
 
 
 def apply_gate(gate: np.ndarray, qubits, arr: np.ndarray, qubit_count: int,
@@ -167,7 +124,7 @@ def dominant_eigs(m: np.ndarray, k: int):
     if not 1 <= k <= dim:
         raise DimensionMismatch(f"k={k} outside 1..{dim}")
 
-    w, v = scipy.linalg.eig(m)
+    w, v = np.linalg.eig(m)
     order = np.argsort(-np.abs(w))[:k]
     w, v = w[order], v[:, order]
     res = np.linalg.norm(m @ v - v * w, axis=0)

@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import expit
-
 from .errors import IndexOutOfRange, InvalidTolerance
 
 
@@ -82,10 +80,16 @@ def comb_value(cfg: ProtocolConfig, k: int) -> float:
 
 def ground_probability(omega: float, beta: float) -> float:
     """Thermal ground-state occupation of a two-level ancilla with splitting
-    ``omega``, computed in the stable logistic form ``1 / (1 + exp(-beta*omega))``."""
+    ``omega``: the logistic ``1 / (1 + exp(-beta*omega))``, evaluated as
+    ``e / (1 + e)`` with ``e = exp(beta*omega)`` for negative arguments so
+    that ``exp`` never overflows."""
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    return float(expit(beta * omega))
+    x = beta * omega
+    if x >= 0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
 
 
 @dataclass(frozen=True)

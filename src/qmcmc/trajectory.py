@@ -45,17 +45,6 @@ _CHUNK_ELEMS = 1 << 22
 
 
 @dataclass(frozen=True)
-class TrajectoryState:
-    """One pure-state trajectory: composite amplitudes plus its own
-    generator state and progress counters."""
-
-    amplitudes: np.ndarray
-    rng_state: int
-    cycle_index: int = 0
-    period_index: int = 0
-
-
-@dataclass(frozen=True)
 class SampleSet:
     """Measured computational-basis outcomes (bitstring keys, qubit 0 first)."""
 
@@ -148,48 +137,6 @@ def _run_cycles(amps, states, periods, m_count: int, n_cycles: int):
     return amps, states
 
 
-def make_initial_state(spec: HamiltonianSpec, cfg: ProtocolConfig, seed: int,
-                       system_index: int | None = None) -> TrajectoryState:
-    """Fresh trajectory with ancillas in ``|0>``.
-
-    With ``system_index=None`` the system starts in a uniformly random basis
-    state, consuming the stream's first draw (exactly as batch shot 0 would);
-    passing an index pins the start without consuming a draw.
-    """
-    ds, da = 2**spec.qubit_count, 2**cfg.m_count
-    states = derive_streams(seed, 1)
-    if system_index is None:
-        u, states = next_uniform(states)
-        system_index = min(int(u[0] * ds), ds - 1)
-    if not 0 <= system_index < ds:
-        raise ValueError(f"system_index {system_index} outside register")
-    amps = np.zeros(ds * da, dtype=complex)
-    amps[system_index * da] = 1.0
-    return TrajectoryState(amplitudes=amps, rng_state=int(states[0]))
-
-
-def run_cycle(state: TrajectoryState, spec: HamiltonianSpec,
-              cfg: ProtocolConfig) -> TrajectoryState:
-    """Advance one trajectory through a full comb cycle (n_cycle periods)."""
-    periods = _cycle_periods(spec, cfg)
-    dim = 2**(spec.qubit_count + cfg.m_count)
-    amps = np.array(state.amplitudes, dtype=complex, copy=True)
-    if amps.shape != (dim,):
-        raise NormalizationLoss(
-            f"state has {amps.shape[0]} amplitudes, expected {dim}")
-    if abs(np.linalg.norm(amps) - 1.0) > 1e-6:
-        raise NormalizationLoss("input trajectory state is not normalized")
-    batch = amps[np.newaxis, :]
-    states = np.array([state.rng_state], dtype=np.uint64)
-    batch, states = _run_cycles(batch, states, periods, cfg.m_count, 1)
-    return TrajectoryState(
-        amplitudes=batch[0],
-        rng_state=int(states[0]),
-        cycle_index=state.cycle_index + 1,
-        period_index=0,
-    )
-
-
 def _chunk_ranges(shots: int, dim: int):
     chunk = max(1, _CHUNK_ELEMS // dim)
     return [(lo, min(lo + chunk, shots)) for lo in range(0, shots, chunk)]
@@ -214,10 +161,16 @@ def run_trajectories(spec: HamiltonianSpec, cfg: ProtocolConfig, cycles: int,
                      shots: int, seed: int, system_index: int | None = None,
                      workers: int | None = None) -> np.ndarray:
     """Final composite amplitudes of ``shots`` independent trajectories,
-    as a (shots, 2^(N_s+M)) array. Memory scales with both factors."""
+    as a (shots, 2^(N_s+M)) array. Memory scales with both factors.
+
+    Every shot starts with its ancillas in ``|0>`` and the system in basis
+    state ``system_index``, or, when that is None, in a uniformly random one
+    drawn from the shot's stream."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     n_s, m = spec.qubit_count, cfg.m_count
+    if system_index is not None and not 0 <= system_index < 2**n_s:
+        raise ValueError(f"system_index {system_index} outside 0..{2**n_s - 1}")
     periods = _cycle_periods(spec, cfg)
     out = np.empty((shots, 2**(n_s + m)), dtype=complex)
 
@@ -229,13 +182,6 @@ def run_trajectories(spec: HamiltonianSpec, cfg: ProtocolConfig, cycles: int,
 
     _thread_map(run_range, _chunk_ranges(shots, out.shape[1]), workers)
     return out
-
-
-def ensemble_reduced_state(amplitudes: np.ndarray, n_s: int, m_count: int) -> np.ndarray:
-    """Ensemble-averaged system density matrix of a batch of trajectories."""
-    batch = amplitudes.shape[0]
-    psi = amplitudes.reshape(batch, 2**n_s, 2**m_count)
-    return np.einsum("bia,bja->ij", psi, psi.conj()) / batch
 
 
 def _measure_system(amps: np.ndarray, states: np.ndarray, n_s: int):

@@ -5,10 +5,14 @@ path than the library: characteristic-polynomial eigenvalues via the
 Faddeev-LeVerrier trace recursion, matrix exponentials via scaled Taylor
 series, partial traces via einsum, the protocol via explicit composite-space
 density-matrix evolution, and the sampler's generator via pure-Python
-integer arithmetic.
+integer arithmetic. It also holds the state-level helpers that only the
+tests need: direct Kraus application, the partial trace and the ensemble
+average of a trajectory batch.
 """
 
 import numpy as np
+
+from qmcmc.errors import DimensionMismatch
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -52,6 +56,42 @@ def ptrace_last(rho, d_keep, d_rest):
     """Trace out the trailing tensor factor."""
     r = np.asarray(rho).reshape(d_keep, d_rest, d_keep, d_rest)
     return np.einsum("ikjk->ij", r)
+
+
+def partial_trace(rho, qubit_count, keep):
+    """Trace out all qubits not in ``keep`` (qubit 0 is the most significant
+    bit); the output is ordered by ascending kept index."""
+    rho = np.asarray(rho, dtype=complex)
+    n = int(qubit_count)
+    dim = 2**n
+    if rho.shape != (dim, dim):
+        raise DimensionMismatch(
+            f"state has shape {rho.shape}, expected ({dim}, {dim}) for {n} qubits"
+        )
+    keep = sorted(set(int(q) for q in keep))
+    if any(q < 0 or q >= n for q in keep):
+        raise DimensionMismatch(f"keep indices {keep} outside 0..{n - 1}")
+    traced = [q for q in range(n) if q not in keep]
+    t = rho.reshape((2,) * (2 * n))
+    remaining = n
+    for q in sorted(traced, reverse=True):
+        t = np.trace(t, axis1=q, axis2=q + remaining)
+        remaining -= 1
+    d_keep = 2 ** len(keep)
+    return t.reshape(d_keep, d_keep)
+
+
+def apply_channel(kraus, rho):
+    """Direct Kraus application ``sum K rho K^dag`` of a KrausSet."""
+    return np.einsum("nij,jk,nlk->il", kraus.operators, rho, kraus.operators.conj())
+
+
+def ensemble_reduced_state(amplitudes, n_s, m_count):
+    """Ensemble-averaged system density matrix of a batch of composite
+    trajectory amplitudes, shape (shots, 2^(n_s + m_count))."""
+    batch = amplitudes.shape[0]
+    psi = amplitudes.reshape(batch, 2**n_s, 2**m_count)
+    return np.einsum("bia,bja->ij", psi, psi.conj()) / batch
 
 
 def kron_chain(mats):

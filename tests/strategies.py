@@ -1,0 +1,25 @@
+"""Hypothesis strategies shared by the property tests."""
+
+from hypothesis import strategies as st
+
+from qmcmc.experiments import generate_er_instance
+from qmcmc.hamiltonians import build_graph_ising, build_tfim, spectral_width
+from qmcmc.schedule import ProtocolConfig
+
+
+@st.composite
+def small_protocols(draw):
+    """``(spec, cfg)``: a random chain or graph model with n_s <= 2 and a
+    protocol with M <= 2 ancillas, each coupled to any system qubit."""
+    n_s = draw(st.integers(1, 2))
+    m = draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        spec = build_tfim(n_s, 1.0, draw(st.floats(0.1, 2.0)))
+    else:
+        spec = build_graph_ising(generate_er_instance(n_s, 0.5, draw(st.integers(0, 99))))
+    cfg = ProtocolConfig(
+        g=draw(st.floats(0.02, 0.5)), beta=draw(st.floats(0.0, 5.0)),
+        omega_m=spectral_width(spec), n_trotter=draw(st.integers(1, 60)),
+        n_cycle=draw(st.integers(1, 6)),
+        ancilla_map=tuple(draw(st.integers(0, n_s - 1)) for _ in range(m)))
+    return spec, cfg

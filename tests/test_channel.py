@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,7 +8,6 @@ from qmcmc.channel import (
     KrausSet,
     Superoperator,
     ancilla_preparation,
-    apply_channel,
     build_cycle_map,
     build_period_channel,
     build_period_unitary,
@@ -33,12 +31,15 @@ from oracles import (
     I2,
     X,
     Z,
+    apply_channel,
     composite_cycle_oracle,
     composite_period_unitary,
+    ptrace_last,
     random_density,
     random_unitary,
     series_expm,
 )
+from strategies import small_protocols
 
 
 def field_spec(n=1, h=1.0):
@@ -205,25 +206,32 @@ def test_choi_constructions_agree():
     assert np.linalg.norm(j1 - j2) < 1e-12
 
 
-def test_random_period_channels_are_cptp():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        n_s = int(rng.integers(1, 3))
-        m = int(rng.integers(1, 3))
-        spec = field_spec(n_s, float(rng.uniform(0.2, 2.0)))
-        cfg = config(spec, m=m, g=float(rng.uniform(0.02, 0.5)),
-                     n_trotter=int(rng.integers(1, 60)),
-                     ancilla_map=tuple(int(rng.integers(0, n_s)) for _ in range(m)))
-        omega = float(rng.uniform(0.0, 4.0))
-        beta = float(rng.uniform(0.0, 5.0))
-        w = build_period_unitary(spec, cfg, omega)
-        kraus = build_period_channel(w, ancilla_preparation(omega, beta, m), n_s, m)
-        assert kraus.completeness_error() < 1e-8
-        choi = superoperator_to_choi(to_superoperator(kraus))
-        assert np.linalg.eigvalsh((choi + choi.conj().T) / 2).min() >= -1e-8
-        for _ in range(2):
-            rho = random_density(rng, 2**n_s)
-            assert abs(np.trace(apply_channel(kraus, rho)) - 1.0) < 1e-8
+def assert_choi_cptp(choi, d):
+    # completely positive: the Choi matrix is PSD; trace preserving: tracing
+    # out its output factor leaves the identity
+    assert np.abs(choi - choi.conj().T).max() < 1e-10
+    assert np.linalg.eigvalsh((choi + choi.conj().T) / 2).min() >= -1e-10
+    assert np.abs(ptrace_last(choi, d, d) - np.eye(d)).max() < 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(protocol=small_protocols(), omega=st.floats(0.0, 4.0))
+def test_random_period_channels_are_cptp(protocol, omega):
+    spec, cfg = protocol
+    n_s, m = spec.qubit_count, cfg.m_count
+    w = build_period_unitary(spec, cfg, omega)
+    kraus = build_period_channel(w, ancilla_preparation(omega, cfg.beta, m), n_s, m)
+    assert kraus.completeness_error() < 1e-8
+    assert_choi_cptp(choi_matrix(kraus), 2**n_s)
+    assert_choi_cptp(superoperator_to_choi(to_superoperator(kraus)), 2**n_s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(protocol=small_protocols())
+def test_cycle_map_is_cptp(protocol):
+    spec, cfg = protocol
+    cm = build_cycle_map(spec, cfg)
+    assert_choi_cptp(superoperator_to_choi(cm.superoperator), 2**spec.qubit_count)
 
 
 @settings(max_examples=60, deadline=None)
@@ -471,8 +479,6 @@ def test_steady_state_and_gap_share_one_eig(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(scipy.linalg, "eig")
-    counted(scipy.linalg, "eigvals")
     counted(np.linalg, "eig")
     counted(np.linalg, "eigvals")
     rho, lam1 = steady_state(cm)

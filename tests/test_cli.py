@@ -1,6 +1,10 @@
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -358,9 +362,28 @@ def test_main_missing_beta_exit_code():
       "--workers", "-3"], None, None),
     (["thermalize", "-q", "--n", "1", "--beta", "1", "--nt", "30", "--ncycle", "8"],
      "0", None),
+    (["thermalize", "-q", "--n", "1,2", "--hj", "0.5,1", "--beta", "1,2", "--nt", "30",
+      "--ncycle", "8"], None, None),
+    (["thermalize", "-q", "--n", "1", "--beta", "1,2", "--nt", "30", "--ncycle", "8"],
+     None, None),
+    (["thermalize", "-q", "--beta", "1", "--nt", "30", "--ncycle", "8"], None, "n = 1,2\n"),
+    (["sample", "-q", "--model", "graph", "--n", "2", "--pe", "0.3,0.5", "--beta", "1",
+      "--nt", "30", "--ncycle", "8"], None, None),
+    (["validate", "--n", "1", "--hj", "0.5,1"], None, None),
+    (["experiment", "tfim", "-q", "--n", "1", "--beta", "1", "--nt", "30", "--ncycle", "8",
+      "--mode", "evolve", "--sweeps", "3"], None, None),
+    (["experiment", "graph", "-q", "--n", "2", "--beta", "1", "--nt", "30", "--ncycle", "8",
+      "--mode", "evolve"], None, None),
+    (["experiment", "tfim", "-q", "--n", "1", "--beta", "1", "--nt", "30", "--ncycle", "8",
+      "--sweeps", "3"], None, None),
+    (["experiment", "magnetization", "-q", "--n", "1", "--beta", "1", "--nt", "30",
+      "--ncycle", "8", "--sweeps", "3"], None, None),
 ], ids=["n-abc", "beta-x", "n-empty", "beta-empty", "env-workers", "config-format",
         "config-n", "n-0", "epsilon-0", "burnin-negative", "shots-0", "pe-second-1.5",
-        "beta-second-negative", "workers-0", "workers-negative", "env-workers-0"])
+        "beta-second-negative", "workers-0", "workers-negative", "env-workers-0",
+        "thermalize-lists", "thermalize-beta-list", "config-n-list", "sample-pe-list",
+        "validate-hj-list", "tfim-evolve", "graph-evolve", "tfim-sweeps",
+        "magnetization-steady-sweeps"])
 def test_main_bad_input_exits_2(argv, env, config, tmp_path, monkeypatch, capsys):
     if env is None:
         monkeypatch.delenv("QMCMC_WORKERS", raising=False)
@@ -378,6 +401,27 @@ def test_main_bad_input_exits_2(argv, env, config, tmp_path, monkeypatch, capsys
     assert captured.out == ""
     assert captured.err.count("error:") == 1
     assert "Traceback" not in captured.err
+
+
+_NO_SCIPY_SCRIPT = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy or a submodule now fails
+from qmcmc.cli import main
+point = ["-q", "--n", "1", "--beta", "1", "--nt", "30", "--ncycle", "8"]
+commands = (["thermalize"], ["sample"], ["experiment", "tfim"], ["validate"])
+print("exit codes:", [main(command + point) for command in commands])
+"""
+
+
+def test_commands_run_without_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    env.pop("QMCMC_WORKERS", None)
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "exit codes: [0, 0, 0, 0]", proc.stderr
 
 
 def test_main_linalg_failure_is_runtime_error(monkeypatch, capsys):

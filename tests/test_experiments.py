@@ -104,6 +104,23 @@ def test_plan_rejects_out_of_range(kind, overrides, message):
         small_plan(kind, **overrides)
 
 
+@pytest.mark.parametrize("kind, overrides, message", [
+    (ExperimentKind.TFIM_INFIDELITY, dict(mode="evolve"), "mode 'evolve' is for magnetization"),
+    (ExperimentKind.GRAPH_SAMPLING, dict(mode="evolve"), "mode 'evolve' is for magnetization"),
+    (ExperimentKind.TFIM_INFIDELITY, dict(n_sweeps=3), "n_sweeps is used only"),
+    (ExperimentKind.MAGNETIZATION_SWEEP, dict(n_sweeps=3), "n_sweeps is used only"),
+])
+def test_plan_refuses_settings_it_would_ignore(kind, overrides, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        small_plan(kind, **overrides)
+
+
+def test_evolve_plan_defaults_to_twenty_sweeps():
+    plan = small_plan(ExperimentKind.MAGNETIZATION_SWEEP, mode="evolve")
+    assert plan.n_sweeps == 20
+    assert small_plan(ExperimentKind.MAGNETIZATION_SWEEP).n_sweeps is None
+
+
 def test_point_programming_error_propagates(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("bug in a sweep point")

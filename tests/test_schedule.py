@@ -96,6 +96,19 @@ def test_ground_probability_complement():
         assert abs(total - 1.0) < 1e-14
 
 
+def test_ground_probability_large_negative_argument_is_zero():
+    assert ground_probability(-1e6, 1.0) == 0.0
+
+
+def test_ground_probability_is_plain_logistic_for_non_negative_argument():
+    for x in np.linspace(0.0, 800.0, 16001):
+        x = float(x)
+        assert ground_probability(x, 1.0) == 1.0 / (1.0 + math.exp(-x))
+    for omega in (0.0, 0.013, 0.7, 2.5, 31.0):
+        for beta in (0.0, 0.1, 1.0, 10.0, 100.0):
+            assert ground_probability(omega, beta) == 1.0 / (1.0 + math.exp(-(beta * omega)))
+
+
 def test_ground_probability_rejects_negative_beta():
     with pytest.raises(ValueError):
         ground_probability(1.0, -1.0)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qmcmc.trajectory as trajectory
 from qmcmc.channel import build_cycle_map, build_period_unitary
@@ -14,15 +16,15 @@ from qmcmc.hamiltonians import (
 )
 from qmcmc.rng import Stream, derive_streams, next_uniform, splitmix64
 from qmcmc.schedule import ProtocolConfig
-from qmcmc.trajectory import (
-    ensemble_reduced_state,
-    make_initial_state,
-    run_cycle,
-    run_trajectories,
-    sample_gibbs,
-)
+from qmcmc.trajectory import run_trajectories, sample_gibbs
 
-from oracles import composite_period_unitary, splitmix64_py, xorshift64star_py
+from oracles import (
+    composite_period_unitary,
+    ensemble_reduced_state,
+    splitmix64_py,
+    xorshift64star_py,
+)
+from strategies import small_protocols
 
 
 def field_config(spec, **overrides):
@@ -66,45 +68,33 @@ def test_batched_uniforms_match_scalar_streams():
 
 # ------------------------------------------------------------ trajectories
 
-def test_run_cycle_deterministic_and_normalized():
+def test_run_trajectories_deterministic_and_normalized():
     spec = build_tfim(1, 1.0, 1.0)
     cfg = field_config(spec, n_trotter=20, n_cycle=5)
-    start = make_initial_state(spec, cfg, seed=9, system_index=0)
-    out1 = run_cycle(start, spec, cfg)
-    out2 = run_cycle(start, spec, cfg)
-    assert np.array_equal(out1.amplitudes, out2.amplitudes)
-    assert out1.rng_state == out2.rng_state
-    assert out1.cycle_index == 1
-    assert abs(np.linalg.norm(out1.amplitudes) - 1.0) < 1e-9
+    out1 = run_trajectories(spec, cfg, cycles=1, shots=1, seed=9, system_index=0)
+    out2 = run_trajectories(spec, cfg, cycles=1, shots=1, seed=9, system_index=0)
+    assert np.array_equal(out1, out2)
+    assert abs(np.linalg.norm(out1[0]) - 1.0) < 1e-9
 
 
-def test_run_cycle_chains_through_counters():
-    spec = build_tfim(1, 1.0, 1.0)
-    cfg = field_config(spec, n_trotter=10, n_cycle=3)
-    state = make_initial_state(spec, cfg, seed=5, system_index=1)
-    for expected in (1, 2):
-        state = run_cycle(state, spec, cfg)
-        assert state.cycle_index == expected
-
-
-def test_run_cycle_rejects_unnormalized_state():
+def test_run_trajectories_rejects_norm_drift(monkeypatch):
+    # a period unitary that is not unitary makes each shot's norm drift; the
+    # run must stop rather than renormalize it away
     spec = build_tfim(1, 1.0, 1.0)
     cfg = field_config(spec)
-    start = make_initial_state(spec, cfg, seed=1, system_index=0)
-    bad = trajectory.TrajectoryState(2.0 * start.amplitudes, start.rng_state)
-    with pytest.raises(NormalizationLoss):
-        run_cycle(bad, spec, cfg)
+    exact = trajectory._period_unitary
+    monkeypatch.setattr(trajectory, "_period_unitary",
+                        lambda *args: 1.01 * exact(*args))
+    with pytest.raises(NormalizationLoss, match="drifted"):
+        run_trajectories(spec, cfg, cycles=1, shots=2, seed=1, system_index=0)
 
 
-def test_run_cycle_matches_batch_runner_bitwise():
+@pytest.mark.parametrize("system_index", [-1, 2])
+def test_run_trajectories_rejects_system_index_outside_register(system_index):
     spec = build_tfim(1, 1.0, 1.0)
-    cfg = field_config(spec, n_trotter=25, n_cycle=4)
-    state = make_initial_state(spec, cfg, seed=123, system_index=1)
-    for _ in range(3):
-        state = run_cycle(state, spec, cfg)
-    batch = run_trajectories(spec, cfg, cycles=3, shots=1, seed=123,
-                             system_index=1)
-    assert np.array_equal(batch[0], state.amplitudes)
+    with pytest.raises(ValueError, match="system_index"):
+        run_trajectories(spec, field_config(spec), cycles=1, shots=1, seed=0,
+                         system_index=system_index)
 
 
 def test_forced_ground_branch_equals_period_unitary():
@@ -255,6 +245,21 @@ def test_sample_gibbs_pinned_counts(make_spec, overrides, burn_in, shots, seed, 
     cfg = field_config(spec, **{"n_trotter": 20, "n_cycle": 5, **overrides})
     samples = sample_gibbs(spec, cfg, burn_in_cycles=burn_in, shots=shots, seed=seed)
     assert samples.counts == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(protocol=small_protocols(), burn_in=st.integers(0, 2), shots=st.integers(1, 40),
+       seed=st.integers(0, 2**32), chunk_shots=st.integers(1, 8),
+       workers=st.sampled_from([None, 1, 2, 3]))
+def test_sample_gibbs_counts_do_not_depend_on_batching(protocol, burn_in, shots, seed,
+                                                       chunk_shots, workers):
+    spec, cfg = protocol
+    whole = sample_gibbs(spec, cfg, burn_in, shots, seed)
+    dim = 2**(spec.qubit_count + cfg.m_count)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trajectory, "_CHUNK_ELEMS", chunk_shots * dim)
+        split = sample_gibbs(spec, cfg, burn_in, shots, seed, workers=workers)
+    assert split == whole
 
 
 def test_sample_set_probabilities():
