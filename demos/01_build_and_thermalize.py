@@ -9,7 +9,6 @@ steady state -> metrics.
 import numpy as np
 
 from qmcmc import (
-    MetricReport,
     ProtocolConfig,
     build_cycle_map,
     build_tfim,
@@ -49,14 +48,10 @@ rho_ss, lam1 = steady_state(cycle)
 gap, unique = spectral_gap(cycle)
 
 rho_th = thermal_state(spec, cfg.beta)
-report = MetricReport(
-    fidelity=fidelity(rho_th, rho_ss),
-    magnetization=transverse_magnetization(rho_ss, n),
-)
 
 print(f"\n|lambda_1 - 1|      = {abs(lam1 - 1):.2e}")
 print(f"unique fixed point  = {unique}")
 print(f"spectral gap        = {gap:.4f}  (thermalizes in ~{1/gap:.1f} cycles)")
-print(f"infidelity vs Gibbs = {report.infidelity:.5f}")
-print(f"m_y (steady state)  = {report.magnetization:+.5f}")
+print(f"infidelity vs Gibbs = {1.0 - fidelity(rho_th, rho_ss):.5f}")
+print(f"m_y (steady state)  = {transverse_magnetization(rho_ss, n):+.5f}")
 print(f"m_y (exact thermal) = {transverse_magnetization(rho_th, n):+.5f}")

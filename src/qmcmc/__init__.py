@@ -53,7 +53,6 @@ from .linalg import (
     vec,
 )
 from .observables import (
-    MetricReport,
     fidelity,
     site_magnetizations,
     transverse_magnetization,

@@ -39,6 +39,8 @@ from .schedule import ProtocolConfig, comb_value, ground_probability
 # Largest cycle-map dimension d_s**2 (n_s = 6): the dense map alone is 256 MiB
 # here and one more spin makes it 4 GiB, out of reach of the dense eigensolver.
 MAX_CYCLE_DIM = 4096
+_PRUNE_TOL = 1e-14  # see build_period_channel
+_MAX_CLUSTER = 16  # see steady_state
 
 
 @dataclass(frozen=True)
@@ -172,12 +174,12 @@ def ancilla_preparation(omega: float, beta: float, m_count: int) -> np.ndarray:
     return prep
 
 
-def build_period_channel(w: np.ndarray, prep: np.ndarray, n_s: int, m_count: int,
-                         prune_tol: float = 1e-14) -> KrausSet:
+def build_period_channel(w: np.ndarray, prep: np.ndarray, n_s: int,
+                         m_count: int) -> KrausSet:
     """Reduced system channel of one period as a Kraus set.
 
     ``K_(i,b) = sqrt(P(b)) <i|_anc W |b>_anc`` over all ancilla basis pairs;
-    operators with Frobenius norm below ``prune_tol`` are dropped (harmless
+    operators with Frobenius norm below ``_PRUNE_TOL`` are dropped (harmless
     to completeness, bounds the 4^M operator count when p0 -> 1).
     """
     d_s, d_a = 2**n_s, 2**m_count
@@ -195,7 +197,7 @@ def build_period_channel(w: np.ndarray, prep: np.ndarray, n_s: int, m_count: int
     kraus = (np.sqrt(np.clip(prep, 0.0, None))[np.newaxis, :, None, None] * blocks)
     kraus = kraus.reshape(d_a * d_a, d_s, d_s)
     norms = np.linalg.norm(kraus, axis=(1, 2))
-    kraus = np.ascontiguousarray(kraus[norms >= prune_tol])
+    kraus = np.ascontiguousarray(kraus[norms >= _PRUNE_TOL])
     kset = KrausSet(dim=d_s, operators=kraus)
     err = kset.completeness_error()
     if err >= 1e-8:
@@ -275,7 +277,7 @@ def build_cycle_map(spec: HamiltonianSpec, cfg: ProtocolConfig,
     )
 
 
-def steady_state(m: CycleMap, max_cluster: int = 16) -> tuple[np.ndarray, complex]:
+def steady_state(m: CycleMap) -> tuple[np.ndarray, complex]:
     """Fixed point of the cycle map and its dominant eigenvalue.
 
     Requires ``|lam_1 - 1| < 1e-6``. When the unit eigenvalue is simple, the
@@ -287,11 +289,11 @@ def steady_state(m: CycleMap, max_cluster: int = 16) -> tuple[np.ndarray, comple
     degenerate (the infinite-temperature single-site chain is one such
     case), leaving "the" eigenvector ill-defined. The fixed point is then
     chosen as the least-squares projection of the maximally mixed state onto
-    the near-unit eigenspace among the ``max_cluster`` dominant pairs: the
+    the near-unit eigenspace among the ``_MAX_CLUSTER`` dominant pairs: the
     natural infinite-time limit seeded from an unbiased state, and exactly
     ``I/d`` whenever that is a fixed point.
     """
-    pairs = m.spectrum[:max_cluster]
+    pairs = m.spectrum[:_MAX_CLUSTER]
     k = len(pairs)
     lam1, v1 = pairs[0]
     if abs(lam1 - 1.0) >= 1e-6:

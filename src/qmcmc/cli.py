@@ -24,32 +24,26 @@ import functools
 import json
 import os
 import sys
-import time
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .channel import build_cycle_map, spectral_gap, steady_state
+# Not called here; bench/test_bench.py looks these names up on this module.
+from .channel import build_cycle_map, spectral_gap  # noqa: F401
 from .errors import EmptyResult, QmcmcError, UnknownKey, UsageError
 from .experiments import (
     ExperimentKind,
     ExperimentPlan,
+    Point,
     ResultRow,
     RESULT_FIELDS,
-    generate_er_instance,
-    protocol_config,
+    make_point,
     run_plan,
-    score_steady_state,
+    solve_point,
 )
-from .hamiltonians import (
-    HamiltonianSpec,
-    build_graph_ising,
-    build_tfim,
-    load_hamiltonian,
-    to_matrix,
-)
+from .hamiltonians import to_matrix
 from .linalg import hermitian_eig
-from .schedule import ProtocolConfig, suggest_trotter_steps, validate_hierarchy
+from .schedule import suggest_trotter_steps, validate_hierarchy
 from .trajectory import SampleSet, sample_gibbs
 
 
@@ -106,11 +100,11 @@ _OPTIONS = {
     "out": _Option(str, None, "output file (default: stdout)"),
     "workers": _Option(_checked(int, "positive int", lambda v: v > 0), None,
                        "worker threads (env QMCMC_WORKERS)"),
-    "qubit-cap": _Option(int, 12, "max system+ancilla qubits"),
     "hierarchy-threshold": _Option(float, 10.0, "factor counted as 'much less'"),
     "mode": _Option(str, "steady_state", "algorithm column source",
                     ("steady_state", "evolve")),
-    "sweeps": _Option(int, None, "cycle-map applications in evolve mode (default 20)"),
+    "sweeps": _Option(_checked(int, "positive int", lambda v: v > 0), None,
+                      "cycle-map applications in evolve mode (default 20)"),
     "epsilon": _Option(_checked(float, "positive float", lambda v: v > 0), 0.1,
                        "target Trotter error for the suggestion"),
 }
@@ -118,11 +112,13 @@ _OPTIONS = {
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
-    """Parsed and merged invocation: one command plus its option values."""
+    """Parsed and merged invocation: one command plus its option values;
+    ``given`` names the options set by a flag or the config file."""
 
     command: str
     experiment_kind: str | None
     options: dict
+    given: frozenset
     verbosity: int
 
 
@@ -136,7 +132,7 @@ def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
 
 
 _MODEL_FLAGS = ("model", "n", "hj", "jj", "pe", "seed")
-_PROTO_FLAGS = ("beta", "g", "nt", "ncycle", "qubit-cap", "hierarchy-threshold")
+_PROTO_FLAGS = ("beta", "g", "nt", "ncycle", "hierarchy-threshold")
 _IO_FLAGS = ("format", "out", "workers")
 
 
@@ -211,10 +207,9 @@ def parse_args(argv=None) -> RunConfig:
     ns = _parser().parse_args(argv)
     file_values = _read_config_file(ns.config) if ns.config else {}
 
-    options = {}
-    for key, opt in _OPTIONS.items():
-        flag_val = getattr(ns, key.replace("-", "_"), None)
-        options[key] = flag_val if flag_val is not None else file_values.get(key, opt.default)
+    flags = {key: value for key in _OPTIONS
+             if (value := getattr(ns, key.replace("-", "_"), None)) is not None}
+    options = {key: opt.default for key, opt in _OPTIONS.items()} | file_values | flags
     if options["workers"] is None and os.environ.get("QMCMC_WORKERS"):
         options["workers"] = _convert("workers", os.environ["QMCMC_WORKERS"], "QMCMC_WORKERS")
 
@@ -231,6 +226,7 @@ def parse_args(argv=None) -> RunConfig:
         command=command,
         experiment_kind=kind,
         options=options,
+        given=frozenset(flags.keys() | file_values.keys()),
         verbosity=0 if ns.quiet else 1,
     )
 
@@ -287,113 +283,81 @@ def emit_samples(samples: SampleSet, output_format: str, sink) -> None:
             fh.write("\n")
 
 
-def _resolve_model(model: str, options) -> tuple[HamiltonianSpec, float]:
-    """Build the Hamiltonian named by ``model``; returns (spec, energy unit J)."""
-    n = options["n"][0]
-    if model == "tfim":
-        j = options["jj"]
-        return build_tfim(n, j, options["hj"][0] * j), j
-    if model == "graph":
-        instance = generate_er_instance(n, options["pe"][0], options["seed"])
-        return build_graph_ising(instance), 1.0
-    return load_hamiltonian(model), 1.0
-
-
-def _protocol_for(spec: HamiltonianSpec, options, j: float) -> ProtocolConfig:
-    n = spec.qubit_count
-    if 2 * n > options["qubit-cap"]:
-        raise UsageError(
-            f"{n} system + {n} ancilla qubits exceed --qubit-cap {options['qubit-cap']}"
-        )
-    return protocol_config(spec, options["g"] * j, options["beta"][0] / j,
-                           options["nt"], options["ncycle"])
-
-
 # List options of which the single-point commands take exactly one value.
 _POINT_LISTS = ("n", "hj", "beta", "pe")
+# The model flags each generated model reads; a Hamiltonian file reads none.
+_MODEL_FLAGS_READ = {"tfim": ("n", "hj", "jj"), "graph": ("n", "pe")}
 
 
-def _prepare(run_cfg: RunConfig):
-    """The entry step of every command: (spec, J, protocol config, plan).
+def _prepare(run_cfg: RunConfig) -> tuple[Point, ExperimentPlan | None]:
+    """The entry step of every command: (point, plan).
 
-    The plan is built for ``experiment`` only, whose spec and config are
-    those of the sweep's first point; the other commands run one point and
-    refuse a list option with more than one value. A ValueError or package
-    error raised here is a usage error; an OSError (say, an unreadable model
-    file) is not.
+    ``experiment`` builds its plan, and with it every point of the sweep;
+    its point is the sweep's first. The other commands build their one
+    point and refuse a list option with more than one value. Every command
+    refuses a model flag, from a flag or the config file, that its model
+    does not read. A ValueError or package error raised here is a usage
+    error; an OSError (say, an unreadable model file) is not.
     """
     o = run_cfg.options
     kind = run_cfg.experiment_kind
     try:
-        plan = None
-        model = o["model"]
-        if run_cfg.command == "experiment":
+        model = o["model"] if kind is None else "graph" if kind == "graph" else "tfim"
+        for key in ("n", "hj", "jj", "pe"):
+            if key in run_cfg.given and key not in _MODEL_FLAGS_READ.get(model, ()):
+                raise UsageError(f"--{key} does not apply to model {model}")
+        if kind is not None:
             plan = ExperimentPlan(
                 kind=ExperimentKind(kind), n_list=o["n"], beta=o["beta"],
                 h_over_j=o["hj"], p_e=o["pe"], j=o["jj"], g=o["g"],
                 n_trotter=o["nt"], n_cycle=o["ncycle"], seed=o["seed"],
-                qubit_cap=o["qubit-cap"], mode=o["mode"], n_sweeps=o["sweeps"],
-                workers=o["workers"],
+                mode=o["mode"], n_sweeps=o["sweeps"], workers=o["workers"],
             )
-            model = "graph" if kind == "graph" else "tfim"
-        else:
-            for key in _POINT_LISTS:
-                if len(o[key]) > 1:
-                    raise UsageError(f"--{key} takes one value for {run_cfg.command}, "
-                                     f"got {len(o[key])}")
-        spec, j = _resolve_model(model, o)
-        return spec, j, _protocol_for(spec, o, j), plan
+            return plan.points[0], plan
+        for key in _POINT_LISTS:
+            if len(o[key]) > 1:
+                raise UsageError(f"--{key} takes one value for {run_cfg.command}, "
+                                 f"got {len(o[key])}")
+        point = make_point(
+            run_cfg.command, model, o["n"][0], o["beta"][0], h_over_j=o["hj"][0],
+            p_e=o["pe"][0], j=o["jj"], g=o["g"], n_trotter=o["nt"], n_cycle=o["ncycle"],
+            seed=o["seed"])
+        return point, None
     except (ValueError, QmcmcError) as exc:
         raise UsageError(str(exc)) from exc
 
 
-def _report_hierarchy(spec: HamiltonianSpec, cfg: ProtocolConfig,
-                      threshold: float, stream) -> float:
+def _report_hierarchy(point: Point, threshold: float, stream) -> float:
     """Print the rate-hierarchy report; returns ||H_s||, its largest
     |eigenvalue|."""
-    h_s_norm = float(np.abs(hermitian_eig(to_matrix(spec))[0]).max())
-    report = validate_hierarchy(cfg, h_s_norm, threshold)
+    h_s_norm = float(np.abs(hermitian_eig(to_matrix(point.spec))[0]).max())
+    report = validate_hierarchy(point.config, h_s_norm, threshold)
     print(report.summary(), file=stream)
     return h_s_norm
 
 
-def _cmd_thermalize(run_cfg: RunConfig, spec, j, cfg, plan) -> int:
+def _cmd_thermalize(run_cfg: RunConfig, point: Point, plan) -> int:
     o = run_cfg.options
     if run_cfg.verbosity:
-        _report_hierarchy(spec, cfg, o["hierarchy-threshold"], sys.stderr)
-    t0 = time.perf_counter()
-    cm = build_cycle_map(spec, cfg, workers=o["workers"])
-    rho, lam1 = steady_state(cm)
-    gap, _ = spectral_gap(cm)
-    row = ResultRow(
-        kind="thermalize", n_s=spec.qubit_count, j=j,
-        h=o["hj"][0] * j if o["model"] == "tfim" else None,
-        beta=o["beta"][0], p_e=o["pe"][0] if o["model"] == "graph" else None,
-        instance_seed=o["seed"] if o["model"] == "graph" else None,
-        g=o["g"], n_trotter=cfg.n_trotter, n_cycle=cfg.n_cycle, mode=None,
-        spectral_gap=gap, lambda_dev=abs(lam1 - 1.0),
-    )
-    metrics = ("infidelity", "magnetization") + (("tvd",) if spec.is_diagonal else ())
-    score_steady_state(row, spec, cfg.beta, rho, metrics)
-    row.wall_time = time.perf_counter() - t0
-    emit_results([row], o["format"], o["out"] or sys.stdout)
+        _report_hierarchy(point, o["hierarchy-threshold"], sys.stderr)
+    emit_results([solve_point(point, o["workers"])], o["format"], o["out"] or sys.stdout)
     return 0
 
 
-def _cmd_sample(run_cfg: RunConfig, spec, j, cfg, plan) -> int:
+def _cmd_sample(run_cfg: RunConfig, point: Point, plan) -> int:
     o = run_cfg.options
     if run_cfg.verbosity:
-        _report_hierarchy(spec, cfg, o["hierarchy-threshold"], sys.stderr)
-    samples = sample_gibbs(spec, cfg, o["burnin"], o["shots"], o["seed"],
+        _report_hierarchy(point, o["hierarchy-threshold"], sys.stderr)
+    samples = sample_gibbs(point.spec, point.config, o["burnin"], o["shots"], o["seed"],
                            workers=o["workers"])
     emit_samples(samples, o["format"], o["out"] or sys.stdout)
     return 0
 
 
-def _cmd_experiment(run_cfg: RunConfig, spec, j, cfg, plan) -> int:
+def _cmd_experiment(run_cfg: RunConfig, point: Point, plan: ExperimentPlan) -> int:
     o = run_cfg.options
     if run_cfg.verbosity:
-        _report_hierarchy(spec, cfg, o["hierarchy-threshold"], sys.stderr)
+        _report_hierarchy(point, o["hierarchy-threshold"], sys.stderr)
     rows = run_plan(plan)
     emit_results(rows, o["format"], o["out"] or sys.stdout)
     failed = sum(1 for row in rows if row.error)
@@ -403,9 +367,10 @@ def _cmd_experiment(run_cfg: RunConfig, spec, j, cfg, plan) -> int:
     return 0
 
 
-def _cmd_validate(run_cfg: RunConfig, spec, j, cfg, plan) -> int:
+def _cmd_validate(run_cfg: RunConfig, point: Point, plan) -> int:
     o = run_cfg.options
-    h_s_norm = _report_hierarchy(spec, cfg, o["hierarchy-threshold"], sys.stdout)
+    cfg = point.config
+    h_s_norm = _report_hierarchy(point, o["hierarchy-threshold"], sys.stdout)
     m = cfg.m_count
     lam = max(m * cfg.g, h_s_norm, m * cfg.omega_m / 2.0)
     steps = suggest_trotter_steps(cfg.t_g, lam, o["epsilon"])

@@ -1,12 +1,15 @@
-"""The sweep runner for the three numerical studies: chain-model
-steady-state infidelity, transverse magnetization versus temperature, and
-Gibbs sampling on random graph instances. ``run_plan`` runs all three, and
-``score_steady_state`` scores a state against the exact thermal state for
-them and for ``qmcmc thermalize``.
+"""Run points and the sweep runner for the three numerical studies:
+chain-model steady-state infidelity, transverse magnetization versus
+temperature, and Gibbs sampling on random graph instances.
+
+``make_point`` builds every run's points (model, protocol config and row
+parameters) and refuses bad values before any point runs; ``solve_point``
+solves and scores one point for ``qmcmc thermalize`` and for ``run_plan``.
 
 Units: for the chain model, the coupling ``j`` sets the energy scale, so
-``plan.g`` is g/J and ``plan.beta`` entries are beta*J. Graph instances carry
-raw weights in [0, 1], so there ``g`` and ``beta`` are absolute.
+``g`` is g/J and ``beta`` entries are beta*J. Graph instances and
+Hamiltonian files carry raw weights, so there ``g`` and ``beta`` are
+absolute.
 
 Sweep points run independently (optionally across worker threads); a point
 that fails with a package error, a ValueError or a LinAlgError records it in
@@ -19,11 +22,11 @@ import enum
 import itertools
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .channel import _thread_map, build_cycle_map, spectral_gap, steady_state
+from .channel import MAX_CYCLE_DIM, _thread_map, build_cycle_map, spectral_gap, steady_state
 from .errors import QmcmcError
 from .hamiltonians import (
     GraphInstance,
@@ -31,6 +34,7 @@ from .hamiltonians import (
     build_graph_ising,
     build_tfim,
     gibbs_distribution,
+    load_hamiltonian,
     spectral_width,
     thermal_state,
 )
@@ -47,6 +51,9 @@ FOUR_VERTEX_FIELD_PRESETS = {
     "c": (0.379, 0.0528, 0.805, 0.379),
 }
 
+# Largest system any command admits: log4(MAX_CYCLE_DIM) = 6 spins.
+MAX_SPINS = (MAX_CYCLE_DIM.bit_length() - 1) // 2
+
 
 class ExperimentKind(enum.Enum):
     TFIM_INFIDELITY = "tfim"
@@ -56,10 +63,19 @@ class ExperimentKind(enum.Enum):
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """Parameters of one sweep. Lists that a given kind does not use are
-    ignored; the ones it does use must be nonempty. ``mode="evolve"`` is
-    for magnetization sweeps only, and ``n_sweeps`` (20 when not given) is
-    for evolve mode only."""
+    """Parameters of one sweep and its points, one per entry of the grid
+    ``n x (h/J, or p_e for graph) x beta`` in that order.
+
+    Every point is built with :func:`make_point` when the plan is made, so
+    a value that any point refuses raises here, as a ValueError or a package
+    error. Graph point ``index`` draws
+    its instance with seed ``seed + index // len(beta)``, so the betas of one
+    (n, p_e) pair share an instance. Lists that a given kind does not use
+    are ignored; the ones it does use must be nonempty. ``mode="evolve"`` is
+    for magnetization sweeps only: each point is scored after ``n_sweeps``
+    (20 when not given) map applications to a random basis state drawn from
+    the stream ``(seed, index)``, mirroring a finite-length run.
+    """
 
     kind: ExperimentKind
     n_list: tuple[int, ...]
@@ -71,34 +87,20 @@ class ExperimentPlan:
     n_trotter: int = 5000
     n_cycle: int = 500
     seed: int = 0
-    qubit_cap: int = 12
     mode: str = "steady_state"
     n_sweeps: int | None = None
     workers: int | None = None
+    points: tuple[Point, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
         object.__setattr__(self, "h_over_j", tuple(float(h) for h in self.h_over_j))
         object.__setattr__(self, "p_e", tuple(float(p) for p in self.p_e))
-        if not self.n_list or not self.beta:
-            raise ValueError("n_list and beta must be nonempty")
-        for name, values in (("beta", self.beta), ("h_over_j", self.h_over_j),
-                             ("g", (self.g,))):
-            bad = [v for v in values if not math.isfinite(v)]
-            if bad:
-                raise ValueError(f"{name} must be finite, got {bad[0]}")
-        for beta in self.beta:
-            if beta < 0:
-                raise ValueError(f"beta must be >= 0, got {beta}")
-        if self.kind is ExperimentKind.GRAPH_SAMPLING:
-            if not self.p_e:
-                raise ValueError("p_e must be nonempty")
-            for p_e in self.p_e:
-                if not 0.0 <= p_e <= 1.0:
-                    raise ValueError(f"edge probability must be in [0, 1], got {p_e}")
-        elif not self.h_over_j:
-            raise ValueError("h_over_j must be nonempty")
+        graph = self.kind is ExperimentKind.GRAPH_SAMPLING
+        axis = "p_e" if graph else "h_over_j"
+        if not self.n_list or not self.beta or not getattr(self, axis):
+            raise ValueError(f"n_list, beta and {axis} must be nonempty")
         if self.mode not in ("steady_state", "evolve"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "evolve":
@@ -107,16 +109,26 @@ class ExperimentPlan:
                                  f"not {self.kind.value}")
             if self.n_sweeps is None:
                 object.__setattr__(self, "n_sweeps", 20)
+            if self.n_sweeps < 1:
+                raise ValueError(f"n_sweeps must be >= 1, got {self.n_sweeps}")
         elif self.n_sweeps is not None:
             raise ValueError(f"n_sweeps is used only in mode 'evolve', got {self.n_sweeps}")
-        for n in self.n_list:
-            if n < 1:
-                raise ValueError(f"system size must be >= 1, got {n}")
-            if 2 * n > self.qubit_cap:
-                raise ValueError(
-                    f"{n} system + {n} ancilla qubits exceed the cap of "
-                    f"{self.qubit_cap}; raise qubit_cap to allow this"
-                )
+
+        mode = self.mode if self.kind is ExperimentKind.MAGNETIZATION_SWEEP else None
+        grid = itertools.product(self.n_list, getattr(self, axis), self.beta)
+        points = []
+        for index, (n, x, beta) in enumerate(grid):
+            point = make_point(
+                self.kind.value, "graph" if graph else "tfim", n, beta, **{axis: x},
+                j=self.j, g=self.g, n_trotter=self.n_trotter, n_cycle=self.n_cycle,
+                seed=self.seed + index // len(self.beta) if graph else self.seed,
+                mode=mode)
+            if self.mode == "evolve":
+                d = 2**n
+                start = min(int(Stream.from_seed(self.seed, index).uniform() * d), d - 1)
+                point = replace(point, evolve=(start, self.n_sweeps))
+            points.append(point)
+        object.__setattr__(self, "points", tuple(points))
 
 
 @dataclass
@@ -177,39 +189,95 @@ def preset_graph_instance(key: str, edges) -> GraphInstance:
     return GraphInstance(4, FOUR_VERTEX_FIELD_PRESETS[key], tuple(edges))
 
 
-def protocol_config(spec: HamiltonianSpec, g: float, beta: float,
-                    n_trotter: int, n_cycle: int) -> ProtocolConfig:
-    """The protocol every sweep and CLI command runs on a model: comb
-    amplitude ``spectral_width(spec)`` and one ancilla per spin. ``g`` and
-    ``beta`` are absolute (already scaled by the energy unit)."""
-    return ProtocolConfig(
-        g=g,
-        beta=beta,
+@dataclass(frozen=True)
+class Point:
+    """One run point: the model, the protocol run on it, and the parameter
+    columns of its row. ``evolve`` is (start basis state, map applications)
+    for a point scored after a finite run instead of at the fixed point."""
+
+    spec: HamiltonianSpec
+    config: ProtocolConfig
+    columns: dict
+    evolve: tuple[int, int] | None = None
+
+
+def make_point(kind: str, model: str, n: int, beta: float, *, h_over_j: float = 1.0,
+               p_e: float = 0.0, j: float = 1.0, g: float, n_trotter: int, n_cycle: int,
+               seed: int = 0, mode: str | None = None) -> Point:
+    """Build one point of a run whose rows are of ``kind``.
+
+    ``model`` is ``"tfim"`` (chain of ``n`` spins, field ``h_over_j``,
+    coupling ``j``), ``"graph"`` (``generate_er_instance(n, p_e, seed)``) or a
+    Hamiltonian file path. The chain's coupling is its energy unit, by which
+    ``g`` and ``beta`` are scaled into the protocol config: comb amplitude
+    ``spectral_width(spec)`` and one ancilla per spin. Raises ValueError or a
+    package error for a value the model or protocol refuses, a coupling that
+    is not positive, or more than ``MAX_SPINS`` spins.
+    """
+    chain, graph = model == "tfim", model == "graph"
+    spec = None if chain or graph else load_hamiltonian(model)
+    n_s = n if spec is None else spec.qubit_count
+    if n_s > MAX_SPINS:
+        raise ValueError(f"system size {n_s} exceeds the limit of {MAX_SPINS} spins")
+    if chain:
+        if not (math.isfinite(j) and j > 0):
+            raise ValueError(f"coupling J must be finite and > 0, got {j}")
+        spec = build_tfim(n, j, h_over_j * j)
+    elif graph:
+        spec = build_graph_ising(generate_er_instance(n, p_e, seed))
+    unit = j if chain else 1.0
+    config = ProtocolConfig(
+        g=g * unit,
+        beta=beta / unit,
         omega_m=spectral_width(spec),
         n_trotter=n_trotter,
         n_cycle=n_cycle,
         ancilla_map=tuple(range(spec.qubit_count)),
     )
+    columns = dict(
+        kind=kind, n_s=spec.qubit_count, j=unit, h=h_over_j * j if chain else None,
+        beta=beta, p_e=p_e if graph else None, instance_seed=seed if graph else None,
+        g=g, n_trotter=n_trotter, n_cycle=n_cycle, mode=mode,
+    )
+    return Point(spec, config, columns)
 
 
-# Metric columns each sweep kind scores; see score_steady_state.
+# Metric columns each row kind scores; "tvd" only for diagonal models.
 _KIND_METRICS = {
-    ExperimentKind.TFIM_INFIDELITY: ("infidelity",),
-    ExperimentKind.MAGNETIZATION_SWEEP: ("magnetization",),
-    ExperimentKind.GRAPH_SAMPLING: ("tvd", "infidelity"),
+    "thermalize": ("infidelity", "magnetization", "tvd"),
+    "tfim": ("infidelity",),
+    "magnetization": ("magnetization",),
+    "graph": ("tvd", "infidelity"),
 }
 
 
-def score_steady_state(row: ResultRow, spec: HamiltonianSpec, beta: float,
-                       rho: np.ndarray, metrics) -> None:
-    """Fill the metric columns of ``row`` named in ``metrics`` by comparing
-    ``rho`` with the exact thermal state of ``spec`` at absolute ``beta``:
+def solve_point(point: Point, workers: int | None = None) -> ResultRow:
+    """Run one point and return a new row for it.
+
+    Builds the cycle map (its period channels across ``workers`` threads),
+    takes the fixed point, or for an evolve point the state its run reaches,
+    and compares that state with the exact thermal state of the model:
     ``"infidelity"``, ``"tvd"`` (computational-basis populations against the
-    Boltzmann distribution; diagonal models only) and ``"magnetization"``
-    (exact, algorithm and error columns)."""
-    rho_th = thermal_state(spec, beta)
-    if "tvd" in metrics:
-        row.tvd = tvd(np.diag(rho).real, gibbs_distribution(spec, beta))
+    Boltzmann distribution) and ``"magnetization"`` (exact, algorithm and
+    error columns), as the row kind asks. A failure raises.
+    """
+    t0 = time.perf_counter()
+    spec, cfg = point.spec, point.config
+    cm = build_cycle_map(spec, cfg, workers=workers)
+    rho, lam1 = steady_state(cm)
+    gap, _ = spectral_gap(cm)
+    if point.evolve is not None:
+        start, sweeps = point.evolve
+        rho = np.zeros((2**spec.qubit_count,) * 2, dtype=complex)
+        rho[start, start] = 1.0
+        for _ in range(sweeps):
+            rho = cm.superoperator.apply(rho)
+        rho = (rho + rho.conj().T) / 2.0
+    row = ResultRow(**point.columns, spectral_gap=gap, lambda_dev=abs(lam1 - 1.0))
+    metrics = _KIND_METRICS[row.kind]
+    rho_th = thermal_state(spec, cfg.beta)
+    if "tvd" in metrics and spec.is_diagonal:
+        row.tvd = tvd(np.diag(rho).real, gibbs_distribution(spec, cfg.beta))
     if "infidelity" in metrics:
         row.infidelity = 1.0 - fidelity(rho_th, rho)
     if "magnetization" in metrics:
@@ -217,56 +285,22 @@ def score_steady_state(row: ResultRow, spec: HamiltonianSpec, beta: float,
         row.magnetization_exact = transverse_magnetization(rho_th, n)
         row.magnetization_algorithm = transverse_magnetization(rho, n)
         row.magnetization_error = abs(row.magnetization_exact - row.magnetization_algorithm)
+    row.wall_time = time.perf_counter() - t0
+    return row
 
 
 def run_plan(plan: ExperimentPlan) -> list[ResultRow]:
-    """One row per point of the grid ``n x (h/J, or p_e for graph) x beta``,
-    in that order.
+    """One new row per point of ``plan``, in grid order, solved across
+    ``plan.workers`` threads. A point that fails with a package error, a
+    ValueError or a LinAlgError gets a row of its parameters and the error."""
 
-    Each point builds its model and cycle map, takes the fixed point and
-    scores it with the plan kind's metrics. Graph point ``index`` draws its
-    instance with seed ``plan.seed + index // len(plan.beta)``, so the betas
-    of one (n, p_e) pair share an instance. A magnetization plan with
-    ``mode="evolve"`` scores instead the state reached by applying the map
-    ``n_sweeps`` times to a random basis state drawn from the stream
-    ``(plan.seed, index)``, mirroring a finite-length run.
-    """
-    graph = plan.kind is ExperimentKind.GRAPH_SAMPLING
-    mode = plan.mode if plan.kind is ExperimentKind.MAGNETIZATION_SWEEP else None
-    grid = itertools.product(plan.n_list, plan.p_e if graph else plan.h_over_j, plan.beta)
-
-    def point(indexed):
-        index, (n, x, beta) = indexed
-        row = ResultRow(
-            kind=plan.kind.value, n_s=n, j=plan.j, h=None if graph else x * plan.j,
-            beta=beta, p_e=x if graph else None,
-            instance_seed=plan.seed + index // len(plan.beta) if graph else None,
-            g=plan.g, n_trotter=plan.n_trotter, n_cycle=plan.n_cycle, mode=mode,
-        )
+    def guarded(point: Point) -> ResultRow:
         t0 = time.perf_counter()
         try:
-            if graph:
-                spec, unit = build_graph_ising(generate_er_instance(n, x, row.instance_seed)), 1.0
-            else:
-                spec, unit = build_tfim(n, plan.j, x * plan.j), plan.j
-            cfg = protocol_config(spec, plan.g * unit, beta / unit, plan.n_trotter,
-                                  plan.n_cycle)
-            cm = build_cycle_map(spec, cfg)
-            rho, lam1 = steady_state(cm)
-            gap, _ = spectral_gap(cm)
-            if mode == "evolve":
-                stream = Stream.from_seed(plan.seed, index)
-                start = min(int(stream.uniform() * 2**n), 2**n - 1)
-                rho = np.zeros((2**n, 2**n), dtype=complex)
-                rho[start, start] = 1.0
-                for _ in range(plan.n_sweeps):
-                    rho = cm.superoperator.apply(rho)
-                rho = (rho + rho.conj().T) / 2.0
-            score_steady_state(row, spec, cfg.beta, rho, _KIND_METRICS[plan.kind])
-            row.spectral_gap, row.lambda_dev = gap, abs(lam1 - 1.0)
+            return solve_point(point)
         except (QmcmcError, ValueError, np.linalg.LinAlgError) as exc:
-            row.error = f"{type(exc).__name__}: {exc}"
-        row.wall_time = time.perf_counter() - t0
-        return row
+            row = ResultRow(**point.columns, error=f"{type(exc).__name__}: {exc}")
+            row.wall_time = time.perf_counter() - t0
+            return row
 
-    return _thread_map(point, list(enumerate(grid)), plan.workers)
+    return _thread_map(guarded, list(plan.points), plan.workers)

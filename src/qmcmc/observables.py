@@ -3,8 +3,6 @@ distance, and transverse magnetization."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch, NotADistribution, NotAState
@@ -13,20 +11,6 @@ from .linalg import apply_gate
 
 _EIG_TOL = -1e-9
 _TRACE_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    """One bundle of metrics; ``infidelity`` is exactly ``1 - fidelity``."""
-
-    fidelity: float
-    tvd: float | None = None
-    magnetization: float | None = None
-    site_magnetizations: tuple[float, ...] | None = None
-
-    @property
-    def infidelity(self) -> float:
-        return 1.0 - self.fidelity
 
 
 def _check_state(rho: np.ndarray, name: str) -> np.ndarray:

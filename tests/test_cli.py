@@ -279,21 +279,20 @@ def test_main_experiment_tfim_json(tmp_path):
     assert {row["h"] for row in loaded} == {0.5, 1.0}
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_main_experiment_failed_point_exits_1(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
-    # h/J = 1e308 passes the plan's finiteness check but overflows the
-    # spectral width to inf, so that point fails while it runs
+    # g = 1e308 is a valid protocol setting, but its period is so short that
+    # the cycle map is the identity and has no unique fixed point
     code = main([
-        "experiment", "tfim", "-q", "--n", "1", "--hj", "1,1e308", "--beta", "0.5",
-        "--nt", "30", "--ncycle", "8", "--out", str(out),
+        "experiment", "graph", "-q", "--n", "2", "--pe", "0.5", "--beta", "1",
+        "--g", "1e308", "--nt", "30", "--ncycle", "8", "--out", str(out),
     ])
     assert code == 1
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == 2
-    assert [bool(row["error"]) for row in rows] == [False, True]
-    assert "1 of 2 sweep points failed" in capsys.readouterr().err
+    assert len(rows) == 1
+    assert rows[0]["error"].startswith("NoUnitEigenvalue")
+    assert "1 of 1 sweep points failed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("quiet", [["-q"], []])
@@ -378,12 +377,40 @@ def test_main_missing_beta_exit_code():
       "--sweeps", "3"], None, None),
     (["experiment", "magnetization", "-q", "--n", "1", "--beta", "1", "--nt", "30",
       "--ncycle", "8", "--sweeps", "3"], None, None),
+    (["thermalize", "-q", "--n", "1", "--jj", "0", "--beta", "1", "--nt", "30",
+      "--ncycle", "8"], None, None),
+    (["thermalize", "-q", "--n", "1", "--jj", "-1", "--beta", "1", "--nt", "30",
+      "--ncycle", "8"], None, None),
+    (["experiment", "tfim", "-q", "--n", "1", "--jj", "0", "--beta", "1", "--nt", "30",
+      "--ncycle", "8"], None, None),
+    (["experiment", "tfim", "-q", "--n", "1", "--beta", "1", "--nt", "30", "--ncycle", "8"],
+     None, "jj = nan\n"),
+    (["experiment", "magnetization", "-q", "--n", "1", "--beta", "1", "--nt", "30",
+      "--ncycle", "8", "--mode", "evolve", "--sweeps", "-3"], None, None),
+    (["experiment", "magnetization", "-q", "--n", "1", "--beta", "1", "--nt", "30",
+      "--ncycle", "8", "--mode", "evolve"], None, "sweeps = 0\n"),
+    (["thermalize", "-q", "--model", "graph", "--n", "2", "--hj", "5", "--beta", "1",
+      "--nt", "30", "--ncycle", "8"], None, None),
+    (["thermalize", "-q", "--model", "graph", "--n", "2", "--jj", "3", "--beta", "1",
+      "--nt", "30", "--ncycle", "8"], None, None),
+    (["experiment", "tfim", "-q", "--n", "1", "--beta", "1", "--nt", "30", "--ncycle", "8",
+      "--pe", "0.9"], None, None),
+    (["experiment", "graph", "-q", "--n", "2", "--hj", "2", "--beta", "1", "--nt", "30",
+      "--ncycle", "8"], None, None),
+    (["sample", "-q", "--n", "1", "--beta", "1", "--nt", "30", "--ncycle", "8"],
+     None, "pe = 0.9\n"),
+    (["validate", "--model", "missing.ham", "--n", "2"], None, None),
+    (["thermalize", "-q", "--n", "1", "--beta", "1", "--nt", "30", "--ncycle", "8"],
+     None, "qubit-cap = 14\n"),
 ], ids=["n-abc", "beta-x", "n-empty", "beta-empty", "env-workers", "config-format",
         "config-n", "n-0", "epsilon-0", "burnin-negative", "shots-0", "pe-second-1.5",
         "beta-second-negative", "workers-0", "workers-negative", "env-workers-0",
         "thermalize-lists", "thermalize-beta-list", "config-n-list", "sample-pe-list",
         "validate-hj-list", "tfim-evolve", "graph-evolve", "tfim-sweeps",
-        "magnetization-steady-sweeps"])
+        "magnetization-steady-sweeps", "thermalize-jj-0", "thermalize-jj-negative",
+        "experiment-jj-0", "config-jj-nan", "sweeps-negative", "config-sweeps-0",
+        "graph-hj", "graph-jj", "tfim-pe", "experiment-graph-hj", "config-pe-tfim",
+        "file-model-n", "config-qubit-cap"])
 def test_main_bad_input_exits_2(argv, env, config, tmp_path, monkeypatch, capsys):
     if env is None:
         monkeypatch.delenv("QMCMC_WORKERS", raising=False)
@@ -401,6 +428,25 @@ def test_main_bad_input_exits_2(argv, env, config, tmp_path, monkeypatch, capsys
     assert captured.out == ""
     assert captured.err.count("error:") == 1
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("argv, flag, bad, good", [
+    ("experiment tfim", "--beta", "-1", "1"),
+    ("experiment graph", "--pe", "1.5", "0.5"),
+    ("experiment tfim", "--hj", "1e308", "1"),  # its spectral width overflows
+    ("experiment tfim", "--n", "7", "1"),
+])
+@pytest.mark.parametrize("last", [False, True], ids=["first", "last"])
+def test_main_refuses_bad_grid_value_in_any_position(argv, flag, bad, good, last, capsys):
+    point = {"--n": "2" if "graph" in argv else "1", "--beta": "1",
+             flag: f"{good},{bad}" if last else f"{bad},{good}"}
+    code = main(argv.split() + ["-q", "--nt", "30", "--ncycle", "8"]
+                + [f"{key}={value}" for key, value in point.items()])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1
 
 
 _NO_SCIPY_SCRIPT = """
@@ -428,7 +474,7 @@ def test_main_linalg_failure_is_runtime_error(monkeypatch, capsys):
     def failing(cm):
         raise np.linalg.LinAlgError("eigenvalues did not converge")
 
-    monkeypatch.setattr("qmcmc.cli.steady_state", failing)
+    monkeypatch.setattr("qmcmc.experiments.steady_state", failing)
     code = main(["thermalize", "-q", "--n", "1", "--beta", "1", "--g", "0.05",
                  "--nt", "50", "--ncycle", "10"])
     assert code == 1
@@ -447,7 +493,7 @@ _PINNED_ARGV = {
     "experiment-magnetization": "experiment magnetization -q --n 1,2 --beta 0.3,1 --g 0.05 --nt 30 --ncycle 8",
     "experiment-magnetization-evolve": "experiment magnetization -q --n 1,2 --beta 0.3,1 --g 0.05 --nt 30 --ncycle 8 --mode evolve --sweeps 5 --seed 4",
     "experiment-graph": "experiment graph -q --n 2,3 --pe 0.3,0.9 --beta 0.5,2 --g 0.05 --nt 30 --ncycle 8 --seed 5",
-    "experiment-error-row": "experiment tfim -q --n 1 --hj 1,1e308 --beta 0.5 --nt 30 --ncycle 8",
+    "experiment-error-row": "experiment graph -q --n 2 --pe 0.5 --beta 1 --g 1e308 --nt 30 --ncycle 8",
 }
 
 # (exit code, CSV rows with wall_time blanked), recorded from the sweep and
@@ -495,8 +541,7 @@ _PINNED_ROWS = {
         'graph,3,1,,2,0.90000000000000002,8,0.050000000000000003,30,8,,0.2843466353536076,0.39841622454407932,,,,0.46606808705080693,7.9714013806413981e-14,,',
     ]),
     "experiment-error-row": (1, [
-        'tfim,1,1,1,0.5,,,0.0050000000000000001,30,8,,0.0030156675840713465,,,,,0.30421923055903388,6.8611872745645188e-14,,',
-        'tfim,1,1,1e+308,0.5,,,0.0050000000000000001,30,8,,,,,,,,,,"ValueError: omega_m must be finite, got inf"',
+        'graph,2,1,,1,0.5,0,1e+308,30,8,,,,,,,,,,NoUnitEigenvalue: at least 16 eigenvalues lie within 1e-6 of 1; the fixed point is not meaningfully defined',
     ]),
 }
 
@@ -542,7 +587,7 @@ def _subcommand_flags() -> dict:
 
 def test_subcommand_flag_sets_are_pinned():
     common = {"-h", "--help", "--config", "-q", "--quiet", "--beta", "--g",
-              "--nt", "--ncycle", "--qubit-cap", "--hierarchy-threshold",
+              "--nt", "--ncycle", "--hierarchy-threshold",
               "--n", "--hj", "--jj", "--pe", "--seed"}
     io = {"--format", "--out", "--workers"}
     assert _subcommand_flags() == {

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from qmcmc import experiments
+from qmcmc.errors import NoUnitEigenvalue
 from qmcmc.experiments import (
     FOUR_VERTEX_FIELD_PRESETS,
     ExperimentKind,
@@ -72,11 +74,9 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         small_plan(ExperimentKind.GRAPH_SAMPLING, p_e=())
     with pytest.raises(ValueError):
-        small_plan(ExperimentKind.TFIM_INFIDELITY, n_list=(7,))  # 14 > cap 12
+        small_plan(ExperimentKind.TFIM_INFIDELITY, n_list=(7,))  # more than 6 spins
     with pytest.raises(ValueError):
         small_plan(ExperimentKind.TFIM_INFIDELITY, mode="bogus")
-    plan = small_plan(ExperimentKind.TFIM_INFIDELITY, n_list=(7,), qubit_cap=14)
-    assert plan.n_list == (7,)
 
 
 @pytest.mark.parametrize("field, overrides", [
@@ -88,7 +88,9 @@ def test_plan_validation():
     ("g", dict(g=math.inf)),
 ])
 def test_plan_rejects_non_finite(field, overrides):
-    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+    # h/J reaches the model as the field term's coefficient, which refuses it
+    message = "non-finite coefficient" if field == "h_over_j" else f"{field} must be finite"
+    with pytest.raises(ValueError, match=f"^{message}"):
         small_plan(ExperimentKind.TFIM_INFIDELITY, **overrides)
 
 
@@ -98,6 +100,11 @@ def test_plan_rejects_non_finite(field, overrides):
     (ExperimentKind.GRAPH_SAMPLING, dict(p_e=(0.5, 1.5)), "edge probability must be in"),
     (ExperimentKind.GRAPH_SAMPLING, dict(p_e=(-0.1,)), "edge probability must be in"),
     (ExperimentKind.GRAPH_SAMPLING, dict(p_e=(math.nan,)), "edge probability must be in"),
+    (ExperimentKind.TFIM_INFIDELITY, dict(j=0.0), "coupling J must be finite and > 0"),
+    (ExperimentKind.MAGNETIZATION_SWEEP, dict(j=-1.0), "coupling J must be finite and > 0"),
+    (ExperimentKind.TFIM_INFIDELITY, dict(j=math.inf), "coupling J must be finite and > 0"),
+    (ExperimentKind.MAGNETIZATION_SWEEP, dict(mode="evolve", n_sweeps=0),
+     "n_sweeps must be >= 1"),
 ])
 def test_plan_rejects_out_of_range(kind, overrides, message):
     with pytest.raises(ValueError, match=f"^{message}"):
@@ -125,7 +132,7 @@ def test_point_programming_error_propagates(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("bug in a sweep point")
 
-    monkeypatch.setattr("qmcmc.experiments.build_tfim", broken)
+    monkeypatch.setattr("qmcmc.experiments.build_cycle_map", broken)
     plan = small_plan(ExperimentKind.TFIM_INFIDELITY, n_trotter=30, n_cycle=8)
     with pytest.raises(TypeError, match="bug in a sweep point"):
         run_plan(plan)
@@ -155,17 +162,22 @@ def test_tfim_beta_zero_fixed_point():
     assert row.infidelity < 1e-6
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_tfim_sweep_grid_and_error_isolation():
-    # h/J = 1e308 is finite, so the plan accepts it, but its spectral width
-    # overflows to inf and the point's protocol config refuses it
+def test_tfim_sweep_grid_and_error_isolation(monkeypatch):
+    real = experiments.build_cycle_map
+
+    def failing_at_h2(spec, cfg, workers=None):
+        if spec.terms[-1].coefficient == -2.0:  # the field term -h Y
+            raise NoUnitEigenvalue("injected failure")
+        return real(spec, cfg, workers)
+
+    monkeypatch.setattr(experiments, "build_cycle_map", failing_at_h2)
     plan = small_plan(ExperimentKind.TFIM_INFIDELITY, n_list=(1,),
-                      h_over_j=(1.0, 1e308), beta=(0.5, 1.0),
+                      h_over_j=(1.0, 2.0), beta=(0.5, 1.0),
                       n_trotter=30, n_cycle=8)
     rows = run_plan(plan)
     assert len(rows) == 4
     good = [r for r in rows if r.h == 1.0]
-    bad = [r for r in rows if r.h == 1e308]
+    bad = [r for r in rows if r.h == 2.0]
     assert all(r.error is None and r.infidelity is not None for r in good)
     assert all(r.error is not None and r.infidelity is None for r in bad)
 

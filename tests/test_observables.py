@@ -5,7 +5,6 @@ from qmcmc.errors import DimensionMismatch, NotADistribution, NotAState
 from qmcmc.hamiltonians import build_tfim, thermal_state, to_matrix
 from qmcmc.linalg import kron_all
 from qmcmc.observables import (
-    MetricReport,
     fidelity,
     site_magnetizations,
     transverse_magnetization,
@@ -123,8 +122,3 @@ def test_magnetization_rejects_wrong_size():
     with pytest.raises(NotAState):
         transverse_magnetization(np.eye(4) / 4, 3)
 
-
-def test_metric_report_infidelity_exact():
-    report = MetricReport(fidelity=0.875, tvd=0.1, magnetization=0.3)
-    assert report.infidelity == 1.0 - 0.875
-    assert report.tvd == 0.1
