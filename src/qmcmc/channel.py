@@ -78,13 +78,11 @@ class Superoperator:
 
 @dataclass(frozen=True)
 class CycleMap:
-    """Composition of exactly ``n_cycle`` period channels, with the
-    per-period comb values and ground-occupation probabilities recorded."""
+    """Composition of the ``n_cycle`` period channels, with their comb values."""
 
     superoperator: Superoperator
     config: ProtocolConfig
     omegas: tuple[float, ...]
-    ground_probs: tuple[float, ...]
     _spectrum: list | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -159,8 +157,24 @@ def build_period_unitary(spec: HamiltonianSpec, cfg: ProtocolConfig,
     interactions; the exact power is computed by repeated squaring, which
     reproduces the step-by-step product to working precision.
     """
+    return _period_unitary(*_trotter_parts(spec, cfg), cfg, omega)
+
+
+def _period_table(spec: HamiltonianSpec, cfg: ProtocolConfig, per_omega,
+                  workers: int | None = None) -> tuple[list[float], dict]:
+    """The one walk over a comb cycle, for the exact map and the sampler:
+    ``Omega_k = comb_value(cfg, k)`` for each period k in order, and
+    ``{Omega: per_omega(Omega, W(Omega))}`` over the at most
+    ``n_cycle // 2 + 1`` distinct values of the symmetric comb. Each ``W`` is
+    built once, across ``workers`` threads, and dropped after ``per_omega``."""
     ab, weights = _trotter_parts(spec, cfg)
-    return _period_unitary(ab, weights, cfg, omega)
+    omegas = [comb_value(cfg, k) for k in range(cfg.n_cycle)]
+    distinct = sorted(set(omegas))
+
+    def one(omega: float):
+        return per_omega(omega, _period_unitary(ab, weights, cfg, omega))
+
+    return omegas, dict(zip(distinct, _thread_map(one, distinct, workers)))
 
 
 def ancilla_preparation(omega: float, beta: float, m_count: int) -> np.ndarray:
@@ -240,41 +254,29 @@ def build_cycle_map(spec: HamiltonianSpec, cfg: ProtocolConfig,
     """Compose the ``n_cycle`` period channels of one full comb sweep.
 
     Period k uses ``Omega_k = comb_value(cfg, k)`` both in the unitary and in
-    the ancilla preparation. The comb is symmetric about mid-cycle, so only
-    the distinct Omega values are built (data-parallel across ``workers``
-    threads when requested); composition is the sequential product with
-    period 0 applied first. Systems whose map exceeds ``MAX_CYCLE_DIM``
-    (more than six spins) are refused with InvalidSize before any work.
+    the ancilla preparation. Each distinct Omega's superoperator is built
+    once by :func:`_period_table` (across ``workers`` threads when
+    requested); composition is the sequential product with period 0 applied
+    first. Systems whose map exceeds ``MAX_CYCLE_DIM`` (more than six spins)
+    are refused with InvalidSize before any work.
     """
-    n_s = spec.qubit_count
+    n_s, m = spec.qubit_count, cfg.m_count
     if 4**n_s > MAX_CYCLE_DIM:
         raise InvalidSize(
             f"{n_s} system qubits give a {4**n_s}-dimensional cycle map; the "
             f"dense eigensolver is limited to {MAX_CYCLE_DIM} (6 qubits)"
         )
-    m = cfg.m_count
-    ab, weights = _trotter_parts(spec, cfg)
-    omegas = [comb_value(cfg, k) for k in range(cfg.n_cycle)]
-    p0s = [ground_probability(om, cfg.beta) for om in omegas]
-    distinct = sorted(set(omegas))
 
-    def one_superop(omega: float) -> np.ndarray:
-        w = _period_unitary(ab, weights, cfg, omega)
+    def superop(omega: float, w: np.ndarray) -> np.ndarray:
         prep = ancilla_preparation(omega, cfg.beta, m)
         return to_superoperator(build_period_channel(w, prep, n_s, m)).matrix
 
-    by_omega = dict(zip(distinct, _thread_map(one_superop, distinct, workers)))
-
+    omegas, by_omega = _period_table(spec, cfg, superop, workers)
     d_s = 2**n_s
     total = np.eye(d_s * d_s, dtype=complex)
     for om in omegas:
         total = by_omega[om] @ total
-    return CycleMap(
-        superoperator=Superoperator(dim=d_s * d_s, matrix=total),
-        config=cfg,
-        omegas=tuple(omegas),
-        ground_probs=tuple(p0s),
-    )
+    return CycleMap(Superoperator(d_s * d_s, total), cfg, tuple(omegas))
 
 
 def steady_state(m: CycleMap) -> tuple[np.ndarray, complex]:

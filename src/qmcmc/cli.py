@@ -5,7 +5,8 @@ Commands: ``thermalize`` (steady state and metrics for one model),
 (sweeps), and ``validate`` (pre-flight parameter checks only).
 
 A config file (``--config``) holds one ``key = value`` per line with ``#``
-comments, keys mirroring flag names; explicit flags override file values.
+comments, keys mirroring the command's own flag names; explicit flags
+override file values.
 Energies are quoted in units of the chain coupling J and times in 1/J; graph
 models carry absolute weights, so there g and beta are absolute.
 
@@ -176,7 +177,7 @@ def _convert(key: str, text: str, where: str):
     return value
 
 
-def _read_config_file(path: str) -> dict:
+def _read_config_file(path: str, ns: argparse.Namespace) -> dict:
     values = {}
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -193,6 +194,9 @@ def _read_config_file(path: str) -> dict:
             key = key.strip()
             if key not in _OPTIONS:
                 raise UnknownKey(f"{path}:{lineno}: unknown config key {key!r}")
+            if not hasattr(ns, key.replace("-", "_")):
+                raise UsageError(f"{path}:{lineno}: config key {key!r} does not apply "
+                                 f"to {ns.command}")
             values[key] = _convert(key, value.strip(), f"{path}:{lineno}: config key {key!r}")
     return values
 
@@ -205,7 +209,7 @@ def parse_args(argv=None) -> RunConfig:
     UnknownKey for config-file or QMCMC_WORKERS problems.
     """
     ns = _parser().parse_args(argv)
-    file_values = _read_config_file(ns.config) if ns.config else {}
+    file_values = _read_config_file(ns.config, ns) if ns.config else {}
 
     flags = {key: value for key in _OPTIONS
              if (value := getattr(ns, key.replace("-", "_"), None)) is not None}

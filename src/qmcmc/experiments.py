@@ -212,7 +212,8 @@ def make_point(kind: str, model: str, n: int, beta: float, *, h_over_j: float = 
     ``g`` and ``beta`` are scaled into the protocol config: comb amplitude
     ``spectral_width(spec)`` and one ancilla per spin. Raises ValueError or a
     package error for a value the model or protocol refuses, a coupling that
-    is not positive, or more than ``MAX_SPINS`` spins.
+    is not positive, a chain whose spectral width is not finite, or more than
+    ``MAX_SPINS`` spins.
     """
     chain, graph = model == "tfim", model == "graph"
     spec = None if chain or graph else load_hamiltonian(model)
@@ -225,11 +226,15 @@ def make_point(kind: str, model: str, n: int, beta: float, *, h_over_j: float = 
         spec = build_tfim(n, j, h_over_j * j)
     elif graph:
         spec = build_graph_ising(generate_er_instance(n, p_e, seed))
+    width = spectral_width(spec)
+    if chain and not math.isfinite(width):
+        raise ValueError(f"the chain at h/J = {h_over_j:g}, J = {j:g} has an infinite "
+                         "spectral width")
     unit = j if chain else 1.0
     config = ProtocolConfig(
         g=g * unit,
         beta=beta / unit,
-        omega_m=spectral_width(spec),
+        omega_m=width,
         n_trotter=n_trotter,
         n_cycle=n_cycle,
         ancilla_map=tuple(range(spec.qubit_count)),

@@ -164,9 +164,9 @@ def diagonal_energies(spec: HamiltonianSpec) -> np.ndarray:
 
 
 def spectral_width(spec: HamiltonianSpec) -> float:
-    """``E_max - E_min`` from full diagonalization."""
+    """``E_max - E_min`` from full diagonalization (inf, silently, on overflow)."""
     w, _ = hermitian_eig(to_matrix(spec))
-    return float(w[-1] - w[0])
+    return float(w[-1]) - float(w[0])
 
 
 def thermal_state(spec: HamiltonianSpec, beta: float) -> np.ndarray:

@@ -50,12 +50,15 @@ def _check_hermitian(h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {h.shape}")
-    norm = np.linalg.norm(h)
-    dev = np.linalg.norm(h - h.conj().T)
+    # exact rescaling by a power of two keeps both norms from overflowing
+    scale = 2.0 ** max(int(np.frexp(np.abs(h).max(initial=0.0))[1]) - 1, 0)
+    unit = h / scale
+    norm = float(np.linalg.norm(unit))
+    dev = float(np.linalg.norm(unit - unit.conj().T))
     if dev > _HERM_RTOL * norm:
         raise NonHermitianInput(
-            f"matrix is not Hermitian: ||h - h^dag|| = {dev:.3e} "
-            f"exceeds {_HERM_RTOL:g} * ||h|| = {_HERM_RTOL * norm:.3e}"
+            f"matrix is not Hermitian: ||h - h^dag|| = {dev * scale:.3e} "
+            f"exceeds {_HERM_RTOL:g} * ||h|| = {_HERM_RTOL * norm * scale:.3e}"
         )
     return h
 
@@ -86,9 +89,9 @@ def apply_gate(gate: np.ndarray, qubits, arr: np.ndarray, qubit_count: int,
 
     The dimension ``axis`` of ``arr`` (of size ``2**qubit_count``) is treated
     as a register of ``qubit_count`` qubits; ``gate`` (a ``2**k`` by ``2**k``
-    matrix) acts on the listed ``qubits`` of that register. Used both for
-    left-multiplying operators (axis=0) and for evolving batches of state
-    vectors (axis=-1) without ever forming the full Kronecker product.
+    matrix) acts on the listed ``qubits`` of that register, without ever
+    forming the full Kronecker product. The package calls it with axis=0, to
+    left-multiply operators by local gates.
     """
     arr = np.asarray(arr)
     qubits = list(qubits)

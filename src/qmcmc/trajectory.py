@@ -34,11 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _period_unitary, _thread_map, _trotter_parts
+from .channel import _period_table, _thread_map
 from .errors import NormalizationLoss
 from .hamiltonians import HamiltonianSpec
 from .rng import derive_streams, next_uniform
-from .schedule import ProtocolConfig, comb_value, ground_probability
+from .schedule import ProtocolConfig, ground_probability
 
 # shots per batch are capped so a batch stays around 2^22 amplitudes
 _CHUNK_ELEMS = 1 << 22
@@ -58,25 +58,6 @@ class SampleSet:
         for key, c in self.counts.items():
             p[int(key, 2)] = c / self.shots
         return p
-
-
-def _cycle_periods(spec: HamiltonianSpec,
-                   cfg: ProtocolConfig) -> list[tuple[np.ndarray, float]]:
-    """``(W(Omega_k), p0(Omega_k))`` for each period k of one comb cycle.
-
-    The comb is symmetric, so periods share at most ``n_cycle // 2 + 1``
-    distinct unitaries; each is built once and shared by every period with
-    that comb value.
-    """
-    ab, weights = _trotter_parts(spec, cfg)
-    by_omega: dict[float, np.ndarray] = {}
-    periods = []
-    for k in range(cfg.n_cycle):
-        omega = comb_value(cfg, k)
-        if omega not in by_omega:
-            by_omega[omega] = _period_unitary(ab, weights, cfg, omega)
-        periods.append((by_omega[omega], ground_probability(omega, cfg.beta)))
-    return periods
 
 
 def _renormalize(amps: np.ndarray) -> None:
@@ -130,31 +111,39 @@ def _period(amps: np.ndarray, states: np.ndarray, w: np.ndarray, p0: float,
     return amps, states
 
 
-def _run_cycles(amps, states, periods, m_count: int, n_cycles: int):
-    for _ in range(n_cycles):
-        for w, p0 in periods:
-            amps, states = _period(amps, states, w, p0, m_count)
-    return amps, states
+def _run_shots(spec: HamiltonianSpec, cfg: ProtocolConfig, cycles: int, shots: int,
+               seed: int, system_index: int | None, workers: int | None, finish) -> list:
+    """The one shot driver of :func:`run_trajectories` and :func:`sample_gibbs`:
+    ``finish(lo, amps, states)`` for each batch of shots from ``lo`` on, after
+    ``cycles`` comb cycles, in batch order. Batches of up to ``_CHUNK_ELEMS``
+    amplitudes run across ``workers`` threads."""
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    n_s, m = spec.qubit_count, cfg.m_count
+    ds, da = 2**n_s, 2**m
+    if system_index is not None and not 0 <= system_index < ds:
+        raise ValueError(f"system_index {system_index} outside 0..{ds - 1}")
+    omegas, by_omega = _period_table(
+        spec, cfg, lambda omega, w: (w, ground_probability(omega, cfg.beta)), workers)
+    periods = [by_omega[omega] for omega in omegas]
+    chunk = max(1, _CHUNK_ELEMS // (ds * da))
 
+    def run_chunk(lo: int):
+        batch = min(chunk, shots - lo)
+        states = derive_streams(seed, batch, start=lo)
+        if system_index is None:
+            u, states = next_uniform(states)
+            idx = np.minimum((u * ds).astype(int), ds - 1)
+        else:
+            idx = np.full(batch, system_index, dtype=int)
+        amps = np.zeros((batch, ds * da), dtype=complex)
+        amps[np.arange(batch), idx * da] = 1.0
+        for _ in range(cycles):
+            for w, p0 in periods:
+                amps, states = _period(amps, states, w, p0, m)
+        return finish(lo, amps, states)
 
-def _chunk_ranges(shots: int, dim: int):
-    chunk = max(1, _CHUNK_ELEMS // dim)
-    return [(lo, min(lo + chunk, shots)) for lo in range(0, shots, chunk)]
-
-
-def _start_chunk(seed: int, lo: int, hi: int, n_s: int, m_count: int,
-                 system_index: int | None):
-    states = derive_streams(seed, hi - lo, start=lo)
-    batch = hi - lo
-    ds, da = 2**n_s, 2**m_count
-    if system_index is None:
-        u, states = next_uniform(states)
-        idx = np.minimum((u * ds).astype(int), ds - 1)
-    else:
-        idx = np.full(batch, system_index, dtype=int)
-    amps = np.zeros((batch, ds * da), dtype=complex)
-    amps[np.arange(batch), idx * da] = 1.0
-    return amps, states
+    return _thread_map(run_chunk, list(range(0, shots, chunk)), workers)
 
 
 def run_trajectories(spec: HamiltonianSpec, cfg: ProtocolConfig, cycles: int,
@@ -166,56 +155,32 @@ def run_trajectories(spec: HamiltonianSpec, cfg: ProtocolConfig, cycles: int,
     Every shot starts with its ancillas in ``|0>`` and the system in basis
     state ``system_index``, or, when that is None, in a uniformly random one
     drawn from the shot's stream."""
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    n_s, m = spec.qubit_count, cfg.m_count
-    if system_index is not None and not 0 <= system_index < 2**n_s:
-        raise ValueError(f"system_index {system_index} outside 0..{2**n_s - 1}")
-    periods = _cycle_periods(spec, cfg)
-    out = np.empty((shots, 2**(n_s + m)), dtype=complex)
+    # a negative count reaches the driver, which refuses it
+    out = np.empty((max(shots, 0), 2**(spec.qubit_count + cfg.m_count)), dtype=complex)
 
-    def run_range(bounds):
-        lo, hi = bounds
-        amps, states = _start_chunk(seed, lo, hi, n_s, m, system_index)
-        amps, _ = _run_cycles(amps, states, periods, m, cycles)
-        out[lo:hi] = amps
+    def keep(lo, amps, states):
+        out[lo:lo + len(amps)] = amps
 
-    _thread_map(run_range, _chunk_ranges(shots, out.shape[1]), workers)
+    _run_shots(spec, cfg, cycles, shots, seed, system_index, workers, keep)
     return out
-
-
-def _measure_system(amps: np.ndarray, states: np.ndarray, n_s: int):
-    batch = amps.shape[0]
-    probs = np.abs(amps.reshape(batch, 2**n_s, -1)) ** 2
-    probs = probs.sum(axis=2)
-    cum = np.cumsum(probs, axis=1)
-    u, states = next_uniform(states)
-    idx = (cum < u[:, np.newaxis] * cum[:, -1:]).sum(axis=1)
-    return np.minimum(idx, 2**n_s - 1), states
 
 
 def sample_gibbs(spec: HamiltonianSpec, cfg: ProtocolConfig, burn_in_cycles: int,
                  shots: int, seed: int, workers: int | None = None) -> SampleSet:
     """Run the sampler: per shot, start from a random basis state, burn in,
     and measure the system register once."""
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
     if burn_in_cycles < 0:
         raise ValueError(f"burn_in_cycles must be >= 0, got {burn_in_cycles}")
-    n_s, m = spec.qubit_count, cfg.m_count
-    periods = _cycle_periods(spec, cfg)
+    n_s = spec.qubit_count
 
-    def run_range(bounds):
-        lo, hi = bounds
-        amps, states = _start_chunk(seed, lo, hi, n_s, m, None)
-        amps, states = _run_cycles(amps, states, periods, m, burn_in_cycles)
-        idx, _ = _measure_system(amps, states, n_s)
-        return np.bincount(idx, minlength=2**n_s)
+    def measure(lo, amps, states):
+        probs = (np.abs(amps.reshape(len(amps), 2**n_s, -1)) ** 2).sum(axis=2)
+        cum = np.cumsum(probs, axis=1)
+        u, _ = next_uniform(states)
+        idx = (cum < u[:, np.newaxis] * cum[:, -1:]).sum(axis=1)
+        return np.bincount(np.minimum(idx, 2**n_s - 1), minlength=2**n_s)
 
-    partials = _thread_map(run_range, _chunk_ranges(shots, 2**(n_s + m)), workers)
-    totals = np.sum(partials, axis=0)
-    counts = {
-        format(i, f"0{n_s}b"): int(c)
-        for i, c in enumerate(totals) if c
-    }
+    totals = np.sum(_run_shots(spec, cfg, burn_in_cycles, shots, seed, None, workers,
+                               measure), axis=0)
+    counts = {format(i, f"0{n_s}b"): int(c) for i, c in enumerate(totals) if c}
     return SampleSet(counts=counts, shots=shots, seed=seed)

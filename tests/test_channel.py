@@ -263,8 +263,6 @@ def test_cycle_map_metadata():
     cfg = config(spec, n_cycle=8)
     cm = build_cycle_map(spec, cfg)
     assert cm.omegas == tuple(comb_value(cfg, k) for k in range(8))
-    assert cm.ground_probs == tuple(
-        ground_probability(om, cfg.beta) for om in cm.omegas)
     assert cm.config == cfg
 
 
@@ -348,7 +346,7 @@ def constant_channel_map(sigma):
     mat = np.outer(vec(sigma), vec(np.eye(d)).conj())
     cfg = ProtocolConfig(g=1.0, beta=1.0, omega_m=0.0, n_trotter=1, n_cycle=1,
                          ancilla_map=(0,))
-    return CycleMap(Superoperator(d * d, mat), cfg, (0.0,), (0.5,))
+    return CycleMap(Superoperator(d * d, mat), cfg, (0.0,))
 
 
 def test_steady_state_of_reset_channel():
@@ -386,7 +384,7 @@ def test_steady_state_matches_power_iteration_oracle():
 def test_steady_state_rejects_contraction():
     cfg = ProtocolConfig(g=1.0, beta=1.0, omega_m=0.0, n_trotter=1, n_cycle=1,
                          ancilla_map=(0,))
-    cm = CycleMap(Superoperator(4, 0.5 * np.eye(4)), cfg, (0.0,), (0.5,))
+    cm = CycleMap(Superoperator(4, 0.5 * np.eye(4)), cfg, (0.0,))
     with pytest.raises(NoUnitEigenvalue):
         steady_state(cm)
 
@@ -402,8 +400,7 @@ def test_steady_state_degenerate_dephasing_returns_mixed():
     # picks the maximally mixed one
     cfg = ProtocolConfig(g=1.0, beta=1.0, omega_m=0.0, n_trotter=1, n_cycle=1,
                          ancilla_map=(0,))
-    cm = CycleMap(Superoperator(4, np.diag([1.0, 0.0, 0.0, 1.0])), cfg,
-                  (0.0,), (0.5,))
+    cm = CycleMap(Superoperator(4, np.diag([1.0, 0.0, 0.0, 1.0])), cfg, (0.0,))
     rho, lam = steady_state(cm)
     assert abs(lam - 1.0) < 1e-12
     assert np.linalg.norm(rho - np.eye(2) / 2) < 1e-10
@@ -412,7 +409,7 @@ def test_steady_state_degenerate_dephasing_returns_mixed():
 def test_steady_state_fully_degenerate_identity_rejected():
     cfg = ProtocolConfig(g=1.0, beta=1.0, omega_m=0.0, n_trotter=1, n_cycle=1,
                          ancilla_map=(0,))
-    cm = CycleMap(Superoperator(4, np.eye(4)), cfg, (0.0,), (0.5,))
+    cm = CycleMap(Superoperator(4, np.eye(4)), cfg, (0.0,))
     with pytest.raises(NoUnitEigenvalue):
         steady_state(cm)
 
@@ -430,7 +427,7 @@ def test_spectral_gap_constant_channel():
 def test_spectral_gap_identity_channel():
     cfg = ProtocolConfig(g=1.0, beta=1.0, omega_m=0.0, n_trotter=1, n_cycle=1,
                          ancilla_map=(0,))
-    cm = CycleMap(Superoperator(4, np.eye(4)), cfg, (0.0,), (0.5,))
+    cm = CycleMap(Superoperator(4, np.eye(4)), cfg, (0.0,))
     gap, unique = spectral_gap(cm)
     assert gap == 0.0
     assert not unique

@@ -402,6 +402,12 @@ def test_main_missing_beta_exit_code():
     (["validate", "--model", "missing.ham", "--n", "2"], None, None),
     (["thermalize", "-q", "--n", "1", "--beta", "1", "--nt", "30", "--ncycle", "8"],
      None, "qubit-cap = 14\n"),
+    (["experiment", "tfim", "-q", "--n", "1", "--beta", "1", "--nt", "30", "--ncycle", "8"],
+     None, "model = graph\n"),
+    (["thermalize", "-q", "--n", "1", "--beta", "1", "--nt", "30", "--ncycle", "8"],
+     None, "mode = evolve\n"),
+    (["thermalize", "-q", "--n", "1", "--beta", "1", "--nt", "30", "--ncycle", "8"],
+     None, "shots = 5\n"),
 ], ids=["n-abc", "beta-x", "n-empty", "beta-empty", "env-workers", "config-format",
         "config-n", "n-0", "epsilon-0", "burnin-negative", "shots-0", "pe-second-1.5",
         "beta-second-negative", "workers-0", "workers-negative", "env-workers-0",
@@ -410,7 +416,8 @@ def test_main_missing_beta_exit_code():
         "magnetization-steady-sweeps", "thermalize-jj-0", "thermalize-jj-negative",
         "experiment-jj-0", "config-jj-nan", "sweeps-negative", "config-sweeps-0",
         "graph-hj", "graph-jj", "tfim-pe", "experiment-graph-hj", "config-pe-tfim",
-        "file-model-n", "config-qubit-cap"])
+        "file-model-n", "config-qubit-cap", "config-model-experiment",
+        "config-mode-thermalize", "config-shots-thermalize"])
 def test_main_bad_input_exits_2(argv, env, config, tmp_path, monkeypatch, capsys):
     if env is None:
         monkeypatch.delenv("QMCMC_WORKERS", raising=False)
@@ -430,7 +437,6 @@ def test_main_bad_input_exits_2(argv, env, config, tmp_path, monkeypatch, capsys
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("argv, flag, bad, good", [
     ("experiment tfim", "--beta", "-1", "1"),
     ("experiment graph", "--pe", "1.5", "0.5"),
@@ -446,7 +452,7 @@ def test_main_refuses_bad_grid_value_in_any_position(argv, flag, bad, good, last
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count("error:") == 1
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 _NO_SCIPY_SCRIPT = """
@@ -550,7 +556,6 @@ _FLOAT_FIELDS = {"j", "h", "beta", "p_e", "g", "infidelity", "tvd", "magnetizati
                  "lambda_dev"}
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("name", list(_PINNED_ARGV))
 def test_main_output_is_pinned(name, tmp_path):
     ham = tmp_path / "model.ham"

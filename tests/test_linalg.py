@@ -70,6 +70,12 @@ def test_hermitian_eig_rejects_nonhermitian():
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_hermitian_eig_rejects_nonhermitian_whose_norm_overflows():
+    # ||h||_F and ||h - h^dag||_F both overflow to inf for entries of 1e200
+    with pytest.raises(NonHermitianInput):
+        hermitian_eig(np.array([[0.0, 1e200], [0.0, 0.0]]))
+
+
 def test_hermitian_eig_tfim_matrix_vs_charpoly_oracle():
     # two-site chain, J = h = 1: -Z Z - Y I - I Y
     h = -kron(Z, Z) - kron(Y, I2) - kron(I2, Y)

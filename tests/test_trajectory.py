@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qmcmc.channel as channel
 import qmcmc.trajectory as trajectory
 from qmcmc.channel import build_cycle_map, build_period_unitary
 from qmcmc.errors import NormalizationLoss
@@ -82,11 +83,29 @@ def test_run_trajectories_rejects_norm_drift(monkeypatch):
     # run must stop rather than renormalize it away
     spec = build_tfim(1, 1.0, 1.0)
     cfg = field_config(spec)
-    exact = trajectory._period_unitary
-    monkeypatch.setattr(trajectory, "_period_unitary",
+    exact = channel._period_unitary
+    monkeypatch.setattr(channel, "_period_unitary",
                         lambda *args: 1.01 * exact(*args))
     with pytest.raises(NormalizationLoss, match="drifted"):
         run_trajectories(spec, cfg, cycles=1, shots=2, seed=1, system_index=0)
+
+
+@pytest.mark.parametrize("run", [
+    lambda spec, cfg: build_cycle_map(spec, cfg),
+    lambda spec, cfg: sample_gibbs(spec, cfg, burn_in_cycles=2, shots=3, seed=0),
+    lambda spec, cfg: run_trajectories(spec, cfg, cycles=2, shots=3, seed=0),
+], ids=["cycle-map", "sampler", "trajectories"])
+def test_each_comb_value_builds_one_period_unitary(run, monkeypatch):
+    # the exact map and the sampler walk the cycle through one table, which
+    # builds W once per distinct comb value: n_cycle // 2 + 1 for an even n_cycle
+    calls = []
+    exact = channel._period_unitary
+    monkeypatch.setattr(channel, "_period_unitary",
+                        lambda *args: calls.append(args[-1]) or exact(*args))
+    spec = build_tfim(1, 1.0, 1.0)
+    cfg = field_config(spec, n_trotter=20, n_cycle=8)
+    run(spec, cfg)
+    assert len(calls) == len(set(calls)) == cfg.n_cycle // 2 + 1
 
 
 @pytest.mark.parametrize("system_index", [-1, 2])
