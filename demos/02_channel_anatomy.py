@@ -14,12 +14,12 @@ from qmcmc import (
     build_period_channel,
     build_period_unitary,
     build_tfim,
-    choi_matrix,
     comb_value,
     ground_probability,
     spectral_width,
     superoperator_to_choi,
     to_superoperator,
+    vec,
 )
 
 spec = build_tfim(1, j=1.0, h=1.0)
@@ -49,7 +49,7 @@ print(f"eigenvalue moduli: {np.round(eigs, 6)}")
 # complete positivity: the reshuffled superoperator (= sum of vec outer
 # products of the Kraus operators) must be positive semidefinite
 choi_a = superoperator_to_choi(s)
-choi_b = choi_matrix(kraus)
+choi_b = sum(np.outer(vec(op), vec(op).conj()) for op in kraus.operators)
 print(f"\nChoi via reshuffle vs via Kraus: {np.linalg.norm(choi_a - choi_b):.2e}")
 print(f"Choi minimum eigenvalue: {np.linalg.eigvalsh(choi_a).min():+.2e} (>= -1e-8 required)")
 

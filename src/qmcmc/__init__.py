@@ -15,7 +15,6 @@ from .channel import (
     build_cycle_map,
     build_period_channel,
     build_period_unitary,
-    choi_matrix,
     spectral_gap,
     steady_state,
     superoperator_to_choi,
@@ -47,7 +46,6 @@ from .linalg import (
     dominant_eigs,
     expm_hermitian,
     hermitian_eig,
-    kron,
     kron_all,
     unvec,
     vec,

@@ -33,7 +33,7 @@ from .errors import (
     NoUnitEigenvalue,
 )
 from .hamiltonians import PAULIS, HamiltonianSpec, to_matrix
-from .linalg import apply_gate, dominant_eigs, expm_hermitian, kron, unvec, vec
+from .linalg import apply_gate, dominant_eigs, expm_hermitian, unvec, vec
 from .schedule import ProtocolConfig, comb_value, ground_probability
 
 # Largest cycle-map dimension d_s**2 (n_s = 6): the dense map alone is 256 MiB
@@ -81,18 +81,16 @@ class CycleMap:
     """Composition of the ``n_cycle`` period channels, with their comb values."""
 
     superoperator: Superoperator
-    config: ProtocolConfig
     omegas: tuple[float, ...]
-    _spectrum: list | None = field(default=None, init=False, repr=False, compare=False)
+    _spectrum: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
-    def spectrum(self) -> list[tuple[complex, np.ndarray]]:
-        """Every eigenpair of the map, by descending ``|lam|``: the one dense
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every eigenpair ``(w, v)`` by descending ``|lam|``: the one dense
         diagonalization that :func:`steady_state` and :func:`spectral_gap`
         share. Computed on first use; the matrix must not change afterwards."""
         if self._spectrum is None:
-            mat = self.superoperator.matrix
-            object.__setattr__(self, "_spectrum", dominant_eigs(mat, mat.shape[0]))
+            object.__setattr__(self, "_spectrum", dominant_eigs(self.superoperator.matrix))
         return self._spectrum
 
 
@@ -129,13 +127,13 @@ def _trotter_parts(spec: HamiltonianSpec, cfg: ProtocolConfig):
     n = n_s + m
     dt = cfg.t_g / cfg.n_trotter
     u_s = expm_hermitian(to_matrix(spec), -1j * dt)
-    ab = kron(u_s, np.eye(2**m, dtype=complex))
+    ab = np.kron(u_s, np.eye(2**m, dtype=complex))
     # exp(-i theta XX) in closed form; theta = g dt = pi / n_trotter exactly
     theta = np.pi / cfg.n_trotter
-    xx = kron(PAULIS["X"], PAULIS["X"])
+    xx = np.kron(PAULIS["X"], PAULIS["X"])
     interaction = np.cos(theta) * np.eye(4, dtype=complex) - 1j * np.sin(theta) * xx
     for anc, principal in enumerate(cfg.ancilla_map):
-        ab = apply_gate(interaction, [principal, n_s + anc], ab, n, axis=0)
+        ab = apply_gate(interaction, [principal, n_s + anc], ab, n)
     return ab, _phase_weights(n_s, m)
 
 
@@ -221,26 +219,13 @@ def build_period_channel(w: np.ndarray, prep: np.ndarray, n_s: int,
     return kset
 
 
-def _kraus_gram(kraus: KrausSet) -> np.ndarray:
-    """``G[a, b, c, e] = sum_K conj(K[a, b]) K[c, e]`` as one GEMM over the
-    flattened operators; the superoperator and the Choi matrix are index
-    reshuffles of it."""
+def to_superoperator(kraus: KrausSet) -> Superoperator:
+    """Column-stacking superoperator ``sum_K kron(conj(K), K)``: an index
+    reshuffle of the Gram matrix of the flattened operators (one GEMM)."""
     d = kraus.dim
     flat = kraus.operators.reshape(-1, d * d)
-    return (flat.conj().T @ flat).reshape(d, d, d, d)
-
-
-def to_superoperator(kraus: KrausSet) -> Superoperator:
-    """Column-stacking superoperator ``sum_K kron(conj(K), K)``."""
-    d = kraus.dim
-    mat = _kraus_gram(kraus).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    return Superoperator(dim=d * d, matrix=mat)
-
-
-def choi_matrix(kraus: KrausSet) -> np.ndarray:
-    """Unnormalized Choi matrix ``sum_K vec(K) vec(K)^dag`` (column stacking)."""
-    d = kraus.dim
-    return _kraus_gram(kraus).transpose(3, 2, 1, 0).reshape(d * d, d * d)
+    gram = (flat.conj().T @ flat).reshape(d, d, d, d)
+    return Superoperator(dim=d * d, matrix=gram.transpose(0, 2, 1, 3).reshape(d * d, d * d))
 
 
 def superoperator_to_choi(s: Superoperator) -> np.ndarray:
@@ -276,7 +261,7 @@ def build_cycle_map(spec: HamiltonianSpec, cfg: ProtocolConfig,
     total = np.eye(d_s * d_s, dtype=complex)
     for om in omegas:
         total = by_omega[om] @ total
-    return CycleMap(Superoperator(d_s * d_s, total), cfg, tuple(omegas))
+    return CycleMap(Superoperator(d_s * d_s, total), tuple(omegas))
 
 
 def steady_state(m: CycleMap) -> tuple[np.ndarray, complex]:
@@ -295,25 +280,26 @@ def steady_state(m: CycleMap) -> tuple[np.ndarray, complex]:
     natural infinite-time limit seeded from an unbiased state, and exactly
     ``I/d`` whenever that is a fixed point.
     """
-    pairs = m.spectrum[:_MAX_CLUSTER]
-    k = len(pairs)
-    lam1, v1 = pairs[0]
+    w, v = m.spectrum
+    w, v = w[:_MAX_CLUSTER], v[:, :_MAX_CLUSTER]
+    lam1 = complex(w[0])
     if abs(lam1 - 1.0) >= 1e-6:
         raise NoUnitEigenvalue(
             f"largest-modulus eigenvalue {lam1} is not within 1e-6 of 1"
         )
-    cluster = [v for lam, v in pairs if abs(lam - 1.0) < 1e-6]
-    if len(cluster) == 1:
-        rho = unvec(v1)
-    elif len(cluster) < k:
+    cluster = np.abs(w - 1.0) < 1e-6
+    size = int(cluster.sum())
+    if size == 1:
+        rho = unvec(v[:, 0])
+    elif size < len(w):
         d = m.superoperator.system_dim
-        basis = np.stack(cluster, axis=1)
+        basis = np.ascontiguousarray(v[:, cluster])
         coeff, *_ = np.linalg.lstsq(basis, vec(np.eye(d, dtype=complex)) / d,
                                     rcond=None)
         rho = unvec(basis @ coeff)
     else:
         raise NoUnitEigenvalue(
-            f"at least {len(cluster)} eigenvalues lie within 1e-6 of 1; "
+            f"at least {size} eigenvalues lie within 1e-6 of 1; "
             "the fixed point is not meaningfully defined"
         )
     tr = np.trace(rho)
@@ -330,7 +316,7 @@ def steady_state(m: CycleMap) -> tuple[np.ndarray, complex]:
     ev = np.clip(ev, 0.0, None)
     rho = (basis * ev) @ basis.conj().T
     rho /= np.trace(rho).real
-    return rho, complex(lam1)
+    return rho, lam1
 
 
 def spectral_gap(m: CycleMap) -> tuple[float, bool]:
@@ -339,7 +325,7 @@ def spectral_gap(m: CycleMap) -> tuple[float, bool]:
     map's full spectrum. Sub-roundoff negative gaps (above -1e-6) are clamped
     to zero.
     """
-    w = np.array([lam for lam, _ in m.spectrum])
+    w = m.spectrum[0]
     gap = 1.0 - abs(w[1])
     if -1e-6 < gap < 0.0:
         gap = 0.0

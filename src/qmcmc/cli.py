@@ -27,8 +27,6 @@ import os
 import sys
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 # Not called here; bench/test_bench.py looks these names up on this module.
 from .channel import build_cycle_map, spectral_gap  # noqa: F401
 from .errors import EmptyResult, QmcmcError, UnknownKey, UsageError
@@ -42,8 +40,7 @@ from .experiments import (
     run_plan,
     solve_point,
 )
-from .hamiltonians import to_matrix
-from .linalg import hermitian_eig
+from .hamiltonians import spectral_norm
 from .schedule import suggest_trotter_steps, validate_hierarchy
 from .trajectory import SampleSet, sample_gibbs
 
@@ -101,7 +98,6 @@ _OPTIONS = {
     "out": _Option(str, None, "output file (default: stdout)"),
     "workers": _Option(_checked(int, "positive int", lambda v: v > 0), None,
                        "worker threads (env QMCMC_WORKERS)"),
-    "hierarchy-threshold": _Option(float, 10.0, "factor counted as 'much less'"),
     "mode": _Option(str, "steady_state", "algorithm column source",
                     ("steady_state", "evolve")),
     "sweeps": _Option(_checked(int, "positive int", lambda v: v > 0), None,
@@ -133,7 +129,7 @@ def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
 
 
 _MODEL_FLAGS = ("model", "n", "hj", "jj", "pe", "seed")
-_PROTO_FLAGS = ("beta", "g", "nt", "ncycle", "hierarchy-threshold")
+_PROTO_FLAGS = ("beta", "g", "nt", "ncycle")
 _IO_FLAGS = ("format", "out", "workers")
 
 
@@ -331,27 +327,14 @@ def _prepare(run_cfg: RunConfig) -> tuple[Point, ExperimentPlan | None]:
         raise UsageError(str(exc)) from exc
 
 
-def _report_hierarchy(point: Point, threshold: float, stream) -> float:
-    """Print the rate-hierarchy report; returns ||H_s||, its largest
-    |eigenvalue|."""
-    h_s_norm = float(np.abs(hermitian_eig(to_matrix(point.spec))[0]).max())
-    report = validate_hierarchy(point.config, h_s_norm, threshold)
-    print(report.summary(), file=stream)
-    return h_s_norm
-
-
 def _cmd_thermalize(run_cfg: RunConfig, point: Point, plan) -> int:
     o = run_cfg.options
-    if run_cfg.verbosity:
-        _report_hierarchy(point, o["hierarchy-threshold"], sys.stderr)
     emit_results([solve_point(point, o["workers"])], o["format"], o["out"] or sys.stdout)
     return 0
 
 
 def _cmd_sample(run_cfg: RunConfig, point: Point, plan) -> int:
     o = run_cfg.options
-    if run_cfg.verbosity:
-        _report_hierarchy(point, o["hierarchy-threshold"], sys.stderr)
     samples = sample_gibbs(point.spec, point.config, o["burnin"], o["shots"], o["seed"],
                            workers=o["workers"])
     emit_samples(samples, o["format"], o["out"] or sys.stdout)
@@ -360,8 +343,6 @@ def _cmd_sample(run_cfg: RunConfig, point: Point, plan) -> int:
 
 def _cmd_experiment(run_cfg: RunConfig, point: Point, plan: ExperimentPlan) -> int:
     o = run_cfg.options
-    if run_cfg.verbosity:
-        _report_hierarchy(point, o["hierarchy-threshold"], sys.stderr)
     rows = run_plan(plan)
     emit_results(rows, o["format"], o["out"] or sys.stdout)
     failed = sum(1 for row in rows if row.error)
@@ -374,10 +355,14 @@ def _cmd_experiment(run_cfg: RunConfig, point: Point, plan: ExperimentPlan) -> i
 def _cmd_validate(run_cfg: RunConfig, point: Point, plan) -> int:
     o = run_cfg.options
     cfg = point.config
-    h_s_norm = _report_hierarchy(point, o["hierarchy-threshold"], sys.stdout)
+    h_s_norm = spectral_norm(point.spec)
     m = cfg.m_count
     lam = max(m * cfg.g, h_s_norm, m * cfg.omega_m / 2.0)
-    steps = suggest_trotter_steps(cfg.t_g, lam, o["epsilon"])
+    try:
+        steps = suggest_trotter_steps(cfg.t_g, lam, o["epsilon"])
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    print(validate_hierarchy(cfg, h_s_norm).summary())
     print(f"Lambda = max(||H_i||, ||H_s||, ||H_b||) = {lam:.6g}")
     print(f"suggested Trotter steps for error {o['epsilon']:g}: {steps}")
     print(f"configured n_trotter: {cfg.n_trotter}")
@@ -393,7 +378,11 @@ def main(argv=None) -> int:
     }
     try:
         run_cfg = parse_args(argv)
-        return dispatch[run_cfg.command](run_cfg, *_prepare(run_cfg))
+        point, plan = _prepare(run_cfg)
+        if run_cfg.verbosity and run_cfg.command != "validate":
+            report = validate_hierarchy(point.config, spectral_norm(point.spec))
+            print(report.summary(), file=sys.stderr)
+        return dispatch[run_cfg.command](run_cfg, point, plan)
     except (UsageError, UnknownKey) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

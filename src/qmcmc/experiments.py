@@ -35,6 +35,7 @@ from .hamiltonians import (
     build_tfim,
     gibbs_distribution,
     load_hamiltonian,
+    spectral_norm,
     spectral_width,
     thermal_state,
 )
@@ -212,8 +213,8 @@ def make_point(kind: str, model: str, n: int, beta: float, *, h_over_j: float = 
     ``g`` and ``beta`` are scaled into the protocol config: comb amplitude
     ``spectral_width(spec)`` and one ancilla per spin. Raises ValueError or a
     package error for a value the model or protocol refuses, a coupling that
-    is not positive, a chain whose spectral width is not finite, or more than
-    ``MAX_SPINS`` spins.
+    is not positive, a spectral width that is not finite, a Trotter step
+    ``dt = pi / (g n_trotter)`` that overflows, or more than ``MAX_SPINS`` spins.
     """
     chain, graph = model == "tfim", model == "graph"
     spec = None if chain or graph else load_hamiltonian(model)
@@ -227,9 +228,9 @@ def make_point(kind: str, model: str, n: int, beta: float, *, h_over_j: float = 
     elif graph:
         spec = build_graph_ising(generate_er_instance(n, p_e, seed))
     width = spectral_width(spec)
-    if chain and not math.isfinite(width):
-        raise ValueError(f"the chain at h/J = {h_over_j:g}, J = {j:g} has an infinite "
-                         "spectral width")
+    what = f"the chain at h/J = {h_over_j:g}, J = {j:g}" if chain else f"model {model}"
+    if not math.isfinite(width):
+        raise ValueError(f"{what} has an infinite spectral width")
     unit = j if chain else 1.0
     config = ProtocolConfig(
         g=g * unit,
@@ -239,6 +240,10 @@ def make_point(kind: str, model: str, n: int, beta: float, *, h_over_j: float = 
         n_cycle=n_cycle,
         ancilla_map=tuple(range(spec.qubit_count)),
     )
+    dt = config.t_g / config.n_trotter
+    # a step's largest phases: omega_m dt M / 2 on the ancillas, ||H_s|| dt on the system
+    if not all(map(math.isfinite, (width * dt * config.m_count, spectral_norm(spec) * dt))):
+        raise ValueError(f"{what} overflows one Trotter step of dt = {dt:g}")
     columns = dict(
         kind=kind, n_s=spec.qubit_count, j=unit, h=h_over_j * j if chain else None,
         beta=beta, p_e=p_e if graph else None, instance_seed=seed if graph else None,

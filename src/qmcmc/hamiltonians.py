@@ -169,6 +169,11 @@ def spectral_width(spec: HamiltonianSpec) -> float:
     return float(w[-1]) - float(w[0])
 
 
+def spectral_norm(spec: HamiltonianSpec) -> float:
+    """``||H||``, the largest ``|E|``, from full diagonalization."""
+    return float(np.abs(hermitian_eig(to_matrix(spec))[0]).max())
+
+
 def thermal_state(spec: HamiltonianSpec, beta: float) -> np.ndarray:
     """Gibbs state ``exp(-beta H) / Z``.
 

@@ -19,11 +19,6 @@ from .errors import ConvergenceFailure, DimensionMismatch, NonHermitianInput
 _HERM_RTOL = 1e-10
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def kron_all(mats) -> np.ndarray:
     """Kronecker product of a sequence of matrices, left to right."""
     out = np.eye(1, dtype=complex)
@@ -83,52 +78,42 @@ def expm_hermitian(h: np.ndarray, c: complex) -> np.ndarray:
     return (v * np.exp(c * w)) @ v.conj().T
 
 
-def apply_gate(gate: np.ndarray, qubits, arr: np.ndarray, qubit_count: int,
-               axis: int = 0) -> np.ndarray:
-    """Apply a local gate to one tensor index of an array.
+def apply_gate(gate: np.ndarray, qubits, arr: np.ndarray, qubit_count: int) -> np.ndarray:
+    """Left-multiply an operator by a local gate.
 
-    The dimension ``axis`` of ``arr`` (of size ``2**qubit_count``) is treated
-    as a register of ``qubit_count`` qubits; ``gate`` (a ``2**k`` by ``2**k``
+    The rows of ``arr`` (``2**qubit_count`` of them) are treated as a
+    register of ``qubit_count`` qubits; ``gate`` (a ``2**k`` by ``2**k``
     matrix) acts on the listed ``qubits`` of that register, without ever
-    forming the full Kronecker product. The package calls it with axis=0, to
-    left-multiply operators by local gates.
+    forming the full Kronecker product.
     """
     arr = np.asarray(arr)
     qubits = list(qubits)
     k = len(qubits)
     n = int(qubit_count)
-    axis = axis % arr.ndim
-    if arr.shape[axis] != 2**n:
-        raise DimensionMismatch(
-            f"axis {axis} has size {arr.shape[axis]}, expected {2**n}"
-        )
+    if arr.shape[0] != 2**n:
+        raise DimensionMismatch(f"axis 0 has size {arr.shape[0]}, expected {2**n}")
     if len(set(qubits)) != k or any(q < 0 or q >= n for q in qubits):
         raise DimensionMismatch(f"invalid qubit list {qubits} for {n} qubits")
     shape = arr.shape
-    t = arr.reshape(shape[:axis] + (2,) * n + shape[axis + 1:])
+    t = arr.reshape((2,) * n + shape[1:])
     g = np.asarray(gate).reshape((2,) * (2 * k))
-    qaxes = [axis + q for q in qubits]
-    t = np.tensordot(g, t, axes=(list(range(k, 2 * k)), qaxes))
-    t = np.moveaxis(t, list(range(k)), qaxes)
+    t = np.tensordot(g, t, axes=(list(range(k, 2 * k)), qubits))
+    t = np.moveaxis(t, list(range(k)), qubits)
     return np.ascontiguousarray(t).reshape(shape)
 
 
-def dominant_eigs(m: np.ndarray, k: int):
-    """The ``k`` eigenpairs of largest modulus, sorted by descending ``|lam|``.
+def dominant_eigs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every eigenpair ``(w, v)`` of a square matrix, sorted by descending
+    ``|lam|``, column i of ``v`` (unit norm) pairing with ``w[i]``.
 
-    One dense non-Hermitian diagonalization; eigenvectors are unit-norm
-    columns of the sorted eigenvector matrix. Every returned pair satisfies
+    One dense non-Hermitian diagonalization. Every pair satisfies
     ``||M v - lam v|| <= 1e-8 ||M||_F``, else ConvergenceFailure is raised.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got {m.shape}")
-    dim = m.shape[0]
-    if not 1 <= k <= dim:
-        raise DimensionMismatch(f"k={k} outside 1..{dim}")
-
     w, v = np.linalg.eig(m)
-    order = np.argsort(-np.abs(w))[:k]
+    order = np.argsort(-np.abs(w))
     w, v = w[order], v[:, order]
     res = np.linalg.norm(m @ v - v * w, axis=0)
     norm = np.linalg.norm(m)
@@ -138,4 +123,4 @@ def dominant_eigs(m: np.ndarray, k: int):
             f"eigenpair residual {res[worst]:.3e} exceeds 1e-8 * ||M|| = "
             f"{1e-8 * norm:.3e}"
         )
-    return [(complex(w[i]), v[:, i]) for i in range(k)]
+    return w, v

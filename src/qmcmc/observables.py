@@ -70,7 +70,7 @@ def site_magnetizations(rho: np.ndarray, n_s: int) -> np.ndarray:
         raise NotAState(f"state shape {rho.shape} does not match {n_s} qubits")
     vals = np.empty(n_s, dtype=complex)
     for i in range(n_s):
-        vals[i] = np.trace(apply_gate(PAULIS["Y"], [i], rho, n_s, axis=0))
+        vals[i] = np.trace(apply_gate(PAULIS["Y"], [i], rho, n_s))
     if np.abs(vals.imag).max() > 1e-10:
         raise NotAState(
             f"magnetization has imaginary residue {np.abs(vals.imag).max():.3e}"

@@ -73,10 +73,6 @@ class Stream:
     def from_seed(cls, seed: int, index: int = 0) -> "Stream":
         return cls(int(derive_streams(seed + index, 1)[0]))
 
-    @property
-    def state(self) -> int:
-        return int(self._state[0])
-
     def uniform(self) -> float:
         u, self._state = next_uniform(self._state)
         return float(u[0])

@@ -12,6 +12,9 @@ from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, InvalidTolerance
 
+# Factor by which each side of the rate hierarchy counts as "much less".
+HIERARCHY_THRESHOLD = 10.0
+
 
 @dataclass(frozen=True)
 class ProtocolConfig:
@@ -96,7 +99,7 @@ def ground_probability(omega: float, beta: float) -> float:
 class HierarchyReport:
     """Outcome of the rate-hierarchy check ``max|dOmega/dt| << g << ||H_s||``.
 
-    Each inequality a << b is accepted when b >= threshold * a; the stored
+    Each inequality a << b holds when b >= HIERARCHY_THRESHOLD * a; the stored
     ratios are a/b, so smaller is better and 0 passes trivially. Warnings
     only: exploratory runs outside the weak-coupling regime are permitted.
     """
@@ -106,26 +109,20 @@ class HierarchyReport:
     coupling_to_system: float
     slope_ok: bool
     coupling_ok: bool
-    threshold: float
-
-    @property
-    def ok(self) -> bool:
-        return self.slope_ok and self.coupling_ok
 
     def summary(self) -> str:
         def verdict(flag):
             return "ok" if flag else "WARNING: not << (ratio above 1/threshold)"
 
         return "\n".join([
-            f"rate hierarchy (threshold {self.threshold:g}x per inequality):",
+            f"rate hierarchy (threshold {HIERARCHY_THRESHOLD:g}x per inequality):",
             f"  max |dOmega/dt| = {self.max_comb_slope:.6g}",
             f"  slope / g       = {self.slope_to_coupling:.6g}  [{verdict(self.slope_ok)}]",
             f"  g / ||H_s||     = {self.coupling_to_system:.6g}  [{verdict(self.coupling_ok)}]",
         ])
 
 
-def validate_hierarchy(cfg: ProtocolConfig, h_s_norm: float,
-                       threshold: float = 10.0) -> HierarchyReport:
+def validate_hierarchy(cfg: ProtocolConfig, h_s_norm: float) -> HierarchyReport:
     """Check the separation of timescales for the sin^2 comb.
 
     ``max|dOmega/dt| = pi * omega_m / T_cycle``. Never raises; callers decide
@@ -138,15 +135,18 @@ def validate_hierarchy(cfg: ProtocolConfig, h_s_norm: float,
         max_comb_slope=slope,
         slope_to_coupling=r1,
         coupling_to_system=r2,
-        slope_ok=r1 * threshold <= 1.0,
-        coupling_ok=r2 * threshold <= 1.0,
-        threshold=threshold,
+        slope_ok=r1 * HIERARCHY_THRESHOLD <= 1.0,
+        coupling_ok=r2 * HIERARCHY_THRESHOLD <= 1.0,
     )
 
 
 def suggest_trotter_steps(t_g: float, lambda_max: float, epsilon: float) -> int:
     """Step count ``ceil((3 t_g lambda_max)^2 / epsilon)`` for a target
-    first-order discretization error."""
+    first-order discretization error; a ValueError when it overflows."""
     if epsilon <= 0:
         raise InvalidTolerance(f"epsilon must be > 0, got {epsilon}")
-    return int(math.ceil((3.0 * t_g * lambda_max) ** 2 / epsilon))
+    try:
+        return int(math.ceil((3.0 * t_g * lambda_max) ** 2 / epsilon))
+    except OverflowError:
+        raise ValueError(f"the suggested Trotter step count overflows (t_g = {t_g:g}, "
+                         f"Lambda = {lambda_max:g}, epsilon = {epsilon:g})") from None

@@ -27,7 +27,7 @@ from qmcmc.hamiltonians import (
     thermal_state,
     to_matrix,
 )
-from qmcmc.linalg import kron
+from numpy import kron
 from qmcmc.observables import fidelity, transverse_magnetization, tvd
 from qmcmc.schedule import ProtocolConfig
 from qmcmc.trajectory import sample_gibbs

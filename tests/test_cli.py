@@ -224,6 +224,28 @@ def test_main_quiet_suppresses_report(tmp_path, capsys):
     assert "rate hierarchy" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["thermalize"],
+    ["sample", "--shots", "20", "--burnin", "1"],
+    ["experiment", "tfim"],
+], ids=["thermalize", "sample", "experiment"])
+def test_main_hierarchy_report_is_stderr_only(command, capsys):
+    argv = command + ["--n", "1", "--beta", "1", "--g", "0.05", "--nt", "30", "--ncycle", "8"]
+    runs = []
+    for quiet in ([], ["-q"]):
+        assert main(argv + quiet) == 0
+        captured = capsys.readouterr()
+        rows = list(csv.reader(captured.out.splitlines()))
+        if "wall_time" in rows[0]:
+            column = rows[0].index("wall_time")
+            for row in rows[1:]:
+                row[column] = ""
+        runs.append((rows, captured.err))
+    (verbose_rows, verbose_err), (quiet_rows, quiet_err) = runs
+    assert verbose_err.startswith("rate hierarchy") and quiet_err == ""
+    assert verbose_rows == quiet_rows
+
+
 def test_main_thermalize_graph_model_reports_tvd(tmp_path):
     out = tmp_path / "row.csv"
     code = main([
@@ -408,6 +430,17 @@ def test_main_missing_beta_exit_code():
      None, "mode = evolve\n"),
     (["thermalize", "-q", "--n", "1", "--beta", "1", "--nt", "30", "--ncycle", "8"],
      None, "shots = 5\n"),
+    (["thermalize", "-q", "--n", "1", "--beta", "1", "--nt", "30", "--ncycle", "8",
+      "--hierarchy-threshold", "5"], None, None),
+    (["thermalize", "-q", "--n", "1", "--beta", "1", "--nt", "30", "--ncycle", "8"],
+     None, "hierarchy-threshold = 5\n"),
+    (["validate", "--n", "2", "--hj", "1e307"], None, None),
+    (["validate", "--n", "2", "--hj", "1e150"], None, None),
+    (["validate", "-q", "--n", "2", "--beta", "1", "--epsilon", "1e-305"], None, None),
+    (["thermalize", "-q", "--n", "2", "--hj", "1e307", "--beta", "1", "--nt", "30",
+      "--ncycle", "8"], None, None),
+    (["experiment", "tfim", "-q", "--n", "2", "--hj", "1,1e307", "--beta", "1", "--nt", "30",
+      "--ncycle", "8"], None, None),
 ], ids=["n-abc", "beta-x", "n-empty", "beta-empty", "env-workers", "config-format",
         "config-n", "n-0", "epsilon-0", "burnin-negative", "shots-0", "pe-second-1.5",
         "beta-second-negative", "workers-0", "workers-negative", "env-workers-0",
@@ -417,7 +450,10 @@ def test_main_missing_beta_exit_code():
         "experiment-jj-0", "config-jj-nan", "sweeps-negative", "config-sweeps-0",
         "graph-hj", "graph-jj", "tfim-pe", "experiment-graph-hj", "config-pe-tfim",
         "file-model-n", "config-qubit-cap", "config-model-experiment",
-        "config-mode-thermalize", "config-shots-thermalize"])
+        "config-mode-thermalize", "config-shots-thermalize", "hierarchy-threshold",
+        "config-hierarchy-threshold", "validate-steps-overflow-product",
+        "validate-steps-overflow-square", "validate-steps-overflow-epsilon",
+        "thermalize-trotter-step-overflow", "experiment-trotter-step-overflow"])
 def test_main_bad_input_exits_2(argv, env, config, tmp_path, monkeypatch, capsys):
     if env is None:
         monkeypatch.delenv("QMCMC_WORKERS", raising=False)
@@ -441,6 +477,7 @@ def test_main_bad_input_exits_2(argv, env, config, tmp_path, monkeypatch, capsys
     ("experiment tfim", "--beta", "-1", "1"),
     ("experiment graph", "--pe", "1.5", "0.5"),
     ("experiment tfim", "--hj", "1e308", "1"),  # its spectral width overflows
+    ("experiment tfim", "--hj", "1e307", "1"),  # its Trotter step overflows
     ("experiment tfim", "--n", "7", "1"),
 ])
 @pytest.mark.parametrize("last", [False, True], ids=["first", "last"])
@@ -592,7 +629,7 @@ def _subcommand_flags() -> dict:
 
 def test_subcommand_flag_sets_are_pinned():
     common = {"-h", "--help", "--config", "-q", "--quiet", "--beta", "--g",
-              "--nt", "--ncycle", "--hierarchy-threshold",
+              "--nt", "--ncycle",
               "--n", "--hj", "--jj", "--pe", "--seed"}
     io = {"--format", "--out", "--workers"}
     assert _subcommand_flags() == {

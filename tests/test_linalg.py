@@ -7,7 +7,6 @@ from qmcmc.linalg import (
     dominant_eigs,
     expm_hermitian,
     hermitian_eig,
-    kron,
     kron_all,
     unvec,
     vec,
@@ -26,17 +25,17 @@ from oracles import (
 
 
 def test_kron_identity():
-    assert np.array_equal(kron(I2, I2), np.eye(4))
+    assert np.array_equal(kron_all([I2, I2]), np.eye(4))
 
 
 def test_kron_diagonal():
-    assert np.allclose(kron(Z, I2), np.diag([1, 1, -1, -1]))
+    assert np.allclose(kron_all([Z, I2]), np.diag([1, 1, -1, -1]))
 
 
 def test_kron_shape_law():
     a = np.ones((2, 2))
     b = np.ones((3, 3))
-    assert kron(a, b).shape == (6, 6)
+    assert kron_all([a, b]).shape == (6, 6)
 
 
 def test_kron_mixed_product_property():
@@ -44,8 +43,8 @@ def test_kron_mixed_product_property():
     for _ in range(5):
         a, b, c, d = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
                       for _ in range(4))
-        lhs = kron(a, b) @ kron(c, d)
-        rhs = kron(a @ c, b @ d)
+        lhs = kron_all([a, b]) @ kron_all([c, d])
+        rhs = kron_all([a @ c, b @ d])
         assert np.linalg.norm(lhs - rhs) < 1e-12
 
 
@@ -78,7 +77,7 @@ def test_hermitian_eig_rejects_nonhermitian_whose_norm_overflows():
 
 def test_hermitian_eig_tfim_matrix_vs_charpoly_oracle():
     # two-site chain, J = h = 1: -Z Z - Y I - I Y
-    h = -kron(Z, Z) - kron(Y, I2) - kron(I2, Y)
+    h = -kron_all([Z, Z]) - kron_all([Y, I2]) - kron_all([I2, Y])
     expected = np.sort(charpoly_eigenvalues(h).real)
     got, _ = hermitian_eig(h)
     assert np.allclose(got, expected, atol=1e-8)
@@ -130,7 +129,7 @@ def test_partial_trace_product_state():
     rng = np.random.default_rng(7)
     rho_a = random_density(rng, 2)
     rho_b = random_density(rng, 2)
-    got = partial_trace(kron(rho_a, rho_b), 2, [0])
+    got = partial_trace(kron_all([rho_a, rho_b]), 2, [0])
     assert np.linalg.norm(got - rho_a) < 1e-12
 
 
@@ -179,26 +178,17 @@ def test_apply_gate_matches_explicit_kron():
     gate = random_unitary(rng, 2)
     for q in range(3):
         full = kron_all([gate if i == q else I2 for i in range(3)])
-        assert np.linalg.norm(apply_gate(gate, [q], op, 3, axis=0) - full @ op) < 1e-12
+        assert np.linalg.norm(apply_gate(gate, [q], op, 3) - full @ op) < 1e-12
     two = random_unitary(rng, 4)
-    full = kron(two, I2)
-    assert np.linalg.norm(apply_gate(two, [0, 1], op, 3, axis=0) - full @ op) < 1e-12
-
-
-def test_apply_gate_on_state_batches():
-    rng = np.random.default_rng(13)
-    states = rng.standard_normal((5, 8)) + 1j * rng.standard_normal((5, 8))
-    gate = random_unitary(rng, 2)
-    got = apply_gate(gate, [2], states, 3, axis=1)
-    full = kron_all([I2, I2, gate])
-    assert np.linalg.norm(got - states @ full.T) < 1e-12
+    full = kron_all([two, I2])
+    assert np.linalg.norm(apply_gate(two, [0, 1], op, 3) - full @ op) < 1e-12
 
 
 def test_dominant_eigs_identity():
-    pairs = dominant_eigs(np.eye(5), 3)
-    for lam, v in pairs:
-        assert abs(lam - 1.0) < 1e-12
-        assert np.linalg.norm(np.eye(5) @ v - v) < 1e-10
+    w, v = dominant_eigs(np.eye(5))
+    assert w.shape == (5,) and v.shape == (5, 5)
+    assert np.abs(w - 1.0).max() < 1e-12
+    assert np.abs(np.linalg.norm(v, axis=0) - 1.0).max() < 1e-12
 
 
 def test_dominant_eigs_reset_channel_superoperator():
@@ -207,19 +197,19 @@ def test_dominant_eigs_reset_channel_superoperator():
     s = np.zeros((4, 4), dtype=complex)
     s[0, 0] = 1.0
     s[0, 3] = 1.0
-    pairs = dominant_eigs(s, 4)
-    mods = sorted((abs(lam) for lam, _ in pairs), reverse=True)
-    assert abs(mods[0] - 1.0) < 1e-12
-    assert max(mods[1:]) < 1e-12
+    w, v = dominant_eigs(s)
+    assert abs(abs(w[0]) - 1.0) < 1e-12
+    assert np.abs(w[1:]).max() < 1e-12
+    assert np.linalg.norm(s @ v[:, 0] - w[0] * v[:, 0]) < 1e-12
 
 
 def test_dominant_eigs_stochastic_matrix():
     s = np.array([[0.9, 0.2], [0.1, 0.8]])  # column-stochastic
-    pairs = dominant_eigs(s, 2)
-    assert abs(pairs[0][0] - 1.0) < 1e-12
-    assert abs(pairs[1][0] - 0.7) < 1e-12
+    w, _ = dominant_eigs(s)
+    assert abs(w[0] - 1.0) < 1e-12
+    assert abs(w[1] - 0.7) < 1e-12
 
 
-def test_dominant_eigs_validates_k():
+def test_dominant_eigs_rejects_non_square():
     with pytest.raises(DimensionMismatch):
-        dominant_eigs(np.eye(3), 4)
+        dominant_eigs(np.eye(3)[:2])

@@ -121,12 +121,12 @@ def test_hierarchy_passes_at_reference_parameters():
     report = validate_hierarchy(cfg, h_s_norm)
     assert report.max_comb_slope == pytest.approx(
         math.pi * cfg.omega_m / cfg.t_cycle)
-    assert report.slope_ok and report.coupling_ok and report.ok
+    assert report.slope_ok and report.coupling_ok
 
 
 def test_hierarchy_flags_strong_coupling():
     report = validate_hierarchy(make_config(g=2.0, omega_m=1.0), h_s_norm=2.0)
-    assert not report.coupling_ok and not report.ok
+    assert not report.coupling_ok
 
 
 def test_hierarchy_static_comb_passes_first_check():
@@ -157,3 +157,13 @@ def test_suggest_trotter_steps_rejects_bad_tolerance():
         suggest_trotter_steps(1.0, 1.0, 0.0)
     with pytest.raises(InvalidTolerance):
         suggest_trotter_steps(1.0, 1.0, -1.0)
+
+
+@pytest.mark.parametrize("t_g, lambda_max, epsilon", [
+    (628.0, 4e307, 0.1),   # 3 t_g Lambda is already inf
+    (628.0, 4e150, 0.1),   # its square overflows
+    (628.0, 4.0, 1e-305),  # the quotient overflows
+], ids=["product", "square", "quotient"])
+def test_suggest_trotter_steps_overflow_is_value_error(t_g, lambda_max, epsilon):
+    with pytest.raises(ValueError, match="overflows"):
+        suggest_trotter_steps(t_g, lambda_max, epsilon)
