@@ -6,8 +6,6 @@ This is the core workflow: Hamiltonian -> protocol config -> cycle map ->
 steady state -> metrics.
 """
 
-import numpy as np
-
 from qmcmc import (
     ProtocolConfig,
     build_cycle_map,
@@ -20,7 +18,7 @@ from qmcmc import (
     transverse_magnetization,
     validate_hierarchy,
 )
-from qmcmc.hamiltonians import to_matrix
+from qmcmc.hamiltonians import spectral_norm
 
 # Two spins with h/J = 1, targeting beta*J = 10 (energies in units of J).
 n = 2
@@ -37,7 +35,7 @@ print(f"\nspectral width omega_m = {omega_m:.6f}")
 print(f"interaction period T_g = {cfg.t_g:.1f}, full sweep T_cycle = {cfg.t_cycle:.3g}")
 
 # Sanity-check the separation of timescales before any heavy work.
-h_s_norm = float(np.abs(np.linalg.eigvalsh(to_matrix(spec))).max())
+h_s_norm = spectral_norm(spec)
 print("\n" + validate_hierarchy(cfg, h_s_norm).summary())
 
 # The full-cycle dynamical map is a 16x16 matrix acting on vectorized

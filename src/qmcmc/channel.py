@@ -32,7 +32,7 @@ from .errors import (
     NegativeEigenvalue,
     NoUnitEigenvalue,
 )
-from .hamiltonians import PAULIS, HamiltonianSpec, to_matrix
+from .hamiltonians import PAULIS, HamiltonianSpec
 from .linalg import apply_gate, dominant_eigs, expm_hermitian, unvec, vec
 from .schedule import ProtocolConfig, comb_value, ground_probability
 
@@ -126,7 +126,7 @@ def _trotter_parts(spec: HamiltonianSpec, cfg: ProtocolConfig):
         )
     n = n_s + m
     dt = cfg.t_g / cfg.n_trotter
-    u_s = expm_hermitian(to_matrix(spec), -1j * dt)
+    u_s = expm_hermitian(spec.spectrum, -1j * dt)
     ab = np.kron(u_s, np.eye(2**m, dtype=complex))
     # exp(-i theta XX) in closed form; theta = g dt = pi / n_trotter exactly
     theta = np.pi / cfg.n_trotter

@@ -362,7 +362,8 @@ def _cmd_validate(run_cfg: RunConfig, point: Point, plan) -> int:
         steps = suggest_trotter_steps(cfg.t_g, lam, o["epsilon"])
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    print(validate_hierarchy(cfg, h_s_norm).summary())
+    if run_cfg.verbosity:
+        print(validate_hierarchy(cfg, h_s_norm).summary())
     print(f"Lambda = max(||H_i||, ||H_s||, ||H_b||) = {lam:.6g}")
     print(f"suggested Trotter steps for error {o['epsilon']:g}: {steps}")
     print(f"configured n_trotter: {cfg.n_trotter}")

@@ -211,7 +211,7 @@ def make_point(kind: str, model: str, n: int, beta: float, *, h_over_j: float = 
     coupling ``j``), ``"graph"`` (``generate_er_instance(n, p_e, seed)``) or a
     Hamiltonian file path. The chain's coupling is its energy unit, by which
     ``g`` and ``beta`` are scaled into the protocol config: comb amplitude
-    ``spectral_width(spec)`` and one ancilla per spin. Raises ValueError or a
+    the width of ``spec.spectrum`` and one ancilla per spin. Raises ValueError or a
     package error for a value the model or protocol refuses, a coupling that
     is not positive, a spectral width that is not finite, a Trotter step
     ``dt = pi / (g n_trotter)`` that overflows, or more than ``MAX_SPINS`` spins.

@@ -51,6 +51,7 @@ class HamiltonianSpec:
     qubit_count: int
     terms: tuple[PauliString, ...]
     label: str = ""
+    _spectrum: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.qubit_count < 1:
@@ -67,6 +68,16 @@ class HamiltonianSpec:
     def is_diagonal(self) -> bool:
         """True when every term uses only I/Z letters."""
         return all(set(t.letters) <= {"I", "Z"} for t in self.terms)
+
+    @property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(w, v) = hermitian_eig(to_matrix(self))``, computed on
+        first use and kept: the one diagonalization of the model."""
+        if self._spectrum is None:
+            w, v = hermitian_eig(to_matrix(self))
+            w.flags.writeable = v.flags.writeable = False
+            object.__setattr__(self, "_spectrum", (w, v))
+        return self._spectrum
 
 
 @dataclass(frozen=True)
@@ -164,25 +175,25 @@ def diagonal_energies(spec: HamiltonianSpec) -> np.ndarray:
 
 
 def spectral_width(spec: HamiltonianSpec) -> float:
-    """``E_max - E_min`` from full diagonalization (inf, silently, on overflow)."""
-    w, _ = hermitian_eig(to_matrix(spec))
+    """``E_max - E_min`` of ``spec.spectrum`` (inf, silently, on overflow)."""
+    w = spec.spectrum[0]
     return float(w[-1]) - float(w[0])
 
 
 def spectral_norm(spec: HamiltonianSpec) -> float:
-    """``||H||``, the largest ``|E|``, from full diagonalization."""
-    return float(np.abs(hermitian_eig(to_matrix(spec))[0]).max())
+    """``||H||``, the largest ``|E|`` of ``spec.spectrum``."""
+    return float(np.abs(spec.spectrum[0]).max())
 
 
 def thermal_state(spec: HamiltonianSpec, beta: float) -> np.ndarray:
     """Gibbs state ``exp(-beta H) / Z``.
 
-    Uses eigendecomposition with a max-exponent shift so that arbitrarily
+    Uses ``spec.spectrum`` with a max-exponent shift so that arbitrarily
     large beta underflows gracefully instead of overflowing.
     """
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
-    w, v = hermitian_eig(to_matrix(spec))
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ValueError(f"beta must be finite and >= 0, got {beta}")
+    w, v = spec.spectrum
     weights = np.exp(-beta * (w - w[0]))
     weights /= weights.sum()
     return (v * weights) @ v.conj().T
@@ -190,8 +201,8 @@ def thermal_state(spec: HamiltonianSpec, beta: float) -> np.ndarray:
 
 def gibbs_distribution(spec: HamiltonianSpec, beta: float) -> np.ndarray:
     """Boltzmann distribution over computational-basis states of a diagonal spec."""
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ValueError(f"beta must be finite and >= 0, got {beta}")
     energies = diagonal_energies(spec)
     p = np.exp(-beta * (energies - energies.min()))
     return p / p.sum()

@@ -67,14 +67,14 @@ def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(_check_hermitian(h))
 
 
-def expm_hermitian(h: np.ndarray, c: complex) -> np.ndarray:
-    """``exp(c * h)`` for Hermitian ``h`` via eigendecomposition.
+def expm_hermitian(eig: tuple[np.ndarray, np.ndarray], c: complex) -> np.ndarray:
+    """``exp(c * h)`` for Hermitian ``h`` from ``eig = hermitian_eig(h)``.
 
     For purely imaginary ``c`` the result is unitary to working precision;
     this covers every exponentiated operator in the protocol, so no general
     scaling-and-squaring code path is needed.
     """
-    w, v = hermitian_eig(h)
+    w, v = eig
     return (v * np.exp(c * w)) @ v.conj().T
 
 

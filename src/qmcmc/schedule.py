@@ -86,8 +86,8 @@ def ground_probability(omega: float, beta: float) -> float:
     ``omega``: the logistic ``1 / (1 + exp(-beta*omega))``, evaluated as
     ``e / (1 + e)`` with ``e = exp(beta*omega)`` for negative arguments so
     that ``exp`` never overflows."""
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ValueError(f"beta must be finite and >= 0, got {beta}")
     x = beta * omega
     if x >= 0:
         return 1.0 / (1.0 + math.exp(-x))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmcmc import cli
+from qmcmc import cli, hamiltonians
 from qmcmc.cli import emit_results, emit_samples, main, parse_args
 from qmcmc.errors import EmptyResult, UnknownKey, UsageError
 from qmcmc.experiments import RESULT_FIELDS, ResultRow
@@ -344,6 +344,30 @@ def test_main_validate_prints_suggestion(capsys):
     out = capsys.readouterr().out
     assert "rate hierarchy" in out
     assert "suggested Trotter steps" in out
+
+
+def test_main_validate_quiet_drops_the_report(capsys):
+    argv = ["validate", "--n", "2", "--beta", "10", "--g", "0.005", "--nt", "5000"]
+    outs = []
+    for quiet in ([], ["-q"]):
+        assert main(argv + quiet) == 0
+        outs.append(capsys.readouterr().out.splitlines())
+    assert outs[1] == outs[0][4:]
+
+
+@pytest.mark.parametrize("argv, points", [
+    (["thermalize"], 1),
+    (["sample", "-q"], 1),
+    (["validate"], 1),
+    (["experiment", "tfim", "-q", "--hj", "0.5,1,2"], 3),
+])
+def test_main_diagonalizes_each_model_once(argv, points, monkeypatch, capsys):
+    calls = []
+    real = hamiltonians.hermitian_eig
+    monkeypatch.setattr(hamiltonians, "hermitian_eig", lambda h: calls.append(h) or real(h))
+    argv = argv + ["--n", "2", "--beta", "1", "--g", "0.05", "--nt", "30", "--ncycle", "8"]
+    assert main(argv) == 0
+    assert len(calls) == points
 
 
 def test_main_bad_output_path_is_runtime_error(tmp_path):

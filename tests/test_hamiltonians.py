@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from qmcmc.hamiltonians import (
     dump_hamiltonian,
     gibbs_distribution,
     load_hamiltonian,
+    spectral_norm,
     spectral_width,
     thermal_state,
     to_matrix,
@@ -119,6 +121,17 @@ def test_spectral_width_vs_charpoly_oracle():
     spec = build_tfim(2, 1.0, 1.0)
     roots = np.sort(charpoly_eigenvalues(to_matrix(spec)).real)
     assert abs(spectral_width(spec) - (roots[-1] - roots[0])) < 1e-8
+    assert abs(spectral_norm(spec) - np.abs(roots).max()) < 1e-8
+
+
+def test_spectrum_cache_is_invisible_and_read_only():
+    spec = build_tfim(2, 1.0, 0.5)
+    w, v = spec.spectrum
+    assert spec.spectrum[0] is w
+    assert spec == build_tfim(2, 1.0, 0.5)
+    assert hash(spec) == hash(build_tfim(2, 1.0, 0.5))
+    assert dataclasses.replace(spec, label="x")._spectrum is None
+    assert not w.flags.writeable and not v.flags.writeable
 
 
 def test_thermal_state_infinite_temperature():
@@ -151,8 +164,15 @@ def test_thermal_state_properties():
 
 
 def test_thermal_state_rejects_negative_beta():
-    with pytest.raises(ValueError):
-        thermal_state(build_tfim(1, 1.0, 1.0), -0.1)
+    for beta in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            thermal_state(build_tfim(1, 1.0, 1.0), beta)
+
+
+def test_gibbs_distribution_rejects_negative_beta():
+    for beta in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            gibbs_distribution(HamiltonianSpec(1, (PauliString(1.0, "Z"),)), beta)
 
 
 def test_thermal_eigenvalues_are_boltzmann_weights():

@@ -94,7 +94,7 @@ def test_hermitian_eig_spectrum_invariant_under_conjugation():
 
 
 def test_expm_rotation_closed_form():
-    got = expm_hermitian(X, -1j * np.pi / 2)
+    got = expm_hermitian(hermitian_eig(X), -1j * np.pi / 2)
     assert np.linalg.norm(got - (-1j) * X) < 1e-12
 
 
@@ -102,11 +102,11 @@ def test_expm_zero_exponent_is_identity():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((4, 4))
     h = a + a.T
-    assert np.linalg.norm(expm_hermitian(h, 0.0) - np.eye(4)) < 1e-12
+    assert np.linalg.norm(expm_hermitian(hermitian_eig(h), 0.0) - np.eye(4)) < 1e-12
 
 
 def test_expm_diagonal():
-    got = expm_hermitian(Z, -1.0)  # beta = 2 => exponent -beta/2 = -1
+    got = expm_hermitian(hermitian_eig(Z), -1.0)  # beta = 2 => exponent -beta/2 = -1
     assert np.allclose(got, np.diag([np.exp(-1.0), np.exp(1.0)]))
 
 
@@ -114,7 +114,7 @@ def test_expm_imaginary_exponent_is_unitary():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     h = a + a.conj().T
-    u = expm_hermitian(h, -0.37j)
+    u = expm_hermitian(hermitian_eig(h), -0.37j)
     assert np.linalg.norm(u @ u.conj().T - np.eye(8)) < 1e-10
 
 

@@ -110,8 +110,9 @@ def test_ground_probability_is_plain_logistic_for_non_negative_argument():
 
 
 def test_ground_probability_rejects_negative_beta():
-    with pytest.raises(ValueError):
-        ground_probability(1.0, -1.0)
+    for omega, beta in ((1.0, -1.0), (1.0, math.nan), (0.0, math.inf)):
+        with pytest.raises(ValueError):
+            ground_probability(omega, beta)
 
 
 def test_hierarchy_passes_at_reference_parameters():
