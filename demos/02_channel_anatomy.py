@@ -3,7 +3,10 @@ Kraus channel, the superoperator, and the Choi-matrix CPTP certificate.
 
 Every period does three things: reset the ancillas, re-excite them with the
 thermal probability 1 - p0(t), and run the coupled Trotter evolution. The
-reduced action on the system alone is an exactly computable channel.
+reduced action on the system alone is an exactly computable channel. Pauli
+strings that commute with every term of the coupled evolution split both the
+unitary and the channel into equal blocks, which the exact path builds one
+by one.
 """
 
 import numpy as np
@@ -16,6 +19,7 @@ from qmcmc import (
     build_tfim,
     comb_value,
     ground_probability,
+    pauli_sectors,
     spectral_width,
     superoperator_to_choi,
     to_superoperator,
@@ -35,6 +39,12 @@ print(f"period k={k}: Omega = {omega:.4f}, ancilla ground occupation p0 = {p0:.4
 w = build_period_unitary(spec, cfg, omega)
 print(f"\nperiod unitary W: {w.shape[0]}x{w.shape[1]}, "
       f"unitarity defect {np.linalg.norm(w @ w.conj().T - np.eye(4)):.2e}")
+
+sectors = pauli_sectors(spec, cfg)
+count, size = sectors.states.shape
+print(f"symmetry generators (system letters, then ancilla): {', '.join(sectors.generators)}")
+print(f"W splits into {count} blocks of {size}x{size}; the channel on column-stacked "
+      f"states into {len(sectors.pairs)} blocks of {sectors.pairs.shape[1]}x{sectors.pairs.shape[1]}")
 
 prep = ancilla_preparation(omega, cfg.beta, m_count=1)
 kraus = build_period_channel(w, prep, n_s=1, m_count=1)

@@ -10,11 +10,13 @@ exact thermal oracles.
 from .channel import (
     CycleMap,
     KrausSet,
+    Sectors,
     Superoperator,
     ancilla_preparation,
     build_cycle_map,
     build_period_channel,
     build_period_unitary,
+    pauli_sectors,
     spectral_gap,
     steady_state,
     superoperator_to_choi,

@@ -13,6 +13,17 @@ what lets a cycle be composed from 2^(N_s+M)-dimensional pieces instead of
 propagating a composite density matrix; the equivalence is enforced by the
 brute-force composite-space tests.
 
+The exact path runs per symmetry sector. A Pauli string that commutes with
+every composite term (each system term, each ancilla Z and each X_s X_a
+coupling) commutes with the Trotter step, so ``W_t`` is block-diagonal in
+its eigenspaces. :func:`pauli_sectors` finds the strings that one relabel of
+the letters of each system qubit makes Z-type; in that frame a sector is a
+set of basis states. The reset leaves the ancillas in a diagonal state, so
+each period channel keeps the entry ``rho_jk`` in the sector of ``j xor k``
+under the strings' system letters, and the channels, the cycle map and its
+spectrum split into blocks as well. A model with no such string is the
+one-sector case.
+
 Composite ordering: system qubits 0..N_s-1, then ancillas (ancilla m sits at
 index N_s + m). Superoperators follow the package-wide column-stacking
 convention (see :mod:`qmcmc.linalg`).
@@ -20,7 +31,6 @@ convention (see :mod:`qmcmc.linalg`).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,14 +43,211 @@ from .errors import (
     NoUnitEigenvalue,
 )
 from .hamiltonians import PAULIS, HamiltonianSpec
-from .linalg import apply_gate, dominant_eigs, expm_hermitian, unvec, vec
+from .linalg import apply_gate, dominant_eigs, expm_hermitian, unvec
 from .schedule import ProtocolConfig, comb_value, ground_probability
 
-# Largest cycle-map dimension d_s**2 (n_s = 6): the dense map alone is 256 MiB
-# here and one more spin makes it 4 GiB, out of reach of the dense eigensolver.
+# Largest cycle-map dimension d_s**2 (n_s = 6). The exact path holds only
+# sector blocks, but the dense view of the map is 256 MiB here, and the
+# sampler still applies a dense W(Omega) of 4^n_s x 4^n_s (256 MiB at
+# n_s = 6, 4 GiB at n_s = 7), so the limit stays.
 MAX_CYCLE_DIM = 4096
 _PRUNE_TOL = 1e-14  # see build_period_channel
 _MAX_CLUSTER = 16  # see steady_state
+
+# symmetry letter L of a system qubit -> (V with V L V^dag = Z, the letter
+# V X V^dag that the qubit's couplings take in the frame): the Hadamard, and
+# the Hadamard after S^dag
+_TO_Z = {"X": (np.array([[1, 1], [1, -1]]) / np.sqrt(2), "Z"),
+         "Y": (np.array([[1, -1j], [1, 1j]]) / np.sqrt(2), "Y")}
+_SYMPLECTIC = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
+
+
+def _conjugate(gates, a: np.ndarray, qubits: int) -> np.ndarray:
+    """``G^dag a G`` for ``G`` the product of the one-qubit ``gates``, given
+    as ``(qubit, V)`` on a register of ``qubits`` qubits."""
+    if not gates:
+        return a
+    t = a.reshape((2,) * (2 * qubits))  # row qubits, then column qubits
+    for q, v in gates:
+        t = np.moveaxis(np.tensordot(v.conj().T, t, axes=(1, q)), 0, q)
+        t = np.moveaxis(np.tensordot(t, v, axes=(qubits + q, 0)), -1, qubits + q)
+    return t.reshape(a.shape)
+
+
+def _nullspace(rows: list[int], width: int) -> list[int]:
+    """Basis of the ``width``-bit vectors ``v`` with ``popcount(v & r)`` even
+    for every row ``r``: Gauss-Jordan elimination over GF(2) on bitmasks."""
+    pivots: dict[int, int] = {}
+    for r in rows:
+        for bit, p in pivots.items():
+            if r >> bit & 1:
+                r ^= p
+        if r:
+            top = r.bit_length() - 1
+            for bit in pivots:
+                if pivots[bit] >> top & 1:
+                    pivots[bit] ^= r
+            pivots[top] = r
+    return [1 << free | sum(1 << bit for bit, p in pivots.items() if p >> free & 1)
+            for free in range(width) if free not in pivots]
+
+
+def _commuting_words(letters: list[dict[int, str]], n: int) -> list[str]:
+    """A basis of the Pauli words on ``n`` qubits that commute with every
+    string in ``letters`` (each a ``{qubit: letter}`` map): the GF(2)
+    nullspace of the symplectic form (Gottesman, arXiv:quant-ph/9705052)."""
+    rows = []
+    for string in letters:
+        x = sum(_SYMPLECTIC[c][0] << q for q, c in string.items())
+        z = sum(_SYMPLECTIC[c][1] << q for q, c in string.items())
+        rows.append(z | x << n)  # P = x' | z' << n commutes iff x'.z + z'.x is even
+    return ["".join("IXZY"[(v >> q & 1) | (v >> (n + q) & 1) << 1] for q in range(n))
+            for v in _nullspace(rows, 2 * n)]
+
+
+def _gram_gather(pairs: np.ndarray, d: int) -> np.ndarray:
+    """For each entry of the blocks of a superoperator split by ``pairs``,
+    its flat position in the stacked Gram matrices of
+    :func:`_superoperator_blocks`.
+
+    Entry ``[(i, i'), (j, j')]`` of ``sum_K kron(conj(K), K)`` is the Gram
+    entry ``sum_K conj(K_ij) K_i'j'``; the Kraus elements ``(i, j)`` and
+    ``(i', j')`` lie in one sector of ``pairs``, because ``i xor j`` and
+    ``i' xor j'`` share their sector whenever ``i xor i'`` and ``j xor j'``
+    do.
+    """
+    count, size = pairs.shape
+    sector = np.empty(d * d, dtype=np.intp)
+    sector[pairs] = np.arange(count)[:, np.newaxis]
+    pos = np.empty(d * d, dtype=np.intp)
+    pos[pairs] = np.arange(size)
+    i, i2 = np.divmod(pairs[:, :, np.newaxis], d)
+    j, j2 = np.divmod(pairs[:, np.newaxis, :], d)
+    first, second = i * d + j, i2 * d + j2
+    return (sector[first] * size + pos[first]) * size + pos[second]
+
+
+def _superoperator_blocks(operators: np.ndarray, pairs: np.ndarray,
+                          gather: np.ndarray) -> np.ndarray:
+    """The blocks of ``sum_K kron(conj(K), K)`` on the sectors ``pairs``, as
+    a (sectors, size, size) stack: one stacked Gram GEMM of the operators'
+    entries in each sector, then the reshuffle ``gather``."""
+    count, d, _ = operators.shape
+    x = operators.reshape(count, d * d)[:, pairs].transpose(1, 0, 2)
+    gram = x.conj().transpose(0, 2, 1) @ x
+    return gram.reshape(-1)[gather]
+
+
+@dataclass(frozen=True)
+class Sectors:
+    """The symmetry split of one run's composite register.
+
+    ``generators`` are independent Pauli words (system letters, then
+    ancilla letters) that commute with each other and with every factor of
+    the Trotter step. ``frame`` lists the system qubits whose letter L is X
+    or Y, as ``(qubit, L)``: the frame ``F`` applies, on each, the ``V`` with
+    ``V L V^dag = Z``, so that every generator is Z-type in it. Sector ``s``
+    of the register holds the basis states ``states[s]`` whose parities under
+    the generators' letters spell ``s`` in binary. The density-matrix entry
+    ``rho_jk`` (column-stacked index ``k d + j``) lies in cycle-map sector
+    ``s`` when ``j xor k`` does under the generators' system letters;
+    ``pairs[s]`` lists them, and ``pairs[0]`` holds the diagonal. Every
+    sector of either kind has the same size.
+    """
+
+    n_s: int
+    m_count: int
+    generators: tuple[str, ...] = ()
+    frame: tuple[tuple[int, str], ...] = field(init=False)
+    states: np.ndarray = field(init=False, repr=False, compare=False)
+    pairs: np.ndarray = field(init=False, repr=False, compare=False)
+    _gather: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        letters = {q: w[q] for w in self.generators for q in range(self.n_s) if w[q] != "I"}
+        frame = tuple((q, c) for q, c in sorted(letters.items()) if c in _TO_Z)
+
+        def labels(qubits: int) -> np.ndarray:
+            bits = (np.arange(2**qubits)[:, np.newaxis] >> np.arange(qubits - 1, -1, -1)) & 1
+            masks = np.array([[c != "I" for c in w[:qubits]] for w in self.generators],
+                             dtype=int).reshape(-1, qubits)
+            return ((bits @ masks.T) & 1) @ (1 << np.arange(len(self.generators)))
+
+        count = 2 ** len(self.generators)
+        system = labels(self.n_s)
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "states", np.argsort(
+            labels(self.n_s + self.m_count), kind="stable").reshape(count, -1))
+        object.__setattr__(self, "pairs", np.argsort(
+            (system[:, np.newaxis] ^ system).reshape(-1), kind="stable").reshape(count, -1))
+
+    @property
+    def gates(self) -> list[tuple[int, np.ndarray]]:
+        """``(qubit, V)`` of the frame ``F``."""
+        return [(q, _TO_Z[c][0]) for q, c in self.frame]
+
+    @property
+    def gather(self) -> np.ndarray:
+        """:func:`_gram_gather` of ``pairs``, built on first use."""
+        if self._gather is None:
+            object.__setattr__(self, "_gather", _gram_gather(self.pairs, 2**self.n_s))
+        return self._gather
+
+    def unitary(self, blocks: np.ndarray) -> np.ndarray:
+        """The dense computational-basis composite matrix with these W
+        blocks: ``F^dag W F``."""
+        return _conjugate(self.gates, _scatter(blocks, self.states), self.n_s + self.m_count)
+
+    def superoperator(self, blocks: np.ndarray) -> np.ndarray:
+        """The dense computational-basis superoperator with these cycle-map
+        blocks: ``T^dag S T`` for ``T = kron(conj(F), F)``."""
+        gates = ([(q, v.conj()) for q, v in self.gates]
+                 + [(self.n_s + q, v) for q, v in self.gates])
+        return _conjugate(gates, _scatter(blocks, self.pairs), 2 * self.n_s)
+
+    def state(self, v0: np.ndarray) -> np.ndarray:
+        """The computational-basis matrix whose column-stacked entries in
+        the frame are ``v0`` on cycle-map sector 0 and zero elsewhere."""
+        flat = np.zeros(4**self.n_s, dtype=complex)
+        flat[self.pairs[0]] = v0
+        return _conjugate(self.gates, unvec(flat), self.n_s)
+
+
+def _scatter(blocks: np.ndarray, index: np.ndarray) -> np.ndarray:
+    out = np.zeros((index.size, index.size), dtype=complex)
+    out[index[:, :, np.newaxis], index[:, np.newaxis, :]] = blocks
+    return out
+
+
+def pauli_sectors(spec: HamiltonianSpec, cfg: ProtocolConfig) -> Sectors:
+    """The Pauli symmetries of the run ``(spec, cfg)`` and their sectors.
+
+    Takes the Pauli words that commute with every nonzero term of ``spec``,
+    each ancilla Z and each X_s X_a coupling, and keeps those with only I or
+    one letter per system qubit: Z where some commuting word has a Z there,
+    which needs no change of frame, else the first of X and Y that one has.
+    Ancilla letters are always I or Z, since every word commutes with each
+    ancilla Z. A graph model gets its n_s words Z_s Z_a(s); the
+    transverse-field chain gets prod Y_s prod Z_a. This is the
+    qubit-tapering construction of Bravyi et al., arXiv:1701.08213.
+    """
+    n_s, m = spec.qubit_count, cfg.m_count
+    if any(q >= n_s for q in cfg.ancilla_map):
+        raise DimensionMismatch(
+            f"ancilla_map {cfg.ancilla_map} references qubits outside 0..{n_s - 1}"
+        )
+    n = n_s + m
+    terms = [dict(enumerate(t.letters)) for t in spec.terms if t.coefficient != 0.0]
+    terms += [{n_s + a: "Z"} for a in range(m)]
+    terms += [{s: "X", n_s + a: "X"} for a, s in enumerate(cfg.ancilla_map)]
+    commuting = _commuting_words(terms, n)
+    letters = []
+    for q in range(n_s):
+        seen = sorted({w[q] for w in commuting} - {"I"})
+        letters.append("Z" if "Z" in seen or not seen else seen[0])
+    # a word commutes with the letter L on qubit q iff its letter there is I or L
+    return Sectors(n_s, m, tuple(_commuting_words(
+        terms + [{q: c} for q, c in enumerate(letters)], n)))
 
 
 @dataclass(frozen=True)
@@ -52,8 +259,8 @@ class KrausSet:
     operators: np.ndarray
 
     def completeness_error(self) -> float:
-        acc = np.einsum("nij,nik->jk", self.operators.conj(), self.operators)
-        return float(np.linalg.norm(acc - np.eye(self.dim)))
+        rows = self.operators.reshape(-1, self.dim)  # sum K^dag K as one GEMM
+        return float(np.linalg.norm(rows.conj().T @ rows - np.eye(self.dim)))
 
 
 @dataclass(frozen=True)
@@ -78,19 +285,39 @@ class Superoperator:
 
 @dataclass(frozen=True)
 class CycleMap:
-    """Composition of the ``n_cycle`` period channels, with their comb values."""
+    """Composition of the ``n_cycle`` period channels, with their comb
+    values: ``blocks[s]`` is the map on cycle-map sector ``s`` of
+    ``sectors``, in their frame."""
 
-    superoperator: Superoperator
+    blocks: np.ndarray
+    sectors: Sectors
     omegas: tuple[float, ...]
     _spectrum: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _superoperator: Superoperator | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every eigenpair ``(w, v)`` by descending ``|lam|``: the one dense
-        diagonalization that :func:`steady_state` and :func:`spectral_gap`
-        share. Computed on first use; the matrix must not change afterwards."""
+    def superoperator(self) -> Superoperator:
+        """The dense computational-basis view of the map, assembled on first
+        use."""
+        if self._superoperator is None:
+            object.__setattr__(self, "_superoperator", Superoperator(
+                4**self.sectors.n_s, self.sectors.superoperator(self.blocks)))
+        return self._superoperator
+
+    @property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(w, sector, v0)``: every eigenvalue of the map by descending
+        ``|lam|``, the sector each comes from, and the eigenvectors of
+        sector 0, the only one whose matrices have a trace, as columns in the
+        order its eigenvalues take in ``w``. The one stacked diagonalization
+        that :func:`steady_state` and :func:`spectral_gap` share. Computed on
+        first use; the blocks must not change afterwards."""
         if self._spectrum is None:
-            object.__setattr__(self, "_spectrum", dominant_eigs(self.superoperator.matrix))
+            w, v = dominant_eigs(self.blocks)
+            order = np.argsort(-np.abs(w.reshape(-1)), kind="stable")
+            object.__setattr__(self, "_spectrum",
+                               (w.reshape(-1)[order], order // w.shape[1], v[0]))
         return self._spectrum
 
 
@@ -98,6 +325,10 @@ def _thread_map(fn, items: list, workers: int | None) -> list:
     """``[fn(x) for x in items]``, across ``workers`` threads when that is
     more than one and there is more than one item."""
     if workers is not None and workers > 1 and len(items) > 1:
+        # imported here: concurrent.futures pulls in logging, several ms of
+        # start-up that a run without worker threads never needs
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]
@@ -116,33 +347,40 @@ def _phase_weights(n_s: int, m: int) -> np.ndarray:
 
 
 def _trotter_parts(spec: HamiltonianSpec, cfg: ProtocolConfig):
-    """Omega-independent pieces of one Trotter step: the dense product
-    (interactions @ system step) and the phase-diagonal weights."""
-    n_s = spec.qubit_count
-    m = cfg.m_count
-    if any(q >= n_s for q in cfg.ancilla_map):
-        raise DimensionMismatch(
-            f"ancilla_map {cfg.ancilla_map} references qubits outside 0..{n_s - 1}"
-        )
+    """Omega-independent pieces of one Trotter step, split by the run's
+    symmetries: the sectors, the blocks of (interactions @ system step) in
+    their frame as a (sectors, size, size) stack, and the phase-diagonal
+    weights of each block's states."""
+    sectors = pauli_sectors(spec, cfg)
+    n_s, m = spec.qubit_count, cfg.m_count
     n = n_s + m
     dt = cfg.t_g / cfg.n_trotter
-    u_s = expm_hermitian(spec.spectrum, -1j * dt)
+    # F u_s F^dag: conjugation by the inverse gates
+    u_s = _conjugate([(q, v.conj().T) for q, v in sectors.gates],
+                     expm_hermitian(spec.spectrum, -1j * dt), n_s)
     ab = np.kron(u_s, np.eye(2**m, dtype=complex))
     # exp(-i theta XX) in closed form; theta = g dt = pi / n_trotter exactly
     theta = np.pi / cfg.n_trotter
-    xx = np.kron(PAULIS["X"], PAULIS["X"])
-    interaction = np.cos(theta) * np.eye(4, dtype=complex) - 1j * np.sin(theta) * xx
+    coupled = {q: _TO_Z[c][1] for q, c in sectors.frame}
     for anc, principal in enumerate(cfg.ancilla_map):
+        xx = np.kron(PAULIS[coupled.get(principal, "X")], PAULIS["X"])
+        interaction = np.cos(theta) * np.eye(4, dtype=complex) - 1j * np.sin(theta) * xx
         ab = apply_gate(interaction, [principal, n_s + anc], ab, n)
-    return ab, _phase_weights(n_s, m)
+    st = sectors.states
+    return sectors, ab[st[:, :, np.newaxis], st[:, np.newaxis, :]], _phase_weights(n_s, m)[st]
 
 
 def _period_unitary(ab: np.ndarray, weights: np.ndarray, cfg: ProtocolConfig,
                     omega: float) -> np.ndarray:
+    """The sector blocks of W(Omega): each block of the step, powered by one
+    stacked repeated squaring. The squarings leave W unitary only to about
+    ``n_trotter`` roundoffs; one Newton-Schulz step ``W (3 - W^dag W) / 2``
+    toward its polar factor squares that defect away, so the period channels
+    preserve the trace to roundoff."""
     dt = cfg.t_g / cfg.n_trotter
     phase = np.exp(1j * (omega * dt / 2.0) * weights)
-    step = ab * phase[np.newaxis, :]
-    return np.linalg.matrix_power(step, cfg.n_trotter)
+    w = np.linalg.matrix_power(ab * phase[:, np.newaxis, :], cfg.n_trotter)
+    return w @ (1.5 * np.eye(w.shape[-1]) - 0.5 * (w.conj().transpose(0, 2, 1) @ w))
 
 
 def build_period_unitary(spec: HamiltonianSpec, cfg: ProtocolConfig,
@@ -152,27 +390,30 @@ def build_period_unitary(spec: HamiltonianSpec, cfg: ProtocolConfig,
     ``W = [(prod_m e^{-i g X X dt}) e^{-i H_s dt} (prod_m e^{+i (omega/2) Z dt})]^{n_trotter}``
     with ``dt = T_g / n_trotter``, acting on the N_s + M composite register.
     Ancilla-phase factors act first, then the system step, then the
-    interactions; the exact power is computed by repeated squaring, which
-    reproduces the step-by-step product to working precision.
+    interactions; each symmetry sector's block of the power is computed by
+    repeated squaring, which reproduces the step-by-step product to working
+    precision, and the blocks are assembled into the dense matrix.
     """
-    return _period_unitary(*_trotter_parts(spec, cfg), cfg, omega)
+    sectors, ab, weights = _trotter_parts(spec, cfg)
+    return sectors.unitary(_period_unitary(ab, weights, cfg, omega))
 
 
 def _period_table(spec: HamiltonianSpec, cfg: ProtocolConfig, per_omega,
-                  workers: int | None = None) -> tuple[list[float], dict]:
+                  workers: int | None = None) -> tuple[Sectors, list[float], dict]:
     """The one walk over a comb cycle, for the exact map and the sampler:
-    ``Omega_k = comb_value(cfg, k)`` for each period k in order, and
-    ``{Omega: per_omega(Omega, W(Omega))}`` over the at most
-    ``n_cycle // 2 + 1`` distinct values of the symmetric comb. Each ``W`` is
-    built once, across ``workers`` threads, and dropped after ``per_omega``."""
-    ab, weights = _trotter_parts(spec, cfg)
+    the run's sectors, ``Omega_k = comb_value(cfg, k)`` for each period k in
+    order, and ``{Omega: per_omega(Omega, sectors, blocks of W(Omega))}``
+    over the at most ``n_cycle // 2 + 1`` distinct values of the symmetric
+    comb. Each ``W`` is built once, across ``workers`` threads, and dropped
+    after ``per_omega``."""
+    sectors, ab, weights = _trotter_parts(spec, cfg)
     omegas = [comb_value(cfg, k) for k in range(cfg.n_cycle)]
     distinct = sorted(set(omegas))
 
     def one(omega: float):
-        return per_omega(omega, _period_unitary(ab, weights, cfg, omega))
+        return per_omega(omega, sectors, _period_unitary(ab, weights, cfg, omega))
 
-    return omegas, dict(zip(distinct, _thread_map(one, distinct, workers)))
+    return sectors, omegas, dict(zip(distinct, _thread_map(one, distinct, workers)))
 
 
 def ancilla_preparation(omega: float, beta: float, m_count: int) -> np.ndarray:
@@ -221,11 +462,12 @@ def build_period_channel(w: np.ndarray, prep: np.ndarray, n_s: int,
 
 def to_superoperator(kraus: KrausSet) -> Superoperator:
     """Column-stacking superoperator ``sum_K kron(conj(K), K)``: an index
-    reshuffle of the Gram matrix of the flattened operators (one GEMM)."""
+    reshuffle of the Gram matrix of the flattened operators (one GEMM), the
+    one-sector case of the cycle map's blocks."""
     d = kraus.dim
-    flat = kraus.operators.reshape(-1, d * d)
-    gram = (flat.conj().T @ flat).reshape(d, d, d, d)
-    return Superoperator(dim=d * d, matrix=gram.transpose(0, 2, 1, 3).reshape(d * d, d * d))
+    pairs = np.arange(d * d)[np.newaxis]
+    return Superoperator(
+        d * d, _superoperator_blocks(kraus.operators, pairs, _gram_gather(pairs, d))[0])
 
 
 def superoperator_to_choi(s: Superoperator) -> np.ndarray:
@@ -239,9 +481,10 @@ def build_cycle_map(spec: HamiltonianSpec, cfg: ProtocolConfig,
     """Compose the ``n_cycle`` period channels of one full comb sweep.
 
     Period k uses ``Omega_k = comb_value(cfg, k)`` both in the unitary and in
-    the ancilla preparation. Each distinct Omega's superoperator is built
-    once by :func:`_period_table` (across ``workers`` threads when
-    requested); composition is the sequential product with period 0 applied
+    the ancilla preparation. Each distinct Omega's channel is built once by
+    :func:`_period_table` (across ``workers`` threads when requested), in
+    the frame of the run's sectors, and kept as its cycle-map blocks;
+    composition is the sequential stacked product with period 0 applied
     first. Systems whose map exceeds ``MAX_CYCLE_DIM`` (more than six spins)
     are refused with InvalidSize before any work.
     """
@@ -252,16 +495,17 @@ def build_cycle_map(spec: HamiltonianSpec, cfg: ProtocolConfig,
             f"dense eigensolver is limited to {MAX_CYCLE_DIM} (6 qubits)"
         )
 
-    def superop(omega: float, w: np.ndarray) -> np.ndarray:
+    def superop(omega: float, sectors: Sectors, w: np.ndarray) -> np.ndarray:
         prep = ancilla_preparation(omega, cfg.beta, m)
-        return to_superoperator(build_period_channel(w, prep, n_s, m)).matrix
+        kraus = build_period_channel(_scatter(w, sectors.states), prep, n_s, m)
+        return _superoperator_blocks(kraus.operators, sectors.pairs, sectors.gather)
 
-    omegas, by_omega = _period_table(spec, cfg, superop, workers)
-    d_s = 2**n_s
-    total = np.eye(d_s * d_s, dtype=complex)
+    sectors, omegas, by_omega = _period_table(spec, cfg, superop, workers)
+    size = sectors.pairs.shape[1]
+    total = np.broadcast_to(np.eye(size, dtype=complex), (len(sectors.pairs), size, size))
     for om in omegas:
         total = by_omega[om] @ total
-    return CycleMap(Superoperator(d_s * d_s, total), tuple(omegas))
+    return CycleMap(total, sectors, tuple(omegas))
 
 
 def steady_state(m: CycleMap) -> tuple[np.ndarray, complex]:
@@ -278,10 +522,11 @@ def steady_state(m: CycleMap) -> tuple[np.ndarray, complex]:
     chosen as the least-squares projection of the maximally mixed state onto
     the near-unit eigenspace among the ``_MAX_CLUSTER`` dominant pairs: the
     natural infinite-time limit seeded from an unbiased state, and exactly
-    ``I/d`` whenever that is a fixed point.
+    ``I/d`` whenever that is a fixed point. Only eigenvectors of sector 0
+    have a trace or overlap ``I/d``, so only they enter either rule.
     """
-    w, v = m.spectrum
-    w, v = w[:_MAX_CLUSTER], v[:, :_MAX_CLUSTER]
+    w, sector, v0 = m.spectrum
+    w, sector = w[:_MAX_CLUSTER], sector[:_MAX_CLUSTER]
     lam1 = complex(w[0])
     if abs(lam1 - 1.0) >= 1e-6:
         raise NoUnitEigenvalue(
@@ -289,19 +534,24 @@ def steady_state(m: CycleMap) -> tuple[np.ndarray, complex]:
         )
     cluster = np.abs(w - 1.0) < 1e-6
     size = int(cluster.sum())
-    if size == 1:
-        rho = unvec(v[:, 0])
-    elif size < len(w):
-        d = m.superoperator.system_dim
-        basis = np.ascontiguousarray(v[:, cluster])
-        coeff, *_ = np.linalg.lstsq(basis, vec(np.eye(d, dtype=complex)) / d,
-                                    rcond=None)
-        rho = unvec(basis @ coeff)
-    else:
+    if size == len(w):
         raise NoUnitEigenvalue(
             f"at least {size} eigenvalues lie within 1e-6 of 1; "
             "the fixed point is not meaningfully defined"
         )
+    # sector 0's eigenvalues keep their order in w, so the k-th is column k of v0
+    column = np.cumsum(sector == 0) - 1
+    basis = v0[:, column[cluster & (sector == 0)]]
+    if basis.shape[1] == 0:
+        raise NoUnitEigenvalue("fixed-point eigenvector has vanishing trace")
+    if size == 1:
+        entries = basis[:, 0]
+    else:
+        d = 2**m.sectors.n_s
+        identity = (m.sectors.pairs[0] % (d + 1) == 0).astype(complex)
+        coeff, *_ = np.linalg.lstsq(basis, identity / d, rcond=None)
+        entries = basis @ coeff
+    rho = m.sectors.state(entries)
     tr = np.trace(rho)
     if abs(tr) < 1e-9:
         raise NoUnitEigenvalue("fixed-point eigenvector has vanishing trace")
@@ -322,8 +572,8 @@ def steady_state(m: CycleMap) -> tuple[np.ndarray, complex]:
 def spectral_gap(m: CycleMap) -> tuple[float, bool]:
     """``1 - |lam_2|`` of the cycle map and whether the unit eigenvalue is
     non-degenerate (exactly one eigenvalue within 1e-6 of 1), read off the
-    map's full spectrum. Sub-roundoff negative gaps (above -1e-6) are clamped
-    to zero.
+    map's full spectrum, every sector's eigenvalues merged. Sub-roundoff
+    negative gaps (above -1e-6) are clamped to zero.
     """
     w = m.spectrum[0]
     gap = 1.0 - abs(w[1])

@@ -27,8 +27,9 @@ import os
 import sys
 from typing import Callable, NamedTuple
 
-# Not called here; bench/test_bench.py looks these names up on this module.
-from .channel import build_cycle_map, spectral_gap  # noqa: F401
+# build_cycle_map and spectral_gap are not called here; bench/test_bench.py
+# looks these names up on this module.
+from .channel import build_cycle_map, pauli_sectors, spectral_gap  # noqa: F401
 from .errors import EmptyResult, QmcmcError, UnknownKey, UsageError
 from .experiments import (
     ExperimentKind,
@@ -367,6 +368,11 @@ def _cmd_validate(run_cfg: RunConfig, point: Point, plan) -> int:
     print(f"Lambda = max(||H_i||, ||H_s||, ||H_b||) = {lam:.6g}")
     print(f"suggested Trotter steps for error {o['epsilon']:g}: {steps}")
     print(f"configured n_trotter: {cfg.n_trotter}")
+    sectors = pauli_sectors(point.spec, cfg)
+    count, w_size = sectors.states.shape
+    print(f"symmetry sectors: W(Omega) {count} blocks of {w_size}, cycle map {count} "
+          f"blocks of {sectors.pairs.shape[1]} "
+          f"(generators {', '.join(sectors.generators) or 'none'})")
     return 0
 
 

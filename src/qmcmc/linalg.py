@@ -103,24 +103,30 @@ def apply_gate(gate: np.ndarray, qubits, arr: np.ndarray, qubit_count: int) -> n
 
 
 def dominant_eigs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every eigenpair ``(w, v)`` of a square matrix, sorted by descending
-    ``|lam|``, column i of ``v`` (unit norm) pairing with ``w[i]``.
+    """Every eigenpair ``(w, v)`` of a square matrix or of each block of a
+    ``(k, n, n)`` stack, sorted by descending ``|lam|`` within each block,
+    column i of ``v`` (unit norm) pairing with ``w[..., i]``.
 
-    One dense non-Hermitian diagonalization. Every pair satisfies
-    ``||M v - lam v|| <= 1e-8 ||M||_F``, else ConvergenceFailure is raised.
+    One dense non-Hermitian diagonalization for the whole stack. Every pair
+    satisfies ``||M v - lam v|| <= 1e-8 ||M||_F`` for the Frobenius norm of
+    its own block, else ConvergenceFailure is raised, naming the block.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got {m.shape}")
-    w, v = np.linalg.eig(m)
-    order = np.argsort(-np.abs(w))
-    w, v = w[order], v[:, order]
-    res = np.linalg.norm(m @ v - v * w, axis=0)
-    norm = np.linalg.norm(m)
-    worst = int(np.argmax(res))
-    if res[worst] > 1e-8 * max(norm, 1e-300):
+    if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
+        raise DimensionMismatch(f"expected a square matrix or a stack of them, got {m.shape}")
+    stack = m.reshape((-1,) + m.shape[-2:])
+    w, v = np.linalg.eig(stack)
+    order = np.argsort(-np.abs(w), axis=-1)
+    w = np.take_along_axis(w, order, axis=-1)
+    v = np.take_along_axis(v, order[:, np.newaxis, :], axis=-1)
+    res = np.linalg.norm(stack @ v - v * w[:, np.newaxis, :], axis=1).max(axis=1)
+    norm = np.linalg.norm(stack, axis=(1, 2))
+    excess = res / (1e-8 * np.maximum(norm, 1e-300))
+    worst = int(np.argmax(excess))
+    if excess[worst] > 1.0:
+        where = f"block {worst}: " if m.ndim == 3 else ""
         raise ConvergenceFailure(
-            f"eigenpair residual {res[worst]:.3e} exceeds 1e-8 * ||M|| = "
-            f"{1e-8 * norm:.3e}"
+            f"{where}eigenpair residual {res[worst]:.3e} exceeds 1e-8 * ||M|| = "
+            f"{1e-8 * norm[worst]:.3e}"
         )
-    return w, v
+    return w.reshape(m.shape[:-1]), v.reshape(m.shape)

@@ -10,15 +10,19 @@ period applies, in order:
 2. excitation: each ancilla (ascending index) receives an X gate with
    probability ``1 - p0(t_k)``, one uniform draw per ancilla;
 3. the period unitary ``W(Omega_k)``, as one product of the amplitude batch
-   with the matrix the channel module builds for the exact cycle map. Each
-   distinct comb value's ``W`` is built once per run, before any batch
-   starts, and is only read afterwards.
+   with a dense matrix assembled from the sector blocks that the channel
+   module builds for the exact cycle map. Each distinct comb value's ``W``
+   is built once per run, before any batch starts, and is only read
+   afterwards.
 
 Averaged over trajectories, steps 1-2 reproduce the reset-plus-excitation
-preparation of the channel module. ``W`` is the power of one Trotter step
-by repeated squaring, which matches applying the steps one by one to
-roundoff, so seeded samples are those of step-by-step application unless a
-uniform lands within roundoff of a branch probability.
+preparation of the channel module. Each symmetry sector's block of ``W`` is
+the power of that block of one Trotter step by repeated squaring (then
+moved to the nearest unitary), which matches applying the steps one by one
+to roundoff, so seeded samples are
+those of step-by-step application unless a uniform lands within roundoff of
+a branch probability. The sampler applies the assembled dense ``W``, not the
+blocks, because the resets move a shot between sectors.
 
 Randomness comes exclusively from the fixed generator in :mod:`qmcmc.rng`;
 shot ``s`` under master seed ``seed`` owns the stream seeded by
@@ -123,8 +127,9 @@ def _run_shots(spec: HamiltonianSpec, cfg: ProtocolConfig, cycles: int, shots: i
     ds, da = 2**n_s, 2**m
     if system_index is not None and not 0 <= system_index < ds:
         raise ValueError(f"system_index {system_index} outside 0..{ds - 1}")
-    omegas, by_omega = _period_table(
-        spec, cfg, lambda omega, w: (w, ground_probability(omega, cfg.beta)), workers)
+    _, omegas, by_omega = _period_table(
+        spec, cfg, lambda omega, sectors, w: (sectors.unitary(w),
+                                              ground_probability(omega, cfg.beta)), workers)
     periods = [by_omega[omega] for omega in omegas]
     chunk = max(1, _CHUNK_ELEMS // (ds * da))
 

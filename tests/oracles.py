@@ -4,7 +4,8 @@ Everything here recomputes expected values through a different numerical
 path than the library: characteristic-polynomial eigenvalues via the
 Faddeev-LeVerrier trace recursion, matrix exponentials via scaled Taylor
 series, partial traces via einsum, the protocol via explicit composite-space
-density-matrix evolution, and the sampler's generator via pure-Python
+density-matrix evolution, the period unitary and cycle map on the full
+register with no symmetry split, and the sampler's generator via pure-Python
 integer arithmetic. It also holds the state-level helpers that only the
 tests need: direct Kraus application, the partial trace and the ensemble
 average of a trajectory batch.
@@ -12,7 +13,10 @@ average of a trajectory batch.
 
 import numpy as np
 
+from qmcmc.channel import ancilla_preparation, build_period_channel
 from qmcmc.errors import DimensionMismatch
+from qmcmc.hamiltonians import to_matrix
+from qmcmc.schedule import comb_value
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -137,6 +141,44 @@ def composite_period_unitary(h_s, ancilla_map, g, omega, n_trotter):
     for _ in range(n_trotter):
         w = step @ w
     return w
+
+
+def pauli_word_matrix(word):
+    """Dense matrix of a Pauli word such as ``"XYIZ"``."""
+    return kron_chain([{"I": I2, "X": X, "Y": Y, "Z": Z}[c] for c in word])
+
+
+def dense_step(spec, cfg, omega):
+    """One Trotter step on the full composite register in the computational
+    basis: ancilla phases, then the system step, then the couplings."""
+    n_s, m = spec.qubit_count, cfg.m_count
+    n = n_s + m
+    dt = cfg.t_g / cfg.n_trotter
+    theta = np.pi / cfg.n_trotter
+    step = np.kron(series_expm(-1j * dt * to_matrix(spec)), np.eye(2**m))
+    for anc, principal in enumerate(cfg.ancilla_map):
+        xx = embed(X, principal, n) @ embed(X, n_s + anc, n)
+        step = (np.cos(theta) * np.eye(2**n) - 1j * np.sin(theta) * xx) @ step
+    phases = sum(np.diag(embed(Z, n_s + a, n)).real for a in range(m))
+    return step * np.exp(1j * (omega * dt / 2.0) * phases)[np.newaxis, :]
+
+
+def dense_period_unitary(spec, cfg, omega):
+    """W(Omega) as the power of the dense step."""
+    return np.linalg.matrix_power(dense_step(spec, cfg, omega), cfg.n_trotter)
+
+
+def dense_cycle_map(spec, cfg):
+    """The cycle map on column-stacked states, composed from the Kraus sums
+    ``sum_K kron(conj(K), K)`` of the dense period unitaries."""
+    n_s, m = spec.qubit_count, cfg.m_count
+    total = np.eye(4**n_s, dtype=complex)
+    for k in range(cfg.n_cycle):
+        omega = comb_value(cfg, k)
+        kraus = build_period_channel(dense_period_unitary(spec, cfg, omega),
+                                     ancilla_preparation(omega, cfg.beta, m), n_s, m)
+        total = sum(np.kron(op.conj(), op) for op in kraus.operators) @ total
+    return total
 
 
 def composite_cycle_oracle(h_s, ancilla_map, g, beta, omega_m, n_trotter, n_cycle):

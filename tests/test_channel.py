@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 from qmcmc.channel import (
     CycleMap,
     KrausSet,
-    Superoperator,
+    Sectors,
     ancilla_preparation,
     build_cycle_map,
     build_period_channel,
     build_period_unitary,
+    pauli_sectors,
     spectral_gap,
     steady_state,
     superoperator_to_choi,
@@ -22,7 +23,15 @@ from qmcmc.errors import (
     NegativeEigenvalue,
     NoUnitEigenvalue,
 )
-from qmcmc.hamiltonians import HamiltonianSpec, build_tfim, spectral_width, to_matrix
+from qmcmc.experiments import generate_er_instance
+from qmcmc.hamiltonians import (
+    HamiltonianSpec,
+    PauliString,
+    build_graph_ising,
+    build_tfim,
+    spectral_width,
+    to_matrix,
+)
 from qmcmc.linalg import vec, unvec
 from qmcmc.schedule import ProtocolConfig, comb_value, ground_probability
 
@@ -33,6 +42,10 @@ from oracles import (
     apply_channel,
     composite_cycle_oracle,
     composite_period_unitary,
+    dense_cycle_map,
+    dense_period_unitary,
+    dense_step,
+    pauli_word_matrix,
     ptrace_last,
     random_density,
     random_unitary,
@@ -335,13 +348,75 @@ def test_cycle_map_matches_composite_space_oracle():
         assert 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum() < 1e-9
 
 
+# -------------------------------------------------------- symmetry sectors
+
+@pytest.mark.parametrize("spec, generators", [
+    (build_graph_ising(generate_er_instance(3, 0.5, 1)), ("ZIIZII", "IZIIZI", "IIZIIZ")),
+    (build_tfim(2, 1.0, 1.0), ("YYZZ",)),
+    (HamiltonianSpec(2, (PauliString(0.7, "ZZ"), PauliString(-0.4, "XI"),
+                         PauliString(0.3, "IY"))), ("XYIZ",)),
+], ids=["graph", "tfim", "file"])
+def test_pauli_sectors_of_each_model(spec, generators):
+    sectors = pauli_sectors(spec, config(spec))
+    assert sectors.generators == generators
+    assert len(sectors.states) == len(sectors.pairs) == 2 ** len(generators)
+    # the diagonal, which carries the trace, lies in cycle-map sector 0
+    d = 2**spec.qubit_count
+    assert set(np.arange(d) * (d + 1)) <= set(sectors.pairs[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(protocol=small_protocols(), omega=st.floats(0.0, 4.0))
+def test_sector_path_matches_dense_oracle(protocol, omega):
+    spec, cfg = protocol
+    step = dense_step(spec, cfg, omega)
+    for word in pauli_sectors(spec, cfg).generators:
+        p = pauli_word_matrix(word)
+        assert np.abs(p @ step - step @ p).max() < 1e-12
+    w = build_period_unitary(spec, cfg, omega)
+    assert np.abs(w - dense_period_unitary(spec, cfg, omega)).max() < 1e-10
+    cm = build_cycle_map(spec, cfg)
+    dense = dense_cycle_map(spec, cfg)
+    assert np.abs(cm.superoperator.matrix - dense).max() < 1e-10
+    lam, vecs = np.linalg.eig(dense)
+    order = np.argsort(-np.abs(lam))
+    lam, vecs = lam[order], vecs[:, order]
+    w = cm.spectrum[0]
+    # moduli in order; lambda_1 is one of the oracle's largest-modulus eigenvalues
+    assert np.abs(np.abs(w) - np.abs(lam)).max() < 1e-10
+    assert np.abs(lam - w[0]).min() < 1e-10
+    gap, unique = spectral_gap(cm)
+    assert abs(gap - max(1.0 - abs(lam[1]), 0.0)) < 1e-10
+    if unique and gap > 1e-3:  # else the fixed point is too ill-conditioned to compare
+        rho, _ = steady_state(cm)
+        expected = unvec(vecs[:, 0]) / np.trace(unvec(vecs[:, 0]))
+        assert np.abs(rho - (expected + expected.conj().T) / 2).max() < 1e-10
+
+
+@pytest.mark.parametrize("spec", [build_graph_ising(generate_er_instance(3, 0.5, 1)),
+                                  build_tfim(2, 1.0, 1.0)], ids=["graph-3", "tfim-2"])
+def test_cycle_map_powers_only_sector_blocks(spec, monkeypatch):
+    # both models split their 2^(n_s + M) register into blocks of 8 states
+    shapes = []
+    real = np.linalg.matrix_power
+    monkeypatch.setattr(np.linalg, "matrix_power",
+                        lambda a, n: shapes.append(a.shape[-2:]) or real(a, n))
+    build_cycle_map(spec, config(spec, n_cycle=4))
+    assert shapes and set(shapes) == {(8, 8)}
+
+
 # ------------------------------------------------------------ steady state
+
+def dense_map(mat):
+    """A one-sector CycleMap with this superoperator matrix."""
+    n_s = (len(mat).bit_length() - 1) // 2
+    return CycleMap(np.asarray(mat, dtype=complex)[np.newaxis], Sectors(n_s, 0), (0.0,))
+
 
 def constant_channel_map(sigma):
     """Superoperator of rho -> sigma as a CycleMap for steady-state tests."""
     d = sigma.shape[0]
-    mat = np.outer(vec(sigma), vec(np.eye(d)).conj())
-    return CycleMap(Superoperator(d * d, mat), (0.0,))
+    return dense_map(np.outer(vec(sigma), vec(np.eye(d)).conj()))
 
 
 def test_steady_state_of_reset_channel():
@@ -377,7 +452,7 @@ def test_steady_state_matches_power_iteration_oracle():
 
 
 def test_steady_state_rejects_contraction():
-    cm = CycleMap(Superoperator(4, 0.5 * np.eye(4)), (0.0,))
+    cm = dense_map(0.5 * np.eye(4))
     with pytest.raises(NoUnitEigenvalue):
         steady_state(cm)
 
@@ -391,14 +466,24 @@ def test_steady_state_rejects_negative_fixed_point():
 def test_steady_state_degenerate_dephasing_returns_mixed():
     # complete dephasing fixes every diagonal state; the projection rule
     # picks the maximally mixed one
-    cm = CycleMap(Superoperator(4, np.diag([1.0, 0.0, 0.0, 1.0])), (0.0,))
+    cm = dense_map(np.diag([1.0, 0.0, 0.0, 1.0]))
     rho, lam = steady_state(cm)
     assert abs(lam - 1.0) < 1e-12
     assert np.linalg.norm(rho - np.eye(2) / 2) < 1e-10
 
 
+def test_steady_state_needs_a_fixed_point_with_a_trace():
+    # one qubit split by Z: the coherences (sector 1) are fixed, the
+    # populations (sector 0, the one with a trace) decay
+    sectors = Sectors(1, 0, ("Z",))
+    assert sectors.pairs.tolist() == [[0, 3], [1, 2]]
+    cm = CycleMap(np.stack([0.5 * np.eye(2), np.eye(2)]).astype(complex), sectors, (0.0,))
+    with pytest.raises(NoUnitEigenvalue, match="vanishing trace"):
+        steady_state(cm)
+
+
 def test_steady_state_fully_degenerate_identity_rejected():
-    cm = CycleMap(Superoperator(4, np.eye(4)), (0.0,))
+    cm = dense_map(np.eye(4))
     with pytest.raises(NoUnitEigenvalue):
         steady_state(cm)
 
@@ -414,7 +499,7 @@ def test_spectral_gap_constant_channel():
 
 
 def test_spectral_gap_identity_channel():
-    cm = CycleMap(Superoperator(4, np.eye(4)), (0.0,))
+    cm = dense_map(np.eye(4))
     gap, unique = spectral_gap(cm)
     assert gap == 0.0
     assert not unique
@@ -437,9 +522,13 @@ def test_spectral_gap_reference_point_positive_and_unique():
 
 # steady state, dominant eigenvalue and gap of the n_s = 2 chain at the
 # reference point, as computed when steady_state and spectral_gap each
-# diagonalized the cycle map themselves
-REFERENCE_LAMBDA_1 = 1.0000000006954006 + 5.551115123125783e-17j
-REFERENCE_GAP = 0.4351439293997412
+# diagonalized the cycle map themselves. lambda_1 and the gap were
+# re-recorded from the sector path, whose W(Omega) is unitary to roundoff:
+# the dense W^5000 had left lambda_1 - 1 = 6.95e-10 and moved the gap by
+# 5.6e-10 (from 0.4351439293997412; diagonalizing each Trotter step instead
+# of squaring it gives 0.43514392992)
+REFERENCE_LAMBDA_1 = 1.0000000000000033 + 2.7755575615628914e-17j
+REFERENCE_GAP = 0.4351439299561066
 REFERENCE_RHO_DIAG = (0.36143450731012572, 0.13856549268986865,
                       0.13856549268986793, 0.36143450731013788)
 REFERENCE_RHO_01 = -3.0710022415460279e-04 - 2.2293823402552534e-01j
@@ -469,6 +558,7 @@ def test_steady_state_and_gap_share_one_eig(monkeypatch):
     gap, unique = spectral_gap(cm)
     assert calls == ["eig"]
     assert abs(lam1 - REFERENCE_LAMBDA_1) < 1e-10
+    assert abs(lam1 - 1.0) <= 1e-12  # the trace-preservation drift must not grow
     assert abs(gap - REFERENCE_GAP) < 1e-10
     assert unique
     assert np.abs(np.diag(rho) - REFERENCE_RHO_DIAG).max() < 1e-10

@@ -346,6 +346,19 @@ def test_main_validate_prints_suggestion(capsys):
     assert "suggested Trotter steps" in out
 
 
+@pytest.mark.parametrize("model, line", [
+    (["--model", "tfim", "--n", "2"], "W(Omega) 2 blocks of 8, cycle map 2 blocks of 8 "
+                                      "(generators YYZZ)"),
+    (["--model", "graph", "--n", "3"], "W(Omega) 8 blocks of 8, cycle map 8 blocks of 8 "
+                                       "(generators ZIIZII, IZIIZI, IIZIIZ)"),
+    (["--model", "tfim", "--n", "4"], "W(Omega) 2 blocks of 128, cycle map 2 blocks of 128 "
+                                      "(generators YYYYZZZZ)"),
+], ids=["tfim-2", "graph-3", "tfim-4"])
+def test_main_validate_prints_the_sector_split(model, line, capsys):
+    assert main(["validate", "-q", *model]) == 0
+    assert f"symmetry sectors: {line}" in capsys.readouterr().out.splitlines()
+
+
 def test_main_validate_quiet_drops_the_report(capsys):
     argv = ["validate", "--n", "2", "--beta", "10", "--g", "0.005", "--nt", "5000"]
     outs = []

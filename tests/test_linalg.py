@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qmcmc.errors import DimensionMismatch, NonHermitianInput
+from qmcmc.errors import ConvergenceFailure, DimensionMismatch, NonHermitianInput
 from qmcmc.linalg import (
     apply_gate,
     dominant_eigs,
@@ -208,6 +208,32 @@ def test_dominant_eigs_stochastic_matrix():
     w, _ = dominant_eigs(s)
     assert abs(w[0] - 1.0) < 1e-12
     assert abs(w[1] - 0.7) < 1e-12
+
+
+def test_dominant_eigs_stack_matches_each_block():
+    rng = np.random.default_rng(12)
+    stack = rng.standard_normal((3, 5, 5)) + 1j * rng.standard_normal((3, 5, 5))
+    w, v = dominant_eigs(stack)
+    assert w.shape == (3, 5) and v.shape == (3, 5, 5)
+    for block, wk, vk in zip(stack, w, v):
+        w1, v1 = dominant_eigs(block)
+        assert np.abs(wk - w1).max() < 1e-12
+        assert np.abs(vk - v1).max() < 1e-12
+
+
+def test_dominant_eigs_names_the_block_that_fails(monkeypatch):
+    real = np.linalg.eig
+
+    def corrupted(a):
+        w, v = real(a)
+        w = w.copy()
+        w[1, 0] += 0.5
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eig", corrupted)
+    stack = np.stack([np.eye(3), np.diag([1.0, 2.0, 3.0]), 2.0 * np.eye(3)])
+    with pytest.raises(ConvergenceFailure, match="block 1:"):
+        dominant_eigs(stack)
 
 
 def test_dominant_eigs_rejects_non_square():
