@@ -24,6 +24,15 @@ under the strings' system letters, and the channels, the cycle map and its
 spectrum split into blocks as well. A model with no such string is the
 one-sector case.
 
+The comb walk (:func:`_period_table`) streams the distinct comb values in
+period order. It powers the W blocks of several values in one stacked call,
+as many as fit ``_CHUNK_BYTES``, and drops them once their channels are
+built. ``comb_value`` makes the comb symmetric, ``Omega_(n-k) = Omega_k``, so
+the cycle ``S_(n-1)...S_1 S_0`` is a palindrome. :func:`build_cycle_map`
+folds it as the channels arrive: it grows ``L = S_k L`` and ``R = R S_k`` for
+k = 1..ceil(n/2)-1 and returns ``R M L S_0``, with ``M = S_(n/2)`` for even n.
+A run then holds a fixed handful of block sets whatever ``n_cycle``.
+
 Composite ordering: system qubits 0..N_s-1, then ancillas (ancilla m sits at
 index N_s + m). Superoperators follow the package-wide column-stacking
 convention (see :mod:`qmcmc.linalg`).
@@ -31,6 +40,8 @@ convention (see :mod:`qmcmc.linalg`).
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,11 +57,22 @@ from .hamiltonians import PAULIS, HamiltonianSpec
 from .linalg import apply_gate, dominant_eigs, expm_hermitian, unvec
 from .schedule import ProtocolConfig, comb_value, ground_probability
 
-# Largest cycle-map dimension d_s**2 (n_s = 6). The exact path holds only
-# sector blocks, but the dense view of the map is 256 MiB here, and the
-# sampler still applies a dense W(Omega) of 4^n_s x 4^n_s (256 MiB at
+# Largest cycle-map dimension d_s**2 (n_s = 6). The exact path builds W(Omega)
+# in sector blocks, a chunk of comb values at a time, and folds the cycle as
+# the channels arrive, but it still assembles each value's dense W for its
+# Kraus set, the dense view of the map is 256 MiB here, and the sampler
+# holds a dense W(Omega) of 4^n_s x 4^n_s per comb value (256 MiB each at
 # n_s = 6, 4 GiB at n_s = 7), so the limit stays.
 MAX_CYCLE_DIM = 4096
+# Bytes a run may hold at once, as run_bytes predicts them: 8 GiB, so that
+# a run refused at entry could not have finished on an 8 GiB host.
+MAX_RUN_BYTES = 8 << 30
+# Bytes of stacked W(Omega) blocks per _period_unitary call: the walk powers
+# as many comb values at once as fit (at least one). Small blocks are bound by
+# per-call overhead, which stacking removes: a 3-spin graph's 8 KiB of blocks
+# per value go 8 to a call. The call's temporaries are about five times this,
+# so they stay small beside the rest of a run and do not grow with n_cycle.
+_CHUNK_BYTES = 1 << 16
 _PRUNE_TOL = 1e-14  # see build_period_channel
 _MAX_CLUSTER = 16  # see steady_state
 
@@ -321,17 +343,25 @@ class CycleMap:
         return self._spectrum
 
 
-def _thread_map(fn, items: list, workers: int | None) -> list:
-    """``[fn(x) for x in items]``, across ``workers`` threads when that is
-    more than one and there is more than one item."""
-    if workers is not None and workers > 1 and len(items) > 1:
-        # imported here: concurrent.futures pulls in logging, several ms of
-        # start-up that a run without worker threads never needs
-        from concurrent.futures import ThreadPoolExecutor
+def _thread_map(fn, items, workers: int | None) -> Iterator:
+    """``fn(x)`` for each of ``items``, lazily and in order. With ``workers``
+    above one and more than one item, the calls run across that many threads
+    and at most ``workers`` of them are in flight at once."""
+    if workers is None or workers <= 1 or len(items) <= 1:
+        yield from map(fn, items)
+        return
+    # imported here: concurrent.futures pulls in logging, several ms of
+    # start-up that a run without worker threads never needs
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        for x in items:
+            if len(pending) == workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, x))
+        while pending:
+            yield pending.popleft().result()
 
 
 def _phase_weights(n_s: int, m: int) -> np.ndarray:
@@ -371,16 +401,18 @@ def _trotter_parts(spec: HamiltonianSpec, cfg: ProtocolConfig):
 
 
 def _period_unitary(ab: np.ndarray, weights: np.ndarray, cfg: ProtocolConfig,
-                    omega: float) -> np.ndarray:
-    """The sector blocks of W(Omega): each block of the step, powered by one
+                    omegas) -> np.ndarray:
+    """The sector blocks of W(Omega) for each of ``omegas``, as a (values,
+    sectors, size, size) stack: every block of the step, powered by one
     stacked repeated squaring. The squarings leave W unitary only to about
-    ``n_trotter`` roundoffs; one Newton-Schulz step ``W (3 - W^dag W) / 2``
-    toward its polar factor squares that defect away, so the period channels
-    preserve the trace to roundoff."""
+    ``n_trotter`` roundoffs; one stacked Newton-Schulz step
+    ``W (3 - W^dag W) / 2`` toward its polar factor squares that defect away,
+    so the period channels preserve the trace to roundoff."""
     dt = cfg.t_g / cfg.n_trotter
-    phase = np.exp(1j * (omega * dt / 2.0) * weights)
-    w = np.linalg.matrix_power(ab * phase[:, np.newaxis, :], cfg.n_trotter)
-    return w @ (1.5 * np.eye(w.shape[-1]) - 0.5 * (w.conj().transpose(0, 2, 1) @ w))
+    angle = np.asarray(omegas, dtype=float) * dt / 2.0
+    phase = np.exp(1j * angle[:, np.newaxis, np.newaxis] * weights)
+    w = np.linalg.matrix_power(ab * phase[:, :, np.newaxis, :], cfg.n_trotter)
+    return w @ (1.5 * np.eye(w.shape[-1]) - 0.5 * (w.conj().swapaxes(-1, -2) @ w))
 
 
 def build_period_unitary(spec: HamiltonianSpec, cfg: ProtocolConfig,
@@ -395,36 +427,75 @@ def build_period_unitary(spec: HamiltonianSpec, cfg: ProtocolConfig,
     precision, and the blocks are assembled into the dense matrix.
     """
     sectors, ab, weights = _trotter_parts(spec, cfg)
-    return sectors.unitary(_period_unitary(ab, weights, cfg, omega))
+    return sectors.unitary(_period_unitary(ab, weights, cfg, [omega])[0])
 
 
 def _period_table(spec: HamiltonianSpec, cfg: ProtocolConfig, per_omega,
-                  workers: int | None = None) -> tuple[Sectors, list[float], dict]:
+                  workers: int | None = None) -> tuple[Sectors, list[float], Iterator]:
     """The one walk over a comb cycle, for the exact map and the sampler:
-    the run's sectors, ``Omega_k = comb_value(cfg, k)`` for each period k in
-    order, and ``{Omega: per_omega(Omega, sectors, blocks of W(Omega))}``
-    over the at most ``n_cycle // 2 + 1`` distinct values of the symmetric
-    comb. Each ``W`` is built once, across ``workers`` threads, and dropped
-    after ``per_omega``."""
+    ``(sectors, omegas, walk)`` with the run's sectors and
+    ``Omega_k = comb_value(cfg, k)`` for each period k. ``walk`` yields
+    ``(Omega_k, per_omega(Omega_k, sectors, blocks of W(Omega_k)))`` for
+    k = 0..n_cycle // 2 in order; the symmetric comb repeats these
+    backwards. W is built once per distinct value, in chunks of values
+    whose stacked blocks fit ``_CHUNK_BYTES`` (at least one value), each
+    chunk one :func:`_period_unitary` call; with ``workers`` threads at most
+    that many chunks are in flight. A chunk's W blocks are dropped once its
+    values' ``per_omega`` results are built, and each result once the walk
+    has passed its last period."""
     sectors, ab, weights = _trotter_parts(spec, cfg)
     omegas = [comb_value(cfg, k) for k in range(cfg.n_cycle)]
-    distinct = sorted(set(omegas))
+    half = omegas[:cfg.n_cycle // 2 + 1]
+    distinct = list(dict.fromkeys(half))
+    per_chunk = max(1, _CHUNK_BYTES // ab.nbytes)
+    chunks = [distinct[i:i + per_chunk] for i in range(0, len(distinct), per_chunk)]
 
-    def one(omega: float):
-        return per_omega(omega, sectors, _period_unitary(ab, weights, cfg, omega))
+    def build(chunk: list[float]) -> dict:
+        w = _period_unitary(ab, weights, cfg, chunk)
+        return {omega: per_omega(omega, sectors, w_k) for omega, w_k in zip(chunk, w)}
 
-    return sectors, omegas, dict(zip(distinct, _thread_map(one, distinct, workers)))
+    def walk():
+        last = {omega: k for k, omega in enumerate(half)}
+        held, k = {}, 0
+        for built in _thread_map(build, chunks, workers):
+            held.update(built)
+            del built
+            while k < len(half) and half[k] in held:
+                omega = half[k]
+                yield omega, (held[omega] if last[omega] > k else held.pop(omega))
+                k += 1
+
+    return sectors, omegas, walk()
+
+
+def run_bytes(spec: HamiltonianSpec, cfg: ProtocolConfig, sample: bool) -> int:
+    """Predicted bytes of the arrays that one serial run of ``(spec, cfg)``
+    holds at its peak: of the sampler when ``sample``, else of the exact path.
+
+    The sampler keeps one dense W(Omega) of 4^(n_s+M) entries per distinct
+    comb value. The exact path holds one chunk of stacked W blocks about five
+    times over while it powers them, three dense 4^(n_s+M) arrays while one
+    value's W becomes its Kraus set and channel blocks, and up to seven sets
+    of cycle-map blocks while it folds the cycle and solves for its spectrum.
+    """
+    dense = 16 * 4 ** (spec.qubit_count + cfg.m_count)
+    distinct = len({comb_value(cfg, k) for k in range(cfg.n_cycle // 2 + 1)})
+    if sample:
+        return distinct * dense
+    count = len(pauli_sectors(spec, cfg).states)
+    w_blocks = dense // count  # bytes of one value's W blocks
+    map_blocks = 16 * 16**spec.qubit_count // count  # one set of cycle-map blocks
+    chunk = min(distinct, max(1, _CHUNK_BYTES // w_blocks)) * w_blocks
+    return 5 * chunk + 3 * dense + 7 * map_blocks
 
 
 def ancilla_preparation(omega: float, beta: float, m_count: int) -> np.ndarray:
     """Product distribution over the 2^M ancilla basis states after reset
-    plus probabilistic excitation: ``P(b) = prod_m p0^(1-b_m) (1-p0)^(b_m)``."""
+    plus probabilistic excitation: ``P(b) = prod_m p0^(1-b_m) (1-p0)^(b_m)``,
+    one product over the M x 2^M bit table, ancilla 0 first."""
     p0 = ground_probability(omega, beta)
-    prep = np.array([1.0])
-    single = np.array([p0, 1.0 - p0])
-    for _ in range(m_count):
-        prep = np.kron(prep, single)
-    return prep
+    bits = np.arange(2**m_count) >> np.arange(m_count - 1, -1, -1)[:, np.newaxis] & 1
+    return np.array([p0, 1.0 - p0])[bits].prod(axis=0, initial=1.0)
 
 
 def build_period_channel(w: np.ndarray, prep: np.ndarray, n_s: int,
@@ -447,11 +518,14 @@ def build_period_channel(w: np.ndarray, prep: np.ndarray, n_s: int,
     if abs(prep.sum() - 1.0) > 1e-9 or prep.min() < -1e-12:
         raise ValueError("prep is not a probability distribution")
     blocks = w.reshape(d_s, d_a, d_s, d_a).transpose(1, 3, 0, 2)  # [i, b, :, :]
-    kraus = (np.sqrt(np.clip(prep, 0.0, None))[np.newaxis, :, None, None] * blocks)
-    kraus = kraus.reshape(d_a * d_a, d_s, d_s)
-    norms = np.linalg.norm(kraus, axis=(1, 2))
-    kraus = np.ascontiguousarray(kraus[norms >= _PRUNE_TOL])
-    kset = KrausSet(dim=d_s, operators=kraus)
+    kraus = np.ascontiguousarray(
+        (np.sqrt(np.clip(prep, 0.0, None))[np.newaxis, :, None, None] * blocks)
+        .reshape(d_a * d_a, d_s * d_s))
+    parts = kraus.view(float)  # squared norms, without a temporary
+    keep = np.einsum("ij,ij->i", parts, parts) >= _PRUNE_TOL**2
+    del parts  # a view: it would keep the unpruned operators alive
+    kraus = kraus[keep]
+    kset = KrausSet(dim=d_s, operators=kraus.reshape(-1, d_s, d_s))
     err = kset.completeness_error()
     if err >= 1e-8:
         raise CompletenessViolation(
@@ -483,10 +557,12 @@ def build_cycle_map(spec: HamiltonianSpec, cfg: ProtocolConfig,
     Period k uses ``Omega_k = comb_value(cfg, k)`` both in the unitary and in
     the ancilla preparation. Each distinct Omega's channel is built once by
     :func:`_period_table` (across ``workers`` threads when requested), in
-    the frame of the run's sectors, and kept as its cycle-map blocks;
-    composition is the sequential stacked product with period 0 applied
-    first. Systems whose map exceeds ``MAX_CYCLE_DIM`` (more than six spins)
-    are refused with InvalidSize before any work.
+    the frame of the run's sectors, as its cycle-map blocks. The symmetric
+    comb makes the cycle a palindrome, which is folded as the walk yields
+    the channels in period order: the run holds about five sets of blocks,
+    whatever ``n_cycle``, and multiplies as often as the sequential product
+    with period 0 applied first. Systems whose map exceeds ``MAX_CYCLE_DIM``
+    (more than six spins) are refused with InvalidSize before any work.
     """
     n_s, m = spec.qubit_count, cfg.m_count
     if 4**n_s > MAX_CYCLE_DIM:
@@ -500,11 +576,21 @@ def build_cycle_map(spec: HamiltonianSpec, cfg: ProtocolConfig,
         kraus = build_period_channel(_scatter(w, sectors.states), prep, n_s, m)
         return _superoperator_blocks(kraus.operators, sectors.pairs, sectors.gather)
 
-    sectors, omegas, by_omega = _period_table(spec, cfg, superop, workers)
-    size = sectors.pairs.shape[1]
-    total = np.broadcast_to(np.eye(size, dtype=complex), (len(sectors.pairs), size, size))
-    for om in omegas:
-        total = by_omega[om] @ total
+    sectors, omegas, walk = _period_table(spec, cfg, superop, workers)
+    # S_(n-k) = S_k, so the cycle S_(n-1)...S_1 S_0 is R M L S_0 with
+    # L = S_h...S_1 and R = S_1...S_h for h = ceil(n/2) - 1, and M = S_(n/2)
+    # for even n, the identity for odd n: each S_k is used twice and dropped
+    factors = (s for _, s in walk)
+    total = next(factors)
+    left = right = None
+    for _ in range((cfg.n_cycle + 1) // 2 - 1):
+        s = next(factors)
+        left = s if left is None else s @ left
+        right = s if right is None else right @ s
+        del s
+    for factor in (left, next(factors, None), right):
+        if factor is not None:
+            total = factor @ total
     return CycleMap(total, sectors, tuple(omegas))
 
 

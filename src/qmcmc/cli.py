@@ -29,7 +29,13 @@ from typing import Callable, NamedTuple
 
 # build_cycle_map and spectral_gap are not called here; bench/test_bench.py
 # looks these names up on this module.
-from .channel import build_cycle_map, pauli_sectors, spectral_gap  # noqa: F401
+from .channel import (  # noqa: F401
+    MAX_RUN_BYTES,
+    build_cycle_map,
+    pauli_sectors,
+    run_bytes,
+    spectral_gap,
+)
 from .errors import EmptyResult, QmcmcError, UnknownKey, UsageError
 from .experiments import (
     ExperimentKind,
@@ -373,6 +379,10 @@ def _cmd_validate(run_cfg: RunConfig, point: Point, plan) -> int:
     print(f"symmetry sectors: W(Omega) {count} blocks of {w_size}, cycle map {count} "
           f"blocks of {sectors.pairs.shape[1]} "
           f"(generators {', '.join(sectors.generators) or 'none'})")
+    exact = run_bytes(point.spec, cfg, sample=False)
+    sampler = run_bytes(point.spec, cfg, sample=True)
+    print(f"predicted peak memory: exact path {exact / 2**20:.1f} MiB, "
+          f"sampler {sampler / 2**20:.1f} MiB (limit {MAX_RUN_BYTES >> 30} GiB)")
     return 0
 
 

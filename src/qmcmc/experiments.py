@@ -26,8 +26,16 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .channel import MAX_CYCLE_DIM, _thread_map, build_cycle_map, spectral_gap, steady_state
-from .errors import QmcmcError
+from .channel import (
+    MAX_CYCLE_DIM,
+    MAX_RUN_BYTES,
+    _thread_map,
+    build_cycle_map,
+    run_bytes,
+    spectral_gap,
+    steady_state,
+)
+from .errors import InvalidSize, QmcmcError
 from .hamiltonians import (
     GraphInstance,
     HamiltonianSpec,
@@ -214,7 +222,10 @@ def make_point(kind: str, model: str, n: int, beta: float, *, h_over_j: float = 
     the width of ``spec.spectrum`` and one ancilla per spin. Raises ValueError or a
     package error for a value the model or protocol refuses, a coupling that
     is not positive, a spectral width that is not finite, a Trotter step
-    ``dt = pi / (g n_trotter)`` that overflows, or more than ``MAX_SPINS`` spins.
+    ``dt = pi / (g n_trotter)`` that overflows, more than ``MAX_SPINS`` spins,
+    or, unless ``kind`` is ``"validate"``, a run that ``run_bytes`` predicts to
+    hold more than ``MAX_RUN_BYTES`` (the sampler's when ``kind`` is
+    ``"sample"``, else the exact path's), before anything is built.
     """
     chain, graph = model == "tfim", model == "graph"
     spec = None if chain or graph else load_hamiltonian(model)
@@ -244,6 +255,12 @@ def make_point(kind: str, model: str, n: int, beta: float, *, h_over_j: float = 
     # a step's largest phases: omega_m dt M / 2 on the ancillas, ||H_s|| dt on the system
     if not all(map(math.isfinite, (width * dt * config.m_count, spectral_norm(spec) * dt))):
         raise ValueError(f"{what} overflows one Trotter step of dt = {dt:g}")
+    if kind != "validate":
+        held = run_bytes(spec, config, sample=kind == "sample")
+        if held > MAX_RUN_BYTES:
+            raise InvalidSize(f"this {kind} run would hold {held} bytes "
+                              f"({held / 2**30:.1f} GiB) at once; the limit is "
+                              f"{MAX_RUN_BYTES >> 30} GiB")
     columns = dict(
         kind=kind, n_s=spec.qubit_count, j=unit, h=h_over_j * j if chain else None,
         beta=beta, p_e=p_e if graph else None, instance_seed=seed if graph else None,
@@ -313,4 +330,4 @@ def run_plan(plan: ExperimentPlan) -> list[ResultRow]:
             row.wall_time = time.perf_counter() - t0
             return row
 
-    return _thread_map(guarded, list(plan.points), plan.workers)
+    return list(_thread_map(guarded, plan.points, plan.workers))

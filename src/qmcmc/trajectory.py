@@ -11,9 +11,11 @@ period applies, in order:
    probability ``1 - p0(t_k)``, one uniform draw per ancilla;
 3. the period unitary ``W(Omega_k)``, as one product of the amplitude batch
    with a dense matrix assembled from the sector blocks that the channel
-   module builds for the exact cycle map. Each distinct comb value's ``W``
-   is built once per run, before any batch starts, and is only read
-   afterwards.
+   module builds for the exact cycle map. The sampler takes them from the
+   same comb walk, which powers the blocks of several comb values in one
+   stacked call, and keeps one dense ``W`` per distinct value in a table:
+   every burn-in cycle reads each entry again. The table is built once per
+   run, before any batch starts, and is only read afterwards.
 
 Averaged over trajectories, steps 1-2 reproduce the reset-plus-excitation
 preparation of the channel module. Each symmetry sector's block of ``W`` is
@@ -127,9 +129,10 @@ def _run_shots(spec: HamiltonianSpec, cfg: ProtocolConfig, cycles: int, shots: i
     ds, da = 2**n_s, 2**m
     if system_index is not None and not 0 <= system_index < ds:
         raise ValueError(f"system_index {system_index} outside 0..{ds - 1}")
-    _, omegas, by_omega = _period_table(
+    _, omegas, walk = _period_table(
         spec, cfg, lambda omega, sectors, w: (sectors.unitary(w),
                                               ground_probability(omega, cfg.beta)), workers)
+    by_omega = dict(walk)
     periods = [by_omega[omega] for omega in omegas]
     chunk = max(1, _CHUNK_ELEMS // (ds * da))
 
@@ -148,7 +151,7 @@ def _run_shots(spec: HamiltonianSpec, cfg: ProtocolConfig, cycles: int, shots: i
                 amps, states = _period(amps, states, w, p0, m)
         return finish(lo, amps, states)
 
-    return _thread_map(run_chunk, list(range(0, shots, chunk)), workers)
+    return list(_thread_map(run_chunk, range(0, shots, chunk), workers))
 
 
 def run_trajectories(spec: HamiltonianSpec, cfg: ProtocolConfig, cycles: int,

@@ -13,7 +13,12 @@ average of a trajectory batch.
 
 import numpy as np
 
-from qmcmc.channel import ancilla_preparation, build_period_channel
+from qmcmc.channel import (
+    ancilla_preparation,
+    build_period_channel,
+    build_period_unitary,
+    to_superoperator,
+)
 from qmcmc.errors import DimensionMismatch
 from qmcmc.hamiltonians import to_matrix
 from qmcmc.schedule import comb_value
@@ -103,6 +108,29 @@ def kron_chain(mats):
     for m in mats:
         out = np.kron(out, m)
     return out
+
+
+def kron_preparation(p0, m_count):
+    """The ancilla distribution as the product of M one-ancilla mixtures
+    ``[p0, 1 - p0]``, one ``np.kron`` per ancilla, ancilla 0 first."""
+    prep = np.array([1.0])
+    for _ in range(m_count):
+        prep = np.kron(prep, np.array([p0, 1.0 - p0]))
+    return prep
+
+
+def sequential_cycle_map(spec, cfg):
+    """The cycle map as the product of the period superoperators, one per
+    period k = 0..n_cycle-1, period 0 applied first; each channel is built
+    from the public period unitary and ancilla preparation."""
+    n_s, m = spec.qubit_count, cfg.m_count
+    total = np.eye(4**n_s, dtype=complex)
+    for k in range(cfg.n_cycle):
+        omega = comb_value(cfg, k)
+        kraus = build_period_channel(build_period_unitary(spec, cfg, omega),
+                                     ancilla_preparation(omega, cfg.beta, m), n_s, m)
+        total = to_superoperator(kraus).matrix @ total
+    return total
 
 
 def embed(op, pos, n):

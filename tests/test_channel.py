@@ -1,8 +1,12 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmcmc import channel
 from qmcmc.channel import (
     CycleMap,
     KrausSet,
@@ -45,10 +49,12 @@ from oracles import (
     dense_cycle_map,
     dense_period_unitary,
     dense_step,
+    kron_preparation,
     pauli_word_matrix,
     ptrace_last,
     random_density,
     random_unitary,
+    sequential_cycle_map,
     series_expm,
 )
 from strategies import small_protocols
@@ -132,6 +138,14 @@ def test_ancilla_preparation_single():
     prep = ancilla_preparation(2.0, 0.6931471805599453, 1)
     assert np.allclose(prep, [p0, 1 - p0])
     assert abs(p0 - 0.8) < 1e-12
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("omega, beta", [(0.0, 1.0), (40.0, 100.0), (0.7, 1.3)],
+                         ids=["p0-half", "p0-one", "p0-generic"])
+def test_ancilla_preparation_matches_kron_product_bitwise(m, omega, beta):
+    p0 = ground_probability(omega, beta)  # exactly 0.5, exactly 1.0, then 0.71
+    assert np.array_equal(ancilla_preparation(omega, beta, m), kron_preparation(p0, m))
 
 
 # ------------------------------------------------------------------ kraus
@@ -320,6 +334,42 @@ def test_cycle_map_workers_match_serial():
     serial = build_cycle_map(spec, cfg).superoperator.matrix
     threaded = build_cycle_map(spec, cfg, workers=4).superoperator.matrix
     assert np.array_equal(serial, threaded)
+
+
+@settings(max_examples=40, deadline=None)
+@given(protocol=small_protocols(), n_cycle=st.integers(1, 12))
+def test_folded_cycle_map_equals_sequential_product(protocol, n_cycle):
+    # build_cycle_map folds the palindromic comb; odd and even cycles differ
+    # in their middle factor
+    spec, cfg = protocol
+    cfg = dataclasses.replace(cfg, n_cycle=n_cycle)
+    folded = build_cycle_map(spec, cfg).superoperator.matrix
+    assert np.abs(folded - sequential_cycle_map(spec, cfg)).max() < 1e-13
+
+
+def test_cycle_map_peak_memory_does_not_grow_with_the_cycle():
+    # the fold holds a fixed number of block sets, where holding every
+    # distinct channel would add one per comb value: 90 more at n_cycle 200
+    spec = field_spec(3)
+    peaks = {}
+    for n_cycle in (20, 200):
+        tracemalloc.start()
+        try:
+            cm = build_cycle_map(spec, config(spec, n_trotter=10, n_cycle=n_cycle))
+            peaks[n_cycle] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[200] < peaks[20] + 8 * cm.blocks.nbytes
+
+
+def test_thread_map_keeps_at_most_workers_calls_ahead_of_the_consumer():
+    # each call's result waits until the consumer takes it, so the walk's
+    # memory is bounded by the calls submitted ahead of it
+    started = []
+    results = channel._thread_map(lambda x: started.append(x) or x * x, range(20), 3)
+    for consumed, y in enumerate(results, 1):
+        assert len(started) <= consumed + 2
+    assert sorted(started) == list(range(20)) and y == 19 * 19
 
 
 def test_cycle_map_refuses_seven_spins_up_front(monkeypatch):

@@ -529,6 +529,31 @@ def test_main_refuses_bad_grid_value_in_any_position(argv, flag, bad, good, last
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+def test_main_refuses_an_over_budget_sample_up_front(monkeypatch, capsys):
+    # at the default n_cycle of 500 the sampler's table holds 251 dense
+    # W(Omega) of 4^12 entries: 63 GiB
+    def built_too_early(*args):
+        raise AssertionError("period parts built before the byte check")
+
+    monkeypatch.setattr("qmcmc.channel._trotter_parts", built_too_early)
+    assert main(["sample", "-q", "--model", "tfim", "--n", "6", "--beta", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert f"{251 * 16 * 4**12} bytes" in captured.err
+
+
+@pytest.mark.parametrize("model, line", [
+    (["--model", "tfim", "--n", "4"], "exact path 9.0 MiB, sampler 251.0 MiB"),
+    (["--model", "tfim", "--n", "5"], "exact path 144.0 MiB, sampler 4016.0 MiB"),
+    (["--model", "tfim", "--n", "6"], "exact path 2304.0 MiB, sampler 64256.0 MiB"),
+], ids=["tfim-4", "tfim-5", "tfim-6"])
+def test_main_validate_prints_the_predicted_memory(model, line, capsys):
+    assert main(["validate", "-q", *model, "--ncycle", "500"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert f"predicted peak memory: {line} (limit 8 GiB)" in lines
+
+
 _NO_SCIPY_SCRIPT = """
 import sys
 sys.modules["scipy"] = None  # any import of scipy or a submodule now fails

@@ -97,11 +97,12 @@ def test_run_trajectories_rejects_norm_drift(monkeypatch):
 ], ids=["cycle-map", "sampler", "trajectories"])
 def test_each_comb_value_builds_one_period_unitary(run, monkeypatch):
     # the exact map and the sampler walk the cycle through one table, which
-    # builds W once per distinct comb value: n_cycle // 2 + 1 for an even n_cycle
+    # builds W once per distinct comb value: n_cycle // 2 + 1 for an even
+    # n_cycle, counted over the values of every stacked call
     calls = []
     exact = channel._period_unitary
     monkeypatch.setattr(channel, "_period_unitary",
-                        lambda *args: calls.append(args[-1]) or exact(*args))
+                        lambda *args: calls.extend(args[-1]) or exact(*args))
     spec = build_tfim(1, 1.0, 1.0)
     cfg = field_config(spec, n_trotter=20, n_cycle=8)
     run(spec, cfg)
