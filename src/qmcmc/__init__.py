@@ -14,6 +14,7 @@ from .channel import (
     Superoperator,
     ancilla_preparation,
     build_cycle_map,
+    build_cycle_maps,
     build_period_channel,
     build_period_unitary,
     pauli_sectors,

@@ -28,10 +28,16 @@ The comb walk (:func:`_period_table`) streams the distinct comb values in
 period order. It powers the W blocks of several values in one stacked call,
 as many as fit ``_CHUNK_BYTES``, and drops them once their channels are
 built. ``comb_value`` makes the comb symmetric, ``Omega_(n-k) = Omega_k``, so
-the cycle ``S_(n-1)...S_1 S_0`` is a palindrome. :func:`build_cycle_map`
+the cycle ``S_(n-1)...S_1 S_0`` is a palindrome. :func:`build_cycle_maps`
 folds it as the channels arrive: it grows ``L = S_k L`` and ``R = R S_k`` for
 k = 1..ceil(n/2)-1 and returns ``R M L S_0``, with ``M = S_(n/2)`` for even n.
 A run then holds a fixed handful of block sets whatever ``n_cycle``.
+
+W does not depend on the inverse temperature: beta enters a period only
+through the ancilla preparation. So :func:`build_cycle_maps` walks the comb
+once for several betas of one model and protocol, builds each beta's channel
+from the one W of every comb value, and folds all of them at once on a
+leading beta axis. :func:`build_cycle_map` is its one-beta case.
 
 Composite ordering: system qubits 0..N_s-1, then ancillas (ancilla m sits at
 index N_s + m). Superoperators follow the package-wide column-stacking
@@ -272,6 +278,16 @@ def pauli_sectors(spec: HamiltonianSpec, cfg: ProtocolConfig) -> Sectors:
         terms + [{q: c} for q, c in enumerate(letters)], n)))
 
 
+def _sectors(spec: HamiltonianSpec, cfg: ProtocolConfig) -> Sectors:
+    """``pauli_sectors(spec, cfg)``, found once per model and ancilla map and
+    kept with the model, so that the byte check at entry and every comb walk
+    of one model share them."""
+    kept = spec._sectors
+    if cfg.ancilla_map not in kept:
+        kept[cfg.ancilla_map] = pauli_sectors(spec, cfg)
+    return kept[cfg.ancilla_map]
+
+
 @dataclass(frozen=True)
 class KrausSet:
     """Operational form of a channel: operators stacked as (count, dim, dim)
@@ -381,7 +397,7 @@ def _trotter_parts(spec: HamiltonianSpec, cfg: ProtocolConfig):
     symmetries: the sectors, the blocks of (interactions @ system step) in
     their frame as a (sectors, size, size) stack, and the phase-diagonal
     weights of each block's states."""
-    sectors = pauli_sectors(spec, cfg)
+    sectors = _sectors(spec, cfg)
     n_s, m = spec.qubit_count, cfg.m_count
     n = n_s + m
     dt = cfg.t_g / cfg.n_trotter
@@ -468,25 +484,28 @@ def _period_table(spec: HamiltonianSpec, cfg: ProtocolConfig, per_omega,
     return sectors, omegas, walk()
 
 
-def run_bytes(spec: HamiltonianSpec, cfg: ProtocolConfig, sample: bool) -> int:
+def run_bytes(spec: HamiltonianSpec, cfg: ProtocolConfig, sample: bool,
+              betas: int = 1) -> int:
     """Predicted bytes of the arrays that one serial run of ``(spec, cfg)``
-    holds at its peak: of the sampler when ``sample``, else of the exact path.
+    holds at its peak: of the sampler when ``sample``, else of the exact path
+    folding the cycle maps of ``betas`` inverse temperatures at once.
 
     The sampler keeps one dense W(Omega) of 4^(n_s+M) entries per distinct
     comb value. The exact path holds one chunk of stacked W blocks about five
     times over while it powers them, three dense 4^(n_s+M) arrays while one
-    value's W becomes its Kraus set and channel blocks, and up to seven sets
-    of cycle-map blocks while it folds the cycle and solves for its spectrum.
+    value's W becomes its Kraus sets and channel blocks, and up to seven sets
+    of cycle-map blocks per beta while it folds the cycle and solves for its
+    spectrum.
     """
     dense = 16 * 4 ** (spec.qubit_count + cfg.m_count)
     distinct = len({comb_value(cfg, k) for k in range(cfg.n_cycle // 2 + 1)})
     if sample:
         return distinct * dense
-    count = len(pauli_sectors(spec, cfg).states)
+    count = len(_sectors(spec, cfg).states)
     w_blocks = dense // count  # bytes of one value's W blocks
     map_blocks = 16 * 16**spec.qubit_count // count  # one set of cycle-map blocks
     chunk = min(distinct, max(1, _CHUNK_BYTES // w_blocks)) * w_blocks
-    return 5 * chunk + 3 * dense + 7 * map_blocks
+    return 5 * chunk + 3 * dense + 7 * betas * map_blocks
 
 
 def ancilla_preparation(omega: float, beta: float, m_count: int) -> np.ndarray:
@@ -550,19 +569,22 @@ def superoperator_to_choi(s: Superoperator) -> np.ndarray:
     return s.matrix.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
 
 
-def build_cycle_map(spec: HamiltonianSpec, cfg: ProtocolConfig,
-                    workers: int | None = None) -> CycleMap:
-    """Compose the ``n_cycle`` period channels of one full comb sweep.
+def build_cycle_maps(spec: HamiltonianSpec, cfg: ProtocolConfig, betas,
+                     workers: int | None = None) -> list[CycleMap]:
+    """The cycle maps of ``(spec, cfg)`` at each inverse temperature of
+    ``betas``, in order; ``cfg.beta`` is not read.
 
     Period k uses ``Omega_k = comb_value(cfg, k)`` both in the unitary and in
-    the ancilla preparation. Each distinct Omega's channel is built once by
-    :func:`_period_table` (across ``workers`` threads when requested), in
-    the frame of the run's sectors, as its cycle-map blocks. The symmetric
-    comb makes the cycle a palindrome, which is folded as the walk yields
-    the channels in period order: the run holds about five sets of blocks,
-    whatever ``n_cycle``, and multiplies as often as the sequential product
-    with period 0 applied first. Systems whose map exceeds ``MAX_CYCLE_DIM``
-    (more than six spins) are refused with InvalidSize before any work.
+    the ancilla preparation. W does not depend on beta, so
+    :func:`_period_table` builds it once per distinct Omega (across
+    ``workers`` threads when requested), and each beta's channel is built
+    from it, in the frame of the run's sectors, as its cycle-map blocks. The
+    symmetric comb makes the cycle a palindrome, which is folded for every
+    beta at once, on a leading beta axis, as the walk yields the channels in
+    period order: the run holds about five sets of blocks per beta, whatever
+    ``n_cycle``, and multiplies as often as the sequential product with
+    period 0 applied first. Systems whose map exceeds ``MAX_CYCLE_DIM`` (more
+    than six spins) are refused with InvalidSize before any work.
     """
     n_s, m = spec.qubit_count, cfg.m_count
     if 4**n_s > MAX_CYCLE_DIM:
@@ -570,13 +592,25 @@ def build_cycle_map(spec: HamiltonianSpec, cfg: ProtocolConfig,
             f"{n_s} system qubits give a {4**n_s}-dimensional cycle map; the "
             f"dense eigensolver is limited to {MAX_CYCLE_DIM} (6 qubits)"
         )
+    betas = tuple(betas)
+    if not betas:
+        raise ValueError("betas must be nonempty")
 
-    def superop(omega: float, sectors: Sectors, w: np.ndarray) -> np.ndarray:
-        prep = ancilla_preparation(omega, cfg.beta, m)
-        kraus = build_period_channel(_scatter(w, sectors.states), prep, n_s, m)
-        return _superoperator_blocks(kraus.operators, sectors.pairs, sectors.gather)
+    def superops(omega: float, sectors: Sectors, w: np.ndarray) -> np.ndarray:
+        stack = None
+        for i, beta in enumerate(betas):
+            prep = ancilla_preparation(omega, beta, m)
+            kraus = build_period_channel(_scatter(w, sectors.states), prep, n_s, m)
+            blocks = _superoperator_blocks(kraus.operators, sectors.pairs, sectors.gather)
+            del kraus  # before the next beta's Kraus set is built
+            if len(betas) == 1:
+                return blocks[np.newaxis]  # a view: one beta copies nothing into a stack
+            if stack is None:
+                stack = np.empty((len(betas),) + blocks.shape, dtype=complex)
+            stack[i] = blocks
+        return stack
 
-    sectors, omegas, walk = _period_table(spec, cfg, superop, workers)
+    sectors, omegas, walk = _period_table(spec, cfg, superops, workers)
     # S_(n-k) = S_k, so the cycle S_(n-1)...S_1 S_0 is R M L S_0 with
     # L = S_h...S_1 and R = S_1...S_h for h = ceil(n/2) - 1, and M = S_(n/2)
     # for even n, the identity for odd n: each S_k is used twice and dropped
@@ -591,7 +625,15 @@ def build_cycle_map(spec: HamiltonianSpec, cfg: ProtocolConfig,
     for factor in (left, next(factors, None), right):
         if factor is not None:
             total = factor @ total
-    return CycleMap(total, sectors, tuple(omegas))
+    omegas = tuple(omegas)
+    return [CycleMap(blocks, sectors, omegas) for blocks in total]
+
+
+def build_cycle_map(spec: HamiltonianSpec, cfg: ProtocolConfig,
+                    workers: int | None = None) -> CycleMap:
+    """Compose the ``n_cycle`` period channels of one full comb sweep at
+    ``cfg.beta``: the one-beta case of :func:`build_cycle_maps`."""
+    return build_cycle_maps(spec, cfg, (cfg.beta,), workers)[0]
 
 
 def steady_state(m: CycleMap) -> tuple[np.ndarray, complex]:

@@ -43,7 +43,7 @@ from .experiments import (
     Point,
     ResultRow,
     RESULT_FIELDS,
-    make_point,
+    make_points,
     run_plan,
     solve_point,
 )
@@ -325,8 +325,8 @@ def _prepare(run_cfg: RunConfig) -> tuple[Point, ExperimentPlan | None]:
             if len(o[key]) > 1:
                 raise UsageError(f"--{key} takes one value for {run_cfg.command}, "
                                  f"got {len(o[key])}")
-        point = make_point(
-            run_cfg.command, model, o["n"][0], o["beta"][0], h_over_j=o["hj"][0],
+        point, = make_points(
+            run_cfg.command, model, o["n"][0], o["beta"], h_over_j=o["hj"][0],
             p_e=o["pe"][0], j=o["jj"], g=o["g"], n_trotter=o["nt"], n_cycle=o["ncycle"],
             seed=o["seed"])
         return point, None

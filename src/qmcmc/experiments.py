@@ -2,18 +2,28 @@
 chain-model steady-state infidelity, transverse magnetization versus
 temperature, and Gibbs sampling on random graph instances.
 
-``make_point`` builds every run's points (model, protocol config and row
-parameters) and refuses bad values before any point runs; ``solve_point``
-solves and scores one point for ``qmcmc thermalize`` and for ``run_plan``.
+``make_points`` builds every run's points (model, protocol config and row
+parameters) and refuses bad values before any point runs. The points of one
+model at several temperatures share one ``HamiltonianSpec``, so the model is
+diagonalized and its symmetry sectors are found once. ``solve_point`` solves
+one point for ``qmcmc thermalize``; ``run_plan`` solves a sweep. Both score
+a point's cycle map through one scorer.
 
 Units: for the chain model, the coupling ``j`` sets the energy scale, so
 ``g`` is g/J and ``beta`` entries are beta*J. Graph instances and
 Hamiltonian files carry raw weights, so there ``g`` and ``beta`` are
 absolute.
 
-Sweep points run independently (optionally across worker threads); a point
-that fails with a package error, a ValueError or a LinAlgError records it in
-its row and the sweep continues. Any other exception is a bug and propagates.
+W(Omega) does not depend on the inverse temperature, so ``run_plan`` groups
+consecutive points that differ only in beta (beta is the grid's innermost
+axis) and builds each group's cycle maps from one comb walk
+(``channel.build_cycle_maps``). A model's run of betas is split into groups
+that each fit a thread's share of ``MAX_RUN_BYTES``, one point at least.
+Groups run independently, optionally across worker threads; threads that no
+group takes run the chunks of a group's walk and its scorings. A failure with a package
+error, a ValueError or a LinAlgError is recorded in the rows it touches and
+the sweep continues: a failed walk marks every row of its group, a failed
+scoring only its own. Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -29,8 +39,10 @@ import numpy as np
 from .channel import (
     MAX_CYCLE_DIM,
     MAX_RUN_BYTES,
+    CycleMap,
     _thread_map,
     build_cycle_map,
+    build_cycle_maps,
     run_bytes,
     spectral_gap,
     steady_state,
@@ -75,7 +87,7 @@ class ExperimentPlan:
     """Parameters of one sweep and its points, one per entry of the grid
     ``n x (h/J, or p_e for graph) x beta`` in that order.
 
-    Every point is built with :func:`make_point` when the plan is made, so
+    Every point is built with :func:`make_points` when the plan is made, so
     a value that any point refuses raises here, as a ValueError or a package
     error. Graph point ``index`` draws
     its instance with seed ``seed + index // len(beta)``, so the betas of one
@@ -124,26 +136,28 @@ class ExperimentPlan:
             raise ValueError(f"n_sweeps is used only in mode 'evolve', got {self.n_sweeps}")
 
         mode = self.mode if self.kind is ExperimentKind.MAGNETIZATION_SWEEP else None
-        grid = itertools.product(self.n_list, getattr(self, axis), self.beta)
+        models = itertools.product(self.n_list, getattr(self, axis))
         points = []
-        for index, (n, x, beta) in enumerate(grid):
-            point = make_point(
-                self.kind.value, "graph" if graph else "tfim", n, beta, **{axis: x},
+        for pair, (n, x) in enumerate(models):
+            points += make_points(
+                self.kind.value, "graph" if graph else "tfim", n, self.beta, **{axis: x},
                 j=self.j, g=self.g, n_trotter=self.n_trotter, n_cycle=self.n_cycle,
-                seed=self.seed + index // len(self.beta) if graph else self.seed,
-                mode=mode)
-            if self.mode == "evolve":
-                d = 2**n
+                seed=self.seed + pair if graph else self.seed, mode=mode)
+        if self.mode == "evolve":
+            for index, point in enumerate(points):
+                d = 2**point.spec.qubit_count
                 start = min(int(Stream.from_seed(self.seed, index).uniform() * d), d - 1)
-                point = replace(point, evolve=(start, self.n_sweeps))
-            points.append(point)
+                points[index] = replace(point, evolve=(start, self.n_sweeps))
         object.__setattr__(self, "points", tuple(points))
 
 
 @dataclass
 class ResultRow:
     """One record of a sweep; missing metrics stay None. ``wall_time`` is
-    execution metadata, not part of the reproducible payload."""
+    execution metadata, not part of the reproducible payload: the seconds
+    spent on this row's scoring plus an equal share of the comb walk that
+    built its group's cycle maps, so in a serial sweep the column sums to
+    the sweep's solve time."""
 
     kind: str
     n_s: int
@@ -210,10 +224,12 @@ class Point:
     evolve: tuple[int, int] | None = None
 
 
-def make_point(kind: str, model: str, n: int, beta: float, *, h_over_j: float = 1.0,
-               p_e: float = 0.0, j: float = 1.0, g: float, n_trotter: int, n_cycle: int,
-               seed: int = 0, mode: str | None = None) -> Point:
-    """Build one point of a run whose rows are of ``kind``.
+def make_points(kind: str, model: str, n: int, betas, *, h_over_j: float = 1.0,
+                p_e: float = 0.0, j: float = 1.0, g: float, n_trotter: int, n_cycle: int,
+                seed: int = 0, mode: str | None = None) -> list[Point]:
+    """Build the points of one model, one per inverse temperature of
+    ``betas`` in order, for a run whose rows are of ``kind``. The points
+    share one ``HamiltonianSpec`` and differ only in beta.
 
     ``model`` is ``"tfim"`` (chain of ``n`` spins, field ``h_over_j``,
     coupling ``j``), ``"graph"`` (``generate_er_instance(n, p_e, seed)``) or a
@@ -223,9 +239,9 @@ def make_point(kind: str, model: str, n: int, beta: float, *, h_over_j: float = 
     package error for a value the model or protocol refuses, a coupling that
     is not positive, a spectral width that is not finite, a Trotter step
     ``dt = pi / (g n_trotter)`` that overflows, more than ``MAX_SPINS`` spins,
-    or, unless ``kind`` is ``"validate"``, a run that ``run_bytes`` predicts to
-    hold more than ``MAX_RUN_BYTES`` (the sampler's when ``kind`` is
-    ``"sample"``, else the exact path's), before anything is built.
+    or, unless ``kind`` is ``"validate"``, a one-beta run that ``run_bytes``
+    predicts to hold more than ``MAX_RUN_BYTES`` (the sampler's when ``kind``
+    is ``"sample"``, else the exact path's), before anything is built.
     """
     chain, graph = model == "tfim", model == "graph"
     spec = None if chain or graph else load_hamiltonian(model)
@@ -243,14 +259,15 @@ def make_point(kind: str, model: str, n: int, beta: float, *, h_over_j: float = 
     if not math.isfinite(width):
         raise ValueError(f"{what} has an infinite spectral width")
     unit = j if chain else 1.0
-    config = ProtocolConfig(
+    configs = [ProtocolConfig(
         g=g * unit,
         beta=beta / unit,
         omega_m=width,
         n_trotter=n_trotter,
         n_cycle=n_cycle,
         ancilla_map=tuple(range(spec.qubit_count)),
-    )
+    ) for beta in betas]
+    config = configs[0]  # the checks below do not read beta
     dt = config.t_g / config.n_trotter
     # a step's largest phases: omega_m dt M / 2 on the ancillas, ||H_s|| dt on the system
     if not all(map(math.isfinite, (width * dt * config.m_count, spectral_norm(spec) * dt))):
@@ -263,10 +280,10 @@ def make_point(kind: str, model: str, n: int, beta: float, *, h_over_j: float = 
                               f"{MAX_RUN_BYTES >> 30} GiB")
     columns = dict(
         kind=kind, n_s=spec.qubit_count, j=unit, h=h_over_j * j if chain else None,
-        beta=beta, p_e=p_e if graph else None, instance_seed=seed if graph else None,
+        p_e=p_e if graph else None, instance_seed=seed if graph else None,
         g=g, n_trotter=n_trotter, n_cycle=n_cycle, mode=mode,
     )
-    return Point(spec, config, columns)
+    return [Point(spec, cfg, dict(columns, beta=beta)) for beta, cfg in zip(betas, configs)]
 
 
 # Metric columns each row kind scores; "tvd" only for diagonal models.
@@ -278,19 +295,17 @@ _KIND_METRICS = {
 }
 
 
-def solve_point(point: Point, workers: int | None = None) -> ResultRow:
-    """Run one point and return a new row for it.
+def _score(point: Point, cm: CycleMap) -> ResultRow:
+    """The row of ``point`` from its cycle map ``cm``: the one scorer of
+    :func:`solve_point` and :func:`run_plan`.
 
-    Builds the cycle map (its period channels across ``workers`` threads),
-    takes the fixed point, or for an evolve point the state its run reaches,
+    Takes the fixed point, or for an evolve point the state its run reaches,
     and compares that state with the exact thermal state of the model:
     ``"infidelity"``, ``"tvd"`` (computational-basis populations against the
     Boltzmann distribution) and ``"magnetization"`` (exact, algorithm and
     error columns), as the row kind asks. A failure raises.
     """
-    t0 = time.perf_counter()
     spec, cfg = point.spec, point.config
-    cm = build_cycle_map(spec, cfg, workers=workers)
     rho, lam1 = steady_state(cm)
     gap, _ = spectral_gap(cm)
     if point.evolve is not None:
@@ -312,22 +327,89 @@ def solve_point(point: Point, workers: int | None = None) -> ResultRow:
         row.magnetization_exact = transverse_magnetization(rho_th, n)
         row.magnetization_algorithm = transverse_magnetization(rho, n)
         row.magnetization_error = abs(row.magnetization_exact - row.magnetization_algorithm)
+    return row
+
+
+def solve_point(point: Point, workers: int | None = None) -> ResultRow:
+    """Run one point and return a new row for it: its cycle map (the period
+    channels across ``workers`` threads), scored by :func:`_score`. A
+    failure raises."""
+    t0 = time.perf_counter()
+    row = _score(point, build_cycle_map(point.spec, point.config, workers=workers))
     row.wall_time = time.perf_counter() - t0
     return row
 
 
-def run_plan(plan: ExperimentPlan) -> list[ResultRow]:
-    """One new row per point of ``plan``, in grid order, solved across
-    ``plan.workers`` threads. A point that fails with a package error, a
-    ValueError or a LinAlgError gets a row of its parameters and the error."""
+# What a failing point records in its row instead of propagating.
+_POINT_ERRORS = (QmcmcError, ValueError, np.linalg.LinAlgError)
 
-    def guarded(point: Point) -> ResultRow:
-        t0 = time.perf_counter()
+
+def _failed(point: Point, exc: Exception) -> ResultRow:
+    return ResultRow(**point.columns, error=f"{type(exc).__name__}: {exc}")
+
+
+def _groups(points, workers: int | None = None) -> list[list[Point]]:
+    """``points`` in order, cut into runs of consecutive points whose model
+    and protocol config differ only in beta, each run cut again into groups
+    of as many points as one comb walk may fold within one thread's share of
+    ``MAX_RUN_BYTES`` (at least one). With ``workers`` threads a thread's
+    share is ``MAX_RUN_BYTES // workers``, as that many walks, or threads of
+    one walk, may hold their arrays at once."""
+    runs: list[list[Point]] = []
+    for point in points:
+        last = runs[-1][-1] if runs else None
+        if (last is not None and point.spec is last.spec
+                and replace(last.config, beta=point.config.beta) == point.config):
+            runs[-1].append(point)
+        else:
+            runs.append([point])
+    budget = MAX_RUN_BYTES // max(1, workers or 1)
+    groups = []
+    for run in runs:
+        spec, cfg = run[0].spec, run[0].config
+        fixed = run_bytes(spec, cfg, False, betas=0)
+        per_beta = run_bytes(spec, cfg, False, betas=1) - fixed
+        size = max(1, min(len(run), (budget - fixed) // per_beta))
+        groups += [run[i:i + size] for i in range(0, len(run), size)]
+    return groups
+
+
+def _solve_group(points: list[Point], workers: int | None = None) -> list[ResultRow]:
+    """The rows of points that differ only in beta, from one comb walk, its
+    chunks and then the points' scorings across ``workers`` threads. A point
+    error in the walk marks every row; one in a scoring, that row."""
+    t0 = time.perf_counter()
+    try:
+        maps = build_cycle_maps(points[0].spec, points[0].config,
+                                [point.config.beta for point in points], workers)
+    except _POINT_ERRORS as exc:
+        share = (time.perf_counter() - t0) / len(points)
+        rows = [_failed(point, exc) for point in points]
+        for row in rows:
+            row.wall_time = share
+        return rows
+    share = (time.perf_counter() - t0) / len(points)
+
+    def score(i: int) -> ResultRow:
+        t1 = time.perf_counter()
         try:
-            return solve_point(point)
-        except (QmcmcError, ValueError, np.linalg.LinAlgError) as exc:
-            row = ResultRow(**point.columns, error=f"{type(exc).__name__}: {exc}")
-            row.wall_time = time.perf_counter() - t0
-            return row
+            row = _score(points[i], maps[i])
+        except _POINT_ERRORS as exc:
+            row = _failed(points[i], exc)
+        maps[i] = None  # its spectrum and dense view go with it
+        row.wall_time = share + (time.perf_counter() - t1)
+        return row
 
-    return list(_thread_map(guarded, plan.points, plan.workers))
+    return list(_thread_map(score, range(len(points)), workers))
+
+
+def run_plan(plan: ExperimentPlan) -> list[ResultRow]:
+    """One new row per point of ``plan``, in grid order. The points are
+    solved in the groups of :func:`_groups`, each from one comb walk, across
+    ``plan.workers`` threads; threads that no group takes go to the walks and
+    scorings inside the groups. A point that fails with a package error, a
+    ValueError or a LinAlgError gets a row of its parameters and the error."""
+    groups = _groups(plan.points, plan.workers)
+    inner = max(1, (plan.workers or 1) // len(groups))
+    solved = _thread_map(lambda group: _solve_group(group, inner), groups, plan.workers)
+    return [row for rows in solved for row in rows]

@@ -52,6 +52,8 @@ class HamiltonianSpec:
     terms: tuple[PauliString, ...]
     label: str = ""
     _spectrum: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # the run's symmetry sectors by ancilla map, kept by qmcmc.channel
+    _sectors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.qubit_count < 1:

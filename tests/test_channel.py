@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from qmcmc.channel import (
     Sectors,
     ancilla_preparation,
     build_cycle_map,
+    build_cycle_maps,
     build_period_channel,
     build_period_unitary,
     pauli_sectors,
@@ -345,6 +347,46 @@ def test_folded_cycle_map_equals_sequential_product(protocol, n_cycle):
     cfg = dataclasses.replace(cfg, n_cycle=n_cycle)
     folded = build_cycle_map(spec, cfg).superoperator.matrix
     assert np.abs(folded - sequential_cycle_map(spec, cfg)).max() < 1e-13
+
+
+@settings(max_examples=30, deadline=None)
+@given(protocol=small_protocols(), n_cycle=st.integers(1, 9),
+       betas=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=3))
+def test_cycle_maps_of_several_betas_equal_each_one_beta_map(protocol, n_cycle, betas):
+    # one walk for every beta: each map is the one-beta map, bit for bit
+    spec, cfg = protocol
+    cfg = dataclasses.replace(cfg, n_cycle=n_cycle)
+    maps = build_cycle_maps(spec, cfg, betas)
+    assert len(maps) == len(betas)
+    for beta, cm in zip(betas, maps):
+        alone = build_cycle_map(spec, dataclasses.replace(cfg, beta=beta))
+        assert np.array_equal(cm.blocks, alone.blocks)
+        assert cm.omegas == alone.omegas
+
+
+def test_cycle_maps_refuse_an_empty_beta_list():
+    spec = field_spec(1)
+    with pytest.raises(ValueError, match="betas must be nonempty"):
+        build_cycle_maps(spec, config(spec), [])
+
+
+def test_sectors_are_found_once_and_shared_across_threads(monkeypatch):
+    spec = build_graph_ising(generate_er_instance(3, 0.5, seed=1))
+    cfg = config(spec)
+    calls = []
+    real = channel.pauli_sectors
+    monkeypatch.setattr(channel, "pauli_sectors",
+                        lambda spec, cfg: calls.append(spec) or real(spec, cfg))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        found = list(channel._thread_map(lambda _: channel._sectors(spec, cfg), range(64), 8))
+    finally:
+        sys.setswitchinterval(interval)
+    # threads that race on the first lookup may each derive the sectors once
+    assert 1 <= len(calls) <= 8
+    assert {s.generators for s in found} == {real(spec, cfg).generators}
+    assert channel._sectors(spec, cfg) is spec._sectors[cfg.ancilla_map]
 
 
 def test_cycle_map_peak_memory_does_not_grow_with_the_cycle():

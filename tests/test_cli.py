@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmcmc import cli, hamiltonians
+from qmcmc import channel, cli, hamiltonians
 from qmcmc.cli import emit_results, emit_samples, main, parse_args
 from qmcmc.errors import EmptyResult, UnknownKey, UsageError
 from qmcmc.experiments import RESULT_FIELDS, ResultRow
@@ -373,14 +373,33 @@ def test_main_validate_quiet_drops_the_report(capsys):
     (["sample", "-q"], 1),
     (["validate"], 1),
     (["experiment", "tfim", "-q", "--hj", "0.5,1,2"], 3),
+    (["experiment", "tfim", "-q", "--beta", "0.5,1,2"], 1),
 ])
 def test_main_diagonalizes_each_model_once(argv, points, monkeypatch, capsys):
     calls = []
     real = hamiltonians.hermitian_eig
     monkeypatch.setattr(hamiltonians, "hermitian_eig", lambda h: calls.append(h) or real(h))
-    argv = argv + ["--n", "2", "--beta", "1", "--g", "0.05", "--nt", "30", "--ncycle", "8"]
+    # the case's own flags come last, so that they override the common ones
+    head = 2 if argv[0] == "experiment" else 1
+    argv = (argv[:head] + ["--n", "2", "--beta", "1", "--g", "0.05", "--nt", "30",
+                           "--ncycle", "8"] + argv[head:])
     assert main(argv) == 0
     assert len(calls) == points
+
+
+@pytest.mark.parametrize("argv, models", [
+    ("thermalize -q --model graph --n 3 --pe 0.5 --beta 1", 1),
+    ("sample -q --model graph --n 3 --pe 0.5 --beta 1 --shots 4 --burnin 1", 1),
+    ("experiment graph -q --n 3 --pe 0.5 --beta 0.5,1,2", 1),
+    ("experiment graph -q --n 2,3 --pe 0.5,0.9 --beta 0.5,1,2", 4),
+])
+def test_main_finds_the_sectors_once_per_model(argv, models, monkeypatch, capsys):
+    calls = []
+    real = channel.pauli_sectors
+    monkeypatch.setattr(channel, "pauli_sectors",
+                        lambda spec, cfg: calls.append(spec) or real(spec, cfg))
+    assert main(argv.split() + ["--g", "0.05", "--nt", "30", "--ncycle", "8"]) == 0
+    assert len(calls) == models
 
 
 def test_main_bad_output_path_is_runtime_error(tmp_path):

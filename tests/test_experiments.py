@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
 
-from qmcmc import experiments
+from qmcmc import channel, experiments
+from qmcmc.channel import MAX_RUN_BYTES, run_bytes
 from qmcmc.errors import NoUnitEigenvalue
 from qmcmc.experiments import (
     FOUR_VERTEX_FIELD_PRESETS,
@@ -13,6 +15,7 @@ from qmcmc.experiments import (
     generate_er_instance,
     preset_graph_instance,
     run_plan,
+    solve_point,
 )
 from qmcmc.hamiltonians import build_graph_ising, gibbs_distribution, to_matrix
 from qmcmc.observables import transverse_magnetization, tvd
@@ -132,10 +135,147 @@ def test_point_programming_error_propagates(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("bug in a sweep point")
 
-    monkeypatch.setattr("qmcmc.experiments.build_cycle_map", broken)
+    monkeypatch.setattr("qmcmc.experiments.build_cycle_maps", broken)
     plan = small_plan(ExperimentKind.TFIM_INFIDELITY, n_trotter=30, n_cycle=8)
     with pytest.raises(TypeError, match="bug in a sweep point"):
         run_plan(plan)
+
+
+def payload(row):
+    values = dataclasses.asdict(row)
+    del values["wall_time"]
+    return values
+
+
+# ------------------------------------------------------- beta-shared walks
+
+@pytest.mark.parametrize("kind, overrides", [
+    (ExperimentKind.TFIM_INFIDELITY, dict(n_list=(1, 2), h_over_j=(0.5, 2.0))),
+    (ExperimentKind.GRAPH_SAMPLING, dict(n_list=(2, 3), p_e=(0.3, 0.9))),
+    (ExperimentKind.MAGNETIZATION_SWEEP, dict(n_list=(1, 2), h_over_j=(0.8, 1.5))),
+    (ExperimentKind.MAGNETIZATION_SWEEP, dict(n_list=(1, 2), mode="evolve", n_sweeps=4)),
+], ids=["tfim", "graph", "magnetization", "magnetization-evolve"])
+def test_grouped_rows_equal_per_point_rows(kind, overrides):
+    plan = small_plan(kind, beta=(0.3, 1.0, 4.0), n_trotter=30, n_cycle=9, **overrides)
+    groups = experiments._groups(plan.points)
+    assert [len(group) for group in groups] == [3] * (len(plan.points) // 3)
+    t0 = time.perf_counter()
+    rows = run_plan(plan)
+    elapsed = time.perf_counter() - t0
+    assert [payload(row) for row in rows] == [payload(solve_point(p)) for p in plan.points]
+    assert all(row.error is None and row.wall_time > 0.0 for row in rows)
+    # each row: its own scoring plus an equal share of its group's walk
+    assert sum(row.wall_time for row in rows) <= elapsed
+
+
+def test_points_of_one_model_share_its_spec():
+    plan = small_plan(ExperimentKind.TFIM_INFIDELITY, n_list=(1, 2), beta=(0.5, 1.0, 2.0))
+    specs = [point.spec for point in plan.points]
+    assert [s is specs[0] for s in specs[:3]] == [True] * 3
+    assert [s is specs[3] for s in specs[3:]] == [True] * 3
+    assert specs[0] is not specs[3]
+
+
+def test_beta_sweep_powers_each_comb_value_once_per_model(monkeypatch):
+    # three betas of two models: one walk each, n_cycle // 2 + 1 values per walk
+    calls = {}  # comb values powered, by the walk's protocol config
+    exact = channel._period_unitary
+
+    def counted(ab, weights, cfg, omegas):
+        calls.setdefault(cfg, []).extend(omegas)
+        return exact(ab, weights, cfg, omegas)
+
+    monkeypatch.setattr(channel, "_period_unitary", counted)
+    plan = small_plan(ExperimentKind.TFIM_INFIDELITY, n_list=(2,), h_over_j=(1.0, 2.0),
+                      beta=(0.5, 1.0, 2.0), n_trotter=20, n_cycle=8)
+    rows = run_plan(plan)
+    assert all(row.error is None for row in rows)
+    assert len(calls) == 2
+    for values in calls.values():
+        assert len(values) == len(set(values)) == plan.n_cycle // 2 + 1
+
+
+def test_group_failures_mark_only_the_rows_they_touch(monkeypatch):
+    plan = small_plan(ExperimentKind.TFIM_INFIDELITY, n_list=(1,), h_over_j=(1.0, 2.0),
+                      beta=(0.5, 1.0, 2.0), n_trotter=30, n_cycle=8)
+    real_steady = experiments.steady_state
+    scored = []
+
+    def failing_second_beta(cm):
+        scored.append(cm)
+        if len(scored) % 3 == 2:  # the second beta of each group
+            raise NoUnitEigenvalue("injected scoring failure")
+        return real_steady(cm)
+
+    monkeypatch.setattr(experiments, "steady_state", failing_second_beta)
+    rows = run_plan(plan)
+    assert [row.error is not None for row in rows] == [False, True, False] * 2
+    assert all(row.infidelity is not None for row in rows if row.error is None)
+    monkeypatch.undo()
+
+    real_prep = channel.ancilla_preparation
+
+    def failing_in_the_walk(omega, beta, m_count):
+        if beta == 2.0 and omega > 0.0:
+            raise ValueError("injected walk failure")
+        return real_prep(omega, beta, m_count)
+
+    monkeypatch.setattr(channel, "ancilla_preparation", failing_in_the_walk)
+    rows = run_plan(dataclasses.replace(plan, h_over_j=(1.0,)))
+    assert len(rows) == 3
+    assert all(row.error == "ValueError: injected walk failure" for row in rows)
+    assert all(row.infidelity is None and row.wall_time > 0.0 for row in rows)
+
+
+def test_groups_fit_the_memory_budget(monkeypatch):
+    def built(*args):
+        raise AssertionError("a cycle map was built")
+
+    monkeypatch.setattr("qmcmc.channel._trotter_parts", built)
+    betas = tuple(0.25 * (k + 1) for k in range(16))
+    for n, split in ((6, True), (2, False)):
+        plan = small_plan(ExperimentKind.TFIM_INFIDELITY, n_list=(n,), beta=betas,
+                          n_trotter=5000, n_cycle=500)
+        groups = experiments._groups(plan.points)
+        assert [p for group in groups for p in group] == list(plan.points)
+        assert (len(groups) > 1) == split
+        spec, cfg = plan.points[0].spec, plan.points[0].config
+        for group in groups:
+            assert run_bytes(spec, cfg, False, betas=len(group)) <= MAX_RUN_BYTES
+        # every group but the last is as large as the budget allows
+        for group in groups[:-1]:
+            assert run_bytes(spec, cfg, False, betas=len(group) + 1) > MAX_RUN_BYTES
+    # one block set of the 6-spin chain is 128 MiB: seven betas fit beside the rest
+    chain6 = small_plan(ExperimentKind.TFIM_INFIDELITY, n_list=(6,), beta=betas,
+                        n_trotter=5000, n_cycle=500).points
+    assert [len(group) for group in experiments._groups(chain6)] == [7, 7, 2]
+    # two worker threads may hold two walks at once: each gets half the budget
+    halves = experiments._groups(chain6, workers=2)
+    assert [p for group in halves for p in group] == list(chain6)
+    spec, cfg = chain6[0].spec, chain6[0].config
+    assert all(run_bytes(spec, cfg, False, betas=len(group)) <= MAX_RUN_BYTES // 2
+               for group in halves)
+    assert [len(group) for group in halves] == [3] * 5 + [1]
+
+
+def test_spare_workers_go_to_the_walk_and_the_scorings(monkeypatch):
+    passed = []
+    real = experiments.build_cycle_maps
+
+    def spy(spec, cfg, betas, workers=None):
+        passed.append(workers)
+        return real(spec, cfg, betas, workers)
+
+    monkeypatch.setattr(experiments, "build_cycle_maps", spy)
+    plan = small_plan(ExperimentKind.TFIM_INFIDELITY, n_list=(2,),
+                      beta=(0.5, 1.0, 2.0), n_trotter=30, n_cycle=9)
+    serial = run_plan(plan)
+    threaded = run_plan(dataclasses.replace(plan, workers=2))
+    assert [payload(row) for row in threaded] == [payload(row) for row in serial]
+    assert passed == [1, 2]  # one group: both threads go to its walk
+    passed.clear()
+    run_plan(dataclasses.replace(plan, n_list=(1, 2), workers=2))
+    assert passed == [1, 1]  # two groups: one thread each
 
 
 # ------------------------------------------------------------------- tfim
@@ -163,14 +303,14 @@ def test_tfim_beta_zero_fixed_point():
 
 
 def test_tfim_sweep_grid_and_error_isolation(monkeypatch):
-    real = experiments.build_cycle_map
+    real = experiments.build_cycle_maps
 
-    def failing_at_h2(spec, cfg, workers=None):
+    def failing_at_h2(spec, cfg, betas, workers=None):
         if spec.terms[-1].coefficient == -2.0:  # the field term -h Y
             raise NoUnitEigenvalue("injected failure")
-        return real(spec, cfg, workers)
+        return real(spec, cfg, betas, workers)
 
-    monkeypatch.setattr(experiments, "build_cycle_map", failing_at_h2)
+    monkeypatch.setattr(experiments, "build_cycle_maps", failing_at_h2)
     plan = small_plan(ExperimentKind.TFIM_INFIDELITY, n_list=(1,),
                       h_over_j=(1.0, 2.0), beta=(0.5, 1.0),
                       n_trotter=30, n_cycle=8)
