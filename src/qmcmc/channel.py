@@ -37,7 +37,8 @@ W does not depend on the inverse temperature: beta enters a period only
 through the ancilla preparation. So :func:`build_cycle_maps` walks the comb
 once for several betas of one model and protocol, builds each beta's channel
 from the one W of every comb value, and folds all of them at once on a
-leading beta axis. :func:`build_cycle_map` is its one-beta case.
+leading beta axis. :func:`build_cycle_map` is its one-beta case. Every run
+entry first applies the one size rule, :func:`admit_run`.
 
 Composite ordering: system qubits 0..N_s-1, then ancillas (ancilla m sits at
 index N_s + m). Superoperators follow the package-wide column-stacking
@@ -63,13 +64,9 @@ from .hamiltonians import PAULIS, HamiltonianSpec
 from .linalg import apply_gate, dominant_eigs, expm_hermitian, unvec
 from .schedule import ProtocolConfig, comb_value, ground_probability
 
-# Largest cycle-map dimension d_s**2 (n_s = 6). The exact path builds W(Omega)
-# in sector blocks, a chunk of comb values at a time, and folds the cycle as
-# the channels arrive, but it still assembles each value's dense W for its
-# Kraus set, the dense view of the map is 256 MiB here, and the sampler
-# holds a dense W(Omega) of 4^n_s x 4^n_s per comb value (256 MiB each at
-# n_s = 6, 4 GiB at n_s = 7), so the limit stays.
-MAX_CYCLE_DIM = 4096
+# Largest system a run admits: a cheap guard before the model matrix and its
+# sectors are built. At 7 spins the exact path alone needs 12 GiB of dense W.
+MAX_SPINS = 6
 # Bytes a run may hold at once, as run_bytes predicts them: 8 GiB, so that
 # a run refused at entry could not have finished on an 8 GiB host.
 MAX_RUN_BYTES = 8 << 30
@@ -508,6 +505,21 @@ def run_bytes(spec: HamiltonianSpec, cfg: ProtocolConfig, sample: bool,
     return 5 * chunk + 3 * dense + 7 * betas * map_blocks
 
 
+def admit_run(spec: HamiltonianSpec, cfg: ProtocolConfig, kind: str, betas: int = 1,
+              workers: int | None = None) -> int:
+    """The size rule of every run: refuse with InvalidSize a ``kind`` run of
+    over ``MAX_SPINS`` spins or whose :func:`run_bytes` (the sampler's for
+    ``"sample"``, else the exact path's for ``betas``) exceed ``MAX_RUN_BYTES``,
+    else return ``workers`` cut to ``MAX_RUN_BYTES //`` those bytes, at least 1."""
+    if spec.qubit_count > MAX_SPINS:
+        raise InvalidSize(f"system size {spec.qubit_count} exceeds the limit of {MAX_SPINS} spins")
+    held = run_bytes(spec, cfg, kind == "sample", betas)
+    if held > MAX_RUN_BYTES:
+        raise InvalidSize(f"this {kind} run would hold {held} bytes ({held / 2**30:.1f} GiB) "
+                          f"at once; the limit is {MAX_RUN_BYTES >> 30} GiB")
+    return max(1, min(workers or 1, MAX_RUN_BYTES // held))
+
+
 def ancilla_preparation(omega: float, beta: float, m_count: int) -> np.ndarray:
     """Product distribution over the 2^M ancilla basis states after reset
     plus probabilistic excitation: ``P(b) = prod_m p0^(1-b_m) (1-p0)^(b_m)``,
@@ -583,18 +595,14 @@ def build_cycle_maps(spec: HamiltonianSpec, cfg: ProtocolConfig, betas,
     beta at once, on a leading beta axis, as the walk yields the channels in
     period order: the run holds about five sets of blocks per beta, whatever
     ``n_cycle``, and multiplies as often as the sequential product with
-    period 0 applied first. Systems whose map exceeds ``MAX_CYCLE_DIM`` (more
-    than six spins) are refused with InvalidSize before any work.
+    period 0 applied first. :func:`admit_run` refuses an oversized run before
+    any work, and the walk runs on the threads it admits.
     """
     n_s, m = spec.qubit_count, cfg.m_count
-    if 4**n_s > MAX_CYCLE_DIM:
-        raise InvalidSize(
-            f"{n_s} system qubits give a {4**n_s}-dimensional cycle map; the "
-            f"dense eigensolver is limited to {MAX_CYCLE_DIM} (6 qubits)"
-        )
     betas = tuple(betas)
     if not betas:
         raise ValueError("betas must be nonempty")
+    workers = admit_run(spec, cfg, "exact", len(betas), workers)
 
     def superops(omega: float, sectors: Sectors, w: np.ndarray) -> np.ndarray:
         stack = None

@@ -31,8 +31,8 @@ from typing import Callable, NamedTuple
 # looks these names up on this module.
 from .channel import (  # noqa: F401
     MAX_RUN_BYTES,
+    _sectors,
     build_cycle_map,
-    pauli_sectors,
     run_bytes,
     spectral_gap,
 )
@@ -374,7 +374,7 @@ def _cmd_validate(run_cfg: RunConfig, point: Point, plan) -> int:
     print(f"Lambda = max(||H_i||, ||H_s||, ||H_b||) = {lam:.6g}")
     print(f"suggested Trotter steps for error {o['epsilon']:g}: {steps}")
     print(f"configured n_trotter: {cfg.n_trotter}")
-    sectors = pauli_sectors(point.spec, cfg)
+    sectors = _sectors(point.spec, cfg)  # kept with the spec for run_bytes below
     count, w_size = sectors.states.shape
     print(f"symmetry sectors: W(Omega) {count} blocks of {w_size}, cycle map {count} "
           f"blocks of {sectors.pairs.shape[1]} "

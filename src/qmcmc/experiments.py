@@ -19,11 +19,12 @@ consecutive points that differ only in beta (beta is the grid's innermost
 axis) and builds each group's cycle maps from one comb walk
 (``channel.build_cycle_maps``). A model's run of betas is split into groups
 that each fit a thread's share of ``MAX_RUN_BYTES``, one point at least.
-Groups run independently, optionally across worker threads; threads that no
-group takes run the chunks of a group's walk and its scorings. A failure with a package
-error, a ValueError or a LinAlgError is recorded in the rows it touches and
-the sweep continues: a failed walk marks every row of its group, a failed
-scoring only its own. Any other exception is a bug and propagates.
+Groups run across the worker threads that ``admit_run`` admits; threads that
+no group takes run the chunks of a group's walk and its scorings. A failure
+with a package error, a ValueError or a LinAlgError is recorded in the rows
+it touches and the sweep continues: a failed walk marks every row of its
+group, a failed scoring only its own. Any other exception is a bug and
+propagates.
 """
 
 from __future__ import annotations
@@ -37,17 +38,18 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .channel import (
-    MAX_CYCLE_DIM,
     MAX_RUN_BYTES,
+    MAX_SPINS,
     CycleMap,
     _thread_map,
+    admit_run,
     build_cycle_map,
     build_cycle_maps,
     run_bytes,
     spectral_gap,
     steady_state,
 )
-from .errors import InvalidSize, QmcmcError
+from .errors import QmcmcError
 from .hamiltonians import (
     GraphInstance,
     HamiltonianSpec,
@@ -71,9 +73,6 @@ FOUR_VERTEX_FIELD_PRESETS = {
     "b": (0.403, 0.379, 0.0528, 0.805),
     "c": (0.379, 0.0528, 0.805, 0.379),
 }
-
-# Largest system any command admits: log4(MAX_CYCLE_DIM) = 6 spins.
-MAX_SPINS = (MAX_CYCLE_DIM.bit_length() - 1) // 2
 
 
 class ExperimentKind(enum.Enum):
@@ -239,9 +238,8 @@ def make_points(kind: str, model: str, n: int, betas, *, h_over_j: float = 1.0,
     package error for a value the model or protocol refuses, a coupling that
     is not positive, a spectral width that is not finite, a Trotter step
     ``dt = pi / (g n_trotter)`` that overflows, more than ``MAX_SPINS`` spins,
-    or, unless ``kind`` is ``"validate"``, a one-beta run that ``run_bytes``
-    predicts to hold more than ``MAX_RUN_BYTES`` (the sampler's when ``kind``
-    is ``"sample"``, else the exact path's), before anything is built.
+    or, unless ``kind`` is ``"validate"``, a one-beta run that
+    ``channel.admit_run`` refuses, before anything is built.
     """
     chain, graph = model == "tfim", model == "graph"
     spec = None if chain or graph else load_hamiltonian(model)
@@ -273,11 +271,7 @@ def make_points(kind: str, model: str, n: int, betas, *, h_over_j: float = 1.0,
     if not all(map(math.isfinite, (width * dt * config.m_count, spectral_norm(spec) * dt))):
         raise ValueError(f"{what} overflows one Trotter step of dt = {dt:g}")
     if kind != "validate":
-        held = run_bytes(spec, config, sample=kind == "sample")
-        if held > MAX_RUN_BYTES:
-            raise InvalidSize(f"this {kind} run would hold {held} bytes "
-                              f"({held / 2**30:.1f} GiB) at once; the limit is "
-                              f"{MAX_RUN_BYTES >> 30} GiB")
+        admit_run(spec, config, kind)
     columns = dict(
         kind=kind, n_s=spec.qubit_count, j=unit, h=h_over_j * j if chain else None,
         p_e=p_e if graph else None, instance_seed=seed if graph else None,
@@ -406,10 +400,13 @@ def _solve_group(points: list[Point], workers: int | None = None) -> list[Result
 def run_plan(plan: ExperimentPlan) -> list[ResultRow]:
     """One new row per point of ``plan``, in grid order. The points are
     solved in the groups of :func:`_groups`, each from one comb walk, across
-    ``plan.workers`` threads; threads that no group takes go to the walks and
+    the threads of ``plan.workers`` that ``admit_run`` admits for the largest
+    group; threads that no group takes go to the walks and
     scorings inside the groups. A point that fails with a package error, a
     ValueError or a LinAlgError gets a row of its parameters and the error."""
     groups = _groups(plan.points, plan.workers)
-    inner = max(1, (plan.workers or 1) // len(groups))
-    solved = _thread_map(lambda group: _solve_group(group, inner), groups, plan.workers)
+    workers = min(admit_run(group[0].spec, group[0].config, plan.kind.value, len(group),
+                            plan.workers) for group in groups)
+    inner = max(1, workers // len(groups))
+    solved = _thread_map(lambda group: _solve_group(group, inner), groups, workers)
     return [row for rows in solved for row in rows]

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _period_table, _thread_map
+from .channel import _period_table, _thread_map, admit_run
 from .errors import NormalizationLoss
 from .hamiltonians import HamiltonianSpec
 from .rng import derive_streams, next_uniform
@@ -120,15 +120,18 @@ def _period(amps: np.ndarray, states: np.ndarray, w: np.ndarray, p0: float,
 def _run_shots(spec: HamiltonianSpec, cfg: ProtocolConfig, cycles: int, shots: int,
                seed: int, system_index: int | None, workers: int | None, finish) -> list:
     """The one shot driver of :func:`run_trajectories` and :func:`sample_gibbs`:
-    ``finish(lo, amps, states)`` for each batch of shots from ``lo`` on, after
-    ``cycles`` comb cycles, in batch order. Batches of up to ``_CHUNK_ELEMS``
-    amplitudes run across ``workers`` threads."""
+    ``finish(amps, states)`` for each batch of shots after ``cycles`` comb
+    cycles, in batch order, once ``admit_run`` admits the run. Batches of up
+    to ``_CHUNK_ELEMS`` amplitudes run across the threads it admits."""
+    if cycles < 0:
+        raise ValueError(f"cycles must be >= 0, got {cycles}")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     n_s, m = spec.qubit_count, cfg.m_count
     ds, da = 2**n_s, 2**m
     if system_index is not None and not 0 <= system_index < ds:
         raise ValueError(f"system_index {system_index} outside 0..{ds - 1}")
+    workers = admit_run(spec, cfg, "sample", workers=workers)
     _, omegas, walk = _period_table(
         spec, cfg, lambda omega, sectors, w: (sectors.unitary(w),
                                               ground_probability(omega, cfg.beta)), workers)
@@ -149,7 +152,7 @@ def _run_shots(spec: HamiltonianSpec, cfg: ProtocolConfig, cycles: int, shots: i
         for _ in range(cycles):
             for w, p0 in periods:
                 amps, states = _period(amps, states, w, p0, m)
-        return finish(lo, amps, states)
+        return finish(amps, states)
 
     return list(_thread_map(run_chunk, range(0, shots, chunk), workers))
 
@@ -163,25 +166,17 @@ def run_trajectories(spec: HamiltonianSpec, cfg: ProtocolConfig, cycles: int,
     Every shot starts with its ancillas in ``|0>`` and the system in basis
     state ``system_index``, or, when that is None, in a uniformly random one
     drawn from the shot's stream."""
-    # a negative count reaches the driver, which refuses it
-    out = np.empty((max(shots, 0), 2**(spec.qubit_count + cfg.m_count)), dtype=complex)
-
-    def keep(lo, amps, states):
-        out[lo:lo + len(amps)] = amps
-
-    _run_shots(spec, cfg, cycles, shots, seed, system_index, workers, keep)
-    return out
+    return np.concatenate(_run_shots(spec, cfg, cycles, shots, seed, system_index, workers,
+                                     lambda amps, states: amps))
 
 
 def sample_gibbs(spec: HamiltonianSpec, cfg: ProtocolConfig, burn_in_cycles: int,
                  shots: int, seed: int, workers: int | None = None) -> SampleSet:
     """Run the sampler: per shot, start from a random basis state, burn in,
     and measure the system register once."""
-    if burn_in_cycles < 0:
-        raise ValueError(f"burn_in_cycles must be >= 0, got {burn_in_cycles}")
     n_s = spec.qubit_count
 
-    def measure(lo, amps, states):
+    def measure(amps, states):
         probs = (np.abs(amps.reshape(len(amps), 2**n_s, -1)) ** 2).sum(axis=2)
         cum = np.cumsum(probs, axis=1)
         u, _ = next_uniform(states)

@@ -25,6 +25,7 @@ from qmcmc.channel import (
 )
 from qmcmc.errors import (
     CompletenessViolation,
+    DimensionMismatch,
     InvalidSize,
     NegativeEigenvalue,
     NoUnitEigenvalue,
@@ -186,6 +187,22 @@ def test_period_channel_completeness_violation():
     with pytest.raises(CompletenessViolation) as err:
         build_period_channel(0.9 * np.eye(4), np.array([0.5, 0.5]), 1, 1)
     assert err.value.deviation > 1e-8
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: build_period_channel(np.eye(8), np.array([0.5, 0.5]), 1, 1), DimensionMismatch),
+    (lambda: build_period_channel(np.eye(4), np.full(3, 1 / 3), 1, 1), DimensionMismatch),
+    (lambda: build_period_channel(np.eye(4), np.array([0.7, 0.7]), 1, 1), ValueError),
+    (lambda: build_period_channel(np.eye(4), np.array([1.5, -0.5]), 1, 1), ValueError),
+    (lambda: pauli_sectors(field_spec(1), config(field_spec(1), ancilla_map=(1,))),
+     DimensionMismatch),
+    (lambda: to_superoperator(KrausSet(2, np.eye(2, dtype=complex)[np.newaxis]))
+     .apply(np.eye(4)), DimensionMismatch),
+], ids=["unitary-shape", "prep-length", "prep-sum", "prep-negative", "ancilla-map",
+        "state-shape"])
+def test_channel_refuses_bad_inputs(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_period_channel_prunes_zero_operators():
@@ -423,6 +440,43 @@ def test_cycle_map_refuses_seven_spins_up_front(monkeypatch):
     spec = field_spec(7)
     with pytest.raises(InvalidSize):
         build_cycle_map(spec, config(spec))
+
+
+def build_refused(*args):
+    raise AssertionError("period parts built before the size check")
+
+
+def test_cycle_maps_refuse_an_over_budget_walk_up_front(monkeypatch):
+    # sixteen betas of the 6-spin chain fold sixteen 128 MiB block sets at
+    # once, 15.4 GiB predicted; any one of them alone would run
+    monkeypatch.setattr(channel, "_trotter_parts", build_refused)
+    spec = field_spec(6)
+    cfg = config(spec, n_trotter=5000, n_cycle=500)
+    betas = [0.25 * (k + 1) for k in range(16)]
+    assert channel.run_bytes(spec, cfg, False, betas=1) <= channel.MAX_RUN_BYTES
+    with pytest.raises(InvalidSize, match=f"{channel.run_bytes(spec, cfg, False, 16)} bytes"):
+        build_cycle_maps(spec, cfg, betas)
+
+
+@pytest.mark.parametrize("n, workers, admitted", [(6, 8, 3), (6, 2, 2), (2, 8, 8), (2, None, 1)])
+def test_walk_runs_no_more_threads_than_the_budget_holds(n, workers, admitted, monkeypatch):
+    # one walk of the 6-spin chain at n_cycle 500 is predicted at 2.25 GiB, so
+    # three threads may each hold one within 8 GiB
+    class Walked(Exception):
+        pass
+
+    threads = []
+
+    def walk(spec, cfg, per_omega, workers=None):
+        threads.append(workers)
+        raise Walked
+
+    monkeypatch.setattr(channel, "_trotter_parts", build_refused)
+    monkeypatch.setattr(channel, "_period_table", walk)
+    spec = field_spec(n)
+    with pytest.raises(Walked):
+        build_cycle_map(spec, config(spec, n_trotter=5000, n_cycle=500), workers=workers)
+    assert threads == [admitted]
 
 
 def test_cycle_map_matches_composite_space_oracle():

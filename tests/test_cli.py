@@ -392,12 +392,16 @@ def test_main_diagonalizes_each_model_once(argv, points, monkeypatch, capsys):
     ("sample -q --model graph --n 3 --pe 0.5 --beta 1 --shots 4 --burnin 1", 1),
     ("experiment graph -q --n 3 --pe 0.5 --beta 0.5,1,2", 1),
     ("experiment graph -q --n 2,3 --pe 0.5,0.9 --beta 0.5,1,2", 4),
+    ("validate -q --n 3 --beta 1", 1),
 ])
 def test_main_finds_the_sectors_once_per_model(argv, models, monkeypatch, capsys):
     calls = []
     real = channel.pauli_sectors
-    monkeypatch.setattr(channel, "pauli_sectors",
-                        lambda spec, cfg: calls.append(spec) or real(spec, cfg))
+    # every module that holds the function by name, so that no derivation goes uncounted
+    for module in (channel, cli):
+        if hasattr(module, "pauli_sectors"):
+            monkeypatch.setattr(module, "pauli_sectors",
+                                lambda spec, cfg: calls.append(spec) or real(spec, cfg))
     assert main(argv.split() + ["--g", "0.05", "--nt", "30", "--ncycle", "8"]) == 0
     assert len(calls) == models
 
@@ -478,6 +482,7 @@ def test_main_missing_beta_exit_code():
     (["sample", "-q", "--n", "1", "--beta", "1", "--nt", "30", "--ncycle", "8"],
      None, "pe = 0.9\n"),
     (["validate", "--model", "missing.ham", "--n", "2"], None, None),
+    (["validate", "--n", "1", "--config", "missing.conf"], None, None),
     (["thermalize", "-q", "--n", "1", "--beta", "1", "--nt", "30", "--ncycle", "8"],
      None, "qubit-cap = 14\n"),
     (["experiment", "tfim", "-q", "--n", "1", "--beta", "1", "--nt", "30", "--ncycle", "8"],
@@ -505,7 +510,7 @@ def test_main_missing_beta_exit_code():
         "magnetization-steady-sweeps", "thermalize-jj-0", "thermalize-jj-negative",
         "experiment-jj-0", "config-jj-nan", "sweeps-negative", "config-sweeps-0",
         "graph-hj", "graph-jj", "tfim-pe", "experiment-graph-hj", "config-pe-tfim",
-        "file-model-n", "config-qubit-cap", "config-model-experiment",
+        "file-model-n", "config-unreadable", "config-qubit-cap", "config-model-experiment",
         "config-mode-thermalize", "config-shots-thermalize", "hierarchy-threshold",
         "config-hierarchy-threshold", "validate-steps-overflow-product",
         "validate-steps-overflow-square", "validate-steps-overflow-epsilon",

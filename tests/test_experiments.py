@@ -448,3 +448,22 @@ def test_run_plan_dispatch():
                       n_trotter=30, n_cycle=8)
     rows = run_plan(plan)
     assert rows[0].kind == "tfim"
+
+
+@pytest.mark.parametrize("workers, groups, admitted", [(4, 4, 3), (2, 2, 2), (None, 1, 1)])
+def test_sweep_runs_no_more_threads_than_the_budget_holds(workers, groups, admitted,
+                                                          monkeypatch):
+    # with a quarter of the budget, each beta of the 6-spin chain is a group
+    # of its own, predicted at 2.25 GiB: three fit in 8 GiB at once; with half
+    # of it, the largest group (three betas) is predicted at 4 GiB
+    def built(*args):
+        raise AssertionError("a cycle map was built")
+
+    threads = []
+    monkeypatch.setattr("qmcmc.channel._trotter_parts", built)
+    monkeypatch.setattr(experiments, "_thread_map",
+                        lambda fn, items, workers: threads.append((len(items), workers)) or [])
+    plan = small_plan(ExperimentKind.TFIM_INFIDELITY, n_list=(6,), beta=(0.5, 1.0, 2.0, 4.0),
+                      n_trotter=5000, n_cycle=500, workers=workers)
+    assert run_plan(plan) == []
+    assert threads == [(groups, admitted)]

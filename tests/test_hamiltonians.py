@@ -53,6 +53,15 @@ def test_build_tfim_rejects_bad_size():
         build_tfim(0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("build, error", [
+    (lambda: HamiltonianSpec(0, ()), InvalidSize),
+    (lambda: GraphInstance(0, (), ()), InvalidGraph),
+], ids=["spec-0-qubits", "graph-0-vertices"])
+def test_empty_models_are_refused(build, error):
+    with pytest.raises(error):
+        build()
+
+
 def test_graph_single_vertex():
     spec = build_graph_ising(GraphInstance(1, (1.0,), ()))
     assert np.allclose(to_matrix(spec), np.diag([1.0, -1.0]))

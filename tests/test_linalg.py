@@ -184,6 +184,19 @@ def test_apply_gate_matches_explicit_kron():
     assert np.linalg.norm(apply_gate(two, [0, 1], op, 3) - full @ op) < 1e-12
 
 
+@pytest.mark.parametrize("call", [
+    lambda: unvec(np.arange(3)),
+    lambda: hermitian_eig(np.eye(3)[:2]),
+    lambda: apply_gate(np.eye(2), [0], np.eye(3), 2),
+    lambda: apply_gate(np.eye(2), [2], np.eye(4), 2),
+    lambda: apply_gate(np.eye(4), [0, 0], np.eye(4), 2),
+], ids=["unvec-length", "eig-non-square", "gate-rows", "gate-qubit-range",
+        "gate-qubit-repeated"])
+def test_kernels_refuse_bad_shapes(call):
+    with pytest.raises(DimensionMismatch):
+        call()
+
+
 def test_dominant_eigs_identity():
     w, v = dominant_eigs(np.eye(5))
     assert w.shape == (5,) and v.shape == (5, 5)

@@ -60,6 +60,13 @@ def test_fidelity_rejects_invalid_states():
         fidelity(good, np.eye(4) / 4)
 
 
+def test_states_must_be_square():
+    with pytest.raises(NotAState, match="square"):
+        fidelity(np.full((2, 3), 0.5), np.eye(2) / 2)
+    with pytest.raises(NotAState, match="square"):
+        transverse_magnetization(np.full(4, 0.25), 2)
+
+
 def test_tvd_identical():
     p = np.array([0.2, 0.3, 0.5])
     assert tvd(p, p) == 0.0

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import qmcmc.channel as channel
 import qmcmc.trajectory as trajectory
 from qmcmc.channel import build_cycle_map, build_period_unitary
-from qmcmc.errors import NormalizationLoss
+from qmcmc.errors import InvalidSize, NormalizationLoss
 from qmcmc.experiments import generate_er_instance
 from qmcmc.hamiltonians import (
     GraphInstance,
@@ -115,6 +115,13 @@ def test_run_trajectories_rejects_system_index_outside_register(system_index):
     with pytest.raises(ValueError, match="system_index"):
         run_trajectories(spec, field_config(spec), cycles=1, shots=1, seed=0,
                          system_index=system_index)
+
+
+@pytest.mark.parametrize("cycles, shots", [(-3, 2), (1, 0)])
+def test_run_trajectories_validates_arguments(cycles, shots):
+    spec = build_tfim(1, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        run_trajectories(spec, field_config(spec), cycles=cycles, shots=shots, seed=0)
 
 
 def test_forced_ground_branch_equals_period_unitary():
@@ -280,6 +287,47 @@ def test_sample_gibbs_counts_do_not_depend_on_batching(protocol, burn_in, shots,
         mp.setattr(trajectory, "_CHUNK_ELEMS", chunk_shots * dim)
         split = sample_gibbs(spec, cfg, burn_in, shots, seed, workers=workers)
     assert split == whole
+
+
+# -------------------------------------------------------------- run size
+
+def built_too_early(*args):
+    raise AssertionError("period parts built before the size check")
+
+
+@pytest.mark.parametrize("run", [
+    lambda spec, cfg: sample_gibbs(spec, cfg, burn_in_cycles=1, shots=2, seed=0),
+    lambda spec, cfg: run_trajectories(spec, cfg, cycles=1, shots=2, seed=0),
+], ids=["sampler", "trajectories"])
+@pytest.mark.parametrize("n", [6, 7])
+def test_shot_driver_refuses_an_oversized_run_up_front(run, n, monkeypatch):
+    # at n_cycle 500 the 6-spin chain's W table holds 251 dense W(Omega) of
+    # 4^12 entries, 62.75 GiB; 7 spins exceed MAX_SPINS
+    monkeypatch.setattr(channel, "_trotter_parts", built_too_early)
+    spec = build_tfim(n, 1.0, 1.0)
+    with pytest.raises(InvalidSize):
+        run(spec, field_config(spec, n_cycle=500))
+
+
+def test_shot_driver_runs_no_more_threads_than_the_budget_holds(monkeypatch):
+    # the 5-spin chain's W table at n_cycle 500 is predicted at 3.9 GiB, so
+    # two threads may run at once within 8 GiB
+    class Walked(Exception):
+        pass
+
+    threads = []
+
+    def walk(spec, cfg, per_omega, workers=None):
+        threads.append(workers)
+        raise Walked
+
+    monkeypatch.setattr(channel, "_trotter_parts", built_too_early)
+    monkeypatch.setattr(trajectory, "_period_table", walk)
+    spec = build_tfim(5, 1.0, 1.0)
+    for workers in (4, 2, None):
+        with pytest.raises(Walked):
+            sample_gibbs(spec, field_config(spec, n_cycle=500), 1, 2, seed=0, workers=workers)
+    assert threads == [2, 2, 1]
 
 
 def test_sample_set_probabilities():
