@@ -3,12 +3,14 @@
 Every trajectory is a pure state on the N_s + M composite register. One
 period applies, in order:
 
-1. reset: each ancilla (ascending index) is measured in the computational
-   basis (one uniform draw per ancilla, outcome 1 when ``u < P(1)``); the
-   state is collapsed and renormalized, and outcome-1 ancillas are flipped
-   back to ``|0>``;
-2. excitation: each ancilla (ascending index) receives an X gate with
-   probability ``1 - p0(t_k)``, one uniform draw per ancilla;
+1. reset: the ancillas are measured into one outcome index per shot, one
+   uniform draw per ancilla in ascending order, each outcome 1 when
+   ``u < P(1)`` for that ancilla's marginal given the outcomes already drawn;
+2. excitation: each ancilla (ascending index) is set to ``|1>`` with
+   probability ``1 - p0(t_k)``, one uniform draw per ancilla, which gives the
+   excited index. After the two steps a shot is the product state of the
+   outcome's normalized system amplitudes and the excited index (a reset is
+   a quantum jump), and it is re-embedded at that index;
 3. the period unitary ``W(Omega_k)``, as one product of the amplitude batch
    with a dense matrix assembled from the sector blocks that the channel
    module builds for the exact cycle map. The sampler takes them from the
@@ -29,9 +31,10 @@ blocks, because the resets move a shot between sectors.
 Randomness comes exclusively from the fixed generator in :mod:`qmcmc.rng`;
 shot ``s`` under master seed ``seed`` owns the stream seeded by
 ``splitmix64(seed + s)`` and consumes, in order: one draw for its initial
-basis state, ``2 M`` draws per period, and one draw for the terminal
-measurement. Shots are therefore independent of how they are batched, and
-identical ``(spec, cfg, seed)`` reproduce identical samples bit for bit.
+basis state when no ``system_index`` is given, ``2 M`` draws per period,
+and, in :func:`sample_gibbs`, one draw for the terminal measurement. Shots
+are therefore independent of how they are batched, and identical
+``(spec, cfg, seed)`` reproduce identical samples bit for bit.
 """
 
 from __future__ import annotations
@@ -66,13 +69,6 @@ class SampleSet:
         return p
 
 
-def _renormalize(amps: np.ndarray) -> None:
-    norms = np.linalg.norm(amps, axis=1)
-    if norms.min() <= 1e-150:
-        raise NormalizationLoss("trajectory collapsed onto a zero-probability branch")
-    amps /= norms[:, np.newaxis]
-
-
 def _apply_unitary(amps: np.ndarray, w: np.ndarray) -> np.ndarray:
     # BLAS takes a one-row product through gemv, which rounds differently from
     # the gemm of wider batches; a duplicated row keeps a shot's amplitudes
@@ -85,33 +81,33 @@ def _apply_unitary(amps: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _period(amps: np.ndarray, states: np.ndarray, w: np.ndarray, p0: float,
             m_count: int) -> tuple[np.ndarray, np.ndarray]:
     """Advance a batch of trajectories by one interaction period with period
-    unitary ``w`` and ancilla ground probability ``p0`` (reset and flips write
-    into the amplitude buffer; a fresh buffer is returned)."""
-    amps = np.ascontiguousarray(amps)  # reset/flip phases write through views
-    batch = amps.shape[0]
+    unitary ``w`` and ancilla ground probability ``p0`` (each shot's row of
+    the amplitude buffer is overwritten with its reset outcome's normalized
+    system amplitudes at its excited index; a fresh buffer is returned)."""
+    batch, rows = amps.shape[0], np.arange(amps.shape[0])
+    grid = amps.reshape(batch, -1, 2**m_count)
+    probs = (np.abs(grid) ** 2).sum(axis=1)
+    outcome = np.zeros(batch, dtype=int)
     for m in range(m_count):
-        view = amps.reshape(batch, -1, 2, 2**(m_count - 1 - m))
-        p_one = np.abs(view[:, :, 1, :]) ** 2
-        p_one = p_one.sum(axis=(1, 2))
+        pair = probs.reshape(batch, 2**m, 2, -1).sum(axis=3)[rows, outcome]
         u, states = next_uniform(states)
-        got_one = u < p_one
-        view[got_one, :, 0, :] = 0.0
-        view[~got_one, :, 1, :] = 0.0
-        _renormalize(amps)
-        if got_one.any():
-            view[got_one, :, 0, :], view[got_one, :, 1, :] = (
-                view[got_one, :, 1, :], view[got_one, :, 0, :])
-    for m in range(m_count):
+        # u < P(1 | outcomes drawn so far), scaled by their probability so
+        # that a zero-probability prefix divides nothing by zero
+        outcome = 2 * outcome + (u * pair.sum(axis=1) < pair[:, 1])
+    excited = np.zeros(batch, dtype=int)
+    for _ in range(m_count):
         u, states = next_uniform(states)
-        flip = u < (1.0 - p0)
-        if flip.any():
-            view = amps.reshape(batch, -1, 2, 2**(m_count - 1 - m))
-            view[flip, :, 0, :], view[flip, :, 1, :] = (
-                view[flip, :, 1, :], view[flip, :, 0, :])
-    amps = _apply_unitary(amps, w)
+        excited = 2 * excited + (u < 1.0 - p0)
+    norms = np.sqrt(probs[rows, outcome])
+    if not norms.min() > 1e-150:
+        raise NormalizationLoss("trajectory collapsed onto a zero-probability branch")
+    kept = grid[rows, :, outcome] / norms[:, np.newaxis]
+    grid[...] = 0.0
+    grid[rows, :, excited] = kept
+    amps = _apply_unitary(grid.reshape(batch, -1), w)
     norms = np.linalg.norm(amps, axis=1)
     drift = np.abs(norms - 1.0).max()
-    if drift > 1e-6:
+    if not drift <= 1e-6:
         raise NormalizationLoss(f"norm drifted by {drift:.3e} over one period")
     amps /= norms[:, np.newaxis]
     return amps, states

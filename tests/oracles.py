@@ -8,7 +8,9 @@ density-matrix evolution, the period unitary and cycle map on the full
 register with no symmetry split, and the sampler's generator via pure-Python
 integer arithmetic. It also holds the state-level helpers that only the
 tests need: direct Kraus application, the partial trace and the ensemble
-average of a trajectory batch.
+average of a trajectory batch. ``collapse_period`` is the sampler's period
+as a sequence of whole-batch collapses, renormalizations and swaps, one per
+ancilla, which the library's outcome-index form must reproduce.
 """
 
 import numpy as np
@@ -19,8 +21,9 @@ from qmcmc.channel import (
     build_period_unitary,
     to_superoperator,
 )
-from qmcmc.errors import DimensionMismatch
+from qmcmc.errors import DimensionMismatch, NormalizationLoss
 from qmcmc.hamiltonians import to_matrix
+from qmcmc.rng import next_uniform
 from qmcmc.schedule import comb_value
 
 I2 = np.eye(2, dtype=complex)
@@ -148,6 +151,48 @@ def random_unitary(rng, dim):
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(a)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _renormalize(amps):
+    norms = np.linalg.norm(amps, axis=1)
+    if norms.min() <= 1e-150:
+        raise NormalizationLoss("trajectory collapsed onto a zero-probability branch")
+    amps /= norms[:, np.newaxis]
+
+
+def collapse_period(amps, states, w, p0, m_count):
+    """One sampler period on a batch: for each ancilla, one draw, a masked
+    collapse of the whole batch, its renormalization and a swap back to
+    ``|0>`` for outcome 1; then one draw and a swap per excitation, and
+    ``w``. Writes into ``amps``; returns fresh amplitudes and the states."""
+    amps = np.ascontiguousarray(amps)
+    batch = amps.shape[0]
+    for m in range(m_count):
+        view = amps.reshape(batch, -1, 2, 2**(m_count - 1 - m))
+        p_one = np.abs(view[:, :, 1, :]) ** 2
+        p_one = p_one.sum(axis=(1, 2))
+        u, states = next_uniform(states)
+        got_one = u < p_one
+        view[got_one, :, 0, :] = 0.0
+        view[~got_one, :, 1, :] = 0.0
+        _renormalize(amps)
+        if got_one.any():
+            view[got_one, :, 0, :], view[got_one, :, 1, :] = (
+                view[got_one, :, 1, :], view[got_one, :, 0, :])
+    for m in range(m_count):
+        u, states = next_uniform(states)
+        flip = u < (1.0 - p0)
+        if flip.any():
+            view = amps.reshape(batch, -1, 2, 2**(m_count - 1 - m))
+            view[flip, :, 0, :], view[flip, :, 1, :] = (
+                view[flip, :, 1, :], view[flip, :, 0, :])
+    amps = amps @ w.T
+    norms = np.linalg.norm(amps, axis=1)
+    drift = np.abs(norms - 1.0).max()
+    if drift > 1e-6:
+        raise NormalizationLoss(f"norm drifted by {drift:.3e} over one period")
+    amps /= norms[:, np.newaxis]
+    return amps, states
 
 
 def composite_period_unitary(h_s, ancilla_map, g, omega, n_trotter):

@@ -19,9 +19,12 @@ from qmcmc.rng import Stream, derive_streams, next_uniform, splitmix64
 from qmcmc.schedule import ProtocolConfig
 from qmcmc.trajectory import run_trajectories, sample_gibbs
 
+import oracles
 from oracles import (
+    collapse_period,
     composite_period_unitary,
     ensemble_reduced_state,
+    random_unitary,
     splitmix64_py,
     xorshift64star_py,
 )
@@ -91,6 +94,20 @@ def test_run_trajectories_rejects_norm_drift(monkeypatch):
 
 
 @pytest.mark.parametrize("run", [
+    lambda spec, cfg: sample_gibbs(spec, cfg, burn_in_cycles=1, shots=50, seed=0),
+    lambda spec, cfg: run_trajectories(spec, cfg, cycles=1, shots=50, seed=0),
+], ids=["sampler", "trajectories"])
+def test_shot_driver_rejects_a_non_finite_period_unitary(run, monkeypatch):
+    # NaN fails every comparison, so a guard written as "drift > bound"
+    # would pass NaN amplitudes on and report their counts as a sample
+    spec = build_tfim(2, 1.0, 1.0)
+    exact = channel._period_unitary
+    monkeypatch.setattr(channel, "_period_unitary", lambda *args: exact(*args) * np.nan)
+    with pytest.raises(NormalizationLoss):
+        run(spec, field_config(spec))
+
+
+@pytest.mark.parametrize("run", [
     lambda spec, cfg: build_cycle_map(spec, cfg),
     lambda spec, cfg: sample_gibbs(spec, cfg, burn_in_cycles=2, shots=3, seed=0),
     lambda spec, cfg: run_trajectories(spec, cfg, cycles=2, shots=3, seed=0),
@@ -156,6 +173,64 @@ def test_forced_ground_period_equals_composite_oracle(omega):
     out, _ = trajectory._period(amps.copy(), derive_streams(0, 3), w, p0=1.0,
                                 m_count=2)
     assert np.abs(out - amps @ w_oracle.T).max() < 1e-9
+
+
+def random_batch(rng, batch, dim):
+    amps = rng.standard_normal((batch, dim)) + 1j * rng.standard_normal((batch, dim))
+    return amps / np.linalg.norm(amps, axis=1, keepdims=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_s=st.integers(1, 2), m_count=st.integers(1, 3), batch=st.integers(1, 6),
+       p0=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       seed=st.integers(0, 2**32))
+def test_period_matches_collapse_oracle(n_s, m_count, batch, p0, seed):
+    # the outcome-index period makes the same 2M draws per shot and the same
+    # branches as collapsing, renormalizing and swapping ancilla by ancilla
+    rng = np.random.default_rng(seed)
+    dim = 2**(n_s + m_count)
+    amps = random_batch(rng, batch, dim)
+    w = random_unitary(rng, dim)
+    states = derive_streams(seed, batch)
+    want, want_states = collapse_period(amps.copy(), states, w, p0, m_count)
+    got, got_states = trajectory._period(amps.copy(), states, w, p0, m_count)
+    assert np.array_equal(got_states, want_states)
+    assert np.abs(got - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("p0, excited", [(1.0, 0b00), (0.0, 0b11)])
+@pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53])
+def test_period_branch_rule_at_certain_marginals(u, p0, excited, monkeypatch):
+    # ancilla 0 reads |1> and ancilla 1 reads |0> with probability one; under
+    # "outcome 1 when u < P(1)" the smallest and largest uniforms keep both
+    # outcomes, and p0 of 1 or 0 never or always excites
+    def fixed(states):
+        return np.full(states.shape, u), states + np.uint64(1)
+
+    monkeypatch.setattr(trajectory, "next_uniform", fixed)
+    monkeypatch.setattr(oracles, "next_uniform", fixed)
+    sys_part = np.array([[0.6, 0.8j], [1.0, 0.0], [0.5 - 0.5j, 0.5 + 0.5j]])
+    amps = np.zeros((3, 8), dtype=complex)
+    amps[:, 0b10::4] = sys_part
+    w = random_unitary(np.random.default_rng(3), 8)
+    states = derive_streams(0, 3)
+    got, got_states = trajectory._period(amps.copy(), states, w, p0, 2)
+    want, want_states = collapse_period(amps.copy(), states, w, p0, 2)
+    product = np.zeros_like(amps)
+    product[:, excited::4] = sys_part
+    assert np.array_equal(got_states, states + np.uint64(4))
+    assert np.array_equal(got_states, want_states)
+    assert np.abs(got - product @ w.T).max() < 1e-12
+    assert np.abs(got - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan])
+def test_period_rejects_a_row_with_no_outcome_to_keep(bad):
+    # a zero or NaN row leaves no reset outcome of positive probability
+    amps = np.full((2, 4), 0.5, dtype=complex)
+    amps[1] = bad
+    with pytest.raises(NormalizationLoss, match="zero-probability"):
+        trajectory._period(amps, derive_streams(0, 2), np.eye(4), 0.5, 1)
 
 
 def test_single_shot_batch_matches_wider_batch_bitwise():
