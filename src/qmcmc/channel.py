@@ -24,6 +24,15 @@ under the strings' system letters, and the channels, the cycle map and its
 spectrum split into blocks as well. A model with no such string is the
 one-sector case.
 
+Every period channel maps Hermitian matrices to Hermitian ones, so each
+cycle-map block is a real matrix in its sector's Hermitian basis
+(``rho_jj``, ``(rho_jk + rho_kj) / sqrt(2)``, ``i (rho_jk - rho_kj) /
+sqrt(2)``; see :class:`Sectors`). Each period's blocks are gathered into
+that basis, as float64, straight from the Gram matrices of its Kraus sets;
+the fold and the eigensolve run in real arithmetic. Only
+:meth:`Sectors.superoperator` (the dense view) and :meth:`Sectors.state`
+(the fixed point) map back to the computational basis.
+
 The comb walk (:func:`_period_table`) streams the distinct comb values in
 period order. It powers the W blocks of several values in one stacked call,
 as many as fit ``_CHUNK_BYTES``, and drops them once their channels are
@@ -47,6 +56,7 @@ convention (see :mod:`qmcmc.linalg`).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -60,7 +70,7 @@ from .errors import (
     NegativeEigenvalue,
     NoUnitEigenvalue,
 )
-from .hamiltonians import PAULIS, HamiltonianSpec
+from .hamiltonians import PAULIS, HamiltonianSpec, spectral_norm
 from .linalg import apply_gate, dominant_eigs, expm_hermitian, unvec
 from .schedule import ProtocolConfig, comb_value, ground_probability
 
@@ -152,15 +162,51 @@ def _gram_gather(pairs: np.ndarray, d: int) -> np.ndarray:
     return (sector[first] * size + pos[first]) * size + pos[second]
 
 
+def _sector_entries(operators: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """The operators' entries in each sector of ``pairs``, as a (sectors,
+    operators, size) stack."""
+    count, d, _ = operators.shape
+    return np.take(operators.reshape(count, d * d), pairs, axis=1).transpose(1, 0, 2)
+
+
+def _grams(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The Gram matrices ``x^dag x`` of a :func:`_sector_entries` stack, as
+    a (sectors, size, size) stack from one stacked GEMM, into ``out`` when
+    given."""
+    return np.matmul(x.conj().transpose(0, 2, 1), x, out=out)
+
+
 def _superoperator_blocks(operators: np.ndarray, pairs: np.ndarray,
                           gather: np.ndarray) -> np.ndarray:
     """The blocks of ``sum_K kron(conj(K), K)`` on the sectors ``pairs``, as
-    a (sectors, size, size) stack: one stacked Gram GEMM of the operators'
-    entries in each sector, then the reshuffle ``gather``."""
-    count, d, _ = operators.shape
-    x = operators.reshape(count, d * d)[:, pairs].transpose(1, 0, 2)
-    gram = x.conj().transpose(0, 2, 1) @ x
-    return gram.reshape(-1)[gather]
+    a complex (sectors, size, size) stack: the stacked :func:`_grams`, then
+    the reshuffle ``gather``."""
+    return _grams(_sector_entries(operators, pairs)).reshape(-1)[gather]
+
+
+def _real_gather(pairs: np.ndarray, partner: np.ndarray, mixing: np.ndarray,
+                 d: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(index, coef)``, each (2, sectors, size, size), such that the real
+    block entry ``[s, p, q]`` of a Hermiticity-preserving map is
+    ``sum_t coef[t] * view[index[t]]`` for ``view`` the float view of its
+    :func:`_grams` stack.
+
+    With ``a`` the ``mixing`` and ``p'`` the ``partner`` of ``p``, the block
+    ``T S T^dag`` of a superoperator block ``S`` is
+    ``2 Re(a_p conj(a_q) S[p, q] + a_p a_q S[p, q'])``, because such a map has
+    ``S[p', q'] = conj(S[p, q])``. Each product of two coefficients is real
+    or imaginary, so each term is one real or imaginary part of a Gram entry.
+    """
+    gram = _gram_gather(pairs, d)
+    index = np.stack([gram, np.take_along_axis(gram, partner[:, np.newaxis, :], axis=2)])
+    del gram
+    coef = np.empty(index.shape)
+    for t, right in enumerate((mixing.conj(), mixing)):
+        product = mixing[:, :, np.newaxis] * right[:, np.newaxis, :]
+        imaginary = product.imag != 0
+        index[t] = 2 * index[t] + imaginary
+        coef[t] = 2.0 * np.where(imaginary, -product.imag, product.real)
+    return index, coef
 
 
 @dataclass(frozen=True)
@@ -178,6 +224,15 @@ class Sectors:
     ``s`` when ``j xor k`` does under the generators' system letters;
     ``pairs[s]`` lists them, and ``pairs[0]`` holds the diagonal. Every
     sector of either kind has the same size.
+
+    ``rho_kj`` lies in the sector of ``rho_jk``, at position ``partner[s]``
+    of it. Every period channel maps Hermitian matrices to Hermitian ones, so
+    its cycle-map blocks are real in each sector's Hermitian basis: the
+    coordinate at the position of ``rho_jk`` is ``rho_jj`` for j = k,
+    ``(rho_jk + rho_kj) / sqrt(2)`` for j < k and ``i (rho_jk - rho_kj) /
+    sqrt(2)`` for j > k. That unitary change of basis ``T`` takes
+    coordinates ``v`` to ``a v + conj(a) v[partner]`` for ``a = mixing[s]``:
+    1/2, 1/sqrt(2) and -i/sqrt(2) in the three cases.
     """
 
     n_s: int
@@ -186,7 +241,9 @@ class Sectors:
     frame: tuple[tuple[int, str], ...] = field(init=False)
     states: np.ndarray = field(init=False, repr=False, compare=False)
     pairs: np.ndarray = field(init=False, repr=False, compare=False)
-    _gather: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    partner: np.ndarray = field(init=False, repr=False, compare=False)
+    mixing: np.ndarray = field(init=False, repr=False, compare=False)
+    _gather: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         letters = {q: w[q] for w in self.generators for q in range(self.n_s) if w[q] != "I"}
@@ -198,25 +255,54 @@ class Sectors:
                              dtype=int).reshape(-1, qubits)
             return ((bits @ masks.T) & 1) @ (1 << np.arange(len(self.generators)))
 
-        count = 2 ** len(self.generators)
+        count, d = 2 ** len(self.generators), 2**self.n_s
         system = labels(self.n_s)
+        pairs = np.argsort((system[:, np.newaxis] ^ system).reshape(-1),
+                           kind="stable").reshape(count, -1)
+        column, row = np.divmod(pairs, d)
+        position = np.empty(d * d, dtype=np.intp)
+        position[pairs] = np.arange(pairs.shape[1])
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "states", np.argsort(
             labels(self.n_s + self.m_count), kind="stable").reshape(count, -1))
-        object.__setattr__(self, "pairs", np.argsort(
-            (system[:, np.newaxis] ^ system).reshape(-1), kind="stable").reshape(count, -1))
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "partner", position[row * d + column])
+        object.__setattr__(self, "mixing", np.where(
+            row == column, 0.5, np.where(row < column, 1.0, -1.0j) * np.sqrt(0.5)))
 
     @property
     def gates(self) -> list[tuple[int, np.ndarray]]:
         """``(qubit, V)`` of the frame ``F``."""
         return [(q, _TO_Z[c][0]) for q, c in self.frame]
 
-    @property
-    def gather(self) -> np.ndarray:
-        """:func:`_gram_gather` of ``pairs``, built on first use."""
+    def real_blocks(self, grams: np.ndarray) -> np.ndarray:
+        """The real cycle-map blocks ``T S T^dag``, as a float64
+        (..., sectors, size, size) stack, of the Hermiticity-preserving maps
+        whose :func:`_grams` stacks are ``grams``: one gather into their float
+        view and one real combination, with the :func:`_real_gather` built
+        on first use."""
         if self._gather is None:
-            object.__setattr__(self, "_gather", _gram_gather(self.pairs, 2**self.n_s))
-        return self._gather
+            object.__setattr__(self, "_gather", _real_gather(
+                self.pairs, self.partner, self.mixing, 2**self.n_s))
+        index, coef = self._gather
+        view = grams.view(float).reshape(grams.shape[:-3] + (-1,))
+        # np.take, not fancy indexing, whose set-up dominates small blocks
+        blocks = np.take(view, index[0], axis=-1)
+        blocks *= coef[0]
+        part = np.take(view, index[1], axis=-1)
+        part *= coef[1]
+        blocks += part
+        return blocks
+
+    def frame_blocks(self, blocks: np.ndarray) -> np.ndarray:
+        """The cycle-map blocks ``T^dag R T`` in the frame's computational
+        basis, of the (sectors, size, size) blocks ``R`` in the Hermitian
+        basis."""
+        a, p = self.mixing[:, :, np.newaxis], self.partner[:, :, np.newaxis]
+        a_p = np.take_along_axis(a, p, axis=1)  # the coefficient of each partner
+        rows = a.conj() * blocks + a_p * np.take_along_axis(blocks, p, axis=1)  # T^dag R
+        a, p, a_p = (x.swapaxes(1, 2) for x in (a, p, a_p))
+        return rows * a + a_p.conj() * np.take_along_axis(rows, p, axis=2)
 
     def unitary(self, blocks: np.ndarray) -> np.ndarray:
         """The dense computational-basis composite matrix with these W
@@ -224,17 +310,19 @@ class Sectors:
         return _conjugate(self.gates, _scatter(blocks, self.states), self.n_s + self.m_count)
 
     def superoperator(self, blocks: np.ndarray) -> np.ndarray:
-        """The dense computational-basis superoperator with these cycle-map
-        blocks: ``T^dag S T`` for ``T = kron(conj(F), F)``."""
+        """The dense computational-basis superoperator with these real
+        cycle-map blocks: ``U^dag T^dag R T U`` for ``U = kron(conj(F), F)``."""
         gates = ([(q, v.conj()) for q, v in self.gates]
                  + [(self.n_s + q, v) for q, v in self.gates])
-        return _conjugate(gates, _scatter(blocks, self.pairs), 2 * self.n_s)
+        return _conjugate(gates, _scatter(self.frame_blocks(blocks), self.pairs), 2 * self.n_s)
 
     def state(self, v0: np.ndarray) -> np.ndarray:
-        """The computational-basis matrix whose column-stacked entries in
-        the frame are ``v0`` on cycle-map sector 0 and zero elsewhere."""
+        """The computational-basis matrix whose coordinates in the Hermitian
+        basis of the frame are ``v0`` on cycle-map sector 0 and zero
+        elsewhere."""
+        a, p = self.mixing[0], self.partner[0]
         flat = np.zeros(4**self.n_s, dtype=complex)
-        flat[self.pairs[0]] = v0
+        flat[self.pairs[0]] = a.conj() * v0 + a[p] * v0[p]
         return _conjugate(self.gates, unvec(flat), self.n_s)
 
 
@@ -322,7 +410,10 @@ class Superoperator:
 class CycleMap:
     """Composition of the ``n_cycle`` period channels, with their comb
     values: ``blocks[s]`` is the map on cycle-map sector ``s`` of
-    ``sectors``, in their frame."""
+    ``sectors``, in the Hermitian basis of their frame (see
+    :class:`Sectors`), where it is real. :func:`build_cycle_maps` folds and
+    :attr:`spectrum` diagonalizes it in float64; :attr:`superoperator` and
+    :func:`steady_state` map back to the computational basis."""
 
     blocks: np.ndarray
     sectors: Sectors
@@ -344,10 +435,12 @@ class CycleMap:
     def spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(w, sector, v0)``: every eigenvalue of the map by descending
         ``|lam|``, the sector each comes from, and the eigenvectors of
-        sector 0, the only one whose matrices have a trace, as columns in the
-        order its eigenvalues take in ``w``. The one stacked diagonalization
-        that :func:`steady_state` and :func:`spectral_gap` share. Computed on
-        first use; the blocks must not change afterwards."""
+        sector 0, the only one whose matrices have a trace, in its Hermitian
+        basis, as columns in the order its eigenvalues take in ``w``. The one
+        stacked diagonalization that :func:`steady_state` and
+        :func:`spectral_gap` share, in the arithmetic of the blocks: complex
+        eigenvalues of real blocks come in conjugate pairs. Computed on first
+        use; the blocks must not change afterwards."""
         if self._spectrum is None:
             w, v = dominant_eigs(self.blocks)
             order = np.argsort(-np.abs(w.reshape(-1)), kind="stable")
@@ -490,9 +583,11 @@ def run_bytes(spec: HamiltonianSpec, cfg: ProtocolConfig, sample: bool,
     The sampler keeps one dense W(Omega) of 4^(n_s+M) entries per distinct
     comb value. The exact path holds one chunk of stacked W blocks about five
     times over while it powers them, three dense 4^(n_s+M) arrays while one
-    value's W becomes its Kraus sets and channel blocks, and up to seven sets
-    of cycle-map blocks per beta while it folds the cycle and solves for its
-    spectrum.
+    value's W becomes its Kraus sets and channel blocks, the four arrays of
+    one block set's size that :meth:`Sectors.real_blocks` gathers with (kept
+    with the sectors), and up to seven sets of cycle-map blocks per beta,
+    float64 in the Hermitian basis, while it folds the cycle and solves for
+    its spectrum.
     """
     dense = 16 * 4 ** (spec.qubit_count + cfg.m_count)
     distinct = len({comb_value(cfg, k) for k in range(cfg.n_cycle // 2 + 1)})
@@ -500,19 +595,29 @@ def run_bytes(spec: HamiltonianSpec, cfg: ProtocolConfig, sample: bool,
         return distinct * dense
     count = len(_sectors(spec, cfg).states)
     w_blocks = dense // count  # bytes of one value's W blocks
-    map_blocks = 16 * 16**spec.qubit_count // count  # one set of cycle-map blocks
+    map_blocks = 8 * 16**spec.qubit_count // count  # one set of real cycle-map blocks
     chunk = min(distinct, max(1, _CHUNK_BYTES // w_blocks)) * w_blocks
-    return 5 * chunk + 3 * dense + 7 * betas * map_blocks
+    return 5 * chunk + 3 * dense + (4 + 7 * betas) * map_blocks
 
 
 def admit_run(spec: HamiltonianSpec, cfg: ProtocolConfig, kind: str, betas: int = 1,
               workers: int | None = None) -> int:
-    """The size rule of every run: refuse with InvalidSize a ``kind`` run of
-    over ``MAX_SPINS`` spins or whose :func:`run_bytes` (the sampler's for
-    ``"sample"``, else the exact path's for ``betas``) exceed ``MAX_RUN_BYTES``,
-    else return ``workers`` cut to ``MAX_RUN_BYTES //`` those bytes, at least 1."""
+    """The entry rule of every run. Refuses with InvalidSize a run of over
+    ``MAX_SPINS`` spins; with ValueError a config whose Trotter step
+    ``dt = t_g / n_trotter`` overflows a step's largest phase, ``omega_m dt
+    M / 2`` on the ancillas or ``||H_s|| dt`` on the system; and with
+    InvalidSize a ``kind`` run whose :func:`run_bytes` (the sampler's for
+    ``"sample"``, else the exact path's for ``betas``) exceed
+    ``MAX_RUN_BYTES``, except a ``"validate"`` run, which only predicts them.
+    Returns ``workers`` cut to ``MAX_RUN_BYTES //`` those bytes, at least 1."""
     if spec.qubit_count > MAX_SPINS:
         raise InvalidSize(f"system size {spec.qubit_count} exceeds the limit of {MAX_SPINS} spins")
+    dt = cfg.t_g / cfg.n_trotter
+    if not all(map(math.isfinite, (cfg.omega_m * dt * cfg.m_count, spectral_norm(spec) * dt))):
+        raise ValueError(f"omega_m = {cfg.omega_m:g} and ||H_s|| = {spectral_norm(spec):g} "
+                         f"overflow one Trotter step of dt = {dt:g}")
+    if kind == "validate":
+        return 1
     held = run_bytes(spec, cfg, kind == "sample", betas)
     if held > MAX_RUN_BYTES:
         raise InvalidSize(f"this {kind} run would hold {held} bytes ({held / 2**30:.1f} GiB) "
@@ -590,13 +695,16 @@ def build_cycle_maps(spec: HamiltonianSpec, cfg: ProtocolConfig, betas,
     the ancilla preparation. W does not depend on beta, so
     :func:`_period_table` builds it once per distinct Omega (across
     ``workers`` threads when requested), and each beta's channel is built
-    from it, in the frame of the run's sectors, as its cycle-map blocks. The
-    symmetric comb makes the cycle a palindrome, which is folded for every
-    beta at once, on a leading beta axis, as the walk yields the channels in
-    period order: the run holds about five sets of blocks per beta, whatever
-    ``n_cycle``, and multiplies as often as the sequential product with
-    period 0 applied first. :func:`admit_run` refuses an oversized run before
-    any work, and the walk runs on the threads it admits.
+    from it, in the frame of the run's sectors, as its cycle-map blocks: the
+    dense W is scattered once per Omega, every beta's Gram blocks are stacked,
+    and the stack becomes real blocks in one :meth:`Sectors.real_blocks`
+    call. The symmetric comb makes the cycle a palindrome, which is folded
+    for every beta at once, on a leading beta axis, in float64, as the walk
+    yields the channels in period order: the run holds about five sets of
+    blocks per beta, whatever ``n_cycle``, and multiplies as often as the
+    sequential product with period 0 applied first. :func:`admit_run`
+    refuses an oversized run before any work, and the walk runs on the
+    threads it admits.
     """
     n_s, m = spec.qubit_count, cfg.m_count
     betas = tuple(betas)
@@ -605,18 +713,17 @@ def build_cycle_maps(spec: HamiltonianSpec, cfg: ProtocolConfig, betas,
     workers = admit_run(spec, cfg, "exact", len(betas), workers)
 
     def superops(omega: float, sectors: Sectors, w: np.ndarray) -> np.ndarray:
-        stack = None
+        dense = _scatter(w, sectors.states)
+        count, size = sectors.pairs.shape
+        grams = np.empty((len(betas), count, size, size), dtype=complex)
         for i, beta in enumerate(betas):
-            prep = ancilla_preparation(omega, beta, m)
-            kraus = build_period_channel(_scatter(w, sectors.states), prep, n_s, m)
-            blocks = _superoperator_blocks(kraus.operators, sectors.pairs, sectors.gather)
-            del kraus  # before the next beta's Kraus set is built
-            if len(betas) == 1:
-                return blocks[np.newaxis]  # a view: one beta copies nothing into a stack
-            if stack is None:
-                stack = np.empty((len(betas),) + blocks.shape, dtype=complex)
-            stack[i] = blocks
-        return stack
+            kraus = build_period_channel(dense, ancilla_preparation(omega, beta, m), n_s, m)
+            entries = _sector_entries(kraus.operators, sectors.pairs)
+            del kraus  # beside the dense W, at most two more dense arrays at once
+            _grams(entries, out=grams[i])
+            del entries  # before the next beta's Kraus set is built
+        del dense
+        return sectors.real_blocks(grams)
 
     sectors, omegas, walk = _period_table(spec, cfg, superops, workers)
     # S_(n-k) = S_k, so the cycle S_(n-1)...S_1 S_0 is R M L S_0 with
@@ -684,6 +791,7 @@ def steady_state(m: CycleMap) -> tuple[np.ndarray, complex]:
         entries = basis[:, 0]
     else:
         d = 2**m.sectors.n_s
+        # the Hermitian basis keeps the diagonal coordinates, so these are I's
         identity = (m.sectors.pairs[0] % (d + 1) == 0).astype(complex)
         coeff, *_ = np.linalg.lstsq(basis, identity / d, rcond=None)
         entries = basis @ coeff

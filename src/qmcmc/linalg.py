@@ -1,4 +1,4 @@
-"""Dense complex-matrix kernels used by every other module.
+"""Dense matrix kernels used by every other module.
 
 Conventions fixed here and used consistently across the package:
 
@@ -107,11 +107,14 @@ def dominant_eigs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``(k, n, n)`` stack, sorted by descending ``|lam|`` within each block,
     column i of ``v`` (unit norm) pairing with ``w[..., i]``.
 
-    One dense non-Hermitian diagonalization for the whole stack. Every pair
-    satisfies ``||M v - lam v|| <= 1e-8 ||M||_F`` for the Frobenius norm of
-    its own block, else ConvergenceFailure is raised, naming the block.
+    One dense non-Hermitian diagonalization for the whole stack, in the
+    arithmetic of its dtype: a real stack is solved in real arithmetic, and
+    its complex eigenvalues come in conjugate pairs of equal ``|lam|`` (``w``
+    and ``v`` are complex when any block has one). Every pair satisfies
+    ``||M v - lam v|| <= 1e-8 ||M||_F`` for the Frobenius norm of its own
+    block, else ConvergenceFailure is raised, naming the block.
     """
-    m = np.asarray(m, dtype=complex)
+    m = np.asarray(m)
     if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
         raise DimensionMismatch(f"expected a square matrix or a stack of them, got {m.shape}")
     stack = m.reshape((-1,) + m.shape[-2:])

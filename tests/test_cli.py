@@ -568,9 +568,9 @@ def test_main_refuses_an_over_budget_sample_up_front(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("model, line", [
-    (["--model", "tfim", "--n", "4"], "exact path 9.0 MiB, sampler 251.0 MiB"),
-    (["--model", "tfim", "--n", "5"], "exact path 144.0 MiB, sampler 4016.0 MiB"),
-    (["--model", "tfim", "--n", "6"], "exact path 2304.0 MiB, sampler 64256.0 MiB"),
+    (["--model", "tfim", "--n", "4"], "exact path 8.2 MiB, sampler 251.0 MiB"),
+    (["--model", "tfim", "--n", "5"], "exact path 132.0 MiB, sampler 4016.0 MiB"),
+    (["--model", "tfim", "--n", "6"], "exact path 2112.0 MiB, sampler 64256.0 MiB"),
 ], ids=["tfim-4", "tfim-5", "tfim-6"])
 def test_main_validate_prints_the_predicted_memory(model, line, capsys):
     assert main(["validate", "-q", *model, "--ncycle", "500"]) == 0

@@ -245,17 +245,18 @@ def test_groups_fit_the_memory_budget(monkeypatch):
         # every group but the last is as large as the budget allows
         for group in groups[:-1]:
             assert run_bytes(spec, cfg, False, betas=len(group) + 1) > MAX_RUN_BYTES
-    # one block set of the 6-spin chain is 128 MiB: seven betas fit beside the rest
+    # one set of real blocks of the 6-spin chain is 64 MiB: fourteen betas fit
+    # beside the rest
     chain6 = small_plan(ExperimentKind.TFIM_INFIDELITY, n_list=(6,), beta=betas,
                         n_trotter=5000, n_cycle=500).points
-    assert [len(group) for group in experiments._groups(chain6)] == [7, 7, 2]
+    assert [len(group) for group in experiments._groups(chain6)] == [14, 2]
     # two worker threads may hold two walks at once: each gets half the budget
     halves = experiments._groups(chain6, workers=2)
     assert [p for group in halves for p in group] == list(chain6)
     spec, cfg = chain6[0].spec, chain6[0].config
     assert all(run_bytes(spec, cfg, False, betas=len(group)) <= MAX_RUN_BYTES // 2
                for group in halves)
-    assert [len(group) for group in halves] == [3] * 5 + [1]
+    assert [len(group) for group in halves] == [5, 5, 5, 1]
 
 
 def test_spare_workers_go_to_the_walk_and_the_scorings(monkeypatch):
@@ -450,12 +451,12 @@ def test_run_plan_dispatch():
     assert rows[0].kind == "tfim"
 
 
-@pytest.mark.parametrize("workers, groups, admitted", [(4, 4, 3), (2, 2, 2), (None, 1, 1)])
+@pytest.mark.parametrize("workers, groups, admitted", [(4, 4, 3), (2, 1, 2), (None, 1, 1)])
 def test_sweep_runs_no_more_threads_than_the_budget_holds(workers, groups, admitted,
                                                           monkeypatch):
     # with a quarter of the budget, each beta of the 6-spin chain is a group
-    # of its own, predicted at 2.25 GiB: three fit in 8 GiB at once; with half
-    # of it, the largest group (three betas) is predicted at 4 GiB
+    # of its own, predicted at 2.06 GiB: three fit in 8 GiB at once; with
+    # half of it, the four betas are one group, predicted at 3.4 GiB: two fit
     def built(*args):
         raise AssertionError("a cycle map was built")
 

@@ -249,6 +249,20 @@ def test_dominant_eigs_names_the_block_that_fails(monkeypatch):
         dominant_eigs(stack)
 
 
+def test_dominant_eigs_solves_a_real_stack_in_real_arithmetic(monkeypatch):
+    seen = []
+    real = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: seen.append(a.dtype) or real(a))
+    c, s = np.cos(0.3), np.sin(0.3)
+    stack = np.stack([np.diag([0.5, 1.0]), 0.9 * np.array([[c, -s], [s, c]])])
+    w, v = dominant_eigs(stack)
+    assert seen == [np.float64]
+    assert np.abs(w[0] - [1.0, 0.5]).max() < 1e-15
+    # a rotation's eigenvalues are a conjugate pair of equal modulus
+    assert abs(w[1, 0] - w[1, 1].conj()) < 1e-15 and abs(abs(w[1, 0]) - 0.9) < 1e-15
+    assert np.abs(stack @ v - v * w[:, np.newaxis, :]).max() < 1e-15
+
+
 def test_dominant_eigs_rejects_non_square():
     with pytest.raises(DimensionMismatch):
         dominant_eigs(np.eye(3)[:2])

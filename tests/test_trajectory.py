@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import qmcmc.channel as channel
 import qmcmc.trajectory as trajectory
-from qmcmc.channel import build_cycle_map, build_period_unitary
+from qmcmc.channel import build_cycle_map, build_cycle_maps, build_period_unitary
 from qmcmc.errors import InvalidSize, NormalizationLoss
 from qmcmc.experiments import generate_er_instance
 from qmcmc.hamiltonians import (
@@ -29,6 +29,10 @@ from oracles import (
     xorshift64star_py,
 )
 from strategies import small_protocols
+
+
+def built_too_early(*args):
+    raise AssertionError("period parts built before the size check")
 
 
 def field_config(spec, **overrides):
@@ -105,6 +109,23 @@ def test_shot_driver_rejects_a_non_finite_period_unitary(run, monkeypatch):
     monkeypatch.setattr(channel, "_period_unitary", lambda *args: exact(*args) * np.nan)
     with pytest.raises(NormalizationLoss):
         run(spec, field_config(spec))
+
+
+@pytest.mark.parametrize("run", [
+    lambda spec, cfg: sample_gibbs(spec, cfg, burn_in_cycles=1, shots=50, seed=0),
+    lambda spec, cfg: run_trajectories(spec, cfg, cycles=1, shots=50, seed=0),
+    lambda spec, cfg: build_cycle_map(spec, cfg),
+    lambda spec, cfg: build_cycle_maps(spec, cfg, [0.5, 1.0]),
+], ids=["sampler", "trajectories", "cycle-map", "cycle-maps"])
+def test_every_entry_refuses_an_overflowing_trotter_phase_up_front(run, monkeypatch):
+    # omega_m dt / 2 overflows: the period unitaries would be NaN, which the
+    # sampler reported as NormalizationLoss and the exact path as
+    # CompletenessViolation, compute failures for what is bad input
+    monkeypatch.setattr(channel, "_trotter_parts", built_too_early)
+    spec = build_tfim(2, 1.0, 1.0)
+    cfg = field_config(spec, omega_m=1e308, n_trotter=5)
+    with pytest.raises(ValueError, match="overflow one Trotter step"):
+        run(spec, cfg)
 
 
 @pytest.mark.parametrize("run", [
@@ -365,10 +386,6 @@ def test_sample_gibbs_counts_do_not_depend_on_batching(protocol, burn_in, shots,
 
 
 # -------------------------------------------------------------- run size
-
-def built_too_early(*args):
-    raise AssertionError("period parts built before the size check")
-
 
 @pytest.mark.parametrize("run", [
     lambda spec, cfg: sample_gibbs(spec, cfg, burn_in_cycles=1, shots=2, seed=0),
