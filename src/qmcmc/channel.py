@@ -24,6 +24,16 @@ under the strings' system letters, and the channels, the cycle map and its
 spectrum split into blocks as well. A model with no such string is the
 one-sector case.
 
+The open chain has one more symmetry, which is not a Pauli string: the
+reflection ``s -> n_s - 1 - s`` of the system qubits, with each ancilla
+moved to an ancilla of the mirrored spin. :func:`_mirror` finds it exactly
+from the terms and the ancilla map, and :class:`Sectors` keeps it as a
+:class:`Reflection` when it also keeps the frame and every sector. It
+commutes with the Trotter step, so each sector block of the step splits
+again into an even and an odd block. W is powered in those, four blocks of
+72 states for the 4-spin chain instead of two of 128, and gathered back into
+the sector blocks; nothing after :func:`_period_unitary` sees the split.
+
 Every period channel maps Hermitian matrices to Hermitian ones, so each
 cycle-map block is a real matrix in its sector's Hermitian basis
 (``rho_jj``, ``(rho_jk + rho_kj) / sqrt(2)``, ``i (rho_jk - rho_kj) /
@@ -210,6 +220,92 @@ def _real_gather(pairs: np.ndarray, partner: np.ndarray, mixing: np.ndarray,
 
 
 @dataclass(frozen=True)
+class Reflection:
+    """The split of every sector block of W by a reflection ``R`` that
+    commutes with the Trotter step: a permutation of the composite basis
+    states that maps each sector onto itself.
+
+    Within a sector of ``size`` states, a state ``x`` with ``R x = x`` spans
+    an even vector ``|x>``, and each pair ``x < R x`` spans the even vector
+    ``(|x> + |R x>) / sqrt(2)`` and the odd vector ``(|x> - |R x>) /
+    sqrt(2)``. ``x[s, p, i]`` and ``rx[s, p, i]`` are the positions of ``x``
+    and ``R x`` for the i-th vector of parity ``p`` (0 even, 1 odd) of
+    sector ``s``, in order of ``x``; ``scale[s, p, i]`` is 1/sqrt(2) for a
+    pair, 1/2 for a fixed state (counted as ``x`` and ``R x``) and 0 past the
+    parity's last vector, where the stack is padded to the largest parity.
+    Back in the sector, state ``x`` has the component ``coef[s, p, x]`` on
+    vector ``where[s, p, x]`` of parity ``p``: 1 for a fixed state,
+    +-1/sqrt(2) for a pair member, and 0 on the odd side of a fixed state.
+    """
+
+    x: np.ndarray
+    rx: np.ndarray
+    scale: np.ndarray
+    where: np.ndarray
+    coef: np.ndarray
+
+    @classmethod
+    def of(cls, image: np.ndarray) -> Reflection:
+        """The split of the sectors whose states at positions ``x`` map to
+        positions ``image[s, x]`` of the same sector."""
+        count, size = image.shape
+        parts = (image >= np.arange(size), image > np.arange(size))  # x <= R x, x < R x
+        width = max(int(part.sum(axis=1).max()) for part in parts)
+        first = np.zeros((count, 2, width), dtype=np.intp)
+        second, scale = np.zeros_like(first), np.zeros(first.shape)
+        where = np.zeros((count, 2, size), dtype=np.intp)
+        coef = np.zeros(where.shape)
+        for s in range(count):
+            for p, (part, sign) in enumerate(zip(parts, (1.0, -1.0))):
+                x = np.flatnonzero(part[s])
+                rx, fixed = image[s, x], image[s, x] == x
+                first[s, p, :len(x)], second[s, p, :len(x)] = x, rx
+                scale[s, p, :len(x)] = np.where(fixed, 0.5, np.sqrt(0.5))
+                where[s, p, x] = where[s, p, rx] = np.arange(len(x))
+                coef[s, p, x] = np.where(fixed, 1.0, np.sqrt(0.5))
+                coef[s, p, rx[~fixed]] = sign * np.sqrt(0.5)
+        return cls(first, second, scale, where, coef)
+
+    def split(self, blocks: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (sectors, size, size) blocks of a matrix that commutes with
+        ``R``, and the weights of a diagonal matrix that does, as a (2 *
+        sectors, width, width) stack of each sector's even and odd blocks and
+        the (2 * sectors, width) weights of their vectors. Padding is the
+        identity with weight 0."""
+        count, _, width = self.x.shape
+        out = np.empty((count, 2, width, width), dtype=blocks.dtype)
+        for s in range(count):
+            for p, sign in enumerate((1.0, -1.0)):
+                x, rx, scale = self.x[s, p], self.rx[s, p], self.scale[s, p]
+                cols = np.take(blocks[s], x, axis=1) + sign * np.take(blocks[s], rx, axis=1)
+                out[s, p] = np.take(cols, x, axis=0) + sign * np.take(cols, rx, axis=0)
+                out[s, p] *= np.multiply.outer(scale, scale)
+                out[s, p][np.diag(scale == 0)] = 1.0
+        vectors = np.take_along_axis(weights[:, np.newaxis], self.x, axis=2)
+        return (out.reshape(-1, width, width),
+                np.where(self.scale == 0, 0.0, vectors).reshape(-1, width))
+
+    def unsplit(self, w: np.ndarray) -> np.ndarray:
+        """The (..., sectors, size, size) sector blocks of a (..., 2 *
+        sectors, width, width) stack of even and odd blocks: entry ``[x, y]``
+        of sector ``s`` is ``sum_p coef[s, p, x] coef[s, p, y] W_sp[where[s,
+        p, x], where[s, p, y]]``, a gather of rows and columns per parity."""
+        count, _, size = self.where.shape
+        w = w.reshape(w.shape[:-3] + (count, 2) + w.shape[-2:])
+        out = np.empty(w.shape[:-4] + (count, size, size), dtype=w.dtype)
+        for s in range(count):
+            for p in (0, 1):
+                i, c = self.where[s, p], self.coef[s, p]
+                part = np.take(np.take(w[..., s, p, :, :], i, axis=-2), i, axis=-1)
+                part *= np.multiply.outer(c, c)
+                if p:
+                    out[..., s, :, :] += part
+                else:
+                    out[..., s, :, :] = part
+        return out
+
+
+@dataclass(frozen=True)
 class Sectors:
     """The symmetry split of one run's composite register.
 
@@ -233,12 +329,20 @@ class Sectors:
     sqrt(2)`` for j > k. That unitary change of basis ``T`` takes
     coordinates ``v`` to ``a v + conj(a) v[partner]`` for ``a = mixing[s]``:
     1/2, 1/sqrt(2) and -i/sqrt(2) in the three cases.
+
+    ``mirror``, when given, moves ancilla ``a`` to ``mirror[a]`` as the
+    system qubits are reversed, ``q -> n_s - 1 - q``. That permutation of
+    the register splits W further (``reflection``) when it is not the
+    identity, keeps the frame (mirrored qubits carry the same letter) and
+    maps every sector onto itself; else ``reflection`` is None.
     """
 
     n_s: int
     m_count: int
     generators: tuple[str, ...] = ()
+    mirror: tuple[int, ...] | None = None
     frame: tuple[tuple[int, str], ...] = field(init=False)
+    reflection: Reflection | None = field(init=False, repr=False, compare=False)
     states: np.ndarray = field(init=False, repr=False, compare=False)
     pairs: np.ndarray = field(init=False, repr=False, compare=False)
     partner: np.ndarray = field(init=False, repr=False, compare=False)
@@ -269,6 +373,26 @@ class Sectors:
         object.__setattr__(self, "partner", position[row * d + column])
         object.__setattr__(self, "mixing", np.where(
             row == column, 0.5, np.where(row < column, 1.0, -1.0j) * np.sqrt(0.5)))
+        object.__setattr__(self, "reflection", self._reflection())
+
+    def _reflection(self) -> Reflection | None:
+        letters = dict(self.frame)
+        if self.mirror is None or any(letters.get(q) != letters.get(self.n_s - 1 - q)
+                                      for q in range(self.n_s)):
+            return None
+        n = self.n_s + self.m_count
+        # qubit q moves to target[q]; qubit 0 is the most significant bit
+        target = np.array([*range(self.n_s - 1, -1, -1), *(self.n_s + a for a in self.mirror)])
+        bits = np.arange(2**n)[:, np.newaxis] >> np.arange(n - 1, -1, -1) & 1
+        moved = bits @ (1 << (n - 1 - target))
+        count, size = self.states.shape
+        sector, position = np.empty(2**n, dtype=np.intp), np.empty(2**n, dtype=np.intp)
+        sector[self.states] = np.arange(count)[:, np.newaxis]
+        position[self.states] = np.arange(size)
+        image = moved[self.states]
+        if (moved == np.arange(2**n)).all() or (sector[image] != sector[self.states]).any():
+            return None
+        return Reflection.of(position[image])
 
     @property
     def gates(self) -> list[tuple[int, np.ndarray]]:
@@ -343,6 +467,9 @@ def pauli_sectors(spec: HamiltonianSpec, cfg: ProtocolConfig) -> Sectors:
     ancilla Z. A graph model gets its n_s words Z_s Z_a(s); the
     transverse-field chain gets prod Y_s prod Z_a. This is the
     qubit-tapering construction of Bravyi et al., arXiv:1701.08213.
+
+    The sectors' ``mirror`` is :func:`_mirror`'s ancilla move, which
+    :class:`Sectors` keeps as a reflection when it also holds in their frame.
     """
     n_s, m = spec.qubit_count, cfg.m_count
     if any(q >= n_s for q in cfg.ancilla_map):
@@ -360,7 +487,27 @@ def pauli_sectors(spec: HamiltonianSpec, cfg: ProtocolConfig) -> Sectors:
         letters.append("Z" if "Z" in seen or not seen else seen[0])
     # a word commutes with the letter L on qubit q iff its letter there is I or L
     return Sectors(n_s, m, tuple(_commuting_words(
-        terms + [{q: c} for q, c in enumerate(letters)], n)))
+        terms + [{q: c} for q, c in enumerate(letters)], n)), _mirror(spec, cfg))
+
+
+def _mirror(spec: HamiltonianSpec, cfg: ProtocolConfig) -> tuple[int, ...] | None:
+    """The ancilla move of the reflection ``s -> n_s - 1 - s`` of the run
+    ``(spec, cfg)``, found exactly: None unless the nonzero terms of
+    ``spec``, their letters reversed, are the same terms with the same
+    coefficients, and the reflected principals of ``cfg.ancilla_map`` are a
+    permutation of it. Ancilla ``a`` moves to the first unused ancilla whose
+    principal is the reflection of its own."""
+    terms = sorted((t.letters, t.coefficient) for t in spec.terms if t.coefficient != 0.0)
+    if sorted((word[::-1], c) for word, c in terms) != terms:
+        return None
+    mirror, free = [], list(range(cfg.m_count))
+    for principal in cfg.ancilla_map:
+        match = [b for b in free if cfg.ancilla_map[b] == spec.qubit_count - 1 - principal]
+        if not match:
+            return None
+        free.remove(match[0])
+        mirror.append(match[0])
+    return tuple(mirror)
 
 
 def _sectors(spec: HamiltonianSpec, cfg: ProtocolConfig) -> Sectors:
@@ -485,8 +632,15 @@ def _phase_weights(n_s: int, m: int) -> np.ndarray:
 def _trotter_parts(spec: HamiltonianSpec, cfg: ProtocolConfig):
     """Omega-independent pieces of one Trotter step, split by the run's
     symmetries: the sectors, the blocks of (interactions @ system step) in
-    their frame as a (sectors, size, size) stack, and the phase-diagonal
-    weights of each block's states."""
+    their frame as a (blocks, size, size) stack, and the phase-diagonal
+    weights of each block's basis vectors.
+
+    Without a reflection the blocks are the sectors'. With one (the chain's
+    ``s -> n_s - 1 - s``, ancillas moved along), which commutes with the step,
+    each sector's block splits again into its even and odd blocks
+    (:meth:`Reflection.split`), stacked sector by sector and padded with the
+    identity to the larger of them. The phases stay diagonal: they depend
+    only on how many ancillas are in ``|1>``, which the reflection keeps."""
     sectors = _sectors(spec, cfg)
     n_s, m = spec.qubit_count, cfg.m_count
     n = n_s + m
@@ -503,22 +657,37 @@ def _trotter_parts(spec: HamiltonianSpec, cfg: ProtocolConfig):
         interaction = np.cos(theta) * np.eye(4, dtype=complex) - 1j * np.sin(theta) * xx
         ab = apply_gate(interaction, [principal, n_s + anc], ab, n)
     st = sectors.states
-    return sectors, ab[st[:, :, np.newaxis], st[:, np.newaxis, :]], _phase_weights(n_s, m)[st]
+    blocks, weights = ab[st[:, :, np.newaxis], st[:, np.newaxis, :]], _phase_weights(n_s, m)[st]
+    if sectors.reflection is None:
+        return sectors, blocks, weights
+    return (sectors, *sectors.reflection.split(blocks, weights))
 
 
-def _period_unitary(ab: np.ndarray, weights: np.ndarray, cfg: ProtocolConfig,
-                    omegas) -> np.ndarray:
+def _w_bytes(sectors: Sectors) -> int:
+    """Bytes of one comb value's W blocks at their largest: the stack that
+    :func:`_period_unitary` powers or the sector blocks it returns."""
+    count, size = sectors.states.shape
+    split = sectors.reflection
+    return 16 * max(count * size * size, 0 if split is None else split.x.size * split.x.shape[-1])
+
+
+def _period_unitary(sectors: Sectors, ab: np.ndarray, weights: np.ndarray,
+                    cfg: ProtocolConfig, omegas) -> np.ndarray:
     """The sector blocks of W(Omega) for each of ``omegas``, as a (values,
-    sectors, size, size) stack: every block of the step, powered by one
-    stacked repeated squaring. The squarings leave W unitary only to about
-    ``n_trotter`` roundoffs; one stacked Newton-Schulz step
-    ``W (3 - W^dag W) / 2`` toward its polar factor squares that defect away,
-    so the period channels preserve the trace to roundoff."""
+    sectors, size, size) stack: every block of the step from
+    :func:`_trotter_parts`, powered by one stacked repeated squaring. The
+    squarings leave W unitary only to about ``n_trotter`` roundoffs; one
+    stacked Newton-Schulz step ``W (3 - W^dag W) / 2`` toward its polar
+    factor squares that defect away, so the period channels preserve the
+    trace to roundoff. With a reflection, both run on the even and odd
+    blocks, and :meth:`Reflection.unsplit` maps the result back to the
+    sector blocks."""
     dt = cfg.t_g / cfg.n_trotter
     angle = np.asarray(omegas, dtype=float) * dt / 2.0
     phase = np.exp(1j * angle[:, np.newaxis, np.newaxis] * weights)
     w = np.linalg.matrix_power(ab * phase[:, :, np.newaxis, :], cfg.n_trotter)
-    return w @ (1.5 * np.eye(w.shape[-1]) - 0.5 * (w.conj().swapaxes(-1, -2) @ w))
+    w = w @ (1.5 * np.eye(w.shape[-1]) - 0.5 * (w.conj().swapaxes(-1, -2) @ w))
+    return w if sectors.reflection is None else sectors.reflection.unsplit(w)
 
 
 def build_period_unitary(spec: HamiltonianSpec, cfg: ProtocolConfig,
@@ -533,7 +702,7 @@ def build_period_unitary(spec: HamiltonianSpec, cfg: ProtocolConfig,
     precision, and the blocks are assembled into the dense matrix.
     """
     sectors, ab, weights = _trotter_parts(spec, cfg)
-    return sectors.unitary(_period_unitary(ab, weights, cfg, [omega])[0])
+    return sectors.unitary(_period_unitary(sectors, ab, weights, cfg, [omega])[0])
 
 
 def _period_table(spec: HamiltonianSpec, cfg: ProtocolConfig, per_omega,
@@ -553,11 +722,11 @@ def _period_table(spec: HamiltonianSpec, cfg: ProtocolConfig, per_omega,
     omegas = [comb_value(cfg, k) for k in range(cfg.n_cycle)]
     half = omegas[:cfg.n_cycle // 2 + 1]
     distinct = list(dict.fromkeys(half))
-    per_chunk = max(1, _CHUNK_BYTES // ab.nbytes)
+    per_chunk = max(1, _CHUNK_BYTES // _w_bytes(sectors))
     chunks = [distinct[i:i + per_chunk] for i in range(0, len(distinct), per_chunk)]
 
     def build(chunk: list[float]) -> dict:
-        w = _period_unitary(ab, weights, cfg, chunk)
+        w = _period_unitary(sectors, ab, weights, cfg, chunk)
         return {omega: per_omega(omega, sectors, w_k) for omega, w_k in zip(chunk, w)}
 
     def walk():
@@ -577,39 +746,53 @@ def _period_table(spec: HamiltonianSpec, cfg: ProtocolConfig, per_omega,
 def run_bytes(spec: HamiltonianSpec, cfg: ProtocolConfig, sample: bool,
               betas: int = 1) -> int:
     """Predicted bytes of the arrays that one serial run of ``(spec, cfg)``
-    holds at its peak: of the sampler when ``sample``, else of the exact path
-    folding the cycle maps of ``betas`` inverse temperatures at once.
+    holds at its peak: the sampler's shared W table when ``sample``, else the
+    exact path folding the cycle maps of ``betas`` inverse temperatures at
+    once.
 
     The sampler keeps one dense W(Omega) of 4^(n_s+M) entries per distinct
-    comb value. The exact path holds one chunk of stacked W blocks about five
-    times over while it powers them, three dense 4^(n_s+M) arrays while one
-    value's W becomes its Kraus sets and channel blocks, the four arrays of
-    one block set's size that :meth:`Sectors.real_blocks` gathers with (kept
-    with the sectors), and up to seven sets of cycle-map blocks per beta,
-    float64 in the Hermitian basis, while it folds the cycle and solves for
-    its spectrum.
+    comb value. The exact path holds one walk chunk (:func:`_walk_bytes`)
+    while it powers it, three dense 4^(n_s+M) arrays while one value's W
+    becomes its Kraus sets and channel blocks, the four arrays of one block
+    set's size that :meth:`Sectors.real_blocks` gathers with (kept with the
+    sectors), and up to seven sets of cycle-map blocks per beta, float64 in
+    the Hermitian basis, while it folds the cycle and solves for its
+    spectrum.
     """
     dense = 16 * 4 ** (spec.qubit_count + cfg.m_count)
-    distinct = len({comb_value(cfg, k) for k in range(cfg.n_cycle // 2 + 1)})
     if sample:
-        return distinct * dense
-    count = len(_sectors(spec, cfg).states)
-    w_blocks = dense // count  # bytes of one value's W blocks
-    map_blocks = 8 * 16**spec.qubit_count // count  # one set of real cycle-map blocks
-    chunk = min(distinct, max(1, _CHUNK_BYTES // w_blocks)) * w_blocks
-    return 5 * chunk + 3 * dense + (4 + 7 * betas) * map_blocks
+        return len(_distinct_values(cfg)) * dense
+    map_blocks = 8 * 16**spec.qubit_count // len(_sectors(spec, cfg).states)  # one real set
+    return _walk_bytes(spec, cfg) + 3 * dense + (4 + 7 * betas) * map_blocks
+
+
+def _distinct_values(cfg: ProtocolConfig) -> set[float]:
+    return {comb_value(cfg, k) for k in range(cfg.n_cycle // 2 + 1)}
+
+
+def _walk_bytes(spec: HamiltonianSpec, cfg: ProtocolConfig) -> int:
+    """Bytes that one chunk of the comb walk holds while it is powered:
+    about five times its values' W blocks at their largest
+    (:func:`_w_bytes`)."""
+    w_blocks = _w_bytes(_sectors(spec, cfg))
+    return 5 * min(len(_distinct_values(cfg)), max(1, _CHUNK_BYTES // w_blocks)) * w_blocks
 
 
 def admit_run(spec: HamiltonianSpec, cfg: ProtocolConfig, kind: str, betas: int = 1,
-              workers: int | None = None) -> int:
+              workers: int | None = None, batch: int = 0) -> int:
     """The entry rule of every run. Refuses with InvalidSize a run of over
     ``MAX_SPINS`` spins; with ValueError a config whose Trotter step
     ``dt = t_g / n_trotter`` overflows a step's largest phase, ``omega_m dt
     M / 2`` on the ancillas or ``||H_s|| dt`` on the system; and with
-    InvalidSize a ``kind`` run whose :func:`run_bytes` (the sampler's for
-    ``"sample"``, else the exact path's for ``betas``) exceed
-    ``MAX_RUN_BYTES``, except a ``"validate"`` run, which only predicts them.
-    Returns ``workers`` cut to ``MAX_RUN_BYTES //`` those bytes, at least 1."""
+    InvalidSize a ``kind`` run that would exceed ``MAX_RUN_BYTES`` on one
+    thread, except a ``"validate"`` run, which only predicts its bytes.
+    Returns ``workers`` cut to the threads that fit, at least 1.
+
+    An exact run's thread holds its :func:`run_bytes` for ``betas``. The
+    sampler's threads share its W table, :func:`run_bytes` with ``sample``;
+    each thread also holds its own walk chunk (:func:`_walk_bytes`), the two
+    more dense arrays that the frame change of a W it assembles takes, and
+    about three buffers of its shot batch of ``batch`` amplitudes."""
     if spec.qubit_count > MAX_SPINS:
         raise InvalidSize(f"system size {spec.qubit_count} exceeds the limit of {MAX_SPINS} spins")
     dt = cfg.t_g / cfg.n_trotter
@@ -619,10 +802,15 @@ def admit_run(spec: HamiltonianSpec, cfg: ProtocolConfig, kind: str, betas: int 
     if kind == "validate":
         return 1
     held = run_bytes(spec, cfg, kind == "sample", betas)
-    if held > MAX_RUN_BYTES:
+    shared, each = 0, held
+    if kind == "sample":
+        dense = 16 * 4 ** (spec.qubit_count + cfg.m_count)
+        shared, each = held, _walk_bytes(spec, cfg) + 2 * dense + 3 * 16 * batch
+    if shared + each > MAX_RUN_BYTES:
+        per_thread = f" and {each} more per thread" if shared else ""
         raise InvalidSize(f"this {kind} run would hold {held} bytes ({held / 2**30:.1f} GiB) "
-                          f"at once; the limit is {MAX_RUN_BYTES >> 30} GiB")
-    return max(1, min(workers or 1, MAX_RUN_BYTES // held))
+                          f"at once{per_thread}; the limit is {MAX_RUN_BYTES >> 30} GiB")
+    return max(1, min(workers or 1, (MAX_RUN_BYTES - shared) // each))
 
 
 def ancilla_preparation(omega: float, beta: float, m_count: int) -> np.ndarray:

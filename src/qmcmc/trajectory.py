@@ -127,13 +127,13 @@ def _run_shots(spec: HamiltonianSpec, cfg: ProtocolConfig, cycles: int, shots: i
     ds, da = 2**n_s, 2**m
     if system_index is not None and not 0 <= system_index < ds:
         raise ValueError(f"system_index {system_index} outside 0..{ds - 1}")
-    workers = admit_run(spec, cfg, "sample", workers=workers)
+    chunk = max(1, _CHUNK_ELEMS // (ds * da))
+    workers = admit_run(spec, cfg, "sample", workers=workers, batch=min(chunk, shots) * ds * da)
     _, omegas, walk = _period_table(
         spec, cfg, lambda omega, sectors, w: (sectors.unitary(w),
                                               ground_probability(omega, cfg.beta)), workers)
     by_omega = dict(walk)
     periods = [by_omega[omega] for omega in omegas]
-    chunk = max(1, _CHUNK_ELEMS // (ds * da))
 
     def run_chunk(lo: int):
         batch = min(chunk, shots - lo)

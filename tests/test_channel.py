@@ -32,6 +32,7 @@ from qmcmc.errors import (
 )
 from qmcmc.experiments import generate_er_instance
 from qmcmc.hamiltonians import (
+    GraphInstance,
     HamiltonianSpec,
     PauliString,
     build_graph_ising,
@@ -511,6 +512,109 @@ def test_pauli_sectors_of_each_model(spec, generators):
     assert set(np.arange(d) * (d + 1)) <= set(sectors.pairs[0])
 
 
+# -------------------------------------------------------- chain reflection
+
+@pytest.mark.parametrize("n, ancilla_map", [
+    (3, (0, 1, 2)), (3, (2, 1, 0, 1)), (4, (0, 1, 2, 3)), (4, (3, 0, 2, 1)),
+    (5, (0, 1, 2, 3, 4)), (5, (3, 0, 4, 1)),
+])
+def test_reflection_split_matches_dense_oracle(n, ancilla_map):
+    # reordered and repeated principals still map onto the map reflected
+    spec = build_tfim(n, 1.0, 0.7)
+    cfg = config(spec, n_trotter=4, ancilla_map=ancilla_map)
+    sectors, ab, _ = channel._trotter_parts(spec, cfg)
+    assert sectors.reflection is not None and len(ab) == 2 * len(sectors.states)
+    # the step is unitary, and so is each even and odd block, padding included
+    eye = np.eye(ab.shape[-1])
+    assert np.abs(ab @ ab.conj().swapaxes(1, 2) - eye).max() < 1e-12
+    w = build_period_unitary(spec, cfg, 0.9)
+    assert np.abs(w - dense_period_unitary(spec, cfg, 0.9)).max() < 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_reflection_is_found_for_every_chain(n):
+    spec = field_spec(n)
+    sectors = pauli_sectors(spec, config(spec))
+    split = sectors.reflection
+    assert split is not None
+    # every state of a sector lies in exactly one even vector, and in one odd
+    # vector unless it is its own mirror image
+    sizes = (split.scale > 0).sum(axis=2)
+    fixed = (split.scale[:, 0] == 0.5).sum(axis=1)
+    assert (sizes.sum(axis=1) == sectors.states.shape[1]).all()
+    assert (sizes[:, 0] - sizes[:, 1] == fixed).all()
+
+
+def test_reflection_keeps_the_frame():
+    # one sector of total parity, which any permutation keeps, but a frame
+    # of X on qubit 0 only: reversing the qubits would change the frame
+    assert Sectors(2, 2, ("XZZZ",), (1, 0)).reflection is None
+    assert Sectors(2, 2, ("XXZZ",), (1, 0)).reflection is not None
+
+
+def _one_field_changed(n):
+    terms = list(field_spec(n).terms)
+    terms[-1] = PauliString(terms[-1].coefficient * 0.5, terms[-1].letters)
+    return HamiltonianSpec(n, tuple(terms))
+
+
+_NO_REFLECTION = {
+    "field": (_one_field_changed(3), None),
+    "map-2": (field_spec(2), (1,)),
+    "map-3": (field_spec(3), (0, 1)),
+    "graph": (build_graph_ising(generate_er_instance(3, 0.5, 1)), None),
+    # its terms and ancillas mirror, but the mirror swaps the parities of
+    # Z_0 Z_a0 and Z_2 Z_a2, so it moves states between sectors
+    "mirror-graph": (build_graph_ising(GraphInstance(3, (0.5, -0.2, 0.5),
+                                                     ((0, 1, 1.0), (1, 2, 1.0)))), None),
+    "file": (HamiltonianSpec(2, (PauliString(0.7, "ZZ"), PauliString(-0.4, "XI"),
+                                 PauliString(0.3, "IY"))), None),
+    "one-spin": (field_spec(1), None),
+}
+
+
+@pytest.mark.parametrize("name", list(_NO_REFLECTION))
+def test_reflection_is_not_found_without_the_symmetry(name):
+    spec, ancilla_map = _NO_REFLECTION[name]
+    cfg = config(spec) if ancilla_map is None else config(spec, ancilla_map=ancilla_map)
+    assert pauli_sectors(spec, cfg).reflection is None
+
+
+@pytest.mark.parametrize("name", list(_NO_REFLECTION))
+def test_period_unitary_without_a_reflection_powers_the_sector_blocks(name):
+    spec, ancilla_map = _NO_REFLECTION[name]
+    cfg = config(spec) if ancilla_map is None else config(spec, ancilla_map=ancilla_map)
+    sectors, ab, weights = channel._trotter_parts(spec, cfg)
+    assert ab.shape == sectors.states.shape + sectors.states.shape[1:]
+    omegas = [0.0, 0.4, 1.7]
+    angle = np.asarray(omegas) * (cfg.t_g / cfg.n_trotter) / 2.0
+    phase = np.exp(1j * angle[:, np.newaxis, np.newaxis] * weights)
+    w = np.linalg.matrix_power(ab * phase[:, :, np.newaxis, :], cfg.n_trotter)
+    unsplit = w @ (1.5 * np.eye(w.shape[-1]) - 0.5 * (w.conj().swapaxes(-1, -2) @ w))
+    assert np.array_equal(channel._period_unitary(sectors, ab, weights, cfg, omegas), unsplit)
+
+
+@pytest.mark.parametrize("n, entries", [(2, 4 * 6 * 6), (4, 2 * 128 * 128), (5, 2 * 512 * 512)])
+def test_w_bytes_count_the_larger_of_the_split_stack_and_the_sector_blocks(n, entries):
+    # at n_s = 2 the padded split stack (4 blocks of 6) outgrows the sector
+    # blocks (2 of 8); from n_s = 3 on the sector blocks are the larger
+    spec = field_spec(n)
+    assert channel._w_bytes(pauli_sectors(spec, config(spec))) == 16 * entries
+
+
+def test_cycle_map_peak_memory_is_within_the_prediction():
+    # a fresh model, so that its sectors and real gather are built inside
+    spec = field_spec(5)
+    cfg = config(spec, n_cycle=4)
+    tracemalloc.start()
+    try:
+        build_cycle_map(spec, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= channel.run_bytes(spec, cfg, False)
+
+
 def condition_numbers(vecs):
     """The Wilkinson condition number ``1 / |y^H x|`` of each eigenvalue, for
     its unit right eigenvector ``x`` (a column of ``vecs``) and its unit left
@@ -572,7 +676,7 @@ def period_kraus_sets(spec, cfg, omega, betas):
     """The run's sectors and the Kraus operators of one period at each of
     ``betas``, built from the frame W blocks as the comb walk builds them."""
     sectors, ab, weights = channel._trotter_parts(spec, cfg)
-    dense = channel._scatter(channel._period_unitary(ab, weights, cfg, [omega])[0],
+    dense = channel._scatter(channel._period_unitary(sectors, ab, weights, cfg, [omega])[0],
                              sectors.states)
     n_s, m = spec.qubit_count, cfg.m_count
     return sectors, [build_period_channel(dense, ancilla_preparation(omega, beta, m),
@@ -622,16 +726,22 @@ def test_real_spectrum_matches_a_complex_eig_of_the_mapped_back_blocks(protocol)
             assert np.abs(mine - value).min() < 1e-11
 
 
-@pytest.mark.parametrize("spec", [build_graph_ising(generate_er_instance(3, 0.5, 1)),
-                                  build_tfim(2, 1.0, 1.0)], ids=["graph-3", "tfim-2"])
-def test_cycle_map_powers_only_sector_blocks(spec, monkeypatch):
-    # both models split their 2^(n_s + M) register into blocks of 8 states
+@pytest.mark.parametrize("spec, shape", [
+    (build_graph_ising(generate_er_instance(3, 0.5, 1)), (8, 8)),
+    (build_tfim(2, 1.0, 1.0), (6, 6)),
+    (build_tfim(4, 1.0, 1.0), (72, 72)),
+], ids=["graph-3", "tfim-2", "tfim-4"])
+def test_cycle_map_powers_only_sector_blocks(spec, shape, monkeypatch):
+    # the graph splits its 2^(n_s + M) register into blocks of 8 states; the
+    # chain's two sectors split again by its reflection, into even and odd
+    # blocks padded to the larger: 6/2 and 4/4 at n_s = 2, 72/56 and 64/64
+    # at n_s = 4
     shapes = []
     real = np.linalg.matrix_power
     monkeypatch.setattr(np.linalg, "matrix_power",
                         lambda a, n: shapes.append(a.shape[-2:]) or real(a, n))
     build_cycle_map(spec, config(spec, n_cycle=4))
-    assert shapes and set(shapes) == {(8, 8)}
+    assert shapes and set(shapes) == {shape}
 
 
 # ------------------------------------------------------------ steady state

@@ -181,9 +181,9 @@ def test_beta_sweep_powers_each_comb_value_once_per_model(monkeypatch):
     calls = {}  # comb values powered, by the walk's protocol config
     exact = channel._period_unitary
 
-    def counted(ab, weights, cfg, omegas):
+    def counted(sectors, ab, weights, cfg, omegas):
         calls.setdefault(cfg, []).extend(omegas)
-        return exact(ab, weights, cfg, omegas)
+        return exact(sectors, ab, weights, cfg, omegas)
 
     monkeypatch.setattr(channel, "_period_unitary", counted)
     plan = small_plan(ExperimentKind.TFIM_INFIDELITY, n_list=(2,), h_over_j=(1.0, 2.0),

@@ -401,9 +401,9 @@ def test_shot_driver_refuses_an_oversized_run_up_front(run, n, monkeypatch):
         run(spec, field_config(spec, n_cycle=500))
 
 
-def test_shot_driver_runs_no_more_threads_than_the_budget_holds(monkeypatch):
-    # the 5-spin chain's W table at n_cycle 500 is predicted at 3.9 GiB, so
-    # two threads may run at once within 8 GiB
+def admitted_threads(shots, workers, monkeypatch):
+    """The threads that each of ``workers`` admits for a sample of the 5-spin
+    chain at n_cycle 500, read at the walk before anything is built."""
     class Walked(Exception):
         pass
 
@@ -416,10 +416,25 @@ def test_shot_driver_runs_no_more_threads_than_the_budget_holds(monkeypatch):
     monkeypatch.setattr(channel, "_trotter_parts", built_too_early)
     monkeypatch.setattr(trajectory, "_period_table", walk)
     spec = build_tfim(5, 1.0, 1.0)
-    for workers in (4, 2, None):
+    for count in workers:
         with pytest.raises(Walked):
-            sample_gibbs(spec, field_config(spec, n_cycle=500), 1, 2, seed=0, workers=workers)
-    assert threads == [2, 2, 1]
+            sample_gibbs(spec, field_config(spec, n_cycle=500), 1, shots, seed=0, workers=count)
+    return threads
+
+
+def test_shot_driver_runs_no_more_threads_than_the_budget_holds(monkeypatch):
+    # the 5-spin chain's W table at n_cycle 500 is predicted at 4016 MiB and
+    # is shared by the threads, which leaves 4176 MiB of the 8 GiB. Each
+    # thread holds a walk chunk (40 MiB), two dense W for the frame change
+    # (32 MiB) and three buffers of its batch, 96 KiB for 2 shots: 57 fit
+    assert admitted_threads(2, (4, 2, None), monkeypatch) == [4, 2, 1]
+
+
+def test_shot_driver_budget_cuts_the_threads_of_full_batches(monkeypatch):
+    # as above, but three buffers of a full batch of 4096 shots take 192 MiB
+    # more per thread: 15 threads fit beside the table
+    assert admitted_threads(4096, (64, 16, 8), monkeypatch) == [15, 15, 8]
+    assert admitted_threads(2, (64,), monkeypatch) == [57]
 
 
 def test_sample_set_probabilities():
