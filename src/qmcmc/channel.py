@@ -24,24 +24,18 @@ under the strings' system letters, and the channels, the cycle map and its
 spectrum split into blocks as well. A model with no such string is the
 one-sector case.
 
-The open chain has one more symmetry, which is not a Pauli string: the
-reflection ``s -> n_s - 1 - s`` of the system qubits, with each ancilla
-moved to an ancilla of the mirrored spin. :func:`_mirror` finds it exactly
-from the terms and the ancilla map, and :class:`Sectors` keeps it as a
-:class:`Reflection` when it also keeps the frame and every sector. It
-commutes with the Trotter step, so each sector block of the step splits
-again into an even and an odd block. W is powered in those, four blocks of
-72 states for the 4-spin chain instead of two of 128, and gathered back into
-the sector blocks; nothing after :func:`_period_unitary` sees the split.
-
-Every period channel maps Hermitian matrices to Hermitian ones, so each
-cycle-map block is a real matrix in its sector's Hermitian basis
-(``rho_jj``, ``(rho_jk + rho_kj) / sqrt(2)``, ``i (rho_jk - rho_kj) /
-sqrt(2)``; see :class:`Sectors`). Each period's blocks are gathered into
-that basis, as float64, straight from the Gram matrices of its Kraus sets;
-the fold and the eigensolve run in real arithmetic. Only
-:meth:`Sectors.superoperator` (the dense view) and :meth:`Sectors.state`
-(the fixed point) map back to the computational basis.
+Within the sectors, two involutions change coordinates by one pair basis
+(:class:`_PairBasis`): a fixed position keeps its coordinate, and each pair
+``x < y`` becomes ``(v_x + v_y) / sqrt(2)`` and ``odd (v_y - v_x) /
+sqrt(2)``. The open chain's reflection ``s -> n_s - 1 - s``, ancillas moved
+along (:func:`_mirror`), commutes with the Trotter step, so W is powered in
+the even and odd blocks of its basis (``odd = 1``), four of 72 states for
+the 4-spin chain instead of two of 128; without it there is one parity. The
+pairs ``rho_jk <-> rho_kj`` (``odd = i``) give each cycle-map sector a
+Hermitian basis, where every period channel's block is real: it is gathered
+there as float64 straight from the Gram matrices of its Kraus sets, and the
+fold and the eigensolve run in real arithmetic. Only
+:meth:`Sectors.superoperator` and :meth:`Sectors.state` map back.
 
 The comb walk (:func:`_period_table`) streams the distinct comb values in
 period order. It powers the W blocks of several values in one stacked call,
@@ -194,14 +188,15 @@ def _superoperator_blocks(operators: np.ndarray, pairs: np.ndarray,
     return _grams(_sector_entries(operators, pairs)).reshape(-1)[gather]
 
 
-def _real_gather(pairs: np.ndarray, partner: np.ndarray, mixing: np.ndarray,
+def _real_gather(pairs: np.ndarray, partner: np.ndarray, a: np.ndarray,
                  d: int) -> tuple[np.ndarray, np.ndarray]:
     """``(index, coef)``, each (2, sectors, size, size), such that the real
     block entry ``[s, p, q]`` of a Hermiticity-preserving map is
     ``sum_t coef[t] * view[index[t]]`` for ``view`` the float view of its
     :func:`_grams` stack.
 
-    With ``a`` the ``mixing`` and ``p'`` the ``partner`` of ``p``, the block
+    With ``a`` the Hermitian basis' coefficient and ``p'`` the ``partner`` of
+    ``p``, the block
     ``T S T^dag`` of a superoperator block ``S`` is
     ``2 Re(a_p conj(a_q) S[p, q] + a_p a_q S[p, q'])``, because such a map has
     ``S[p', q'] = conj(S[p, q])``. Each product of two coefficients is real
@@ -211,8 +206,8 @@ def _real_gather(pairs: np.ndarray, partner: np.ndarray, mixing: np.ndarray,
     index = np.stack([gram, np.take_along_axis(gram, partner[:, np.newaxis, :], axis=2)])
     del gram
     coef = np.empty(index.shape)
-    for t, right in enumerate((mixing.conj(), mixing)):
-        product = mixing[:, :, np.newaxis] * right[:, np.newaxis, :]
+    for t, right in enumerate((a.conj(), a)):
+        product = a[:, :, np.newaxis] * right[:, np.newaxis, :]
         imaginary = product.imag != 0
         index[t] = 2 * index[t] + imaginary
         coef[t] = 2.0 * np.where(imaginary, -product.imag, product.real)
@@ -220,89 +215,84 @@ def _real_gather(pairs: np.ndarray, partner: np.ndarray, mixing: np.ndarray,
 
 
 @dataclass(frozen=True)
-class Reflection:
-    """The split of every sector block of W by a reflection ``R`` that
-    commutes with the Trotter step: a permutation of the composite basis
-    states that maps each sector onto itself.
+class _PairBasis:
+    """The pair basis of an involution ``image`` of each sector's positions
+    with the phase ``odd``: the unitary ``T v = a v + b v[image]`` keeps a
+    fixed ``v_x`` (``a = b = 1/2``) and turns each pair ``x < y = image[s,
+    x]`` into ``odd (v_y - v_x) / sqrt(2)`` at ``x`` (``-a = b = odd /
+    sqrt(2)``) and ``(v_x + v_y) / sqrt(2)`` at ``y`` (``a = b = 1 /
+    sqrt(2)``). A stack that commutes with the permutation ``image`` links no
+    even coordinate (fixed, or ``y``) to an odd one (``x``); ``order[s, p]``
+    lists sector ``s``'s positions of parity ``p`` (0 even, 1 odd), padded
+    with -1 to the largest, and has one parity when nothing is paired."""
 
-    Within a sector of ``size`` states, a state ``x`` with ``R x = x`` spans
-    an even vector ``|x>``, and each pair ``x < R x`` spans the even vector
-    ``(|x> + |R x>) / sqrt(2)`` and the odd vector ``(|x> - |R x>) /
-    sqrt(2)``. ``x[s, p, i]`` and ``rx[s, p, i]`` are the positions of ``x``
-    and ``R x`` for the i-th vector of parity ``p`` (0 even, 1 odd) of
-    sector ``s``, in order of ``x``; ``scale[s, p, i]`` is 1/sqrt(2) for a
-    pair, 1/2 for a fixed state (counted as ``x`` and ``R x``) and 0 past the
-    parity's last vector, where the stack is padded to the largest parity.
-    Back in the sector, state ``x`` has the component ``coef[s, p, x]`` on
-    vector ``where[s, p, x]`` of parity ``p``: 1 for a fixed state,
-    +-1/sqrt(2) for a pair member, and 0 on the odd side of a fixed state.
-    """
-
-    x: np.ndarray
-    rx: np.ndarray
-    scale: np.ndarray
-    where: np.ndarray
-    coef: np.ndarray
+    image: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    order: np.ndarray
 
     @classmethod
-    def of(cls, image: np.ndarray) -> Reflection:
-        """The split of the sectors whose states at positions ``x`` map to
-        positions ``image[s, x]`` of the same sector."""
-        count, size = image.shape
-        parts = (image >= np.arange(size), image > np.arange(size))  # x <= R x, x < R x
-        width = max(int(part.sum(axis=1).max()) for part in parts)
-        first = np.zeros((count, 2, width), dtype=np.intp)
-        second, scale = np.zeros_like(first), np.zeros(first.shape)
-        where = np.zeros((count, 2, size), dtype=np.intp)
-        coef = np.zeros(where.shape)
-        for s in range(count):
-            for p, (part, sign) in enumerate(zip(parts, (1.0, -1.0))):
-                x = np.flatnonzero(part[s])
-                rx, fixed = image[s, x], image[s, x] == x
-                first[s, p, :len(x)], second[s, p, :len(x)] = x, rx
-                scale[s, p, :len(x)] = np.where(fixed, 0.5, np.sqrt(0.5))
-                where[s, p, x] = where[s, p, rx] = np.arange(len(x))
-                coef[s, p, x] = np.where(fixed, 1.0, np.sqrt(0.5))
-                coef[s, p, rx[~fixed]] = sign * np.sqrt(0.5)
-        return cls(first, second, scale, where, coef)
+    def of(cls, image: np.ndarray, odd: complex) -> _PairBasis:
+        x = np.arange(image.shape[1])
+        fixed, first = image == x, x < image
+        a, b = (np.where(fixed, 0.5, np.where(first, c, 1.0) * np.sqrt(0.5)) for c in (-odd, odd))
+        rank = np.where(first, first.cumsum(axis=1), (~first).cumsum(axis=1)) - 1
+        order = np.full((len(image), 1 + int(first.any()), rank.max() + 1), -1)
+        order[np.arange(len(image))[:, np.newaxis], first.astype(int), rank] = x
+        return cls(image, a, b, order)
+
+    def apply(self, stack: np.ndarray, form: str, axis: int) -> np.ndarray:
+        """A (..., sectors, size, size) ``stack`` whose dtype holds the
+        result, overwritten with ``F stack`` (``axis`` -2) or ``stack F``
+        (-1) for the ``form`` ``F``, ``"T"`` or ``"T^dag"``. The columns take
+        the coefficients of ``T^T v = a v + b[image] v[image]``."""
+        a, b = self.a, self.b
+        if (form == "T") == (axis == -1):
+            b = np.take_along_axis(b, self.image, axis=1)
+        if form == "T^dag":
+            a, b = a.conj(), b.conj()
+        count, size = self.image.shape
+        if axis == -2:  # one take of whole rows: row x of sector s is row s size + x
+            rows = (np.arange(count)[:, np.newaxis] * size + self.image).reshape(-1)
+            part = np.take(stack.reshape(stack.shape[:-3] + (count * size, -1)), rows, axis=-2)
+            a, b, part = a[..., np.newaxis], b[..., np.newaxis], part.reshape(stack.shape)
+        else:  # entry [s, x, y] takes column image[s, y] of row x
+            s, x = np.arange(count)[:, np.newaxis, np.newaxis], np.arange(size)[:, np.newaxis]
+            a, b, part = a[:, np.newaxis], b[:, np.newaxis], stack[..., s, x, self.image[:, None]]
+        part *= b
+        stack *= a
+        stack += part
+        return stack
 
     def split(self, blocks: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The (sectors, size, size) blocks of a matrix that commutes with
-        ``R``, and the weights of a diagonal matrix that does, as a (2 *
-        sectors, width, width) stack of each sector's even and odd blocks and
-        the (2 * sectors, width) weights of their vectors. Padding is the
-        identity with weight 0."""
-        count, _, width = self.x.shape
-        out = np.empty((count, 2, width, width), dtype=blocks.dtype)
-        for s in range(count):
-            for p, sign in enumerate((1.0, -1.0)):
-                x, rx, scale = self.x[s, p], self.rx[s, p], self.scale[s, p]
-                cols = np.take(blocks[s], x, axis=1) + sign * np.take(blocks[s], rx, axis=1)
-                out[s, p] = np.take(cols, x, axis=0) + sign * np.take(cols, rx, axis=0)
-                out[s, p] *= np.multiply.outer(scale, scale)
-                out[s, p][np.diag(scale == 0)] = 1.0
-        vectors = np.take_along_axis(weights[:, np.newaxis], self.x, axis=2)
-        return (out.reshape(-1, width, width),
-                np.where(self.scale == 0, 0.0, vectors).reshape(-1, width))
+        """The complex (sectors, size, size) ``blocks`` (overwritten) of a
+        matrix that commutes with the permutation ``image``, and the
+        (sectors, size) weights of a diagonal one that does, in this basis:
+        the (sectors * parities, width, width) stack of each parity's block
+        of ``T B T^dag``, cut by ``order``, and the weights of its
+        coordinates. Padding is the identity with weight 0."""
+        rows, cols = self.order[..., :, None], self.order[..., None, :]
+        t = self.apply(self.apply(blocks, "T", -2), "T^dag", -1)
+        t = t[np.arange(len(t))[:, None, None, None], rows, cols]
+        t = np.where((rows >= 0) & (cols >= 0), t, np.eye(t.shape[-1])).reshape(-1, *t.shape[-2:])
+        weights = np.take_along_axis(weights[:, np.newaxis], self.order, axis=2)
+        return t, np.where(self.order >= 0, weights, 0.0).reshape(len(t), -1)
 
     def unsplit(self, w: np.ndarray) -> np.ndarray:
-        """The (..., sectors, size, size) sector blocks of a (..., 2 *
-        sectors, width, width) stack of even and odd blocks: entry ``[x, y]``
-        of sector ``s`` is ``sum_p coef[s, p, x] coef[s, p, y] W_sp[where[s,
-        p, x], where[s, p, y]]``, a gather of rows and columns per parity."""
-        count, _, size = self.where.shape
-        w = w.reshape(w.shape[:-3] + (count, 2) + w.shape[-2:])
-        out = np.empty(w.shape[:-4] + (count, size, size), dtype=w.dtype)
-        for s in range(count):
-            for p in (0, 1):
-                i, c = self.where[s, p], self.coef[s, p]
-                part = np.take(np.take(w[..., s, p, :, :], i, axis=-2), i, axis=-1)
-                part *= np.multiply.outer(c, c)
-                if p:
-                    out[..., s, :, :] += part
-                else:
-                    out[..., s, :, :] = part
-        return out
+        """The (..., sectors, size, size) blocks ``T^dag B T`` of a (...,
+        sectors * parities, width, width) stack of :meth:`split` blocks:
+        each parity's block placed at its positions, then ``T`` undone."""
+        count, size = self.image.shape
+        values, entries = math.prod(w.shape[:-3]), count * size * size
+        rows, cols = self.order[..., :, None], self.order[..., None, :]
+        # each entry's flat position; padding (-1) lands in a spare one past all
+        at = ((np.arange(count)[:, None, None, None] * size + rows) * size + cols).reshape(-1)
+        at = np.where(((rows < 0) | (cols < 0)).reshape(-1), values * entries,
+                      np.arange(values)[:, np.newaxis] * entries + at)
+        out = np.zeros(values * entries + 1, dtype=w.dtype)
+        out[at] = w.reshape(at.shape)
+        out = out[:-1].reshape(w.shape[:-3] + (count, size, size))
+        return self.apply(self.apply(out, "T^dag", -2), "T", -1)
 
 
 @dataclass(frozen=True)
@@ -321,20 +311,15 @@ class Sectors:
     ``pairs[s]`` lists them, and ``pairs[0]`` holds the diagonal. Every
     sector of either kind has the same size.
 
-    ``rho_kj`` lies in the sector of ``rho_jk``, at position ``partner[s]``
-    of it. Every period channel maps Hermitian matrices to Hermitian ones, so
-    its cycle-map blocks are real in each sector's Hermitian basis: the
-    coordinate at the position of ``rho_jk`` is ``rho_jj`` for j = k,
-    ``(rho_jk + rho_kj) / sqrt(2)`` for j < k and ``i (rho_jk - rho_kj) /
-    sqrt(2)`` for j > k. That unitary change of basis ``T`` takes
-    coordinates ``v`` to ``a v + conj(a) v[partner]`` for ``a = mixing[s]``:
-    1/2, 1/sqrt(2) and -i/sqrt(2) in the three cases.
-
-    ``mirror``, when given, moves ancilla ``a`` to ``mirror[a]`` as the
-    system qubits are reversed, ``q -> n_s - 1 - q``. That permutation of
-    the register splits W further (``reflection``) when it is not the
-    identity, keeps the frame (mirrored qubits carry the same letter) and
-    maps every sector onto itself; else ``reflection`` is None.
+    Two pair bases (:class:`_PairBasis`) act within the sectors. In
+    ``hermitian`` (phase i; ``rho_kj`` lies in the sector of ``rho_jk``) the
+    coordinate at ``rho_jk`` is ``rho_jj``, ``(rho_jk + rho_kj) / sqrt(2)``
+    for j < k and ``i (rho_kj - rho_jk) / sqrt(2)`` for j > k; the blocks of
+    Hermiticity-preserving maps, such as the period channels, are real in
+    it. ``reflection`` (phase 1) pairs each W sector's states by ``q -> n_s
+    - 1 - q`` on the system qubits, with ancilla ``a`` moved to
+    ``mirror[a]``; it is the identity when ``mirror`` is None or when the
+    move changes the frame or takes a state out of its sector.
     """
 
     n_s: int
@@ -342,11 +327,10 @@ class Sectors:
     generators: tuple[str, ...] = ()
     mirror: tuple[int, ...] | None = None
     frame: tuple[tuple[int, str], ...] = field(init=False)
-    reflection: Reflection | None = field(init=False, repr=False, compare=False)
     states: np.ndarray = field(init=False, repr=False, compare=False)
     pairs: np.ndarray = field(init=False, repr=False, compare=False)
-    partner: np.ndarray = field(init=False, repr=False, compare=False)
-    mixing: np.ndarray = field(init=False, repr=False, compare=False)
+    hermitian: _PairBasis = field(init=False, repr=False, compare=False)
+    reflection: _PairBasis = field(init=False, repr=False, compare=False)
     _gather: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -363,52 +347,50 @@ class Sectors:
         system = labels(self.n_s)
         pairs = np.argsort((system[:, np.newaxis] ^ system).reshape(-1),
                            kind="stable").reshape(count, -1)
-        column, row = np.divmod(pairs, d)
-        position = np.empty(d * d, dtype=np.intp)
-        position[pairs] = np.arange(pairs.shape[1])
+        index = np.empty(d * d, dtype=np.intp)  # of rho_jk in its sector
+        index[pairs] = np.arange(pairs.shape[1])
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "states", np.argsort(
             labels(self.n_s + self.m_count), kind="stable").reshape(count, -1))
         object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "partner", position[row * d + column])
-        object.__setattr__(self, "mixing", np.where(
-            row == column, 0.5, np.where(row < column, 1.0, -1.0j) * np.sqrt(0.5)))
-        object.__setattr__(self, "reflection", self._reflection())
+        object.__setattr__(self, "hermitian", _PairBasis.of(index[pairs % d * d + pairs // d], 1j))
+        object.__setattr__(self, "reflection", _PairBasis.of(self._reflection_image(), 1))
 
-    def _reflection(self) -> Reflection | None:
+    def _reflection_image(self) -> np.ndarray:
+        count, size = self.states.shape
+        identity = np.tile(np.arange(size), (count, 1))
         letters = dict(self.frame)
         if self.mirror is None or any(letters.get(q) != letters.get(self.n_s - 1 - q)
                                       for q in range(self.n_s)):
-            return None
+            return identity
         n = self.n_s + self.m_count
         # qubit q moves to target[q]; qubit 0 is the most significant bit
         target = np.array([*range(self.n_s - 1, -1, -1), *(self.n_s + a for a in self.mirror)])
         bits = np.arange(2**n)[:, np.newaxis] >> np.arange(n - 1, -1, -1) & 1
-        moved = bits @ (1 << (n - 1 - target))
-        count, size = self.states.shape
-        sector, position = np.empty(2**n, dtype=np.intp), np.empty(2**n, dtype=np.intp)
-        sector[self.states] = np.arange(count)[:, np.newaxis]
-        position[self.states] = np.arange(size)
-        image = moved[self.states]
-        if (moved == np.arange(2**n)).all() or (sector[image] != sector[self.states]).any():
-            return None
-        return Reflection.of(position[image])
+        flat = np.empty(2**n, dtype=np.intp)  # each state's sector * size + position
+        flat[self.states] = np.arange(count * size).reshape(count, size)
+        image = flat[(bits @ (1 << (n - 1 - target)))[self.states]]
+        return np.where((image // size == np.arange(count)[:, None]).all(), image % size, identity)
 
     @property
     def gates(self) -> list[tuple[int, np.ndarray]]:
         """``(qubit, V)`` of the frame ``F``."""
         return [(q, _TO_Z[c][0]) for q, c in self.frame]
 
+    def real_gather(self) -> tuple[np.ndarray, np.ndarray]:
+        """The :func:`_real_gather` of :meth:`real_blocks`, built on the
+        first call (before a walk's threads share it) and kept."""
+        if self._gather is None:
+            object.__setattr__(self, "_gather", _real_gather(
+                self.pairs, self.hermitian.image, self.hermitian.a, 2**self.n_s))
+        return self._gather
+
     def real_blocks(self, grams: np.ndarray) -> np.ndarray:
         """The real cycle-map blocks ``T S T^dag``, as a float64
         (..., sectors, size, size) stack, of the Hermiticity-preserving maps
         whose :func:`_grams` stacks are ``grams``: one gather into their float
-        view and one real combination, with the :func:`_real_gather` built
-        on first use."""
-        if self._gather is None:
-            object.__setattr__(self, "_gather", _real_gather(
-                self.pairs, self.partner, self.mixing, 2**self.n_s))
-        index, coef = self._gather
+        view and one real combination."""
+        index, coef = self.real_gather()
         view = grams.view(float).reshape(grams.shape[:-3] + (-1,))
         # np.take, not fancy indexing, whose set-up dominates small blocks
         blocks = np.take(view, index[0], axis=-1)
@@ -422,11 +404,8 @@ class Sectors:
         """The cycle-map blocks ``T^dag R T`` in the frame's computational
         basis, of the (sectors, size, size) blocks ``R`` in the Hermitian
         basis."""
-        a, p = self.mixing[:, :, np.newaxis], self.partner[:, :, np.newaxis]
-        a_p = np.take_along_axis(a, p, axis=1)  # the coefficient of each partner
-        rows = a.conj() * blocks + a_p * np.take_along_axis(blocks, p, axis=1)  # T^dag R
-        a, p, a_p = (x.swapaxes(1, 2) for x in (a, p, a_p))
-        return rows * a + a_p.conj() * np.take_along_axis(rows, p, axis=2)
+        h = self.hermitian
+        return h.apply(h.apply(blocks.astype(complex), "T^dag", -2), "T", -1)
 
     def unitary(self, blocks: np.ndarray) -> np.ndarray:
         """The dense computational-basis composite matrix with these W
@@ -444,9 +423,10 @@ class Sectors:
         """The computational-basis matrix whose coordinates in the Hermitian
         basis of the frame are ``v0`` on cycle-map sector 0 and zero
         elsewhere."""
-        a, p = self.mixing[0], self.partner[0]
-        flat = np.zeros(4**self.n_s, dtype=complex)
-        flat[self.pairs[0]] = a.conj() * v0 + a[p] * v0[p]
+        coords = np.zeros(self.pairs.shape + (1,), dtype=complex)
+        coords[0, :, 0] = v0
+        flat = np.empty(4**self.n_s, dtype=complex)
+        flat[self.pairs] = self.hermitian.apply(coords, "T^dag", -2)[..., 0]
         return _conjugate(self.gates, unvec(flat), self.n_s)
 
 
@@ -468,8 +448,8 @@ def pauli_sectors(spec: HamiltonianSpec, cfg: ProtocolConfig) -> Sectors:
     transverse-field chain gets prod Y_s prod Z_a. This is the
     qubit-tapering construction of Bravyi et al., arXiv:1701.08213.
 
-    The sectors' ``mirror`` is :func:`_mirror`'s ancilla move, which
-    :class:`Sectors` keeps as a reflection when it also holds in their frame.
+    The sectors' ``mirror`` is :func:`_mirror`'s ancilla move, whose pair
+    basis :class:`Sectors` keeps when it also holds in their frame.
     """
     n_s, m = spec.qubit_count, cfg.m_count
     if any(q >= n_s for q in cfg.ancilla_map):
@@ -617,30 +597,13 @@ def _thread_map(fn, items, workers: int | None) -> Iterator:
             yield pending.popleft().result()
 
 
-def _phase_weights(n_s: int, m: int) -> np.ndarray:
-    """Per-composite-basis-state weight of the ancilla phase diagonal.
-
-    Each ancilla contributes +1 when in ``|0>`` and -1 when in ``|1>``; the
-    omega-dependent phase factor of one Trotter step is then
-    ``exp(i * (omega dt / 2) * w)`` elementwise.
-    """
-    anc_idx = np.arange(2**m)
-    ones = sum(((anc_idx >> b) & 1) for b in range(m))
-    return np.tile(m - 2 * ones, 2**n_s).astype(float)
-
-
 def _trotter_parts(spec: HamiltonianSpec, cfg: ProtocolConfig):
     """Omega-independent pieces of one Trotter step, split by the run's
     symmetries: the sectors, the blocks of (interactions @ system step) in
-    their frame as a (blocks, size, size) stack, and the phase-diagonal
-    weights of each block's basis vectors.
-
-    Without a reflection the blocks are the sectors'. With one (the chain's
-    ``s -> n_s - 1 - s``, ancillas moved along), which commutes with the step,
-    each sector's block splits again into its even and odd blocks
-    (:meth:`Reflection.split`), stacked sector by sector and padded with the
-    identity to the larger of them. The phases stay diagonal: they depend
-    only on how many ancillas are in ``|1>``, which the reflection keeps."""
+    their frame, each sector's split by its ``reflection``
+    (:meth:`_PairBasis.split`), and the weights ``w`` of the phase diagonal
+    ``exp(i (omega dt / 2) w)`` on each block's basis vectors: each ancilla
+    adds +1 in ``|0>`` and -1 in ``|1>``, which the reflection keeps."""
     sectors = _sectors(spec, cfg)
     n_s, m = spec.qubit_count, cfg.m_count
     n = n_s + m
@@ -657,18 +620,18 @@ def _trotter_parts(spec: HamiltonianSpec, cfg: ProtocolConfig):
         interaction = np.cos(theta) * np.eye(4, dtype=complex) - 1j * np.sin(theta) * xx
         ab = apply_gate(interaction, [principal, n_s + anc], ab, n)
     st = sectors.states
-    blocks, weights = ab[st[:, :, np.newaxis], st[:, np.newaxis, :]], _phase_weights(n_s, m)[st]
-    if sectors.reflection is None:
-        return sectors, blocks, weights
-    return (sectors, *sectors.reflection.split(blocks, weights))
+    ones = (np.arange(2**m)[:, np.newaxis] >> np.arange(m) & 1).sum(axis=1)
+    weights = np.tile(m - 2.0 * ones, 2**n_s)[st]
+    return (sectors, *sectors.reflection.split(ab[st[:, :, np.newaxis], st[:, np.newaxis, :]],
+                                               weights))
 
 
 def _w_bytes(sectors: Sectors) -> int:
     """Bytes of one comb value's W blocks at their largest: the stack that
     :func:`_period_unitary` powers or the sector blocks it returns."""
     count, size = sectors.states.shape
-    split = sectors.reflection
-    return 16 * max(count * size * size, 0 if split is None else split.x.size * split.x.shape[-1])
+    order = sectors.reflection.order
+    return 16 * max(count * size * size, order.size * order.shape[-1])
 
 
 def _period_unitary(sectors: Sectors, ab: np.ndarray, weights: np.ndarray,
@@ -679,15 +642,13 @@ def _period_unitary(sectors: Sectors, ab: np.ndarray, weights: np.ndarray,
     squarings leave W unitary only to about ``n_trotter`` roundoffs; one
     stacked Newton-Schulz step ``W (3 - W^dag W) / 2`` toward its polar
     factor squares that defect away, so the period channels preserve the
-    trace to roundoff. With a reflection, both run on the even and odd
-    blocks, and :meth:`Reflection.unsplit` maps the result back to the
-    sector blocks."""
+    trace to roundoff. Both run on the split stack, then unsplit."""
     dt = cfg.t_g / cfg.n_trotter
     angle = np.asarray(omegas, dtype=float) * dt / 2.0
     phase = np.exp(1j * angle[:, np.newaxis, np.newaxis] * weights)
     w = np.linalg.matrix_power(ab * phase[:, :, np.newaxis, :], cfg.n_trotter)
     w = w @ (1.5 * np.eye(w.shape[-1]) - 0.5 * (w.conj().swapaxes(-1, -2) @ w))
-    return w if sectors.reflection is None else sectors.reflection.unsplit(w)
+    return sectors.reflection.unsplit(w)
 
 
 def build_period_unitary(spec: HamiltonianSpec, cfg: ProtocolConfig,
@@ -762,8 +723,12 @@ def run_bytes(spec: HamiltonianSpec, cfg: ProtocolConfig, sample: bool,
     dense = 16 * 4 ** (spec.qubit_count + cfg.m_count)
     if sample:
         return len(_distinct_values(cfg)) * dense
-    map_blocks = 8 * 16**spec.qubit_count // len(_sectors(spec, cfg).states)  # one real set
-    return _walk_bytes(spec, cfg) + 3 * dense + (4 + 7 * betas) * map_blocks
+    return _walk_bytes(spec, cfg) + 3 * dense + (4 + 7 * betas) * _map_bytes(spec, cfg)
+
+
+def _map_bytes(spec: HamiltonianSpec, cfg: ProtocolConfig) -> int:
+    """Bytes of one set of real cycle-map blocks."""
+    return 8 * 16**spec.qubit_count // len(_sectors(spec, cfg).states)
 
 
 def _distinct_values(cfg: ProtocolConfig) -> set[float]:
@@ -788,11 +753,13 @@ def admit_run(spec: HamiltonianSpec, cfg: ProtocolConfig, kind: str, betas: int 
     thread, except a ``"validate"`` run, which only predicts its bytes.
     Returns ``workers`` cut to the threads that fit, at least 1.
 
-    An exact run's thread holds its :func:`run_bytes` for ``betas``. The
-    sampler's threads share its W table, :func:`run_bytes` with ``sample``;
-    each thread also holds its own walk chunk (:func:`_walk_bytes`), the two
-    more dense arrays that the frame change of a W it assembles takes, and
-    about three buffers of its shot batch of ``batch`` amplitudes."""
+    A thread holds its run's :func:`run_bytes` for ``betas`` but what the
+    threads share: one ``"exact"`` walk's real gather, built before they
+    start (a sweep's groups, which may be different models, count it per
+    thread), or the sampler's W table, :func:`run_bytes` with ``sample``,
+    beside which each thread holds its own walk chunk (:func:`_walk_bytes`),
+    two more dense arrays to change the frame of a W it assembles, and about
+    three buffers of its shot batch of ``batch`` amplitudes."""
     if spec.qubit_count > MAX_SPINS:
         raise InvalidSize(f"system size {spec.qubit_count} exceeds the limit of {MAX_SPINS} spins")
     dt = cfg.t_g / cfg.n_trotter
@@ -806,8 +773,10 @@ def admit_run(spec: HamiltonianSpec, cfg: ProtocolConfig, kind: str, betas: int 
     if kind == "sample":
         dense = 16 * 4 ** (spec.qubit_count + cfg.m_count)
         shared, each = held, _walk_bytes(spec, cfg) + 2 * dense + 3 * 16 * batch
+    elif kind == "exact":  # the real gather, four block sets
+        shared, each = 4 * _map_bytes(spec, cfg), held - 4 * _map_bytes(spec, cfg)
     if shared + each > MAX_RUN_BYTES:
-        per_thread = f" and {each} more per thread" if shared else ""
+        per_thread = f" and {each} more per thread" if kind == "sample" else ""
         raise InvalidSize(f"this {kind} run would hold {held} bytes ({held / 2**30:.1f} GiB) "
                           f"at once{per_thread}; the limit is {MAX_RUN_BYTES >> 30} GiB")
     return max(1, min(workers or 1, (MAX_RUN_BYTES - shared) // each))
@@ -899,6 +868,7 @@ def build_cycle_maps(spec: HamiltonianSpec, cfg: ProtocolConfig, betas,
     if not betas:
         raise ValueError("betas must be nonempty")
     workers = admit_run(spec, cfg, "exact", len(betas), workers)
+    _sectors(spec, cfg).real_gather()  # built here, before the walk's threads share it
 
     def superops(omega: float, sectors: Sectors, w: np.ndarray) -> np.ndarray:
         dense = _scatter(w, sectors.states)

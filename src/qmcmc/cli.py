@@ -375,8 +375,8 @@ def _cmd_validate(run_cfg: RunConfig, point: Point, plan) -> int:
     print(f"suggested Trotter steps for error {o['epsilon']:g}: {steps}")
     print(f"configured n_trotter: {cfg.n_trotter}")
     sectors = _sectors(point.spec, cfg)  # kept with the spec for run_bytes below
-    count, w_size = sectors.states.shape
-    print(f"symmetry sectors: W(Omega) {count} blocks of {w_size}, cycle map {count} "
+    count, parities, width = sectors.reflection.order.shape  # the blocks W is powered in
+    print(f"symmetry sectors: W(Omega) {count * parities} blocks of {width}, cycle map {count} "
           f"blocks of {sectors.pairs.shape[1]} "
           f"(generators {', '.join(sectors.generators) or 'none'})")
     exact = run_bytes(point.spec, cfg, sample=False)

@@ -1,5 +1,7 @@
 import dataclasses
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -432,6 +434,24 @@ def test_thread_map_keeps_at_most_workers_calls_ahead_of_the_consumer():
     assert sorted(started) == list(range(20)) and y == 19 * 19
 
 
+def test_walk_threads_share_one_real_gather(monkeypatch):
+    # a fresh model, whose sectors have no gather yet; the 4-spin chain walks
+    # its comb values one to a chunk, so four threads run at once, and a slow
+    # build would let each of them start its own if they built it
+    threads = []
+    real = channel._real_gather
+
+    def slow(*args):
+        threads.append(threading.current_thread())
+        time.sleep(0.1)
+        return real(*args)
+
+    monkeypatch.setattr(channel, "_real_gather", slow)
+    spec = field_spec(4)
+    build_cycle_maps(spec, config(spec, n_trotter=4, n_cycle=12), [0.5, 2.0], workers=4)
+    assert threads == [threading.current_thread()]
+
+
 def test_cycle_map_refuses_seven_spins_up_front(monkeypatch):
     # building the period parts first would already take 4 GiB at n_s = 7
     def built_too_early(*args):
@@ -459,10 +479,11 @@ def test_cycle_maps_refuse_an_over_budget_walk_up_front(monkeypatch):
         build_cycle_maps(spec, cfg, betas)
 
 
-@pytest.mark.parametrize("n, workers, admitted", [(6, 8, 3), (6, 2, 2), (2, 8, 8), (2, None, 1)])
+@pytest.mark.parametrize("n, workers, admitted", [(6, 8, 4), (6, 2, 2), (2, 8, 8), (2, None, 1)])
 def test_walk_runs_no_more_threads_than_the_budget_holds(n, workers, admitted, monkeypatch):
-    # one walk of the 6-spin chain at n_cycle 500 is predicted at 2.06 GiB,
-    # so three threads may each hold one within 8 GiB
+    # one walk of the 6-spin chain at n_cycle 500 is predicted at 2112 MiB,
+    # 256 MiB of it the real gather that its threads share: four threads fit
+    # in 8 GiB, as (8192 - 256) // 1856
     class Walked(Exception):
         pass
 
@@ -512,6 +533,82 @@ def test_pauli_sectors_of_each_model(spec, generators):
     assert set(np.arange(d) * (d + 1)) <= set(sectors.pairs[0])
 
 
+# ------------------------------------------------------------- pair basis
+
+@st.composite
+def involutions(draw):
+    """``(image, odd)``: a random involution of the positions of one to three
+    sectors of one to twelve positions each, and the phase 1 or i."""
+    count, size = draw(st.integers(1, 3)), draw(st.integers(1, 12))
+    image = np.tile(np.arange(size), (count, 1))
+    for s in range(count):
+        perm = draw(st.permutations(range(size)))
+        paired = draw(st.integers(0, size // 2))
+        for x, y in zip(perm[:paired], perm[paired:2 * paired]):
+            image[s, x], image[s, y] = y, x
+    return image, draw(st.sampled_from([1, 1j]))
+
+
+def commuting_stack(image, seed):
+    """A random complex stack that commutes with the permutation ``image``
+    of each sector, ``B + P B P^T``, and random weights that it keeps."""
+    rng = np.random.default_rng(seed)
+    count, size = image.shape
+    b = rng.normal(size=(count, size, size)) + 1j * rng.normal(size=(count, size, size))
+    b += b[np.arange(count)[:, None, None], image[:, :, None], image[:, None, :]]
+    weights = rng.normal(size=(count, size))
+    return b, weights + np.take_along_axis(weights, image, axis=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs=involutions())
+def test_pair_basis_is_unitary(pairs):
+    basis = channel._PairBasis.of(*pairs)
+    count, size = pairs[0].shape
+    eye = np.tile(np.eye(size, dtype=complex), (count, 1, 1))
+    t = basis.apply(eye.copy(), "T", -2)
+    assert np.abs(t @ t.conj().swapaxes(1, 2) - np.eye(size)).max() < 1e-14
+    # the columns give the same matrices, and T^dag is the conjugate transpose
+    assert np.array_equal(basis.apply(eye.copy(), "T", -1), t)
+    for axis in (-2, -1):
+        assert np.array_equal(basis.apply(eye.copy(), "T^dag", axis), t.conj().swapaxes(1, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs=involutions(), seed=st.integers(0, 2**32 - 1))
+def test_pair_basis_splits_a_commuting_stack_by_parity(pairs, seed):
+    image, odd = pairs
+    basis = channel._PairBasis.of(image, odd)
+    b, weights = commuting_stack(image, seed)
+    full = basis.apply(basis.apply(b.copy(), "T", -2), "T^dag", -1)
+    parity = np.arange(image.shape[1]) < image  # the odd coordinates
+    assert np.abs(full[parity[:, :, None] != parity[:, None, :]]).max(initial=0) < 1e-13
+    split, split_weights = basis.split(b.copy(), weights)
+    assert np.abs(basis.unsplit(split) - b).max() < 1e-13
+    assert np.abs(basis.unsplit(np.stack([split, 2 * split]))[1] - 2 * b).max() < 1e-13
+    # a diagonal stack splits to the split weights, and the padding to the
+    # identity, with weight 0 so that it stays the identity when powered
+    diagonal = np.zeros_like(b)
+    diagonal[:, np.arange(len(b[0])), np.arange(len(b[0]))] = weights
+    keep = (basis.order >= 0).reshape(len(split), -1)
+    assert (split_weights[~keep] == 0).all()
+    expected = np.where(keep, split_weights, 1.0)
+    assert np.abs(basis.split(diagonal, weights)[0] - expected[:, :, None] * np.eye(len(keep[0]))
+                  ).max() < 1e-13
+
+
+@settings(max_examples=30, deadline=None)
+@given(count=st.integers(1, 3), size=st.integers(1, 12), odd=st.sampled_from([1, 1j]),
+       seed=st.integers(0, 2**32 - 1))
+def test_identity_pair_basis_splits_to_a_bitwise_copy(count, size, odd, seed):
+    image = np.tile(np.arange(size), (count, 1))
+    basis = channel._PairBasis.of(image, odd)
+    b, weights = commuting_stack(image, seed)
+    split, split_weights = basis.split(b.copy(), weights)
+    assert split.tobytes() == b.tobytes() and split_weights.tobytes() == weights.tobytes()
+    assert basis.unsplit(b[np.newaxis]).tobytes() == b.tobytes()
+
+
 # -------------------------------------------------------- chain reflection
 
 @pytest.mark.parametrize("n, ancilla_map", [
@@ -531,16 +628,22 @@ def test_reflection_split_matches_dense_oracle(n, ancilla_map):
     assert np.abs(w - dense_period_unitary(spec, cfg, 0.9)).max() < 1e-10
 
 
+def parities(sectors):
+    """How many parities the sectors' reflection splits each W sector into."""
+    return sectors.reflection.order.shape[1]
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_reflection_is_found_for_every_chain(n):
     spec = field_spec(n)
     sectors = pauli_sectors(spec, config(spec))
-    split = sectors.reflection
-    assert split is not None
-    # every state of a sector lies in exactly one even vector, and in one odd
-    # vector unless it is its own mirror image
-    sizes = (split.scale > 0).sum(axis=2)
-    fixed = (split.scale[:, 0] == 0.5).sum(axis=1)
+    image, order = sectors.reflection.image, sectors.reflection.order
+    assert parities(sectors) == 2
+    assert (np.take_along_axis(image, image, axis=1) == np.arange(image.shape[1])).all()
+    # every state of a sector is one coordinate of one parity: the odd ones
+    # are one per pair, the even ones one per pair and one per fixed state
+    sizes = (order >= 0).sum(axis=2)
+    fixed = (image == np.arange(image.shape[1])).sum(axis=1)
     assert (sizes.sum(axis=1) == sectors.states.shape[1]).all()
     assert (sizes[:, 0] - sizes[:, 1] == fixed).all()
 
@@ -548,8 +651,8 @@ def test_reflection_is_found_for_every_chain(n):
 def test_reflection_keeps_the_frame():
     # one sector of total parity, which any permutation keeps, but a frame
     # of X on qubit 0 only: reversing the qubits would change the frame
-    assert Sectors(2, 2, ("XZZZ",), (1, 0)).reflection is None
-    assert Sectors(2, 2, ("XXZZ",), (1, 0)).reflection is not None
+    assert parities(Sectors(2, 2, ("XZZZ",), (1, 0))) == 1
+    assert parities(Sectors(2, 2, ("XXZZ",), (1, 0))) == 2
 
 
 def _one_field_changed(n):
@@ -577,7 +680,9 @@ _NO_REFLECTION = {
 def test_reflection_is_not_found_without_the_symmetry(name):
     spec, ancilla_map = _NO_REFLECTION[name]
     cfg = config(spec) if ancilla_map is None else config(spec, ancilla_map=ancilla_map)
-    assert pauli_sectors(spec, cfg).reflection is None
+    sectors = pauli_sectors(spec, cfg)
+    assert parities(sectors) == 1
+    assert (sectors.reflection.image == np.arange(sectors.states.shape[1])).all()
 
 
 @pytest.mark.parametrize("name", list(_NO_REFLECTION))

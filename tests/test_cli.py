@@ -347,11 +347,11 @@ def test_main_validate_prints_suggestion(capsys):
 
 
 @pytest.mark.parametrize("model, line", [
-    (["--model", "tfim", "--n", "2"], "W(Omega) 2 blocks of 8, cycle map 2 blocks of 8 "
+    (["--model", "tfim", "--n", "2"], "W(Omega) 4 blocks of 6, cycle map 2 blocks of 8 "
                                       "(generators YYZZ)"),
     (["--model", "graph", "--n", "3"], "W(Omega) 8 blocks of 8, cycle map 8 blocks of 8 "
                                        "(generators ZIIZII, IZIIZI, IIZIIZ)"),
-    (["--model", "tfim", "--n", "4"], "W(Omega) 2 blocks of 128, cycle map 2 blocks of 128 "
+    (["--model", "tfim", "--n", "4"], "W(Omega) 4 blocks of 72, cycle map 2 blocks of 128 "
                                       "(generators YYYYZZZZ)"),
 ], ids=["tfim-2", "graph-3", "tfim-4"])
 def test_main_validate_prints_the_sector_split(model, line, capsys):
