@@ -188,21 +188,20 @@ def _superoperator_blocks(operators: np.ndarray, pairs: np.ndarray,
     return _grams(_sector_entries(operators, pairs)).reshape(-1)[gather]
 
 
-def _real_gather(pairs: np.ndarray, partner: np.ndarray, a: np.ndarray,
-                 d: int) -> tuple[np.ndarray, np.ndarray]:
+def _real_gather(sectors: Sectors) -> tuple[np.ndarray, np.ndarray]:
     """``(index, coef)``, each (2, sectors, size, size), such that the real
     block entry ``[s, p, q]`` of a Hermiticity-preserving map is
     ``sum_t coef[t] * view[index[t]]`` for ``view`` the float view of its
     :func:`_grams` stack.
 
-    With ``a`` the Hermitian basis' coefficient and ``p'`` the ``partner`` of
-    ``p``, the block
-    ``T S T^dag`` of a superoperator block ``S`` is
+    With ``a`` the Hermitian basis' coefficient and ``p'`` the partner of
+    ``p``, the block ``T S T^dag`` of a superoperator block ``S`` is
     ``2 Re(a_p conj(a_q) S[p, q] + a_p a_q S[p, q'])``, because such a map has
     ``S[p', q'] = conj(S[p, q])``. Each product of two coefficients is real
     or imaginary, so each term is one real or imaginary part of a Gram entry.
     """
-    gram = _gram_gather(pairs, d)
+    a, partner = sectors.hermitian.a, sectors.hermitian.image
+    gram = _gram_gather(sectors.pairs, 2**sectors.n_s)
     index = np.stack([gram, np.take_along_axis(gram, partner[:, np.newaxis, :], axis=2)])
     del gram
     coef = np.empty(index.shape)
@@ -212,6 +211,22 @@ def _real_gather(pairs: np.ndarray, partner: np.ndarray, a: np.ndarray,
         index[t] = 2 * index[t] + imaginary
         coef[t] = 2.0 * np.where(imaginary, -product.imag, product.real)
     return index, coef
+
+
+def _real_blocks(gather: tuple[np.ndarray, np.ndarray], grams: np.ndarray) -> np.ndarray:
+    """The real cycle-map blocks ``T S T^dag``, as a float64
+    (..., sectors, size, size) stack, of the Hermiticity-preserving maps
+    whose :func:`_grams` stacks are ``grams``: one ``gather``
+    (:func:`_real_gather`) into their float view and one real combination."""
+    index, coef = gather
+    view = grams.view(float).reshape(grams.shape[:-3] + (-1,))
+    # np.take, not fancy indexing, whose set-up dominates small blocks
+    blocks = np.take(view, index[0], axis=-1)
+    blocks *= coef[0]
+    part = np.take(view, index[1], axis=-1)
+    part *= coef[1]
+    blocks += part
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -331,7 +346,6 @@ class Sectors:
     pairs: np.ndarray = field(init=False, repr=False, compare=False)
     hermitian: _PairBasis = field(init=False, repr=False, compare=False)
     reflection: _PairBasis = field(init=False, repr=False, compare=False)
-    _gather: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         letters = {q: w[q] for w in self.generators for q in range(self.n_s) if w[q] != "I"}
@@ -377,28 +391,12 @@ class Sectors:
         """``(qubit, V)`` of the frame ``F``."""
         return [(q, _TO_Z[c][0]) for q, c in self.frame]
 
-    def real_gather(self) -> tuple[np.ndarray, np.ndarray]:
-        """The :func:`_real_gather` of :meth:`real_blocks`, built on the
-        first call (before a walk's threads share it) and kept."""
-        if self._gather is None:
-            object.__setattr__(self, "_gather", _real_gather(
-                self.pairs, self.hermitian.image, self.hermitian.a, 2**self.n_s))
-        return self._gather
-
-    def real_blocks(self, grams: np.ndarray) -> np.ndarray:
-        """The real cycle-map blocks ``T S T^dag``, as a float64
-        (..., sectors, size, size) stack, of the Hermiticity-preserving maps
-        whose :func:`_grams` stacks are ``grams``: one gather into their float
-        view and one real combination."""
-        index, coef = self.real_gather()
-        view = grams.view(float).reshape(grams.shape[:-3] + (-1,))
-        # np.take, not fancy indexing, whose set-up dominates small blocks
-        blocks = np.take(view, index[0], axis=-1)
-        blocks *= coef[0]
-        part = np.take(view, index[1], axis=-1)
-        part *= coef[1]
-        blocks += part
-        return blocks
+    @property
+    def split_shape(self) -> tuple[int, int]:
+        """``(blocks, width)`` of the stack that W is powered in: each
+        sector's parities under ``reflection``, padded to one width."""
+        count, parities, width = self.reflection.order.shape
+        return count * parities, width
 
     def frame_blocks(self, blocks: np.ndarray) -> np.ndarray:
         """The cycle-map blocks ``T^dag R T`` in the frame's computational
@@ -629,9 +627,8 @@ def _trotter_parts(spec: HamiltonianSpec, cfg: ProtocolConfig):
 def _w_bytes(sectors: Sectors) -> int:
     """Bytes of one comb value's W blocks at their largest: the stack that
     :func:`_period_unitary` powers or the sector blocks it returns."""
-    count, size = sectors.states.shape
-    order = sectors.reflection.order
-    return 16 * max(count * size * size, order.size * order.shape[-1])
+    blocks, width = sectors.split_shape
+    return 16 * max(sectors.states.size * sectors.states.shape[1], blocks * width * width)
 
 
 def _period_unitary(sectors: Sectors, ab: np.ndarray, weights: np.ndarray,
@@ -667,24 +664,19 @@ def build_period_unitary(spec: HamiltonianSpec, cfg: ProtocolConfig,
 
 
 def _period_table(spec: HamiltonianSpec, cfg: ProtocolConfig, per_omega,
-                  workers: int | None = None) -> tuple[Sectors, list[float], Iterator]:
+                  workers: int | None = None) -> tuple[Sectors, tuple[float, ...], Iterator]:
     """The one walk over a comb cycle, for the exact map and the sampler:
     ``(sectors, omegas, walk)`` with the run's sectors and
     ``Omega_k = comb_value(cfg, k)`` for each period k. ``walk`` yields
     ``(Omega_k, per_omega(Omega_k, sectors, blocks of W(Omega_k)))`` for
     k = 0..n_cycle // 2 in order; the symmetric comb repeats these
-    backwards. W is built once per distinct value, in chunks of values
-    whose stacked blocks fit ``_CHUNK_BYTES`` (at least one value), each
-    chunk one :func:`_period_unitary` call; with ``workers`` threads at most
-    that many chunks are in flight. A chunk's W blocks are dropped once its
-    values' ``per_omega`` results are built, and each result once the walk
-    has passed its last period."""
+    backwards. W is built once per distinct value, one
+    :func:`_period_unitary` call per chunk of :func:`_walk_plan`; with
+    ``workers`` threads at most that many chunks are in flight. A chunk's W
+    blocks are dropped once its values' ``per_omega`` results are built, and
+    each result once the walk has passed its last period."""
     sectors, ab, weights = _trotter_parts(spec, cfg)
-    omegas = [comb_value(cfg, k) for k in range(cfg.n_cycle)]
-    half = omegas[:cfg.n_cycle // 2 + 1]
-    distinct = list(dict.fromkeys(half))
-    per_chunk = max(1, _CHUNK_BYTES // _w_bytes(sectors))
-    chunks = [distinct[i:i + per_chunk] for i in range(0, len(distinct), per_chunk)]
+    half, chunks = _walk_plan(cfg, sectors)
 
     def build(chunk: list[float]) -> dict:
         w = _period_unitary(sectors, ab, weights, cfg, chunk)
@@ -701,7 +693,17 @@ def _period_table(spec: HamiltonianSpec, cfg: ProtocolConfig, per_omega,
                 yield omega, (held[omega] if last[omega] > k else held.pop(omega))
                 k += 1
 
-    return sectors, omegas, walk()
+    return sectors, tuple(comb_value(cfg, k) for k in range(cfg.n_cycle)), walk()
+
+
+def _walk_plan(cfg: ProtocolConfig, sectors: Sectors) -> tuple[list[float], list[list[float]]]:
+    """``Omega_k = comb_value(cfg, k)`` for k = 0..n_cycle // 2, and their
+    distinct values in order, in chunks of as many as their W blocks
+    (:func:`_w_bytes`) fit ``_CHUNK_BYTES``, at least one: the plan that
+    :func:`_period_table` walks and :func:`run_bytes` counts."""
+    half = [comb_value(cfg, k) for k in range(cfg.n_cycle // 2 + 1)]
+    distinct, per_chunk = list(dict.fromkeys(half)), max(1, _CHUNK_BYTES // _w_bytes(sectors))
+    return half, [distinct[i:i + per_chunk] for i in range(0, len(distinct), per_chunk)]
 
 
 def run_bytes(spec: HamiltonianSpec, cfg: ProtocolConfig, sample: bool,
@@ -715,14 +717,14 @@ def run_bytes(spec: HamiltonianSpec, cfg: ProtocolConfig, sample: bool,
     comb value. The exact path holds one walk chunk (:func:`_walk_bytes`)
     while it powers it, three dense 4^(n_s+M) arrays while one value's W
     becomes its Kraus sets and channel blocks, the four arrays of one block
-    set's size that :meth:`Sectors.real_blocks` gathers with (kept with the
-    sectors), and up to seven sets of cycle-map blocks per beta, float64 in
+    set's size that :func:`_real_blocks` gathers with (built once per
+    walk), and up to seven sets of cycle-map blocks per beta, float64 in
     the Hermitian basis, while it folds the cycle and solves for its
     spectrum.
     """
     dense = 16 * 4 ** (spec.qubit_count + cfg.m_count)
     if sample:
-        return len(_distinct_values(cfg)) * dense
+        return sum(map(len, _walk_plan(cfg, _sectors(spec, cfg))[1])) * dense
     return _walk_bytes(spec, cfg) + 3 * dense + (4 + 7 * betas) * _map_bytes(spec, cfg)
 
 
@@ -731,16 +733,12 @@ def _map_bytes(spec: HamiltonianSpec, cfg: ProtocolConfig) -> int:
     return 8 * 16**spec.qubit_count // len(_sectors(spec, cfg).states)
 
 
-def _distinct_values(cfg: ProtocolConfig) -> set[float]:
-    return {comb_value(cfg, k) for k in range(cfg.n_cycle // 2 + 1)}
-
-
 def _walk_bytes(spec: HamiltonianSpec, cfg: ProtocolConfig) -> int:
-    """Bytes that one chunk of the comb walk holds while it is powered:
-    about five times its values' W blocks at their largest
+    """Bytes that the comb walk's first, largest chunk holds while it is
+    powered: about five times its values' W blocks at their largest
     (:func:`_w_bytes`)."""
-    w_blocks = _w_bytes(_sectors(spec, cfg))
-    return 5 * min(len(_distinct_values(cfg)), max(1, _CHUNK_BYTES // w_blocks)) * w_blocks
+    sectors = _sectors(spec, cfg)
+    return 5 * len(_walk_plan(cfg, sectors)[1][0]) * _w_bytes(sectors)
 
 
 def admit_run(spec: HamiltonianSpec, cfg: ProtocolConfig, kind: str, betas: int = 1,
@@ -854,21 +852,22 @@ def build_cycle_maps(spec: HamiltonianSpec, cfg: ProtocolConfig, betas,
     ``workers`` threads when requested), and each beta's channel is built
     from it, in the frame of the run's sectors, as its cycle-map blocks: the
     dense W is scattered once per Omega, every beta's Gram blocks are stacked,
-    and the stack becomes real blocks in one :meth:`Sectors.real_blocks`
-    call. The symmetric comb makes the cycle a palindrome, which is folded
-    for every beta at once, on a leading beta axis, in float64, as the walk
-    yields the channels in period order: the run holds about five sets of
-    blocks per beta, whatever ``n_cycle``, and multiplies as often as the
-    sequential product with period 0 applied first. :func:`admit_run`
-    refuses an oversized run before any work, and the walk runs on the
-    threads it admits.
+    and the stack becomes real blocks in one :func:`_real_blocks` call, with
+    the gather that this walk alone builds and holds. The symmetric comb
+    makes the cycle a palindrome, which is folded for every beta at once, on
+    a leading beta axis, in float64, as the walk yields the channels in
+    period order: the run holds about five sets of blocks per beta, whatever
+    ``n_cycle``, and multiplies as often as the sequential product with
+    period 0 applied first. :func:`admit_run` refuses an oversized run before
+    any work, and the walk runs on the threads it admits.
     """
     n_s, m = spec.qubit_count, cfg.m_count
     betas = tuple(betas)
     if not betas:
         raise ValueError("betas must be nonempty")
     workers = admit_run(spec, cfg, "exact", len(betas), workers)
-    _sectors(spec, cfg).real_gather()  # built here, before the walk's threads share it
+    # built here, on the calling thread, before the walk's threads share it
+    gather = _real_gather(_sectors(spec, cfg))
 
     def superops(omega: float, sectors: Sectors, w: np.ndarray) -> np.ndarray:
         dense = _scatter(w, sectors.states)
@@ -881,7 +880,7 @@ def build_cycle_maps(spec: HamiltonianSpec, cfg: ProtocolConfig, betas,
             _grams(entries, out=grams[i])
             del entries  # before the next beta's Kraus set is built
         del dense
-        return sectors.real_blocks(grams)
+        return _real_blocks(gather, grams)
 
     sectors, omegas, walk = _period_table(spec, cfg, superops, workers)
     # S_(n-k) = S_k, so the cycle S_(n-1)...S_1 S_0 is R M L S_0 with
@@ -898,7 +897,6 @@ def build_cycle_maps(spec: HamiltonianSpec, cfg: ProtocolConfig, betas,
     for factor in (left, next(factors, None), right):
         if factor is not None:
             total = factor @ total
-    omegas = tuple(omegas)
     return [CycleMap(blocks, sectors, omegas) for blocks in total]
 
 

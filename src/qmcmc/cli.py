@@ -375,9 +375,10 @@ def _cmd_validate(run_cfg: RunConfig, point: Point, plan) -> int:
     print(f"suggested Trotter steps for error {o['epsilon']:g}: {steps}")
     print(f"configured n_trotter: {cfg.n_trotter}")
     sectors = _sectors(point.spec, cfg)  # kept with the spec for run_bytes below
-    count, parities, width = sectors.reflection.order.shape  # the blocks W is powered in
-    print(f"symmetry sectors: W(Omega) {count * parities} blocks of {width}, cycle map {count} "
-          f"blocks of {sectors.pairs.shape[1]} "
+    blocks, width = sectors.split_shape  # the blocks W is powered in
+    count, size = sectors.pairs.shape
+    print(f"symmetry sectors: W(Omega) {blocks} blocks of {width}, cycle map {count} "
+          f"blocks of {size} "
           f"(generators {', '.join(sectors.generators) or 'none'})")
     exact = run_bytes(point.spec, cfg, sample=False)
     sampler = run_bytes(point.spec, cfg, sample=True)

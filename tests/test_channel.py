@@ -707,6 +707,29 @@ def test_w_bytes_count_the_larger_of_the_split_stack_and_the_sector_blocks(n, en
     assert channel._w_bytes(pauli_sectors(spec, config(spec))) == 16 * entries
 
 
+@pytest.mark.parametrize("n, omega_m", [(1, 2.0), (3, 0.0), (3, 2.0), (4, 2.0)])
+@pytest.mark.parametrize("n_cycle", [1, 2, 3, 7])
+def test_walks_first_chunk_holds_as_many_values_as_its_prediction(n, omega_m, n_cycle,
+                                                                  monkeypatch):
+    # a 1-spin chain's values all fit one chunk, a 3-spin chain's go two to a
+    # chunk, a 4-spin chain's one; at omega_m = 0 the comb has one value
+    chunks = []
+    period_unitary = channel._period_unitary
+
+    def counted(sectors, ab, weights, cfg, omegas):
+        chunks.append(len(omegas))
+        return period_unitary(sectors, ab, weights, cfg, omegas)
+
+    monkeypatch.setattr(channel, "_period_unitary", counted)
+    spec = field_spec(n)
+    cfg = config(spec, omega_m=omega_m, n_trotter=4, n_cycle=n_cycle)
+    build_cycle_map(spec, cfg)
+    w_bytes = channel._w_bytes(pauli_sectors(spec, cfg))
+    assert 5 * chunks[0] * w_bytes == channel._walk_bytes(spec, cfg)
+    assert max(chunks) == chunks[0]
+    assert sum(chunks) == len({comb_value(cfg, k) for k in range(n_cycle)})
+
+
 def test_cycle_map_peak_memory_is_within_the_prediction():
     # a fresh model, so that its sectors and real gather are built inside
     spec = field_spec(5)
@@ -794,7 +817,7 @@ def test_real_blocks_map_back_to_the_complex_superoperator_blocks(protocol, omeg
     spec, cfg = protocol
     sectors, (ops,) = period_kraus_sets(spec, cfg, omega, [cfg.beta])
     grams = channel._grams(channel._sector_entries(ops, sectors.pairs))
-    real = sectors.real_blocks(grams[np.newaxis])[0]
+    real = channel._real_blocks(channel._real_gather(sectors), grams[np.newaxis])[0]
     assert real.dtype == np.float64 and real.shape == grams.shape
     gather = channel._gram_gather(sectors.pairs, 2**spec.qubit_count)
     complex_blocks = channel._superoperator_blocks(ops, sectors.pairs, gather)
@@ -809,9 +832,10 @@ def test_real_blocks_of_a_beta_stack_equal_each_beta_alone(protocol, omega, beta
     sectors, kraus = period_kraus_sets(spec, cfg, omega, betas)
     grams = np.stack([channel._grams(channel._sector_entries(ops, sectors.pairs))
                       for ops in kraus])
-    stacked = sectors.real_blocks(grams)
+    gather = channel._real_gather(sectors)
+    stacked = channel._real_blocks(gather, grams)
     for i in range(len(betas)):
-        assert np.array_equal(stacked[i], sectors.real_blocks(grams[i:i + 1])[0])
+        assert np.array_equal(stacked[i], channel._real_blocks(gather, grams[i:i + 1])[0])
 
 
 @settings(max_examples=40, deadline=None)

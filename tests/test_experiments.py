@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,6 +278,23 @@ def test_spare_workers_go_to_the_walk_and_the_scorings(monkeypatch):
     passed.clear()
     run_plan(dataclasses.replace(plan, n_list=(1, 2), workers=2))
     assert passed == [1, 1]  # two groups: one thread each
+
+
+def test_sweep_holds_one_walk_table_at_a_time_and_none_after():
+    # four models of one sweep: each walk builds its own real gather (1 MiB
+    # for the 4-spin chain) and drops it when it ends
+    plan = ExperimentPlan(ExperimentKind.TFIM_INFIDELITY, n_list=(4,),
+                          h_over_j=(0.5, 1, 1.5, 2), beta=(1,), g=0.05, n_trotter=30,
+                          n_cycle=4)
+    tracemalloc.start()
+    try:
+        run_plan(plan)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20
+    point = plan.points[0]
+    assert peak <= run_bytes(point.spec, point.config, False)
 
 
 # ------------------------------------------------------------------- tfim

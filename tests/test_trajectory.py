@@ -437,6 +437,20 @@ def test_shot_driver_budget_cuts_the_threads_of_full_batches(monkeypatch):
     assert admitted_threads(2, (64,), monkeypatch) == [57]
 
 
+@pytest.mark.parametrize("omega_m", [0.0, 2.0])
+@pytest.mark.parametrize("n_cycle", [1, 2, 3, 7])
+def test_sampler_builds_as_many_w_as_its_prediction_counts(omega_m, n_cycle, monkeypatch):
+    # at omega_m = 0 every comb value is 0.0, so the table holds one W
+    built = []
+    unitary = channel.Sectors.unitary
+    monkeypatch.setattr(channel.Sectors, "unitary",
+                        lambda sectors, w: built.append(w) or unitary(sectors, w))
+    spec = build_tfim(2, 1.0, 1.0)
+    cfg = field_config(spec, omega_m=omega_m, n_trotter=4, n_cycle=n_cycle)
+    sample_gibbs(spec, cfg, burn_in_cycles=1, shots=2, seed=0)
+    assert len(built) * 16 * 4 ** (2 + cfg.m_count) == channel.run_bytes(spec, cfg, True)
+
+
 def test_sample_set_probabilities():
     samples = trajectory.SampleSet(counts={"00": 3, "11": 1}, shots=4, seed=0)
     assert np.allclose(samples.probabilities(), [0.75, 0.0, 0.0, 0.25])
