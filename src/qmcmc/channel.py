@@ -24,18 +24,23 @@ under the strings' system letters, and the channels, the cycle map and its
 spectrum split into blocks as well. A model with no such string is the
 one-sector case.
 
-Within the sectors, two involutions change coordinates by one pair basis
+Within the sectors, involutions change coordinates by one pair basis
 (:class:`_PairBasis`): a fixed position keeps its coordinate, and each pair
 ``x < y`` becomes ``(v_x + v_y) / sqrt(2)`` and ``odd (v_y - v_x) /
-sqrt(2)``. The open chain's reflection ``s -> n_s - 1 - s``, ancillas moved
-along (:func:`_mirror`), commutes with the Trotter step, so W is powered in
-the even and odd blocks of its basis (``odd = 1``), four of 72 states for
-the 4-spin chain instead of two of 128; without it there is one parity. The
-pairs ``rho_jk <-> rho_kj`` (``odd = i``) give each cycle-map sector a
-Hermitian basis, where every period channel's block is real: it is gathered
-there as float64 straight from the Gram matrices of its Kraus sets, and the
-fold and the eigensolve run in real arithmetic. Only
-:meth:`Sectors.superoperator` and :meth:`Sectors.state` map back.
+sqrt(2)``. The pairs ``rho_jk <-> rho_kj`` (``odd = i``) give each cycle-map
+sector a Hermitian basis, where every period channel's block is real: it is
+gathered there as float64 straight from the Gram matrices of its Kraus
+sets, and the fold and the eigensolve run in real arithmetic. The open
+chain's reflection ``s -> n_s - 1 - s``, ancillas moved along
+(:func:`_mirror`), commutes with the Trotter step and, as a signed
+permutation of the Hermitian coordinates, with every cycle-map block. So
+both split by parity, each block at its own width: W is powered, and the
+cycle map gathered, folded and diagonalized, in blocks of 72, 56, 64 and
+64 states for the 4-spin chain instead of two of 128. Blocks of one width
+share one stacked call; without the reflection there is one parity, and
+the split stacks are the sector blocks themselves. Only W's chunks (by one
+precomputed gather), :meth:`Sectors.superoperator` and
+:meth:`Sectors.state` map back.
 
 The comb walk (:func:`_period_table`) streams the distinct comb values in
 period order. It powers the W blocks of several values in one stacked call,
@@ -189,16 +194,23 @@ def _superoperator_blocks(operators: np.ndarray, pairs: np.ndarray,
 
 
 def _real_gather(sectors: Sectors) -> tuple[np.ndarray, np.ndarray]:
-    """``(index, coef)``, each (2, sectors, size, size), such that the real
-    block entry ``[s, p, q]`` of a Hermiticity-preserving map is
-    ``sum_t coef[t] * view[index[t]]`` for ``view`` the float view of its
-    :func:`_grams` stack.
+    """``(index, coef)`` such that the cycle-map split stack (see
+    :class:`_PairBasis`) of a Hermiticity-preserving map that commutes with
+    the reflection is ``sum_t coef[t] * view[index[t]]``, for ``view`` the
+    float view of its :func:`_grams` stack.
 
-    With ``a`` the Hermitian basis' coefficient and ``p'`` the partner of
-    ``p``, the block ``T S T^dag`` of a superoperator block ``S`` is
-    ``2 Re(a_p conj(a_q) S[p, q] + a_p a_q S[p, q'])``, because such a map has
+    With ``a`` the Hermitian basis' coefficient and ``q'`` the partner of
+    ``q``, the real block entry ``R[s, p, q]`` of ``T S T^dag`` is ``2
+    Re(a_p conj(a_q) S[p, q] + a_p a_q S[p, q'])``, because such a map has
     ``S[p', q'] = conj(S[p, q])``. Each product of two coefficients is real
-    or imaginary, so each term is one real or imaginary part of a Gram entry.
+    or imaginary, so each term is one real or imaginary part of a Gram
+    entry: for one parity, two terms, each (sectors, size, size). Split, the
+    blocks ``B = U R U^T`` in the basis ``U v = a v + b v[image]`` of
+    ``sectors.map_reflection`` keep the entries of one parity, and ``R``
+    commutes with its signed permutation, ``R[x', y'] = odd_x odd_y R[x,
+    y]`` for ``x' = image[x]``. So ``B[p, q]`` is ``(a_p a_q + b_p b_q odd_p
+    odd_q) R[p, q] + (a_p b_q + b_p a_q odd_p odd_q) R[p, image[q]]``: four
+    terms, each (entries,), over half the entries.
     """
     a, partner = sectors.hermitian.a, sectors.hermitian.image
     gram = _gram_gather(sectors.pairs, 2**sectors.n_s)
@@ -210,51 +222,87 @@ def _real_gather(sectors: Sectors) -> tuple[np.ndarray, np.ndarray]:
         imaginary = product.imag != 0
         index[t] = 2 * index[t] + imaginary
         coef[t] = 2.0 * np.where(imaginary, -product.imag, product.real)
-    return index, coef
+    basis, size = sectors.map_reflection, sectors.pairs.shape[1]
+    if not basis.order:
+        return index, coef
+    at, mix = [], []  # of R[p, q] and R[p, image[q]] for each entry of each block
+    for pos in basis.order:
+        s, p = pos[:, :1, np.newaxis] // size, pos[:, :, np.newaxis] % size  # one sector a block
+        q = p.swapaxes(1, 2)
+        (ap, bp, op), (aq, bq, oq) = ([c[s, x] for c in (basis.a, basis.b, basis.odd)]
+                                      for x in (p, q))
+        at.append(np.stack([(s * size + p) * size + x for x in (q, basis.image[s, q])]))
+        mix.append(np.stack([ap * aq + bp * bq * op * oq, ap * bq + bp * aq * op * oq]))
+    at, mix = (np.concatenate([t.reshape(2, -1) for t in x], axis=1) for x in (at, mix))
+    return (np.take(index.reshape(2, -1), at, axis=1).reshape(4, -1),
+            (np.take(coef.reshape(2, -1), at, axis=1) * mix).reshape(4, -1))
 
 
 def _real_blocks(gather: tuple[np.ndarray, np.ndarray], grams: np.ndarray) -> np.ndarray:
-    """The real cycle-map blocks ``T S T^dag``, as a float64
-    (..., sectors, size, size) stack, of the Hermiticity-preserving maps
-    whose :func:`_grams` stacks are ``grams``: one ``gather``
-    (:func:`_real_gather`) into their float view and one real combination."""
+    """The real cycle-map split stacks (see :func:`_real_gather`), float64,
+    of the Hermiticity-preserving maps whose :func:`_grams` stacks are
+    ``grams`` (..., sectors, size, size): one ``gather`` into their float
+    view per term, and one real combination."""
+    return _combine(grams.view(float).reshape(grams.shape[:-3] + (-1,)), gather)
+
+
+def _combine(source: np.ndarray, gather: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """``sum_t coef[t] * source[..., index[t]]`` for ``gather = (index,
+    coef)``: one take along the last axis per term, and one real
+    combination."""
     index, coef = gather
-    view = grams.view(float).reshape(grams.shape[:-3] + (-1,))
     # np.take, not fancy indexing, whose set-up dominates small blocks
-    blocks = np.take(view, index[0], axis=-1)
-    blocks *= coef[0]
-    part = np.take(view, index[1], axis=-1)
-    part *= coef[1]
-    blocks += part
-    return blocks
+    out = np.take(source, index[0], axis=-1)
+    out *= coef[0]
+    for at, c in zip(index[1:], coef[1:]):
+        part = np.take(source, at, axis=-1)
+        part *= c
+        out += part
+    return out
 
 
 @dataclass(frozen=True)
 class _PairBasis:
     """The pair basis of an involution ``image`` of each sector's positions
-    with the phase ``odd``: the unitary ``T v = a v + b v[image]`` keeps a
-    fixed ``v_x`` (``a = b = 1/2``) and turns each pair ``x < y = image[s,
-    x]`` into ``odd (v_y - v_x) / sqrt(2)`` at ``x`` (``-a = b = odd /
-    sqrt(2)``) and ``(v_x + v_y) / sqrt(2)`` at ``y`` (``a = b = 1 /
-    sqrt(2)``). A stack that commutes with the permutation ``image`` links no
-    even coordinate (fixed, or ``y``) to an odd one (``x``); ``order[s, p]``
-    lists sector ``s``'s positions of parity ``p`` (0 even, 1 odd), padded
-    with -1 to the largest, and has one parity when nothing is paired."""
+    with the phase ``odd``, one or one per position: the unitary ``T v = a v
+    + b v[image]`` keeps a fixed ``v_x`` (``a = b = 1/2``) and turns each
+    pair ``x < y = image[s, x]`` into ``odd (v_y - v_x) / sqrt(2)`` at ``x``
+    (``-a = b = odd / sqrt(2)``) and ``(v_x + v_y) / sqrt(2)`` at ``y`` (``a
+    = b = 1 / sqrt(2)``).
+
+    With ``odd`` +-1 (equal on a pair), each coordinate is even or odd under
+    the signed permutation ``(P v)_x = odd_x v[image[x]]``: odd when it is
+    the first of a pair or ``odd_x = -1``, but not both. A stack that
+    commutes with ``P`` links no even coordinate to an odd one. A real
+    ``odd`` splits it into its blocks, sector 0's even
+    coordinates, its odd ones, sector 1's even ones and so on: ``order``
+    holds, for each distinct block width in order of first appearance, a
+    (blocks, width) array of the flat positions ``s size + x`` of each
+    block's coordinates. The split stack of a (..., sectors, size, size)
+    stack holds these blocks flattened end to end on its last axis; with one
+    parity, ``order`` is empty and the split stack is the stack itself."""
 
     image: np.ndarray
     a: np.ndarray
     b: np.ndarray
-    order: np.ndarray
+    odd: complex | np.ndarray
+    order: tuple[np.ndarray, ...] = ()
 
     @classmethod
-    def of(cls, image: np.ndarray, odd: complex) -> _PairBasis:
+    def of(cls, image: np.ndarray, odd: complex | np.ndarray) -> _PairBasis:
         x = np.arange(image.shape[1])
         fixed, first = image == x, x < image
         a, b = (np.where(fixed, 0.5, np.where(first, c, 1.0) * np.sqrt(0.5)) for c in (-odd, odd))
-        rank = np.where(first, first.cumsum(axis=1), (~first).cumsum(axis=1)) - 1
-        order = np.full((len(image), 1 + int(first.any()), rank.max() + 1), -1)
-        order[np.arange(len(image))[:, np.newaxis], first.astype(int), rank] = x
-        return cls(image, a, b, order)
+        parity = first ^ (np.real(odd) < 0)
+        if np.iscomplexobj(odd) or not parity.any():
+            return cls(image, a, b, odd)
+        count = len(image)
+        block = (2 * np.arange(count)[:, np.newaxis] + parity).reshape(-1)
+        widths = np.bincount(block, minlength=2 * count)
+        start, pos = np.cumsum(widths) - widths, np.argsort(block, kind="stable")
+        order = tuple(pos[start[widths == w][:, np.newaxis] + np.arange(w)]
+                      for w in dict.fromkeys(widths[widths > 0].tolist()))
+        return cls(image, a, b, odd, order)
 
     def apply(self, stack: np.ndarray, form: str, axis: int) -> np.ndarray:
         """A (..., sectors, size, size) ``stack`` whose dtype holds the
@@ -279,35 +327,98 @@ class _PairBasis:
         stack += part
         return stack
 
-    def split(self, blocks: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The complex (sectors, size, size) ``blocks`` (overwritten) of a
-        matrix that commutes with the permutation ``image``, and the
-        (sectors, size) weights of a diagonal one that does, in this basis:
-        the (sectors * parities, width, width) stack of each parity's block
-        of ``T B T^dag``, cut by ``order``, and the weights of its
-        coordinates. Padding is the identity with weight 0."""
-        rows, cols = self.order[..., :, None], self.order[..., None, :]
-        t = self.apply(self.apply(blocks, "T", -2), "T^dag", -1)
-        t = t[np.arange(len(t))[:, None, None, None], rows, cols]
-        t = np.where((rows >= 0) & (cols >= 0), t, np.eye(t.shape[-1])).reshape(-1, *t.shape[-2:])
-        weights = np.take_along_axis(weights[:, np.newaxis], self.order, axis=2)
-        return t, np.where(self.order >= 0, weights, 0.0).reshape(len(t), -1)
+    def widths(self, shape: tuple[int, int]) -> list[int]:
+        """Each block's width, in the order of the split stack of a
+        (sectors, size) ``shape`` of this basis' kind."""
+        return [pos.shape[1] for pos in self.order for _ in pos] or [shape[1]] * shape[0]
 
-    def unsplit(self, w: np.ndarray) -> np.ndarray:
-        """The (..., sectors, size, size) blocks ``T^dag B T`` of a (...,
-        sectors * parities, width, width) stack of :meth:`split` blocks:
-        each parity's block placed at its positions, then ``T`` undone."""
+    def parts(self, stack: np.ndarray, dims: int = 2) -> list[np.ndarray]:
+        """The width groups of a split ``stack``, as views: (..., blocks,
+        width, width) of a stack of matrices, (..., blocks, width) of one of
+        vectors (``dims`` 1); the stack itself for one parity."""
+        if not self.order:
+            return [stack]
+        groups, at = [], 0
+        for pos in self.order:
+            shape = pos.shape + pos.shape[1:] * (dims - 1)
+            groups.append(stack[..., at:at + math.prod(shape)].reshape(stack.shape[:-1] + shape))
+            at += math.prod(shape)
+        return groups
+
+    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``a @ b`` for two split stacks, block by block."""
+        if not self.order:
+            return a @ b
+        out = np.empty_like(a)
+        for x, y, z in zip(self.parts(a), self.parts(b), self.parts(out)):
+            np.matmul(x, y, out=z)
+        return out
+
+    def split(self, blocks: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The split stack of the complex (sectors, size, size) ``blocks``
+        (overwritten) of a matrix that commutes with ``P``, the blocks of ``T
+        B T^dag``, and the split (sectors, size) weights of a diagonal one
+        that does, the weights of each block's coordinates."""
+        if not self.order:
+            return blocks, weights
+        size = blocks.shape[-1]
+        t = self.apply(self.apply(blocks, "T", -2), "T^dag", -1).reshape(-1, size)
+        return (np.concatenate([t[pos[:, :, None], pos[:, None, :] % size].reshape(-1)
+                                for pos in self.order]),
+                np.concatenate([weights.reshape(-1)[pos].reshape(-1) for pos in self.order]))
+
+    def unsplit_gather(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(index, coef)``, each (2, sectors, size, size), such that entry
+        ``[s, x, y]`` of ``T^T B T`` is ``sum_t coef[t] * stack[index[t]]``
+        for the split stack of ``B`` and a real ``odd``: of the coordinates
+        ``x`` and ``image[x]`` that ``v_x`` enters, with ``T[x, x] = a_x``
+        (1 when fixed) and ``T[image[x], x] = b[image[x]]``, term ``t`` takes
+        the one of parity ``t``, for ``x`` and for ``y``. None for one
+        parity, whose split stack is the stack itself."""
+        if not self.order:
+            return None
         count, size = self.image.shape
-        values, entries = math.prod(w.shape[:-3]), count * size * size
-        rows, cols = self.order[..., :, None], self.order[..., None, :]
-        # each entry's flat position; padding (-1) lands in a spare one past all
-        at = ((np.arange(count)[:, None, None, None] * size + rows) * size + cols).reshape(-1)
-        at = np.where(((rows < 0) | (cols < 0)).reshape(-1), values * entries,
-                      np.arange(values)[:, np.newaxis] * entries + at)
-        out = np.zeros(values * entries + 1, dtype=w.dtype)
-        out[at] = w.reshape(at.shape)
-        out = out[:-1].reshape(w.shape[:-3] + (count, size, size))
-        return self.apply(self.apply(out, "T^dag", -2), "T", -1)
+        sector = np.arange(count)[:, np.newaxis] * size
+        start, rank = np.empty(count * size, dtype=np.intp), np.empty(count * size, dtype=np.intp)
+        at = 0
+        for pos in self.order:
+            start[pos.reshape(-1)] = at + np.arange(pos.size) * pos.shape[1]
+            rank[pos.reshape(-1)] = np.tile(np.arange(pos.shape[1]), len(pos))
+            at += pos.size * pos.shape[1]
+        fixed = self.image == np.arange(size)
+        odd = (np.arange(size) < self.image) ^ (np.real(self.odd) < 0)
+        own, partner = self.a + np.where(fixed, self.b, 0.0), np.where(
+            fixed, 0.0, np.take_along_axis(self.b, self.image, axis=1))
+        index, coef = [], []
+        for parity in (False, True):
+            mine = odd == parity
+            u = np.where(mine, sector + np.arange(size), sector + self.image)
+            c = np.where(mine, own, partner)
+            # a fixed position of the other parity has no term: coefficient
+            # 0 at its row or column start, an index in range
+            row, col = (np.where(mine | ~fixed, t[u], 0) for t in (start, rank))
+            index.append(row[:, :, np.newaxis] + col[:, np.newaxis, :])
+            coef.append(c[:, :, np.newaxis] * c[:, np.newaxis, :])
+        return np.stack(index), np.stack(coef)
+
+    def unsplit(self, stack: np.ndarray, gather=None) -> np.ndarray:
+        """The (..., sectors, size, size) blocks ``T^T B T`` of a split
+        ``stack`` of a real-``odd`` basis, by its :meth:`unsplit_gather`,
+        built here when not given."""
+        if not self.order:
+            return stack
+        return _combine(stack, self.unsplit_gather() if gather is None else gather)
+
+    def embed(self, v: np.ndarray) -> np.ndarray:
+        """The (size, columns) coordinates ``T^T c`` in sector 0 of the split
+        vectors ``c`` that are the columns of ``v`` on the first block, sector
+        0's even one, and zero elsewhere."""
+        if not self.order:
+            return v
+        count, size = self.image.shape
+        coords = np.zeros((count, size) + v.shape[1:], dtype=np.result_type(v, self.a))
+        coords[0, self.order[0][0]] = v
+        return self.apply(coords, "T^dag", -2)[0]
 
 
 @dataclass(frozen=True)
@@ -326,15 +437,20 @@ class Sectors:
     ``pairs[s]`` lists them, and ``pairs[0]`` holds the diagonal. Every
     sector of either kind has the same size.
 
-    Two pair bases (:class:`_PairBasis`) act within the sectors. In
+    Pair bases (:class:`_PairBasis`) act within the sectors. In
     ``hermitian`` (phase i; ``rho_kj`` lies in the sector of ``rho_jk``) the
     coordinate at ``rho_jk`` is ``rho_jj``, ``(rho_jk + rho_kj) / sqrt(2)``
     for j < k and ``i (rho_kj - rho_jk) / sqrt(2)`` for j > k; the blocks of
     Hermiticity-preserving maps, such as the period channels, are real in
     it. ``reflection`` (phase 1) pairs each W sector's states by ``q -> n_s
     - 1 - q`` on the system qubits, with ancilla ``a`` moved to
-    ``mirror[a]``; it is the identity when ``mirror`` is None or when the
-    move changes the frame or takes a state out of its sector.
+    ``mirror[a]``, and splits W by parity; it has one parity when
+    ``mirror`` is None or when the move changes the frame or takes a state
+    out of its sector. Where it has two, the same move of the system qubits
+    takes each Hermitian coordinate of a cycle-map sector to one of the same
+    sector, up to a sign, and ``map_reflection`` (phase that sign) splits
+    the cycle map by parity; else it is ``reflection`` itself, whose split
+    stacks are the stacks themselves.
     """
 
     n_s: int
@@ -346,6 +462,7 @@ class Sectors:
     pairs: np.ndarray = field(init=False, repr=False, compare=False)
     hermitian: _PairBasis = field(init=False, repr=False, compare=False)
     reflection: _PairBasis = field(init=False, repr=False, compare=False)
+    map_reflection: _PairBasis = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         letters = {q: w[q] for w in self.generators for q in range(self.n_s) if w[q] != "I"}
@@ -368,7 +485,10 @@ class Sectors:
             labels(self.n_s + self.m_count), kind="stable").reshape(count, -1))
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "hermitian", _PairBasis.of(index[pairs % d * d + pairs // d], 1j))
-        object.__setattr__(self, "reflection", _PairBasis.of(self._reflection_image(), 1))
+        reflection = _PairBasis.of(self._reflection_image(), 1)
+        object.__setattr__(self, "reflection", reflection)
+        object.__setattr__(self, "map_reflection", _PairBasis.of(
+            *self._map_reflection_image(index)) if reflection.order else reflection)
 
     def _reflection_image(self) -> np.ndarray:
         count, size = self.states.shape
@@ -386,24 +506,39 @@ class Sectors:
         image = flat[(bits @ (1 << (n - 1 - target)))[self.states]]
         return np.where((image // size == np.arange(count)[:, None]).all(), image % size, identity)
 
+    def _map_reflection_image(self, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The reversal ``R`` of the system qubits on each cycle-map sector's
+        Hermitian coordinates, ``index`` the position of each ``rho_jk`` in
+        its sector: the coordinate at ``rho_jk`` goes to the one at
+        ``rho_R(j)R(k)``, or at ``rho_R(k)R(j)`` when ``R`` swaps the order
+        of j and k, and then, for j > k, changes sign."""
+        n, d = self.n_s, 2**self.n_s
+        bits = np.arange(d)[:, np.newaxis] >> np.arange(n) & 1
+        reverse = bits @ (1 << np.arange(n - 1, -1, -1))
+        k, j = np.divmod(self.pairs, d)
+        swap = (j < k) != (reverse[j] < reverse[k])
+        row, col = np.where(swap, reverse[k], reverse[j]), np.where(swap, reverse[j], reverse[k])
+        return index[col * d + row], np.where(swap & (j > k), -1.0, 1.0)
+
     @property
     def gates(self) -> list[tuple[int, np.ndarray]]:
         """``(qubit, V)`` of the frame ``F``."""
         return [(q, _TO_Z[c][0]) for q, c in self.frame]
 
     @property
-    def split_shape(self) -> tuple[int, int]:
-        """``(blocks, width)`` of the stack that W is powered in: each
-        sector's parities under ``reflection``, padded to one width."""
-        count, parities, width = self.reflection.order.shape
-        return count * parities, width
+    def widths(self) -> tuple[list[int], list[int]]:
+        """The widths of the blocks that W is powered in and of those that
+        the cycle map is folded in, each in the order of its split stack."""
+        return (self.reflection.widths(self.states.shape),
+                self.map_reflection.widths(self.pairs.shape))
 
     def frame_blocks(self, blocks: np.ndarray) -> np.ndarray:
         """The cycle-map blocks ``T^dag R T`` in the frame's computational
-        basis, of the (sectors, size, size) blocks ``R`` in the Hermitian
+        basis, of the real cycle-map split stack ``blocks`` in the Hermitian
         basis."""
         h = self.hermitian
-        return h.apply(h.apply(blocks.astype(complex), "T^dag", -2), "T", -1)
+        blocks = self.map_reflection.unsplit(blocks).astype(complex)
+        return h.apply(h.apply(blocks, "T^dag", -2), "T", -1)
 
     def unitary(self, blocks: np.ndarray) -> np.ndarray:
         """The dense computational-basis composite matrix with these W
@@ -411,18 +546,19 @@ class Sectors:
         return _conjugate(self.gates, _scatter(blocks, self.states), self.n_s + self.m_count)
 
     def superoperator(self, blocks: np.ndarray) -> np.ndarray:
-        """The dense computational-basis superoperator with these real
-        cycle-map blocks: ``U^dag T^dag R T U`` for ``U = kron(conj(F), F)``."""
+        """The dense computational-basis superoperator with this real
+        cycle-map split stack: ``U^dag T^dag R T U`` for ``U =
+        kron(conj(F), F)``."""
         gates = ([(q, v.conj()) for q, v in self.gates]
                  + [(self.n_s + q, v) for q, v in self.gates])
         return _conjugate(gates, _scatter(self.frame_blocks(blocks), self.pairs), 2 * self.n_s)
 
     def state(self, v0: np.ndarray) -> np.ndarray:
-        """The computational-basis matrix whose coordinates in the Hermitian
-        basis of the frame are ``v0`` on cycle-map sector 0 and zero
-        elsewhere."""
+        """The computational-basis matrix whose coordinates in the split
+        Hermitian basis of the frame are ``v0`` on block 0, sector 0's even
+        block under ``map_reflection``, and zero elsewhere."""
         coords = np.zeros(self.pairs.shape + (1,), dtype=complex)
-        coords[0, :, 0] = v0
+        coords[0] = self.map_reflection.embed(v0[:, np.newaxis])
         flat = np.empty(4**self.n_s, dtype=complex)
         flat[self.pairs] = self.hermitian.apply(coords, "T^dag", -2)[..., 0]
         return _conjugate(self.gates, unvec(flat), self.n_s)
@@ -534,11 +670,14 @@ class Superoperator:
 @dataclass(frozen=True)
 class CycleMap:
     """Composition of the ``n_cycle`` period channels, with their comb
-    values: ``blocks[s]`` is the map on cycle-map sector ``s`` of
-    ``sectors``, in the Hermitian basis of their frame (see
-    :class:`Sectors`), where it is real. :func:`build_cycle_maps` folds and
-    :attr:`spectrum` diagonalizes it in float64; :attr:`superoperator` and
-    :func:`steady_state` map back to the computational basis."""
+    values: ``blocks`` is the map's split stack under
+    ``sectors.map_reflection`` (see :class:`_PairBasis`), its blocks on the
+    cycle-map sectors of ``sectors`` in the Hermitian basis of their frame
+    (see :class:`Sectors`), where they are real, cut again by the
+    reflection's parity where the model has one. :func:`build_cycle_maps`
+    folds and :attr:`spectrum` diagonalizes it in float64;
+    :attr:`superoperator` and :func:`steady_state` map back to the
+    computational basis."""
 
     blocks: np.ndarray
     sectors: Sectors
@@ -558,19 +697,23 @@ class CycleMap:
 
     @property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(w, sector, v0)``: every eigenvalue of the map by descending
-        ``|lam|``, the sector each comes from, and the eigenvectors of
-        sector 0, the only one whose matrices have a trace, in its Hermitian
-        basis, as columns in the order its eigenvalues take in ``w``. The one
-        stacked diagonalization that :func:`steady_state` and
-        :func:`spectral_gap` share, in the arithmetic of the blocks: complex
-        eigenvalues of real blocks come in conjugate pairs. Computed on first
-        use; the blocks must not change afterwards."""
+        """``(w, block, v0)``: every eigenvalue of the map by descending
+        ``|lam|``, the block of the split stack each comes from, and the
+        eigenvectors of block 0 (sector 0's even block), the only one whose
+        matrices have a trace, in its basis, as columns in the order its
+        eigenvalues take in ``w``. The one diagonalization, one stacked call
+        per block width, that :func:`steady_state` and :func:`spectral_gap`
+        share, in the arithmetic of the blocks: complex eigenvalues of real
+        blocks come in conjugate pairs. Computed on first use; the blocks
+        must not change afterwards."""
         if self._spectrum is None:
-            w, v = dominant_eigs(self.blocks)
-            order = np.argsort(-np.abs(w.reshape(-1)), kind="stable")
-            object.__setattr__(self, "_spectrum",
-                               (w.reshape(-1)[order], order // w.shape[1], v[0]))
+            basis = self.sectors.map_reflection
+            eigs = [dominant_eigs(part) for part in basis.parts(self.blocks)]
+            w = np.concatenate([w.reshape(-1) for w, _ in eigs])
+            widths = basis.widths(self.sectors.pairs.shape)
+            order = np.argsort(-np.abs(w), kind="stable")
+            block = np.repeat(np.arange(len(widths)), widths)
+            object.__setattr__(self, "_spectrum", (w[order], block[order], eigs[0][1][0]))
         return self._spectrum
 
 
@@ -597,9 +740,9 @@ def _thread_map(fn, items, workers: int | None) -> Iterator:
 
 def _trotter_parts(spec: HamiltonianSpec, cfg: ProtocolConfig):
     """Omega-independent pieces of one Trotter step, split by the run's
-    symmetries: the sectors, the blocks of (interactions @ system step) in
-    their frame, each sector's split by its ``reflection``
-    (:meth:`_PairBasis.split`), and the weights ``w`` of the phase diagonal
+    symmetries: the sectors, the split stack under their ``reflection``
+    (:meth:`_PairBasis.split`) of the blocks of (interactions @ system step)
+    in their frame, and the split weights ``w`` of the phase diagonal
     ``exp(i (omega dt / 2) w)`` on each block's basis vectors: each ancilla
     adds +1 in ``|0>`` and -1 in ``|1>``, which the reflection keeps."""
     sectors = _sectors(spec, cfg)
@@ -625,27 +768,29 @@ def _trotter_parts(spec: HamiltonianSpec, cfg: ProtocolConfig):
 
 
 def _w_bytes(sectors: Sectors) -> int:
-    """Bytes of one comb value's W blocks at their largest: the stack that
-    :func:`_period_unitary` powers or the sector blocks it returns."""
-    blocks, width = sectors.split_shape
-    return 16 * max(sectors.states.size * sectors.states.shape[1], blocks * width * width)
+    """Bytes of one comb value's W blocks: the sector blocks that
+    :func:`_period_unitary`'s split stack, never larger, is unsplit into."""
+    return 16 * sectors.states.size * sectors.states.shape[1]
 
 
 def _period_unitary(sectors: Sectors, ab: np.ndarray, weights: np.ndarray,
                     cfg: ProtocolConfig, omegas) -> np.ndarray:
-    """The sector blocks of W(Omega) for each of ``omegas``, as a (values,
-    sectors, size, size) stack: every block of the step from
-    :func:`_trotter_parts`, powered by one stacked repeated squaring. The
-    squarings leave W unitary only to about ``n_trotter`` roundoffs; one
-    stacked Newton-Schulz step ``W (3 - W^dag W) / 2`` toward its polar
-    factor squares that defect away, so the period channels preserve the
-    trace to roundoff. Both run on the split stack, then unsplit."""
+    """The split stacks of W(Omega) under ``sectors.reflection`` for each of
+    ``omegas``, as a (values, ...) stack: every block of the step from
+    :func:`_trotter_parts` powered by repeated squaring, one stacked call
+    per block width. The squarings leave W unitary only to about
+    ``n_trotter`` roundoffs; one stacked Newton-Schulz step ``W (3 - W^dag
+    W) / 2`` toward its polar factor squares that defect away, so the period
+    channels preserve the trace to roundoff."""
     dt = cfg.t_g / cfg.n_trotter
     angle = np.asarray(omegas, dtype=float) * dt / 2.0
-    phase = np.exp(1j * angle[:, np.newaxis, np.newaxis] * weights)
-    w = np.linalg.matrix_power(ab * phase[:, :, np.newaxis, :], cfg.n_trotter)
-    w = w @ (1.5 * np.eye(w.shape[-1]) - 0.5 * (w.conj().swapaxes(-1, -2) @ w))
-    return sectors.reflection.unsplit(w)
+    basis = sectors.reflection
+    out = np.empty(angle.shape + ab.shape, dtype=complex)
+    for ab_k, weights_k, out_k in zip(basis.parts(ab), basis.parts(weights, 1), basis.parts(out)):
+        phase = np.exp(1j * angle[:, np.newaxis, np.newaxis] * weights_k)
+        w = np.linalg.matrix_power(ab_k * phase[:, :, np.newaxis, :], cfg.n_trotter)
+        np.matmul(w, 1.5 * np.eye(w.shape[-1]) - 0.5 * (w.conj().swapaxes(-1, -2) @ w), out=out_k)
+    return out
 
 
 def build_period_unitary(spec: HamiltonianSpec, cfg: ProtocolConfig,
@@ -660,7 +805,8 @@ def build_period_unitary(spec: HamiltonianSpec, cfg: ProtocolConfig,
     precision, and the blocks are assembled into the dense matrix.
     """
     sectors, ab, weights = _trotter_parts(spec, cfg)
-    return sectors.unitary(_period_unitary(sectors, ab, weights, cfg, [omega])[0])
+    w = sectors.reflection.unsplit(_period_unitary(sectors, ab, weights, cfg, [omega]))
+    return sectors.unitary(w[0])
 
 
 def _period_table(spec: HamiltonianSpec, cfg: ProtocolConfig, per_omega,
@@ -671,15 +817,17 @@ def _period_table(spec: HamiltonianSpec, cfg: ProtocolConfig, per_omega,
     ``(Omega_k, per_omega(Omega_k, sectors, blocks of W(Omega_k)))`` for
     k = 0..n_cycle // 2 in order; the symmetric comb repeats these
     backwards. W is built once per distinct value, one
-    :func:`_period_unitary` call per chunk of :func:`_walk_plan`; with
-    ``workers`` threads at most that many chunks are in flight. A chunk's W
-    blocks are dropped once its values' ``per_omega`` results are built, and
-    each result once the walk has passed its last period."""
+    :func:`_period_unitary` call per chunk of :func:`_walk_plan`, and
+    unsplit by the one gather that the walk builds before its threads
+    start; with ``workers`` threads at most that many chunks are in flight.
+    A chunk's W blocks are dropped once its values' ``per_omega`` results
+    are built, and each result once the walk has passed its last period."""
     sectors, ab, weights = _trotter_parts(spec, cfg)
     half, chunks = _walk_plan(cfg, sectors)
+    gather = sectors.reflection.unsplit_gather()
 
     def build(chunk: list[float]) -> dict:
-        w = _period_unitary(sectors, ab, weights, cfg, chunk)
+        w = sectors.reflection.unsplit(_period_unitary(sectors, ab, weights, cfg, chunk), gather)
         return {omega: per_omega(omega, sectors, w_k) for omega, w_k in zip(chunk, w)}
 
     def walk():
@@ -716,27 +864,38 @@ def run_bytes(spec: HamiltonianSpec, cfg: ProtocolConfig, sample: bool,
     The sampler keeps one dense W(Omega) of 4^(n_s+M) entries per distinct
     comb value. The exact path holds one walk chunk (:func:`_walk_bytes`)
     while it powers it, three dense 4^(n_s+M) arrays while one value's W
-    becomes its Kraus sets and channel blocks, the four arrays of one block
-    set's size that :func:`_real_blocks` gathers with (built once per
-    walk), and up to seven sets of cycle-map blocks per beta, float64 in
-    the Hermitian basis, while it folds the cycle and solves for its
-    spectrum.
+    becomes its Kraus sets and channel blocks, the tables that each walk
+    builds once (:func:`_table_bytes`), and up to seven split stacks of
+    cycle-map blocks per beta, float64 in the Hermitian basis, while it
+    folds the cycle and solves for its spectrum.
     """
     dense = 16 * 4 ** (spec.qubit_count + cfg.m_count)
+    sectors = _sectors(spec, cfg)
     if sample:
-        return sum(map(len, _walk_plan(cfg, _sectors(spec, cfg))[1])) * dense
-    return _walk_bytes(spec, cfg) + 3 * dense + (4 + 7 * betas) * _map_bytes(spec, cfg)
+        return sum(map(len, _walk_plan(cfg, sectors)[1])) * dense
+    return (_walk_bytes(spec, cfg) + 3 * dense + _table_bytes(sectors)
+            + 7 * betas * _map_bytes(sectors))
 
 
-def _map_bytes(spec: HamiltonianSpec, cfg: ProtocolConfig) -> int:
-    """Bytes of one set of real cycle-map blocks."""
-    return 8 * 16**spec.qubit_count // len(_sectors(spec, cfg).states)
+def _map_bytes(sectors: Sectors) -> int:
+    """Bytes of one split stack of real cycle-map blocks."""
+    return 8 * sum(w * w for w in sectors.widths[1])
+
+
+def _table_bytes(sectors: Sectors) -> int:
+    """Bytes of the tables that one exact walk builds and its threads share:
+    the real gather, an index and a coefficient per term and split entry,
+    two terms for one parity and four for two (:func:`_real_gather`), and
+    with a reflection W's unsplit gather, two of each per sector-block
+    entry (:meth:`_PairBasis.unsplit_gather`)."""
+    terms = 4 if sectors.map_reflection.order else 2
+    unsplit = 2 * _w_bytes(sectors) if sectors.reflection.order else 0
+    return 2 * terms * _map_bytes(sectors) + unsplit
 
 
 def _walk_bytes(spec: HamiltonianSpec, cfg: ProtocolConfig) -> int:
     """Bytes that the comb walk's first, largest chunk holds while it is
-    powered: about five times its values' W blocks at their largest
-    (:func:`_w_bytes`)."""
+    powered: about five times its values' W blocks (:func:`_w_bytes`)."""
     sectors = _sectors(spec, cfg)
     return 5 * len(_walk_plan(cfg, sectors)[1][0]) * _w_bytes(sectors)
 
@@ -752,7 +911,7 @@ def admit_run(spec: HamiltonianSpec, cfg: ProtocolConfig, kind: str, betas: int 
     Returns ``workers`` cut to the threads that fit, at least 1.
 
     A thread holds its run's :func:`run_bytes` for ``betas`` but what the
-    threads share: one ``"exact"`` walk's real gather, built before they
+    threads share: one ``"exact"`` walk's tables, built before they
     start (a sweep's groups, which may be different models, count it per
     thread), or the sampler's W table, :func:`run_bytes` with ``sample``,
     beside which each thread holds its own walk chunk (:func:`_walk_bytes`),
@@ -771,8 +930,9 @@ def admit_run(spec: HamiltonianSpec, cfg: ProtocolConfig, kind: str, betas: int 
     if kind == "sample":
         dense = 16 * 4 ** (spec.qubit_count + cfg.m_count)
         shared, each = held, _walk_bytes(spec, cfg) + 2 * dense + 3 * 16 * batch
-    elif kind == "exact":  # the real gather, four block sets
-        shared, each = 4 * _map_bytes(spec, cfg), held - 4 * _map_bytes(spec, cfg)
+    elif kind == "exact":  # the walk's gathers
+        shared = _table_bytes(_sectors(spec, cfg))
+        each = held - shared
     if shared + each > MAX_RUN_BYTES:
         per_thread = f" and {each} more per thread" if kind == "sample" else ""
         raise InvalidSize(f"this {kind} run would hold {held} bytes ({held / 2**30:.1f} GiB) "
@@ -850,16 +1010,18 @@ def build_cycle_maps(spec: HamiltonianSpec, cfg: ProtocolConfig, betas,
     the ancilla preparation. W does not depend on beta, so
     :func:`_period_table` builds it once per distinct Omega (across
     ``workers`` threads when requested), and each beta's channel is built
-    from it, in the frame of the run's sectors, as its cycle-map blocks: the
-    dense W is scattered once per Omega, every beta's Gram blocks are stacked,
-    and the stack becomes real blocks in one :func:`_real_blocks` call, with
-    the gather that this walk alone builds and holds. The symmetric comb
-    makes the cycle a palindrome, which is folded for every beta at once, on
-    a leading beta axis, in float64, as the walk yields the channels in
-    period order: the run holds about five sets of blocks per beta, whatever
-    ``n_cycle``, and multiplies as often as the sequential product with
-    period 0 applied first. :func:`admit_run` refuses an oversized run before
-    any work, and the walk runs on the threads it admits.
+    from it, in the frame of the run's sectors, as its cycle-map split stack:
+    the dense W is scattered once per Omega, every beta's Gram blocks are
+    stacked, and the stack becomes real blocks, split by the reflection's
+    parity where there is one, in one :func:`_real_blocks` call, with the
+    gather that this walk alone builds and holds. The symmetric comb makes
+    the cycle a palindrome, which is folded for every beta at once, on a
+    leading beta axis, in float64, block by block, as the walk yields the
+    channels in period order: the run holds about five sets of blocks per
+    beta, whatever ``n_cycle``, and multiplies as often as the sequential
+    product with period 0 applied first. :func:`admit_run` refuses an
+    oversized run before any work, and the walk runs on the threads it
+    admits.
     """
     n_s, m = spec.qubit_count, cfg.m_count
     betas = tuple(betas)
@@ -868,6 +1030,7 @@ def build_cycle_maps(spec: HamiltonianSpec, cfg: ProtocolConfig, betas,
     workers = admit_run(spec, cfg, "exact", len(betas), workers)
     # built here, on the calling thread, before the walk's threads share it
     gather = _real_gather(_sectors(spec, cfg))
+    mul = _sectors(spec, cfg).map_reflection.matmul
 
     def superops(omega: float, sectors: Sectors, w: np.ndarray) -> np.ndarray:
         dense = _scatter(w, sectors.states)
@@ -891,12 +1054,12 @@ def build_cycle_maps(spec: HamiltonianSpec, cfg: ProtocolConfig, betas,
     left = right = None
     for _ in range((cfg.n_cycle + 1) // 2 - 1):
         s = next(factors)
-        left = s if left is None else s @ left
-        right = s if right is None else right @ s
+        left = s if left is None else mul(s, left)
+        right = s if right is None else mul(right, s)
         del s
     for factor in (left, next(factors, None), right):
         if factor is not None:
-            total = factor @ total
+            total = mul(factor, total)
     return [CycleMap(blocks, sectors, omegas) for blocks in total]
 
 
@@ -921,11 +1084,12 @@ def steady_state(m: CycleMap) -> tuple[np.ndarray, complex]:
     chosen as the least-squares projection of the maximally mixed state onto
     the near-unit eigenspace among the ``_MAX_CLUSTER`` dominant pairs: the
     natural infinite-time limit seeded from an unbiased state, and exactly
-    ``I/d`` whenever that is a fixed point. Only eigenvectors of sector 0
-    have a trace or overlap ``I/d``, so only they enter either rule.
+    ``I/d`` whenever that is a fixed point. Only eigenvectors of block 0,
+    sector 0's even block, have a trace or overlap ``I/d``, so only they
+    enter either rule.
     """
-    w, sector, v0 = m.spectrum
-    w, sector = w[:_MAX_CLUSTER], sector[:_MAX_CLUSTER]
+    w, block, v0 = m.spectrum
+    w, block = w[:_MAX_CLUSTER], block[:_MAX_CLUSTER]
     lam1 = complex(w[0])
     if abs(lam1 - 1.0) >= 1e-6:
         raise NoUnitEigenvalue(
@@ -938,9 +1102,9 @@ def steady_state(m: CycleMap) -> tuple[np.ndarray, complex]:
             f"at least {size} eigenvalues lie within 1e-6 of 1; "
             "the fixed point is not meaningfully defined"
         )
-    # sector 0's eigenvalues keep their order in w, so the k-th is column k of v0
-    column = np.cumsum(sector == 0) - 1
-    basis = v0[:, column[cluster & (sector == 0)]]
+    # block 0's eigenvalues keep their order in w, so the k-th is column k of v0
+    column = np.cumsum(block == 0) - 1
+    basis = v0[:, column[cluster & (block == 0)]]
     if basis.shape[1] == 0:
         raise NoUnitEigenvalue("fixed-point eigenvector has vanishing trace")
     if size == 1:
@@ -948,8 +1112,10 @@ def steady_state(m: CycleMap) -> tuple[np.ndarray, complex]:
     else:
         d = 2**m.sectors.n_s
         # the Hermitian basis keeps the diagonal coordinates, so these are I's
+        # in sector 0, where the block's vectors are embedded isometrically
         identity = (m.sectors.pairs[0] % (d + 1) == 0).astype(complex)
-        coeff, *_ = np.linalg.lstsq(basis, identity / d, rcond=None)
+        embedded = m.sectors.map_reflection.embed(basis)
+        coeff, *_ = np.linalg.lstsq(embedded, identity / d, rcond=None)
         entries = basis @ coeff
     rho = m.sectors.state(entries)
     tr = np.trace(rho)

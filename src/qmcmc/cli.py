@@ -375,10 +375,14 @@ def _cmd_validate(run_cfg: RunConfig, point: Point, plan) -> int:
     print(f"suggested Trotter steps for error {o['epsilon']:g}: {steps}")
     print(f"configured n_trotter: {cfg.n_trotter}")
     sectors = _sectors(point.spec, cfg)  # kept with the spec for run_bytes below
-    blocks, width = sectors.split_shape  # the blocks W is powered in
-    count, size = sectors.pairs.shape
-    print(f"symmetry sectors: W(Omega) {blocks} blocks of {width}, cycle map {count} "
-          f"blocks of {size} "
+
+    def blocks(widths: list[int]) -> str:
+        if len(set(widths)) == 1:
+            return f"{len(widths)} blocks of {widths[0]}"
+        return f"blocks of {', '.join(map(str, widths))}"
+
+    w_widths, map_widths = sectors.widths  # the blocks W is powered and the map folded in
+    print(f"symmetry sectors: W(Omega) {blocks(w_widths)}, cycle map {blocks(map_widths)} "
           f"(generators {', '.join(sectors.generators) or 'none'})")
     exact = run_bytes(point.spec, cfg, sample=False)
     sampler = run_bytes(point.spec, cfg, sample=True)

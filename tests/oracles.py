@@ -10,12 +10,16 @@ integer arithmetic. It also holds the state-level helpers that only the
 tests need: direct Kraus application, the partial trace and the ensemble
 average of a trajectory batch. ``collapse_period`` is the sampler's period
 as a sequence of whole-batch collapses, renormalizations and swaps, one per
-ancilla, which the library's outcome-index form must reproduce.
+ancilla, which the library's outcome-index form must reproduce. The pair
+basis' split stacks are checked against the padded layout they replaced
+(``padded_split``, ``scatter_unsplit``), and the one-parity real gather
+against the two-term gather (``two_term_real_gather``).
 """
 
 import numpy as np
 
 from qmcmc.channel import (
+    _gram_gather,
     ancilla_preparation,
     build_period_channel,
     build_period_unitary,
@@ -303,3 +307,62 @@ def xorshift64star_py(state):
     s ^= s >> 27
     out = (s * 0x2545F4914F6CDD1D) & _MASK
     return (out >> 11) * 2.0**-53, s
+
+
+def padded_order(image, odd):
+    """``order[s, p]``: sector ``s``'s positions of parity ``p`` (0 even, 1
+    odd) in the pair basis of ``image`` with the real phases ``odd``,
+    padded with -1 to the largest block."""
+    x = np.arange(image.shape[1])
+    parity = (x < image) ^ (np.real(odd) < 0)
+    rank = np.where(parity, parity.cumsum(axis=1), (~parity).cumsum(axis=1)) - 1
+    order = np.full((len(image), 2, rank.max() + 1), -1)
+    order[np.arange(len(image))[:, np.newaxis], parity.astype(int), rank] = x
+    return order
+
+
+def padded_split(basis, blocks, weights, order):
+    """The (sectors * 2, width, width) stack of each parity's block of ``T B
+    T^dag`` for the (sectors, size, size) ``blocks`` (overwritten), cut by
+    ``order`` and padded with the identity, and the weights of its
+    coordinates, 0 on the padding."""
+    rows, cols = order[..., :, None], order[..., None, :]
+    t = basis.apply(basis.apply(blocks, "T", -2), "T^dag", -1)
+    t = t[np.arange(len(t))[:, None, None, None], rows, cols]
+    t = np.where((rows >= 0) & (cols >= 0), t, np.eye(t.shape[-1])).reshape(-1, *t.shape[-2:])
+    weights = np.take_along_axis(weights[:, np.newaxis], order, axis=2)
+    return t, np.where(order >= 0, weights, 0.0).reshape(len(t), -1)
+
+
+def scatter_unsplit(basis, w, order):
+    """The (..., sectors, size, size) blocks ``T^dag B T`` of a (...,
+    sectors * 2, width, width) :func:`padded_split` stack: each parity's
+    block scattered to its positions, then ``T`` undone."""
+    count, size = basis.image.shape
+    values, entries = int(np.prod(w.shape[:-3])), count * size * size
+    rows, cols = order[..., :, None], order[..., None, :]
+    at = ((np.arange(count)[:, None, None, None] * size + rows) * size + cols).reshape(-1)
+    at = np.where(((rows < 0) | (cols < 0)).reshape(-1), values * entries,
+                  np.arange(values)[:, np.newaxis] * entries + at)
+    out = np.zeros(values * entries + 1, dtype=w.dtype)
+    out[at] = w.reshape(at.shape)
+    out = out[:-1].reshape(w.shape[:-3] + (count, size, size))
+    return basis.apply(basis.apply(out, "T^dag", -2), "T", -1)
+
+
+def two_term_real_gather(sectors):
+    """``(index, coef)``, each (2, sectors, size, size), such that the
+    unsplit real block entry ``[s, p, q]`` of a Hermiticity-preserving map
+    is ``sum_t coef[t] * view[index[t]]`` for ``view`` the float view of its
+    Gram stack: ``2 Re(a_p conj(a_q) S[p, q] + a_p a_q S[p, q'])``, built
+    from the whole Gram gather."""
+    a, partner = sectors.hermitian.a, sectors.hermitian.image
+    gram = _gram_gather(sectors.pairs, 2**sectors.n_s)
+    index = np.stack([gram, np.take_along_axis(gram, partner[:, np.newaxis, :], axis=2)])
+    coef = np.empty(index.shape)
+    for t, right in enumerate((a.conj(), a)):
+        product = a[:, :, np.newaxis] * right[:, np.newaxis, :]
+        imaginary = product.imag != 0
+        index[t] = 2 * index[t] + imaginary
+        coef[t] = 2.0 * np.where(imaginary, -product.imag, product.real)
+    return index, coef

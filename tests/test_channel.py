@@ -57,11 +57,15 @@ from oracles import (
     dense_step,
     kron_preparation,
     pauli_word_matrix,
+    padded_order,
+    padded_split,
     ptrace_last,
     random_density,
     random_unitary,
+    scatter_unsplit,
     sequential_cycle_map,
     series_expm,
+    two_term_real_gather,
 )
 from strategies import small_protocols
 
@@ -435,9 +439,10 @@ def test_thread_map_keeps_at_most_workers_calls_ahead_of_the_consumer():
 
 
 def test_walk_threads_share_one_real_gather(monkeypatch):
-    # a fresh model, whose sectors have no gather yet; the 4-spin chain walks
-    # its comb values one to a chunk, so four threads run at once, and a slow
-    # build would let each of them start its own if they built it
+    # every walk builds its own gather, on the calling thread; the 4-spin
+    # chain walks its comb values one to a chunk, so four threads run at
+    # once, and a slow build would let each of them start its own if they
+    # built it
     threads = []
     real = channel._real_gather
 
@@ -468,22 +473,23 @@ def build_refused(*args):
 
 
 def test_cycle_maps_refuse_an_over_budget_walk_up_front(monkeypatch):
-    # sixteen betas of the 6-spin chain fold sixteen 64 MiB sets of real
-    # blocks at once, 8.6 GiB predicted; any one of them alone would run
+    # thirty-two betas of the 6-spin chain fold thirty-two 32 MiB split
+    # stacks of real blocks at once, 8.9 GiB predicted; any one of them
+    # alone would run
     monkeypatch.setattr(channel, "_trotter_parts", build_refused)
     spec = field_spec(6)
     cfg = config(spec, n_trotter=5000, n_cycle=500)
-    betas = [0.25 * (k + 1) for k in range(16)]
+    betas = [0.25 * (k + 1) for k in range(32)]
     assert channel.run_bytes(spec, cfg, False, betas=1) <= channel.MAX_RUN_BYTES
-    with pytest.raises(InvalidSize, match=f"{channel.run_bytes(spec, cfg, False, 16)} bytes"):
+    with pytest.raises(InvalidSize, match=f"{channel.run_bytes(spec, cfg, False, 32)} bytes"):
         build_cycle_maps(spec, cfg, betas)
 
 
 @pytest.mark.parametrize("n, workers, admitted", [(6, 8, 4), (6, 2, 2), (2, 8, 8), (2, None, 1)])
 def test_walk_runs_no_more_threads_than_the_budget_holds(n, workers, admitted, monkeypatch):
-    # one walk of the 6-spin chain at n_cycle 500 is predicted at 2112 MiB,
-    # 256 MiB of it the real gather that its threads share: four threads fit
-    # in 8 GiB, as (8192 - 256) // 1856
+    # one walk of the 6-spin chain at n_cycle 500 is predicted at 2144 MiB,
+    # 512 MiB of it the real and unsplit gathers that its threads share: four
+    # threads fit in 8 GiB, as (8192 - 512) // 1632
     class Walked(Exception):
         pass
 
@@ -549,13 +555,27 @@ def involutions(draw):
     return image, draw(st.sampled_from([1, 1j]))
 
 
-def commuting_stack(image, seed):
-    """A random complex stack that commutes with the permutation ``image``
-    of each sector, ``B + P B P^T``, and random weights that it keeps."""
+@st.composite
+def signed_involutions(draw):
+    """``(image, odd)``: an :func:`involutions` image and a sign per
+    position, equal on each pair."""
+    image, _ = draw(involutions())
+    odd = np.where(draw(st.lists(st.booleans(), min_size=image.size, max_size=image.size)),
+                   -1.0, 1.0).reshape(image.shape)
+    return image, np.where(np.arange(image.shape[1]) < image,
+                           np.take_along_axis(odd, image, axis=1), odd)
+
+
+def commuting_stack(image, seed, odd=1.0):
+    """A random complex stack that commutes with the signed permutation
+    ``(P v)_x = odd_x v[image[x]]`` of each sector, ``B + P B P^T``, and
+    random weights that it keeps."""
     rng = np.random.default_rng(seed)
     count, size = image.shape
     b = rng.normal(size=(count, size, size)) + 1j * rng.normal(size=(count, size, size))
-    b += b[np.arange(count)[:, None, None], image[:, :, None], image[:, None, :]]
+    signs = np.broadcast_to(odd, image.shape)
+    b += (signs[:, :, None] * signs[:, None, :]
+          * b[np.arange(count)[:, None, None], image[:, :, None], image[:, None, :]])
     weights = rng.normal(size=(count, size))
     return b, weights + np.take_along_axis(weights, image, axis=1)
 
@@ -575,26 +595,48 @@ def test_pair_basis_is_unitary(pairs):
 
 
 @settings(max_examples=60, deadline=None)
-@given(pairs=involutions(), seed=st.integers(0, 2**32 - 1))
+@given(pairs=signed_involutions(), seed=st.integers(0, 2**32 - 1))
 def test_pair_basis_splits_a_commuting_stack_by_parity(pairs, seed):
     image, odd = pairs
     basis = channel._PairBasis.of(image, odd)
-    b, weights = commuting_stack(image, seed)
+    b, weights = commuting_stack(image, seed, odd)
     full = basis.apply(basis.apply(b.copy(), "T", -2), "T^dag", -1)
-    parity = np.arange(image.shape[1]) < image  # the odd coordinates
+    parity = (np.arange(image.shape[1]) < image) ^ (odd < 0)  # the odd coordinates
     assert np.abs(full[parity[:, :, None] != parity[:, None, :]]).max(initial=0) < 1e-13
     split, split_weights = basis.split(b.copy(), weights)
+    assert split.size == sum(w * w for w in basis.widths(image.shape))
     assert np.abs(basis.unsplit(split) - b).max() < 1e-13
     assert np.abs(basis.unsplit(np.stack([split, 2 * split]))[1] - 2 * b).max() < 1e-13
-    # a diagonal stack splits to the split weights, and the padding to the
-    # identity, with weight 0 so that it stays the identity when powered
+    # a diagonal stack splits to diagonal blocks of the split weights
     diagonal = np.zeros_like(b)
     diagonal[:, np.arange(len(b[0])), np.arange(len(b[0]))] = weights
-    keep = (basis.order >= 0).reshape(len(split), -1)
-    assert (split_weights[~keep] == 0).all()
-    expected = np.where(keep, split_weights, 1.0)
-    assert np.abs(basis.split(diagonal, weights)[0] - expected[:, :, None] * np.eye(len(keep[0]))
-                  ).max() < 1e-13
+    diagonal = basis.split(diagonal, weights)[0]
+    for block, weight in zip(basis.parts(diagonal), basis.parts(split_weights, 1)):
+        assert np.abs(block - weight[..., None] * np.eye(block.shape[-1])).max() < 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs=signed_involutions(), seed=st.integers(0, 2**32 - 1))
+def test_split_stack_and_unsplit_gather_match_the_padded_oracle(pairs, seed):
+    # the split stack holds the padded stack's blocks without the padding,
+    # and the two-term gather undoes it as scattering and T do
+    image, odd = pairs
+    basis = channel._PairBasis.of(image, odd)
+    b, weights = commuting_stack(image, seed, odd)
+    order = padded_order(image, odd)
+    padded, padded_weights = padded_split(basis, b.copy(), weights, order)
+    split, split_weights = basis.split(b.copy(), weights)
+    size = image.shape[1]
+    for positions, blocks, block_weights in zip(basis.order, basis.parts(split),
+                                                basis.parts(split_weights, 1)):
+        for pos, block, weight in zip(positions, blocks, block_weights):
+            s, x = divmod(int(pos[0]), size)
+            p, w = 2 * s + int(((x < image[s, x]) ^ (odd[s, x] < 0))), len(pos)
+            assert np.array_equal(block, padded[p, :w, :w])
+            assert np.array_equal(weight, padded_weights[p, :w])
+    stacked = np.stack([split, 2 * split])
+    oracle = scatter_unsplit(basis, np.stack([padded, 2 * padded]), order)
+    assert np.abs(basis.unsplit(stacked) - oracle).max() < 1e-13
 
 
 @settings(max_examples=30, deadline=None)
@@ -620,17 +662,18 @@ def test_reflection_split_matches_dense_oracle(n, ancilla_map):
     spec = build_tfim(n, 1.0, 0.7)
     cfg = config(spec, n_trotter=4, ancilla_map=ancilla_map)
     sectors, ab, _ = channel._trotter_parts(spec, cfg)
-    assert sectors.reflection is not None and len(ab) == 2 * len(sectors.states)
-    # the step is unitary, and so is each even and odd block, padding included
-    eye = np.eye(ab.shape[-1])
-    assert np.abs(ab @ ab.conj().swapaxes(1, 2) - eye).max() < 1e-12
+    assert len(sectors.widths[0]) == 2 * len(sectors.states)
+    assert ab.size == sum(w * w for w in sectors.widths[0])
+    # the step is unitary, and so is each even and odd block
+    for part in sectors.reflection.parts(ab):
+        assert np.abs(part @ part.conj().swapaxes(1, 2) - np.eye(part.shape[-1])).max() < 1e-12
     w = build_period_unitary(spec, cfg, 0.9)
     assert np.abs(w - dense_period_unitary(spec, cfg, 0.9)).max() < 1e-10
 
 
 def parities(sectors):
     """How many parities the sectors' reflection splits each W sector into."""
-    return sectors.reflection.order.shape[1]
+    return 2 if sectors.reflection.order else 1
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -640,12 +683,18 @@ def test_reflection_is_found_for_every_chain(n):
     image, order = sectors.reflection.image, sectors.reflection.order
     assert parities(sectors) == 2
     assert (np.take_along_axis(image, image, axis=1) == np.arange(image.shape[1])).all()
-    # every state of a sector is one coordinate of one parity: the odd ones
+    # every state of a sector is one coordinate of one block: the odd ones
     # are one per pair, the even ones one per pair and one per fixed state
-    sizes = (order >= 0).sum(axis=2)
-    fixed = (image == np.arange(image.shape[1])).sum(axis=1)
-    assert (sizes.sum(axis=1) == sectors.states.shape[1]).all()
-    assert (sizes[:, 0] - sizes[:, 1] == fixed).all()
+    count, size = image.shape
+    positions = np.concatenate([pos.reshape(-1) for pos in order])
+    assert np.array_equal(np.sort(positions), np.arange(count * size))
+    blocks = [pos for group in order for pos in group]
+    assert len(blocks) == 2 * count
+    for s in range(count):
+        even, odd = sorted((pos % size for pos in blocks if pos[0] // size == s),
+                           key=lambda x: (image[s, x] > x).all())
+        assert (image[s, odd] > odd).all() and (image[s, even] <= even).all()
+        assert len(even) - len(odd) == (image[s] == np.arange(size)).sum()
 
 
 def test_reflection_keeps_the_frame():
@@ -699,10 +748,10 @@ def test_period_unitary_without_a_reflection_powers_the_sector_blocks(name):
     assert np.array_equal(channel._period_unitary(sectors, ab, weights, cfg, omegas), unsplit)
 
 
-@pytest.mark.parametrize("n, entries", [(2, 4 * 6 * 6), (4, 2 * 128 * 128), (5, 2 * 512 * 512)])
+@pytest.mark.parametrize("n, entries", [(2, 2 * 8 * 8), (4, 2 * 128 * 128), (5, 2 * 512 * 512)])
 def test_w_bytes_count_the_larger_of_the_split_stack_and_the_sector_blocks(n, entries):
-    # at n_s = 2 the padded split stack (4 blocks of 6) outgrows the sector
-    # blocks (2 of 8); from n_s = 3 on the sector blocks are the larger
+    # the split stack drops the entries between parities, so the sector
+    # blocks are always the larger: 128 entries against 72 at n_s = 2
     spec = field_spec(n)
     assert channel._w_bytes(pauli_sectors(spec, config(spec))) == 16 * entries
 
@@ -731,7 +780,8 @@ def test_walks_first_chunk_holds_as_many_values_as_its_prediction(n, omega_m, n_
 
 
 def test_cycle_map_peak_memory_is_within_the_prediction():
-    # a fresh model, so that its sectors and real gather are built inside
+    # a fresh model, so that its sectors are built inside; every walk builds
+    # its own gathers
     spec = field_spec(5)
     cfg = config(spec, n_cycle=4)
     tracemalloc.start()
@@ -804,8 +854,8 @@ def period_kraus_sets(spec, cfg, omega, betas):
     """The run's sectors and the Kraus operators of one period at each of
     ``betas``, built from the frame W blocks as the comb walk builds them."""
     sectors, ab, weights = channel._trotter_parts(spec, cfg)
-    dense = channel._scatter(channel._period_unitary(sectors, ab, weights, cfg, [omega])[0],
-                             sectors.states)
+    w = sectors.reflection.unsplit(channel._period_unitary(sectors, ab, weights, cfg, [omega]))
+    dense = channel._scatter(w[0], sectors.states)
     n_s, m = spec.qubit_count, cfg.m_count
     return sectors, [build_period_channel(dense, ancilla_preparation(omega, beta, m),
                                           n_s, m).operators for beta in betas]
@@ -818,7 +868,7 @@ def test_real_blocks_map_back_to_the_complex_superoperator_blocks(protocol, omeg
     sectors, (ops,) = period_kraus_sets(spec, cfg, omega, [cfg.beta])
     grams = channel._grams(channel._sector_entries(ops, sectors.pairs))
     real = channel._real_blocks(channel._real_gather(sectors), grams[np.newaxis])[0]
-    assert real.dtype == np.float64 and real.shape == grams.shape
+    assert real.dtype == np.float64 and real.size == sum(w * w for w in sectors.widths[1])
     gather = channel._gram_gather(sectors.pairs, 2**spec.qubit_count)
     complex_blocks = channel._superoperator_blocks(ops, sectors.pairs, gather)
     assert np.abs(sectors.frame_blocks(real) - complex_blocks).max() < 1e-12
@@ -838,13 +888,63 @@ def test_real_blocks_of_a_beta_stack_equal_each_beta_alone(protocol, omega, beta
         assert np.array_equal(stacked[i], channel._real_blocks(gather, grams[i:i + 1])[0])
 
 
+def unsplit_real_blocks(spec, cfg, omega):
+    """The run's sectors, one period's unsplit real blocks, by the two-term
+    oracle gather, and its split stack, by the walk's gather."""
+    sectors, (ops,) = period_kraus_sets(spec, cfg, omega, [cfg.beta])
+    grams = channel._grams(channel._sector_entries(ops, sectors.pairs))[np.newaxis]
+    return (sectors, channel._real_blocks(two_term_real_gather(sectors), grams)[0],
+            channel._real_blocks(channel._real_gather(sectors), grams)[0])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_chain_cycle_map_splits_by_the_signed_reflection(n):
+    # in each sector's Hermitian basis the reflection is a signed
+    # permutation that commutes with the real blocks; the split stack holds
+    # their even and odd blocks, whose spectra together are the sector's
+    spec = field_spec(n, 0.7)
+    cfg = config(spec, n_trotter=4, n_cycle=3)
+    sectors, real, split = unsplit_real_blocks(spec, cfg, 0.9)
+    basis = sectors.map_reflection
+    assert basis is not sectors.reflection and len(sectors.widths[1]) == 2 * len(real)
+    count, size = real.shape[:2]
+    odd = np.broadcast_to(basis.odd, basis.image.shape)
+    for s in range(count):
+        p = np.zeros((size, size))
+        p[np.arange(size), basis.image[s]] = odd[s]
+        assert np.abs(p @ real[s] @ p.T - real[s]).max() < 1e-13
+    assert np.abs(basis.unsplit(split) - real).max() < 1e-13
+    mine = np.sort_complex(np.concatenate(
+        [np.linalg.eigvals(part).reshape(-1) for part in basis.parts(split)]))
+    assert np.abs(mine - np.sort_complex(np.linalg.eigvals(real).reshape(-1))).max() < 1e-10
+
+
+def test_graph_tables_and_w_stack_are_the_one_parity_ones():
+    # a graph has no reflection: no third pair basis, no unsplit gather, the
+    # two-term real gather of the unsplit blocks, and W powered in them
+    spec = build_graph_ising(generate_er_instance(3, 0.5, 1))
+    cfg = config(spec, n_trotter=20)
+    sectors, ab, weights = channel._trotter_parts(spec, cfg)
+    assert sectors.map_reflection is sectors.reflection and not sectors.reflection.order
+    assert sectors.reflection.unsplit_gather() is None
+    for mine, oracle in zip(channel._real_gather(sectors), two_term_real_gather(sectors)):
+        assert np.array_equal(mine, oracle)
+    assert ab.shape == sectors.states.shape + sectors.states.shape[1:]
+    w = channel._period_unitary(sectors, ab, weights, cfg, [0.4])
+    assert np.array_equal(sectors.reflection.unsplit(w), w) and w.shape[1:] == ab.shape
+
+
 @settings(max_examples=40, deadline=None)
 @given(protocol=small_protocols())
 def test_real_spectrum_matches_a_complex_eig_of_the_mapped_back_blocks(protocol):
     spec, cfg = protocol
     cm = build_cycle_map(spec, cfg)
     assert cm.blocks.dtype == np.float64
-    w, sector, _ = cm.spectrum
+    w, block, _ = cm.spectrum
+    # the cycle-map sector of each block of the split stack
+    count, size = cm.sectors.pairs.shape
+    sector = np.array([pos[0] // size for group in cm.sectors.map_reflection.order
+                       for pos in group] or range(count))[block]
     for s, block in enumerate(cm.sectors.frame_blocks(cm.blocks)):
         lam, vecs = np.linalg.eig(block)
         mine = w[sector == s]
@@ -855,22 +955,22 @@ def test_real_spectrum_matches_a_complex_eig_of_the_mapped_back_blocks(protocol)
             assert np.abs(mine - value).min() < 1e-11
 
 
-@pytest.mark.parametrize("spec, shape", [
-    (build_graph_ising(generate_er_instance(3, 0.5, 1)), (8, 8)),
-    (build_tfim(2, 1.0, 1.0), (6, 6)),
-    (build_tfim(4, 1.0, 1.0), (72, 72)),
+@pytest.mark.parametrize("spec, widths", [
+    (build_graph_ising(generate_er_instance(3, 0.5, 1)), {8}),
+    (build_tfim(2, 1.0, 1.0), {6, 2, 4}),
+    (build_tfim(4, 1.0, 1.0), {72, 56, 64}),
 ], ids=["graph-3", "tfim-2", "tfim-4"])
-def test_cycle_map_powers_only_sector_blocks(spec, shape, monkeypatch):
+def test_cycle_map_powers_only_sector_blocks(spec, widths, monkeypatch):
     # the graph splits its 2^(n_s + M) register into blocks of 8 states; the
     # chain's two sectors split again by its reflection, into even and odd
-    # blocks padded to the larger: 6/2 and 4/4 at n_s = 2, 72/56 and 64/64
-    # at n_s = 4
+    # blocks at their own widths: 6/2 and 4/4 at n_s = 2, 72/56 and 64/64
+    # at n_s = 4, one stacked call per width
     shapes = []
     real = np.linalg.matrix_power
     monkeypatch.setattr(np.linalg, "matrix_power",
                         lambda a, n: shapes.append(a.shape[-2:]) or real(a, n))
     build_cycle_map(spec, config(spec, n_cycle=4))
-    assert shapes and set(shapes) == {shape}
+    assert shapes and set(shapes) == {(w, w) for w in widths}
 
 
 # ------------------------------------------------------------ steady state
@@ -1024,7 +1124,8 @@ def test_steady_state_and_gap_share_one_eig(monkeypatch):
     counted(np.linalg, "eigvals")
     rho, lam1 = steady_state(cm)
     gap, unique = spectral_gap(cm)
-    assert calls == ["eig"]
+    # one stacked eig per block width (6, 2 and 4), all in steady_state
+    assert calls == ["eig"] * len(set(cm.sectors.widths[1])) == ["eig"] * 3
     assert abs(lam1 - REFERENCE_LAMBDA_1) < 1e-10
     assert abs(lam1 - 1.0) <= 1e-12  # the trace-preservation drift must not grow
     assert abs(gap - REFERENCE_GAP) < 1e-10

@@ -347,12 +347,12 @@ def test_main_validate_prints_suggestion(capsys):
 
 
 @pytest.mark.parametrize("model, line", [
-    (["--model", "tfim", "--n", "2"], "W(Omega) 4 blocks of 6, cycle map 2 blocks of 8 "
-                                      "(generators YYZZ)"),
+    (["--model", "tfim", "--n", "2"], "W(Omega) blocks of 6, 2, 4, 4, cycle map blocks of "
+                                      "6, 2, 4, 4 (generators YYZZ)"),
     (["--model", "graph", "--n", "3"], "W(Omega) 8 blocks of 8, cycle map 8 blocks of 8 "
                                        "(generators ZIIZII, IZIIZI, IIZIIZ)"),
-    (["--model", "tfim", "--n", "4"], "W(Omega) 4 blocks of 72, cycle map 2 blocks of 128 "
-                                      "(generators YYYYZZZZ)"),
+    (["--model", "tfim", "--n", "4"], "W(Omega) blocks of 72, 56, 64, 64, cycle map blocks "
+                                      "of 72, 56, 64, 64 (generators YYYYZZZZ)"),
 ], ids=["tfim-2", "graph-3", "tfim-4"])
 def test_main_validate_prints_the_sector_split(model, line, capsys):
     assert main(["validate", "-q", *model]) == 0
@@ -568,9 +568,9 @@ def test_main_refuses_an_over_budget_sample_up_front(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("model, line", [
-    (["--model", "tfim", "--n", "4"], "exact path 8.2 MiB, sampler 251.0 MiB"),
-    (["--model", "tfim", "--n", "5"], "exact path 132.0 MiB, sampler 4016.0 MiB"),
-    (["--model", "tfim", "--n", "6"], "exact path 2112.0 MiB, sampler 64256.0 MiB"),
+    (["--model", "tfim", "--n", "4"], "exact path 8.4 MiB, sampler 251.0 MiB"),
+    (["--model", "tfim", "--n", "5"], "exact path 134.1 MiB, sampler 4016.0 MiB"),
+    (["--model", "tfim", "--n", "6"], "exact path 2144.2 MiB, sampler 64256.0 MiB"),
 ], ids=["tfim-4", "tfim-5", "tfim-6"])
 def test_main_validate_prints_the_predicted_memory(model, line, capsys):
     assert main(["validate", "-q", *model, "--ncycle", "500"]) == 0

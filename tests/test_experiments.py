@@ -233,7 +233,7 @@ def test_groups_fit_the_memory_budget(monkeypatch):
         raise AssertionError("a cycle map was built")
 
     monkeypatch.setattr("qmcmc.channel._trotter_parts", built)
-    betas = tuple(0.25 * (k + 1) for k in range(16))
+    betas = tuple(0.25 * (k + 1) for k in range(32))
     for n, split in ((6, True), (2, False)):
         plan = small_plan(ExperimentKind.TFIM_INFIDELITY, n_list=(n,), beta=betas,
                           n_trotter=5000, n_cycle=500)
@@ -246,18 +246,18 @@ def test_groups_fit_the_memory_budget(monkeypatch):
         # every group but the last is as large as the budget allows
         for group in groups[:-1]:
             assert run_bytes(spec, cfg, False, betas=len(group) + 1) > MAX_RUN_BYTES
-    # one set of real blocks of the 6-spin chain is 64 MiB: fourteen betas fit
-    # beside the rest
+    # one split stack of real blocks of the 6-spin chain is 32 MiB:
+    # twenty-seven betas fit beside the rest
     chain6 = small_plan(ExperimentKind.TFIM_INFIDELITY, n_list=(6,), beta=betas,
                         n_trotter=5000, n_cycle=500).points
-    assert [len(group) for group in experiments._groups(chain6)] == [14, 2]
+    assert [len(group) for group in experiments._groups(chain6)] == [27, 5]
     # two worker threads may hold two walks at once: each gets half the budget
     halves = experiments._groups(chain6, workers=2)
     assert [p for group in halves for p in group] == list(chain6)
     spec, cfg = chain6[0].spec, chain6[0].config
     assert all(run_bytes(spec, cfg, False, betas=len(group)) <= MAX_RUN_BYTES // 2
                for group in halves)
-    assert [len(group) for group in halves] == [5, 5, 5, 1]
+    assert [len(group) for group in halves] == [9, 9, 9, 5]
 
 
 def test_spare_workers_go_to_the_walk_and_the_scorings(monkeypatch):
