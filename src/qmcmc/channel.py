@@ -108,7 +108,11 @@ _SYMPLECTIC = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 
 def _conjugate(gates, a: np.ndarray, qubits: int) -> np.ndarray:
     """``G^dag a G`` for ``G`` the product of the one-qubit ``gates``, given
-    as ``(qubit, V)`` on a register of ``qubits`` qubits."""
+    as ``(qubit, V)`` on a register of ``qubits`` qubits. With ``_scatter``,
+    ``Sectors.frame_blocks`` and ``Sectors.superoperator`` it builds
+    ``CycleMap.superoperator``, which ``bench/tracer.py`` reads in an
+    observer under a non-reentrant lock, so none may call a public ``qmcmc``
+    function: over ``apply_gate``, this one hung the tier-1 tests silently."""
     if not gates:
         return a
     t = a.reshape((2,) * (2 * qubits))  # row qubits, then column qubits
@@ -739,32 +743,32 @@ def _thread_map(fn, items, workers: int | None) -> Iterator:
 
 
 def _trotter_parts(spec: HamiltonianSpec, cfg: ProtocolConfig):
-    """Omega-independent pieces of one Trotter step, split by the run's
-    symmetries: the sectors, the split stack under their ``reflection``
-    (:meth:`_PairBasis.split`) of the blocks of (interactions @ system step)
-    in their frame, and the split weights ``w`` of the phase diagonal
-    ``exp(i (omega dt / 2) w)`` on each block's basis vectors: each ancilla
-    adds +1 in ``|0>`` and -1 in ``|1>``, which the reflection keeps."""
+    """Omega-independent pieces of one Trotter step in the frame of the
+    run's sectors: the sectors, the split stack under their ``reflection``
+    (:meth:`_PairBasis.split`) of the step's blocks, and the split weights
+    ``w`` of the phase diagonal ``exp(i (omega dt / 2) w)``: each ancilla
+    adds +1 in ``|0>`` and -1 in ``|1>``. The couplings ``exp(-i theta L_p
+    X_a)`` commute, so the step (couplings @ u_s) is ``sum_S c_S L_S u_s
+    (x) X^S``, ``c_S = cos^(M-|S|) theta (-i sin theta)^|S|``: block entry
+    ``((x, a), (y, b))`` is ``c_(a^b) (L_(a^b) u_s)[x, y]``, gathered from
+    the 2^M system-size products ``L_S u_s`` (ancilla 0 the top bit of S)."""
     sectors = _sectors(spec, cfg)
     n_s, m = spec.qubit_count, cfg.m_count
-    n = n_s + m
-    dt = cfg.t_g / cfg.n_trotter
     # F u_s F^dag: conjugation by the inverse gates
     u_s = _conjugate([(q, v.conj().T) for q, v in sectors.gates],
-                     expm_hermitian(spec.spectrum, -1j * dt), n_s)
-    ab = np.kron(u_s, np.eye(2**m, dtype=complex))
-    # exp(-i theta XX) in closed form; theta = g dt = pi / n_trotter exactly
-    theta = np.pi / cfg.n_trotter
+                     expm_hermitian(spec.spectrum, -1j * (cfg.t_g / cfg.n_trotter)), n_s)
     coupled = {q: _TO_Z[c][1] for q, c in sectors.frame}
-    for anc, principal in enumerate(cfg.ancilla_map):
-        xx = np.kron(PAULIS[coupled.get(principal, "X")], PAULIS["X"])
-        interaction = np.cos(theta) * np.eye(4, dtype=complex) - 1j * np.sin(theta) * xx
-        ab = apply_gate(interaction, [principal, n_s + anc], ab, n)
-    st = sectors.states
+    products = u_s[:, np.newaxis, :]
+    for principal in cfg.ancilla_map:
+        flipped = apply_gate(PAULIS[coupled.get(principal, "X")], [principal], products, n_s)
+        products = np.stack([products, flipped], axis=2).reshape(2**n_s, -1, 2**n_s)
+    theta = np.pi / cfg.n_trotter  # = g dt exactly
     ones = (np.arange(2**m)[:, np.newaxis] >> np.arange(m) & 1).sum(axis=1)
-    weights = np.tile(m - 2.0 * ones, 2**n_s)[st]
-    return (sectors, *sectors.reflection.split(ab[st[:, :, np.newaxis], st[:, np.newaxis, :]],
-                                               weights))
+    products *= (np.cos(theta) ** (m - ones) * (-1j * np.sin(theta)) ** ones)[:, np.newaxis]
+    x, a = np.divmod(sectors.states, 2**m)
+    blocks = products[x[:, :, np.newaxis], a[:, :, np.newaxis] ^ a[:, np.newaxis, :],
+                      x[:, np.newaxis, :]]
+    return (sectors, *sectors.reflection.split(blocks, m - 2.0 * ones[a]))
 
 
 def _w_bytes(sectors: Sectors) -> int:

@@ -458,7 +458,8 @@ def test_walk_threads_share_one_real_gather(monkeypatch):
 
 
 def test_cycle_map_refuses_seven_spins_up_front(monkeypatch):
-    # building the period parts first would already take 4 GiB at n_s = 7
+    # building the period parts first would already take 2 GiB at n_s = 7:
+    # the two sector blocks of 8192 states
     def built_too_early(*args):
         raise AssertionError("period parts built before the size check")
 
@@ -791,6 +792,21 @@ def test_cycle_map_peak_memory_is_within_the_prediction():
     finally:
         tracemalloc.stop()
     assert peak <= channel.run_bytes(spec, cfg, False)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_trotter_parts_peak_within_a_few_w_blocks(n):
+    # the step is gathered from 2^M system-size products; one matrix of
+    # 4^(n_s+M) entries alone would take one w_bytes per sector, 16 and 32 here
+    spec = build_graph_ising(generate_er_instance(n, 0.5, 1))
+    cfg = config(spec)
+    tracemalloc.start()
+    try:
+        sectors = channel._trotter_parts(spec, cfg)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * channel._w_bytes(sectors)
 
 
 def condition_numbers(vecs):
