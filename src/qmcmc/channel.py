@@ -38,9 +38,10 @@ both split by parity, each block at its own width: W is powered, and the
 cycle map gathered, folded and diagonalized, in blocks of 72, 56, 64 and
 64 states for the 4-spin chain instead of two of 128. Blocks of one width
 share one stacked call; without the reflection there is one parity, and
-the split stacks are the sector blocks themselves. Only W's chunks (by one
-precomputed gather), :meth:`Sectors.superoperator` and
-:meth:`Sectors.state` map back.
+the split stacks are the sector blocks themselves. One table
+(:meth:`_PairBasis.split_gather`) splits the Trotter step and each period
+channel. Only W's chunks (by one precomputed gather) and, by ``T^dag``
+alone, :meth:`Sectors.superoperator` and :meth:`Sectors.state` map back.
 
 The comb walk (:func:`_period_table`) streams the distinct comb values in
 period order. It powers the W blocks of several values in one stacked call,
@@ -208,13 +209,10 @@ def _real_gather(sectors: Sectors) -> tuple[np.ndarray, np.ndarray]:
     Re(a_p conj(a_q) S[p, q] + a_p a_q S[p, q'])``, because such a map has
     ``S[p', q'] = conj(S[p, q])``. Each product of two coefficients is real
     or imaginary, so each term is one real or imaginary part of a Gram
-    entry: for one parity, two terms, each (sectors, size, size). Split, the
-    blocks ``B = U R U^T`` in the basis ``U v = a v + b v[image]`` of
-    ``sectors.map_reflection`` keep the entries of one parity, and ``R``
-    commutes with its signed permutation, ``R[x', y'] = odd_x odd_y R[x,
-    y]`` for ``x' = image[x]``. So ``B[p, q]`` is ``(a_p a_q + b_p b_q odd_p
-    odd_q) R[p, q] + (a_p b_q + b_p a_q odd_p odd_q) R[p, image[q]]``: four
-    terms, each (entries,), over half the entries.
+    entry: for one parity, two terms, each (sectors, size, size). Split by
+    ``sectors.map_reflection``, each entry of the split stack is two entries
+    of ``R`` (:meth:`_PairBasis.split_gather`): four terms, each (entries,),
+    over half the entries.
     """
     a, partner = sectors.hermitian.a, sectors.hermitian.image
     gram = _gram_gather(sectors.pairs, 2**sectors.n_s)
@@ -226,18 +224,9 @@ def _real_gather(sectors: Sectors) -> tuple[np.ndarray, np.ndarray]:
         imaginary = product.imag != 0
         index[t] = 2 * index[t] + imaginary
         coef[t] = 2.0 * np.where(imaginary, -product.imag, product.real)
-    basis, size = sectors.map_reflection, sectors.pairs.shape[1]
-    if not basis.order:
+    if not sectors.map_reflection.order:
         return index, coef
-    at, mix = [], []  # of R[p, q] and R[p, image[q]] for each entry of each block
-    for pos in basis.order:
-        s, p = pos[:, :1, np.newaxis] // size, pos[:, :, np.newaxis] % size  # one sector a block
-        q = p.swapaxes(1, 2)
-        (ap, bp, op), (aq, bq, oq) = ([c[s, x] for c in (basis.a, basis.b, basis.odd)]
-                                      for x in (p, q))
-        at.append(np.stack([(s * size + p) * size + x for x in (q, basis.image[s, q])]))
-        mix.append(np.stack([ap * aq + bp * bq * op * oq, ap * bq + bp * aq * op * oq]))
-    at, mix = (np.concatenate([t.reshape(2, -1) for t in x], axis=1) for x in (at, mix))
+    at, mix = sectors.map_reflection.split_gather()
     return (np.take(index.reshape(2, -1), at, axis=1).reshape(4, -1),
             (np.take(coef.reshape(2, -1), at, axis=1) * mix).reshape(4, -1))
 
@@ -278,7 +267,7 @@ class _PairBasis:
     the signed permutation ``(P v)_x = odd_x v[image[x]]``: odd when it is
     the first of a pair or ``odd_x = -1``, but not both. A stack that
     commutes with ``P`` links no even coordinate to an odd one. A real
-    ``odd`` splits it into its blocks, sector 0's even
+    ``odd`` splits it (:meth:`split_gather`) into its blocks, sector 0's even
     coordinates, its odd ones, sector 1's even ones and so on: ``order``
     holds, for each distinct block width in order of first appearance, a
     (blocks, width) array of the flat positions ``s size + x`` of each
@@ -308,26 +297,17 @@ class _PairBasis:
                       for w in dict.fromkeys(widths[widths > 0].tolist()))
         return cls(image, a, b, odd, order)
 
-    def apply(self, stack: np.ndarray, form: str, axis: int) -> np.ndarray:
-        """A (..., sectors, size, size) ``stack`` whose dtype holds the
-        result, overwritten with ``F stack`` (``axis`` -2) or ``stack F``
-        (-1) for the ``form`` ``F``, ``"T"`` or ``"T^dag"``. The columns take
-        the coefficients of ``T^T v = a v + b[image] v[image]``."""
-        a, b = self.a, self.b
-        if (form == "T") == (axis == -1):
-            b = np.take_along_axis(b, self.image, axis=1)
-        if form == "T^dag":
-            a, b = a.conj(), b.conj()
+    def dagger(self, stack: np.ndarray) -> np.ndarray:
+        """A (..., sectors, size, columns) ``stack`` whose dtype holds the
+        result, overwritten with ``T^dag stack``: row ``x`` becomes
+        ``conj(a_x) v_x + conj(b[image[x]]) v[image[x]]``, by one take of
+        whole rows (row ``x`` of sector ``s`` is row ``s size + x``)."""
         count, size = self.image.shape
-        if axis == -2:  # one take of whole rows: row x of sector s is row s size + x
-            rows = (np.arange(count)[:, np.newaxis] * size + self.image).reshape(-1)
-            part = np.take(stack.reshape(stack.shape[:-3] + (count * size, -1)), rows, axis=-2)
-            a, b, part = a[..., np.newaxis], b[..., np.newaxis], part.reshape(stack.shape)
-        else:  # entry [s, x, y] takes column image[s, y] of row x
-            s, x = np.arange(count)[:, np.newaxis, np.newaxis], np.arange(size)[:, np.newaxis]
-            a, b, part = a[:, np.newaxis], b[:, np.newaxis], stack[..., s, x, self.image[:, None]]
-        part *= b
-        stack *= a
+        rows = (np.arange(count)[:, np.newaxis] * size + self.image).reshape(-1)
+        part = np.take(stack.reshape(stack.shape[:-3] + (count * size, -1)), rows,
+                       axis=-2).reshape(stack.shape)
+        part *= np.take_along_axis(self.b, self.image, axis=1).conj()[..., np.newaxis]
+        stack *= self.a.conj()[..., np.newaxis]
         stack += part
         return stack
 
@@ -358,18 +338,28 @@ class _PairBasis:
             np.matmul(x, y, out=z)
         return out
 
-    def split(self, blocks: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The split stack of the complex (sectors, size, size) ``blocks``
-        (overwritten) of a matrix that commutes with ``P``, the blocks of ``T
-        B T^dag``, and the split (sectors, size) weights of a diagonal one
-        that does, the weights of each block's coordinates."""
+    def split_gather(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(at, mix)``, each (2, entries), such that entry ``[p, q]`` of the
+        split stack of a (sectors, size, size) stack ``M`` that commutes with
+        ``P`` is ``mix[0] M.flat[at[0]] + mix[1] M.flat[at[1]]``; None for one
+        parity. A real ``odd`` makes ``T`` real: with ``x' = image[x]``, entry
+        ``[p, q]`` of ``T M T^T`` is ``a_p a_q M[p, q] + a_p b_q M[p, q'] +
+        b_p a_q M[p', q] + b_p b_q M[p', q']``, and ``M[x', y'] = odd_x odd_y
+        M[x, y]``. So ``at`` holds the flat positions of ``M[p, q]`` and
+        ``M[p, q']``, and ``mix`` the coefficients ``a_p a_q + b_p b_q odd_p
+        odd_q`` and ``a_p b_q + b_p a_q odd_p odd_q``."""
         if not self.order:
-            return blocks, weights
-        size = blocks.shape[-1]
-        t = self.apply(self.apply(blocks, "T", -2), "T^dag", -1).reshape(-1, size)
-        return (np.concatenate([t[pos[:, :, None], pos[:, None, :] % size].reshape(-1)
-                                for pos in self.order]),
-                np.concatenate([weights.reshape(-1)[pos].reshape(-1) for pos in self.order]))
+            return None
+        size, odd = self.image.shape[1], np.broadcast_to(self.odd, self.image.shape)
+        at, mix = [], []
+        for pos in self.order:
+            s, p = pos[:, :1, np.newaxis] // size, pos[:, :, np.newaxis] % size  # one sector a block
+            q = p.swapaxes(1, 2)
+            (ap, bp, op), (aq, bq, oq) = ([c[s, x] for c in (self.a, self.b, odd)]
+                                          for x in (p, q))
+            at.append(np.stack([(s * size + p) * size + x for x in (q, self.image[s, q])]))
+            mix.append(np.stack([ap * aq + bp * bq * op * oq, ap * bq + bp * aq * op * oq]))
+        return tuple(np.concatenate([t.reshape(2, -1) for t in x], axis=1) for x in (at, mix))
 
     def unsplit_gather(self) -> tuple[np.ndarray, np.ndarray] | None:
         """``(index, coef)``, each (2, sectors, size, size), such that entry
@@ -422,7 +412,7 @@ class _PairBasis:
         count, size = self.image.shape
         coords = np.zeros((count, size) + v.shape[1:], dtype=np.result_type(v, self.a))
         coords[0, self.order[0][0]] = v
-        return self.apply(coords, "T^dag", -2)[0]
+        return self.dagger(coords)[0]
 
 
 @dataclass(frozen=True)
@@ -541,8 +531,8 @@ class Sectors:
         basis, of the real cycle-map split stack ``blocks`` in the Hermitian
         basis."""
         h = self.hermitian
-        blocks = self.map_reflection.unsplit(blocks).astype(complex)
-        return h.apply(h.apply(blocks, "T^dag", -2), "T", -1)
+        left = h.dagger(self.map_reflection.unsplit(blocks).astype(complex))
+        return h.dagger(left.conj().swapaxes(-1, -2)).conj().swapaxes(-1, -2)
 
     def unitary(self, blocks: np.ndarray) -> np.ndarray:
         """The dense computational-basis composite matrix with these W
@@ -564,7 +554,7 @@ class Sectors:
         coords = np.zeros(self.pairs.shape + (1,), dtype=complex)
         coords[0] = self.map_reflection.embed(v0[:, np.newaxis])
         flat = np.empty(4**self.n_s, dtype=complex)
-        flat[self.pairs] = self.hermitian.apply(coords, "T^dag", -2)[..., 0]
+        flat[self.pairs] = self.hermitian.dagger(coords)[..., 0]
         return _conjugate(self.gates, unvec(flat), self.n_s)
 
 
@@ -745,13 +735,14 @@ def _thread_map(fn, items, workers: int | None) -> Iterator:
 def _trotter_parts(spec: HamiltonianSpec, cfg: ProtocolConfig):
     """Omega-independent pieces of one Trotter step in the frame of the
     run's sectors: the sectors, the split stack under their ``reflection``
-    (:meth:`_PairBasis.split`) of the step's blocks, and the split weights
-    ``w`` of the phase diagonal ``exp(i (omega dt / 2) w)``: each ancilla
-    adds +1 in ``|0>`` and -1 in ``|1>``. The couplings ``exp(-i theta L_p
-    X_a)`` commute, so the step (couplings @ u_s) is ``sum_S c_S L_S u_s
-    (x) X^S``, ``c_S = cos^(M-|S|) theta (-i sin theta)^|S|``: block entry
-    ``((x, a), (y, b))`` is ``c_(a^b) (L_(a^b) u_s)[x, y]``, gathered from
-    the 2^M system-size products ``L_S u_s`` (ancilla 0 the top bit of S)."""
+    of the step's blocks, and the split weights ``w`` of the phase diagonal
+    ``exp(i (omega dt / 2) w)``, each block's coordinates' weights: each
+    ancilla adds +1 in ``|0>`` and -1 in ``|1>``. The couplings ``exp(-i
+    theta L_p X_a)`` commute, so the step (couplings @ u_s) is ``sum_S c_S
+    L_S u_s (x) X^S``, ``c_S = cos^(M-|S|) theta (-i sin theta)^|S|``: block
+    entry ``((x, a), (y, b))`` is ``c_(a^b) (L_(a^b) u_s)[x, y]``, gathered
+    from the 2^M system-size products ``L_S u_s`` (ancilla 0 the top bit of
+    S), and split by :meth:`_PairBasis.split_gather` from the same."""
     sectors = _sectors(spec, cfg)
     n_s, m = spec.qubit_count, cfg.m_count
     # F u_s F^dag: conjugation by the inverse gates
@@ -766,9 +757,16 @@ def _trotter_parts(spec: HamiltonianSpec, cfg: ProtocolConfig):
     ones = (np.arange(2**m)[:, np.newaxis] >> np.arange(m) & 1).sum(axis=1)
     products *= (np.cos(theta) ** (m - ones) * (-1j * np.sin(theta)) ** ones)[:, np.newaxis]
     x, a = np.divmod(sectors.states, 2**m)
-    blocks = products[x[:, :, np.newaxis], a[:, :, np.newaxis] ^ a[:, np.newaxis, :],
-                      x[:, np.newaxis, :]]
-    return (sectors, *sectors.reflection.split(blocks, m - 2.0 * ones[a]))
+    weights = m - 2.0 * ones[a]
+    if not sectors.reflection.order:
+        return sectors, products[x[:, :, np.newaxis], a[:, :, np.newaxis] ^ a[:, np.newaxis, :],
+                                 x[:, np.newaxis, :]], weights
+    # products[x, a ^ b, y] is the flat entry (state (x, a) ^ b) 2^n_s + y
+    at, mix = sectors.reflection.split_gather()
+    at = np.take((sectors.states[:, :, np.newaxis] ^ a[:, np.newaxis, :]) << n_s
+                 | x[:, np.newaxis, :], at)
+    return (sectors, _combine(products.reshape(-1), (at, mix)),
+            weights.reshape(-1)[np.concatenate([p.reshape(-1) for p in sectors.reflection.order])])
 
 
 def _w_bytes(sectors: Sectors) -> int:

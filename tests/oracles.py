@@ -11,9 +11,11 @@ tests need: direct Kraus application, the partial trace and the ensemble
 average of a trajectory batch. ``collapse_period`` is the sampler's period
 as a sequence of whole-batch collapses, renormalizations and swaps, one per
 ancilla, which the library's outcome-index form must reproduce. The pair
-basis' split stacks are checked against the padded layout they replaced
-(``padded_split``, ``scatter_unsplit``), and the one-parity real gather
-against the two-term gather (``two_term_real_gather``).
+basis is built as a dense matrix from its definition (``pair_matrix``), and
+its split stacks are checked against the padded layout they replaced, by
+plain matrix products with that matrix (``padded_split``,
+``scatter_unsplit``); the one-parity real gather is checked against the
+two-term gather (``two_term_real_gather``).
 """
 
 import numpy as np
@@ -321,24 +323,46 @@ def padded_order(image, odd):
     return order
 
 
-def padded_split(basis, blocks, weights, order):
+def pair_matrix(image, odd):
+    """The dense (sectors, size, size) pair basis ``T`` of the involution
+    ``image`` with the phase ``odd`` (one, or one per position), entry by
+    entry: a fixed position keeps its coordinate, and each pair ``x < y``
+    becomes ``odd (v_y - v_x) / sqrt(2)`` at ``x`` and ``(v_x + v_y) /
+    sqrt(2)`` at ``y``."""
+    count, size = image.shape
+    odd = np.broadcast_to(odd, image.shape)
+    t = np.zeros((count, size, size), dtype=complex)
+    for s in range(count):
+        for x in range(size):
+            y = int(image[s, x])
+            if y == x:
+                t[s, x, x] = 1.0
+            elif x < y:
+                t[s, x, x], t[s, x, y] = -odd[s, x] / np.sqrt(2), odd[s, x] / np.sqrt(2)
+            else:
+                t[s, x, y], t[s, x, x] = 1 / np.sqrt(2), 1 / np.sqrt(2)
+    return t
+
+
+def padded_split(t, blocks, weights, order):
     """The (sectors * 2, width, width) stack of each parity's block of ``T B
-    T^dag`` for the (sectors, size, size) ``blocks`` (overwritten), cut by
-    ``order`` and padded with the identity, and the weights of its
-    coordinates, 0 on the padding."""
+    T^dag`` for the :func:`pair_matrix` ``t`` and the (sectors, size, size)
+    ``blocks``, cut by ``order`` and padded with the identity, and the
+    weights of its coordinates, 0 on the padding."""
     rows, cols = order[..., :, None], order[..., None, :]
-    t = basis.apply(basis.apply(blocks, "T", -2), "T^dag", -1)
+    t = t @ blocks @ t.conj().swapaxes(1, 2)
     t = t[np.arange(len(t))[:, None, None, None], rows, cols]
     t = np.where((rows >= 0) & (cols >= 0), t, np.eye(t.shape[-1])).reshape(-1, *t.shape[-2:])
     weights = np.take_along_axis(weights[:, np.newaxis], order, axis=2)
     return t, np.where(order >= 0, weights, 0.0).reshape(len(t), -1)
 
 
-def scatter_unsplit(basis, w, order):
+def scatter_unsplit(t, w, order):
     """The (..., sectors, size, size) blocks ``T^dag B T`` of a (...,
-    sectors * 2, width, width) :func:`padded_split` stack: each parity's
-    block scattered to its positions, then ``T`` undone."""
-    count, size = basis.image.shape
+    sectors * 2, width, width) :func:`padded_split` stack for the
+    :func:`pair_matrix` ``t``: each parity's block scattered to its
+    positions, then ``T`` undone."""
+    count, size = t.shape[:2]
     values, entries = int(np.prod(w.shape[:-3])), count * size * size
     rows, cols = order[..., :, None], order[..., None, :]
     at = ((np.arange(count)[:, None, None, None] * size + rows) * size + cols).reshape(-1)
@@ -347,7 +371,7 @@ def scatter_unsplit(basis, w, order):
     out = np.zeros(values * entries + 1, dtype=w.dtype)
     out[at] = w.reshape(at.shape)
     out = out[:-1].reshape(w.shape[:-3] + (count, size, size))
-    return basis.apply(basis.apply(out, "T^dag", -2), "T", -1)
+    return t.conj().swapaxes(1, 2) @ out @ t
 
 
 def two_term_real_gather(sectors):

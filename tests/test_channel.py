@@ -59,6 +59,7 @@ from oracles import (
     pauli_word_matrix,
     padded_order,
     padded_split,
+    pair_matrix,
     ptrace_last,
     random_density,
     random_unitary,
@@ -559,8 +560,11 @@ def involutions(draw):
 @st.composite
 def signed_involutions(draw):
     """``(image, odd)``: an :func:`involutions` image and a sign per
-    position, equal on each pair."""
+    position, equal on each pair, or, one draw in four, the scalar phase 1
+    that W's reflection carries."""
     image, _ = draw(involutions())
+    if draw(st.integers(0, 3)) == 0:
+        return image, 1
     odd = np.where(draw(st.lists(st.booleans(), min_size=image.size, max_size=image.size)),
                    -1.0, 1.0).reshape(image.shape)
     return image, np.where(np.arange(image.shape[1]) < image,
@@ -581,18 +585,29 @@ def commuting_stack(image, seed, odd=1.0):
     return b, weights + np.take_along_axis(weights, image, axis=1)
 
 
+def split_stack(basis, b, weights):
+    """The split stack of a commuting (sectors, size, size) stack ``b`` and
+    its split weights, taken as ``_trotter_parts`` takes the step's: one
+    :meth:`split_gather` combination, and the weights at the blocks'
+    positions; ``b`` and ``weights`` themselves for one parity."""
+    if not basis.order:
+        return b, weights
+    order = np.concatenate([pos.reshape(-1) for pos in basis.order])
+    return channel._combine(b.reshape(-1), basis.split_gather()), weights.reshape(-1)[order]
+
+
 @settings(max_examples=60, deadline=None)
-@given(pairs=involutions())
-def test_pair_basis_is_unitary(pairs):
+@given(pairs=involutions(), seed=st.integers(0, 2**32 - 1))
+def test_pair_basis_is_unitary(pairs, seed):
     basis = channel._PairBasis.of(*pairs)
     count, size = pairs[0].shape
-    eye = np.tile(np.eye(size, dtype=complex), (count, 1, 1))
-    t = basis.apply(eye.copy(), "T", -2)
+    t = pair_matrix(*pairs)
     assert np.abs(t @ t.conj().swapaxes(1, 2) - np.eye(size)).max() < 1e-14
-    # the columns give the same matrices, and T^dag is the conjugate transpose
-    assert np.array_equal(basis.apply(eye.copy(), "T", -1), t)
-    for axis in (-2, -1):
-        assert np.array_equal(basis.apply(eye.copy(), "T^dag", axis), t.conj().swapaxes(1, 2))
+    eye = np.tile(np.eye(size, dtype=complex), (count, 1, 1))
+    assert np.abs(basis.dagger(eye) - t.conj().swapaxes(1, 2)).max() < 1e-15
+    # on a stack of column sets, as the fixed point's embedding takes it
+    v = np.random.default_rng(seed).normal(size=(2, count, size, 3)) + 0j
+    assert np.abs(basis.dagger(v.copy()) - t.conj().swapaxes(1, 2) @ v).max() < 1e-14
 
 
 @settings(max_examples=60, deadline=None)
@@ -601,17 +616,18 @@ def test_pair_basis_splits_a_commuting_stack_by_parity(pairs, seed):
     image, odd = pairs
     basis = channel._PairBasis.of(image, odd)
     b, weights = commuting_stack(image, seed, odd)
-    full = basis.apply(basis.apply(b.copy(), "T", -2), "T^dag", -1)
-    parity = (np.arange(image.shape[1]) < image) ^ (odd < 0)  # the odd coordinates
+    t = pair_matrix(image, odd)
+    full = t @ b @ t.conj().swapaxes(1, 2)
+    parity = (np.arange(image.shape[1]) < image) ^ (np.asarray(odd) < 0)  # the odd coordinates
     assert np.abs(full[parity[:, :, None] != parity[:, None, :]]).max(initial=0) < 1e-13
-    split, split_weights = basis.split(b.copy(), weights)
+    split, split_weights = split_stack(basis, b, weights)
     assert split.size == sum(w * w for w in basis.widths(image.shape))
     assert np.abs(basis.unsplit(split) - b).max() < 1e-13
     assert np.abs(basis.unsplit(np.stack([split, 2 * split]))[1] - 2 * b).max() < 1e-13
     # a diagonal stack splits to diagonal blocks of the split weights
     diagonal = np.zeros_like(b)
     diagonal[:, np.arange(len(b[0])), np.arange(len(b[0]))] = weights
-    diagonal = basis.split(diagonal, weights)[0]
+    diagonal = split_stack(basis, diagonal, weights)[0]
     for block, weight in zip(basis.parts(diagonal), basis.parts(split_weights, 1)):
         assert np.abs(block - weight[..., None] * np.eye(block.shape[-1])).max() < 1e-13
 
@@ -624,19 +640,19 @@ def test_split_stack_and_unsplit_gather_match_the_padded_oracle(pairs, seed):
     image, odd = pairs
     basis = channel._PairBasis.of(image, odd)
     b, weights = commuting_stack(image, seed, odd)
-    order = padded_order(image, odd)
-    padded, padded_weights = padded_split(basis, b.copy(), weights, order)
-    split, split_weights = basis.split(b.copy(), weights)
-    size = image.shape[1]
+    order, t = padded_order(image, odd), pair_matrix(image, odd)
+    padded, padded_weights = padded_split(t, b, weights, order)
+    split, split_weights = split_stack(basis, b, weights)
+    size, signs = image.shape[1], np.broadcast_to(odd, image.shape)
     for positions, blocks, block_weights in zip(basis.order, basis.parts(split),
                                                 basis.parts(split_weights, 1)):
         for pos, block, weight in zip(positions, blocks, block_weights):
             s, x = divmod(int(pos[0]), size)
-            p, w = 2 * s + int(((x < image[s, x]) ^ (odd[s, x] < 0))), len(pos)
-            assert np.array_equal(block, padded[p, :w, :w])
+            p, w = 2 * s + int(((x < image[s, x]) ^ (signs[s, x] < 0))), len(pos)
+            assert np.abs(block - padded[p, :w, :w]).max() < 1e-13
             assert np.array_equal(weight, padded_weights[p, :w])
     stacked = np.stack([split, 2 * split])
-    oracle = scatter_unsplit(basis, np.stack([padded, 2 * padded]), order)
+    oracle = scatter_unsplit(t, np.stack([padded, 2 * padded]), order)
     assert np.abs(basis.unsplit(stacked) - oracle).max() < 1e-13
 
 
@@ -646,9 +662,8 @@ def test_split_stack_and_unsplit_gather_match_the_padded_oracle(pairs, seed):
 def test_identity_pair_basis_splits_to_a_bitwise_copy(count, size, odd, seed):
     image = np.tile(np.arange(size), (count, 1))
     basis = channel._PairBasis.of(image, odd)
-    b, weights = commuting_stack(image, seed)
-    split, split_weights = basis.split(b.copy(), weights)
-    assert split.tobytes() == b.tobytes() and split_weights.tobytes() == weights.tobytes()
+    b, _ = commuting_stack(image, seed)
+    assert basis.split_gather() is None
     assert basis.unsplit(b[np.newaxis]).tobytes() == b.tobytes()
 
 
@@ -794,11 +809,14 @@ def test_cycle_map_peak_memory_is_within_the_prediction():
     assert peak <= channel.run_bytes(spec, cfg, False)
 
 
-@pytest.mark.parametrize("n", [4, 5])
-def test_trotter_parts_peak_within_a_few_w_blocks(n):
-    # the step is gathered from 2^M system-size products; one matrix of
-    # 4^(n_s+M) entries alone would take one w_bytes per sector, 16 and 32 here
-    spec = build_graph_ising(generate_er_instance(n, 0.5, 1))
+@pytest.mark.parametrize("n, model", [(4, "graph"), (5, "graph"), (4, "chain"), (5, "chain")],
+                         ids=["4", "5", "chain-4", "chain-5"])
+def test_trotter_parts_peak_within_a_few_w_blocks(n, model):
+    # the step is gathered from 2^M system-size products, and the chain's
+    # split straight from them; one matrix of 4^(n_s+M) entries alone would
+    # take one w_bytes per sector, 16 and 32 here
+    spec = (build_graph_ising(generate_er_instance(n, 0.5, 1)) if model == "graph"
+            else build_tfim(n, 1.0, 0.7))
     cfg = config(spec)
     tracemalloc.start()
     try:
