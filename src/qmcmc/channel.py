@@ -38,10 +38,10 @@ both split by parity, each block at its own width: W is powered, and the
 cycle map gathered, folded and diagonalized, in blocks of 72, 56, 64 and
 64 states for the 4-spin chain instead of two of 128. Blocks of one width
 share one stacked call; without the reflection there is one parity, and
-the split stacks are the sector blocks themselves. One table
-(:meth:`_PairBasis.split_gather`) splits the Trotter step and each period
-channel. Only W's chunks (by one precomputed gather) and, by ``T^dag``
-alone, :meth:`Sectors.superoperator` and :meth:`Sectors.state` map back.
+the split stacks are the sector blocks themselves. One table splits the
+step and each period channel (:meth:`_PairBasis.split_gather`). Only W's
+chunks (by one precomputed gather), :meth:`Sectors.superoperator` and
+:meth:`Sectors.state` map back.
 
 The comb walk (:func:`_period_table`) streams the distinct comb values in
 period order. It powers the W blocks of several values in one stacked call,
@@ -210,9 +210,8 @@ def _real_gather(sectors: Sectors) -> tuple[np.ndarray, np.ndarray]:
     ``S[p', q'] = conj(S[p, q])``. Each product of two coefficients is real
     or imaginary, so each term is one real or imaginary part of a Gram
     entry: for one parity, two terms, each (sectors, size, size). Split by
-    ``sectors.map_reflection``, each entry of the split stack is two entries
-    of ``R`` (:meth:`_PairBasis.split_gather`): four terms, each (entries,),
-    over half the entries.
+    ``sectors.map_reflection`` with :meth:`_PairBasis.split_gather`, two
+    entries of ``R`` each: four terms, each (entries,), over half the entries.
     """
     a, partner = sectors.hermitian.a, sectors.hermitian.image
     gram = _gram_gather(sectors.pairs, 2**sectors.n_s)
@@ -224,9 +223,9 @@ def _real_gather(sectors: Sectors) -> tuple[np.ndarray, np.ndarray]:
         imaginary = product.imag != 0
         index[t] = 2 * index[t] + imaginary
         coef[t] = 2.0 * np.where(imaginary, -product.imag, product.real)
-    if not sectors.map_reflection.order:
+    if (gather := sectors.map_reflection.split_gather()) is None:
         return index, coef
-    at, mix = sectors.map_reflection.split_gather()
+    at, mix = gather
     return (np.take(index.reshape(2, -1), at, axis=1).reshape(4, -1),
             (np.take(coef.reshape(2, -1), at, axis=1) * mix).reshape(4, -1))
 
@@ -347,19 +346,29 @@ class _PairBasis:
         b_p a_q M[p', q] + b_p b_q M[p', q']``, and ``M[x', y'] = odd_x odd_y
         M[x, y]``. So ``at`` holds the flat positions of ``M[p, q]`` and
         ``M[p, q']``, and ``mix`` the coefficients ``a_p a_q + b_p b_q odd_p
-        odd_q`` and ``a_p b_q + b_p a_q odd_p odd_q``."""
+        odd_q`` and ``a_p b_q + b_p a_q odd_p odd_q``. Two entries stand for
+        four, so ``M``'s roundoff in commuting with ``P`` enters the split."""
         if not self.order:
             return None
         size, odd = self.image.shape[1], np.broadcast_to(self.odd, self.image.shape)
         at, mix = [], []
         for pos in self.order:
-            s, p = pos[:, :1, np.newaxis] // size, pos[:, :, np.newaxis] % size  # one sector a block
+            s, p = pos[:, :1, np.newaxis] // size, pos[:, :, np.newaxis] % size  # one sector each
             q = p.swapaxes(1, 2)
             (ap, bp, op), (aq, bq, oq) = ([c[s, x] for c in (self.a, self.b, odd)]
                                           for x in (p, q))
             at.append(np.stack([(s * size + p) * size + x for x in (q, self.image[s, q])]))
             mix.append(np.stack([ap * aq + bp * bq * op * oq, ap * bq + bp * aq * op * oq]))
         return tuple(np.concatenate([t.reshape(2, -1) for t in x], axis=1) for x in (at, mix))
+
+    def split(self, blocks: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The split stack (:meth:`split_gather`) of the (sectors, size, size)
+        ``blocks`` of a matrix that commutes with ``P``, and the split weights
+        of a diagonal one that does; both as they are for one parity."""
+        if (gather := self.split_gather()) is None:
+            return blocks, weights
+        return (_combine(blocks.reshape(-1), gather),
+                weights.reshape(-1)[np.concatenate([pos.reshape(-1) for pos in self.order])])
 
     def unsplit_gather(self) -> tuple[np.ndarray, np.ndarray] | None:
         """``(index, coef)``, each (2, sectors, size, size), such that entry
@@ -735,14 +744,13 @@ def _thread_map(fn, items, workers: int | None) -> Iterator:
 def _trotter_parts(spec: HamiltonianSpec, cfg: ProtocolConfig):
     """Omega-independent pieces of one Trotter step in the frame of the
     run's sectors: the sectors, the split stack under their ``reflection``
-    of the step's blocks, and the split weights ``w`` of the phase diagonal
-    ``exp(i (omega dt / 2) w)``, each block's coordinates' weights: each
-    ancilla adds +1 in ``|0>`` and -1 in ``|1>``. The couplings ``exp(-i
-    theta L_p X_a)`` commute, so the step (couplings @ u_s) is ``sum_S c_S
-    L_S u_s (x) X^S``, ``c_S = cos^(M-|S|) theta (-i sin theta)^|S|``: block
-    entry ``((x, a), (y, b))`` is ``c_(a^b) (L_(a^b) u_s)[x, y]``, gathered
-    from the 2^M system-size products ``L_S u_s`` (ancilla 0 the top bit of
-    S), and split by :meth:`_PairBasis.split_gather` from the same."""
+    (:meth:`_PairBasis.split`) of the step's blocks, and the split weights
+    ``w`` of the phase diagonal ``exp(i (omega dt / 2) w)``: each ancilla
+    adds +1 in ``|0>`` and -1 in ``|1>``. The couplings ``exp(-i theta L_p
+    X_a)`` commute, so the step (couplings @ u_s) is ``sum_S c_S L_S u_s
+    (x) X^S``, ``c_S = cos^(M-|S|) theta (-i sin theta)^|S|``: block entry
+    ``((x, a), (y, b))`` is ``c_(a^b) (L_(a^b) u_s)[x, y]``, gathered from
+    the 2^M system-size products ``L_S u_s`` (ancilla 0 the top bit of S)."""
     sectors = _sectors(spec, cfg)
     n_s, m = spec.qubit_count, cfg.m_count
     # F u_s F^dag: conjugation by the inverse gates
@@ -757,16 +765,9 @@ def _trotter_parts(spec: HamiltonianSpec, cfg: ProtocolConfig):
     ones = (np.arange(2**m)[:, np.newaxis] >> np.arange(m) & 1).sum(axis=1)
     products *= (np.cos(theta) ** (m - ones) * (-1j * np.sin(theta)) ** ones)[:, np.newaxis]
     x, a = np.divmod(sectors.states, 2**m)
-    weights = m - 2.0 * ones[a]
-    if not sectors.reflection.order:
-        return sectors, products[x[:, :, np.newaxis], a[:, :, np.newaxis] ^ a[:, np.newaxis, :],
-                                 x[:, np.newaxis, :]], weights
-    # products[x, a ^ b, y] is the flat entry (state (x, a) ^ b) 2^n_s + y
-    at, mix = sectors.reflection.split_gather()
-    at = np.take((sectors.states[:, :, np.newaxis] ^ a[:, np.newaxis, :]) << n_s
-                 | x[:, np.newaxis, :], at)
-    return (sectors, _combine(products.reshape(-1), (at, mix)),
-            weights.reshape(-1)[np.concatenate([p.reshape(-1) for p in sectors.reflection.order])])
+    blocks = products[x[:, :, np.newaxis], a[:, :, np.newaxis] ^ a[:, np.newaxis, :],
+                      x[:, np.newaxis, :]]
+    return (sectors, *sectors.reflection.split(blocks, m - 2.0 * ones[a]))
 
 
 def _w_bytes(sectors: Sectors) -> int:

@@ -585,17 +585,6 @@ def commuting_stack(image, seed, odd=1.0):
     return b, weights + np.take_along_axis(weights, image, axis=1)
 
 
-def split_stack(basis, b, weights):
-    """The split stack of a commuting (sectors, size, size) stack ``b`` and
-    its split weights, taken as ``_trotter_parts`` takes the step's: one
-    :meth:`split_gather` combination, and the weights at the blocks'
-    positions; ``b`` and ``weights`` themselves for one parity."""
-    if not basis.order:
-        return b, weights
-    order = np.concatenate([pos.reshape(-1) for pos in basis.order])
-    return channel._combine(b.reshape(-1), basis.split_gather()), weights.reshape(-1)[order]
-
-
 @settings(max_examples=60, deadline=None)
 @given(pairs=involutions(), seed=st.integers(0, 2**32 - 1))
 def test_pair_basis_is_unitary(pairs, seed):
@@ -620,14 +609,14 @@ def test_pair_basis_splits_a_commuting_stack_by_parity(pairs, seed):
     full = t @ b @ t.conj().swapaxes(1, 2)
     parity = (np.arange(image.shape[1]) < image) ^ (np.asarray(odd) < 0)  # the odd coordinates
     assert np.abs(full[parity[:, :, None] != parity[:, None, :]]).max(initial=0) < 1e-13
-    split, split_weights = split_stack(basis, b, weights)
+    split, split_weights = basis.split(b, weights)
     assert split.size == sum(w * w for w in basis.widths(image.shape))
     assert np.abs(basis.unsplit(split) - b).max() < 1e-13
     assert np.abs(basis.unsplit(np.stack([split, 2 * split]))[1] - 2 * b).max() < 1e-13
     # a diagonal stack splits to diagonal blocks of the split weights
     diagonal = np.zeros_like(b)
     diagonal[:, np.arange(len(b[0])), np.arange(len(b[0]))] = weights
-    diagonal = split_stack(basis, diagonal, weights)[0]
+    diagonal = basis.split(diagonal, weights)[0]
     for block, weight in zip(basis.parts(diagonal), basis.parts(split_weights, 1)):
         assert np.abs(block - weight[..., None] * np.eye(block.shape[-1])).max() < 1e-13
 
@@ -642,7 +631,7 @@ def test_split_stack_and_unsplit_gather_match_the_padded_oracle(pairs, seed):
     b, weights = commuting_stack(image, seed, odd)
     order, t = padded_order(image, odd), pair_matrix(image, odd)
     padded, padded_weights = padded_split(t, b, weights, order)
-    split, split_weights = split_stack(basis, b, weights)
+    split, split_weights = basis.split(b, weights)
     size, signs = image.shape[1], np.broadcast_to(odd, image.shape)
     for positions, blocks, block_weights in zip(basis.order, basis.parts(split),
                                                 basis.parts(split_weights, 1)):
@@ -662,8 +651,10 @@ def test_split_stack_and_unsplit_gather_match_the_padded_oracle(pairs, seed):
 def test_identity_pair_basis_splits_to_a_bitwise_copy(count, size, odd, seed):
     image = np.tile(np.arange(size), (count, 1))
     basis = channel._PairBasis.of(image, odd)
-    b, _ = commuting_stack(image, seed)
+    b, weights = commuting_stack(image, seed)
     assert basis.split_gather() is None
+    split, split_weights = basis.split(b, weights)
+    assert split.tobytes() == b.tobytes() and split_weights.tobytes() == weights.tobytes()
     assert basis.unsplit(b[np.newaxis]).tobytes() == b.tobytes()
 
 
@@ -813,8 +804,8 @@ def test_cycle_map_peak_memory_is_within_the_prediction():
                          ids=["4", "5", "chain-4", "chain-5"])
 def test_trotter_parts_peak_within_a_few_w_blocks(n, model):
     # the step is gathered from 2^M system-size products, and the chain's
-    # split straight from them; one matrix of 4^(n_s+M) entries alone would
-    # take one w_bytes per sector, 16 and 32 here
+    # blocks then split by one gather; one matrix of 4^(n_s+M) entries alone
+    # would take one w_bytes per sector, 16 and 32 here
     spec = (build_graph_ising(generate_er_instance(n, 0.5, 1)) if model == "graph"
             else build_tfim(n, 1.0, 0.7))
     cfg = config(spec)
