@@ -1076,20 +1076,17 @@ def build_cycle_map(spec: HamiltonianSpec, cfg: ProtocolConfig,
 def steady_state(m: CycleMap) -> tuple[np.ndarray, complex]:
     """Fixed point of the cycle map and its dominant eigenvalue.
 
-    Requires ``|lam_1 - 1| < 1e-6``. When the unit eigenvalue is simple, the
-    corresponding eigenvector is devectorized, its arbitrary phase removed
-    via the trace, Hermitized, negative eigenvalues clipped to zero (at most
-    1e-6 total mass), and the result renormalized to unit trace.
-
-    Models with conserved quantities can make the unit eigenvalue exactly
-    degenerate (the infinite-temperature single-site chain is one such
-    case), leaving "the" eigenvector ill-defined. The fixed point is then
-    chosen as the least-squares projection of the maximally mixed state onto
-    the near-unit eigenspace among the ``_MAX_CLUSTER`` dominant pairs: the
-    natural infinite-time limit seeded from an unbiased state, and exactly
-    ``I/d`` whenever that is a fixed point. Only eigenvectors of block 0,
-    sector 0's even block, have a trace or overlap ``I/d``, so only they
-    enter either rule.
+    Requires ``|lam_1 - 1| < 1e-6``. The fixed point is the least-squares
+    projection of the maximally mixed state ``I/d`` onto the span of the
+    eigenvectors with eigenvalue within 1e-6 of 1, among the ``_MAX_CLUSTER``
+    dominant pairs: the infinite-time limit seeded from an unbiased state.
+    A simple unit eigenvalue gives its eigenvector; a degenerate one, as in
+    models with conserved quantities (the infinite-temperature single-site
+    chain is one such case), gives ``I/d`` whenever that is a fixed point.
+    Only eigenvectors of block 0, sector 0's even block, have a trace or
+    overlap ``I/d``, so only they enter. The result is scaled to unit trace,
+    Hermitized, and its negative eigenvalues clipped to zero (at most 1e-6
+    total mass) before renormalizing.
     """
     w, block, v0 = m.spectrum
     w, block = w[:_MAX_CLUSTER], block[:_MAX_CLUSTER]
@@ -1110,17 +1107,13 @@ def steady_state(m: CycleMap) -> tuple[np.ndarray, complex]:
     basis = v0[:, column[cluster & (block == 0)]]
     if basis.shape[1] == 0:
         raise NoUnitEigenvalue("fixed-point eigenvector has vanishing trace")
-    if size == 1:
-        entries = basis[:, 0]
-    else:
-        d = 2**m.sectors.n_s
-        # the Hermitian basis keeps the diagonal coordinates, so these are I's
-        # in sector 0, where the block's vectors are embedded isometrically
-        identity = (m.sectors.pairs[0] % (d + 1) == 0).astype(complex)
-        embedded = m.sectors.map_reflection.embed(basis)
-        coeff, *_ = np.linalg.lstsq(embedded, identity / d, rcond=None)
-        entries = basis @ coeff
-    rho = m.sectors.state(entries)
+    d = 2**m.sectors.n_s
+    # the Hermitian basis keeps the diagonal coordinates, so these are I's
+    # in sector 0, where the block's vectors are embedded isometrically
+    identity = (m.sectors.pairs[0] % (d + 1) == 0).astype(complex)
+    embedded = m.sectors.map_reflection.embed(basis)
+    coeff, *_ = np.linalg.lstsq(embedded, identity / d, rcond=None)
+    rho = m.sectors.state(basis @ coeff)
     tr = np.trace(rho)
     if abs(tr) < 1e-9:
         raise NoUnitEigenvalue("fixed-point eigenvector has vanishing trace")

@@ -55,7 +55,6 @@ from .hamiltonians import (
     HamiltonianSpec,
     build_graph_ising,
     build_tfim,
-    gibbs_distribution,
     load_hamiltonian,
     spectral_width,
     thermal_state,
@@ -306,7 +305,7 @@ def _score(point: Point, cm: CycleMap) -> ResultRow:
     metrics = _KIND_METRICS[row.kind]
     rho_th = thermal_state(spec, cfg.beta)
     if "tvd" in metrics and spec.is_diagonal:
-        row.tvd = tvd(np.diag(rho).real, gibbs_distribution(spec, cfg.beta))
+        row.tvd = tvd(np.diag(rho).real, np.diag(rho_th).real)
     if "infidelity" in metrics:
         row.infidelity = 1.0 - fidelity(rho_th, rho)
     if "magnetization" in metrics:

@@ -155,27 +155,6 @@ def to_matrix(spec: HamiltonianSpec) -> np.ndarray:
     return out
 
 
-def diagonal_energies(spec: HamiltonianSpec) -> np.ndarray:
-    """Energies of computational-basis states for a diagonal spec.
-
-    Computed directly from the Pauli words without building the full matrix.
-    """
-    if not spec.is_diagonal:
-        raise NonDiagonalHamiltonian(
-            f"{spec.label or 'spec'} contains X/Y letters"
-        )
-    n = spec.qubit_count
-    idx = np.arange(2**n)
-    energies = np.zeros(2**n)
-    for t in spec.terms:
-        signs = np.ones(2**n)
-        for q, letter in enumerate(t.letters):
-            if letter == "Z":
-                signs *= 1 - 2 * ((idx >> (n - 1 - q)) & 1)
-        energies += t.coefficient * signs
-    return energies
-
-
 def spectral_width(spec: HamiltonianSpec) -> float:
     """``E_max - E_min`` of ``spec.spectrum`` (inf, silently, on overflow)."""
     w = spec.spectrum[0]
@@ -202,12 +181,12 @@ def thermal_state(spec: HamiltonianSpec, beta: float) -> np.ndarray:
 
 
 def gibbs_distribution(spec: HamiltonianSpec, beta: float) -> np.ndarray:
-    """Boltzmann distribution over computational-basis states of a diagonal spec."""
-    if not (math.isfinite(beta) and beta >= 0):
-        raise ValueError(f"beta must be finite and >= 0, got {beta}")
-    energies = diagonal_energies(spec)
-    p = np.exp(-beta * (energies - energies.min()))
-    return p / p.sum()
+    """Boltzmann distribution over computational-basis states of a diagonal
+    spec: the diagonal of :func:`thermal_state`, which is ``exp(-beta H)/Z``
+    exactly when ``H`` is diagonal."""
+    if not spec.is_diagonal:
+        raise NonDiagonalHamiltonian(f"{spec.label or 'spec'} contains X/Y letters")
+    return np.diag(thermal_state(spec, beta)).real
 
 
 def dump_hamiltonian(spec: HamiltonianSpec, path) -> None:

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qmcmc import channel
@@ -1042,6 +1042,22 @@ def test_steady_state_matches_power_iteration_oracle():
         iterate = cm.superoperator.apply(iterate)
     iterate = (iterate + iterate.conj().T) / 2
     assert 0.5 * np.abs(np.linalg.eigvalsh(rho - iterate)).sum() < 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(protocol=small_protocols())
+def test_steady_state_is_the_null_vector_of_the_map_minus_identity(protocol):
+    # one rule for the fixed point, the projection of I/d onto the unit
+    # cluster, gives a simple unit eigenvalue's own fixed point on any model
+    cm = build_cycle_map(*protocol)
+    gap, unique = spectral_gap(cm)
+    assume(unique and gap > 1e-3)
+    rho, _ = steady_state(cm)
+    dense = cm.superoperator.matrix
+    fixed = unvec(np.linalg.svd(dense - np.eye(len(dense)))[2][-1].conj())
+    expected = fixed / np.trace(fixed)
+    expected = (expected + expected.conj().T) / 2
+    assert 0.5 * np.abs(np.linalg.eigvalsh(rho - expected)).sum() < 1e-10
 
 
 def test_steady_state_rejects_contraction():
