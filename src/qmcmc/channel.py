@@ -860,13 +860,14 @@ def _walk_plan(cfg: ProtocolConfig, sectors: Sectors) -> tuple[list[float], list
 def run_bytes(spec: HamiltonianSpec, cfg: ProtocolConfig, sample: bool,
               betas: int = 1) -> int:
     """Predicted bytes of the arrays that one serial run of ``(spec, cfg)``
-    holds at its peak: the sampler's shared W table when ``sample``, else the
-    exact path folding the cycle maps of ``betas`` inverse temperatures at
-    once.
+    holds at its peak: the sampler's shared column tables when ``sample``,
+    else the exact path folding the cycle maps of ``betas`` inverse
+    temperatures at once.
 
-    The sampler keeps one dense W(Omega) of 4^(n_s+M) entries per distinct
-    comb value. The exact path holds one walk chunk (:func:`_walk_bytes`)
-    while it powers it, three dense 4^(n_s+M) arrays while one value's W
+    The sampler keeps one column table per distinct comb value, its W
+    blocks' entries in the order the shots read them (:func:`_w_bytes`).
+    The exact path holds one walk chunk (:func:`_walk_bytes`) while it
+    powers it, three dense 4^(n_s+M) arrays while one value's W
     becomes its Kraus sets and channel blocks, the tables that each walk
     builds once (:func:`_table_bytes`), and up to seven split stacks of
     cycle-map blocks per beta, float64 in the Hermitian basis, while it
@@ -875,7 +876,7 @@ def run_bytes(spec: HamiltonianSpec, cfg: ProtocolConfig, sample: bool,
     dense = 16 * 4 ** (spec.qubit_count + cfg.m_count)
     sectors = _sectors(spec, cfg)
     if sample:
-        return sum(map(len, _walk_plan(cfg, sectors)[1])) * dense
+        return sum(map(len, _walk_plan(cfg, sectors)[1])) * _w_bytes(sectors)
     return (_walk_bytes(spec, cfg) + 3 * dense + _table_bytes(sectors)
             + 7 * betas * _map_bytes(sectors))
 
@@ -916,10 +917,10 @@ def admit_run(spec: HamiltonianSpec, cfg: ProtocolConfig, kind: str, betas: int 
     A thread holds its run's :func:`run_bytes` for ``betas`` but what the
     threads share: one ``"exact"`` walk's tables, built before they
     start (a sweep's groups, which may be different models, count it per
-    thread), or the sampler's W table, :func:`run_bytes` with ``sample``,
-    beside which each thread holds its own walk chunk (:func:`_walk_bytes`),
-    two more dense arrays to change the frame of a W it assembles, and about
-    three buffers of its shot batch of ``batch`` amplitudes."""
+    thread), or the sampler's column tables, :func:`run_bytes` with
+    ``sample``, beside which each thread holds its own walk chunk
+    (:func:`_walk_bytes`) and about three buffers of its shot batch of
+    ``batch`` amplitudes."""
     if spec.qubit_count > MAX_SPINS:
         raise InvalidSize(f"system size {spec.qubit_count} exceeds the limit of {MAX_SPINS} spins")
     dt = cfg.t_g / cfg.n_trotter
@@ -931,8 +932,7 @@ def admit_run(spec: HamiltonianSpec, cfg: ProtocolConfig, kind: str, betas: int 
     held = run_bytes(spec, cfg, kind == "sample", betas)
     shared, each = 0, held
     if kind == "sample":
-        dense = 16 * 4 ** (spec.qubit_count + cfg.m_count)
-        shared, each = held, _walk_bytes(spec, cfg) + 2 * dense + 3 * 16 * batch
+        shared, each = held, _walk_bytes(spec, cfg) + 3 * 16 * batch
     elif kind == "exact":  # the walk's gathers
         shared = _table_bytes(_sectors(spec, cfg))
         each = held - shared

@@ -8,25 +8,42 @@ period applies, in order:
    ``u < P(1)`` for that ancilla's marginal given the outcomes already drawn;
 2. excitation: each ancilla (ascending index) is set to ``|1>`` with
    probability ``1 - p0(t_k)``, one uniform draw per ancilla, which gives the
-   excited index. After the two steps a shot is the product state of the
-   outcome's normalized system amplitudes and the excited index (a reset is
-   a quantum jump), and it is re-embedded at that index;
-3. the period unitary ``W(Omega_k)``, as one product of the amplitude batch
-   with a dense matrix assembled from the sector blocks that the channel
-   module builds for the exact cycle map. The sampler takes them from the
-   same comb walk, which powers the blocks of several comb values in one
-   stacked call, and keeps one dense ``W`` per distinct value in a table:
-   every burn-in cycle reads each entry again. The table is built once per
-   run, before any batch starts, and is only read afterwards.
+   excited index ``b``. After the two steps a shot is the product ``psi (x)
+   |b>`` of the outcome's normalized system amplitudes and the excited index:
+   a reset is a quantum jump (Dalibard, Castin and Molmer, PRL 68, 580
+   (1992));
+3. the period unitary ``W(Omega_k)`` on that product, ``out = sum_x psi_x
+   W[:, (x, b)]``: only the columns of ``W`` at the excited index.
 
-Averaged over trajectories, steps 1-2 reproduce the reset-plus-excitation
-preparation of the channel module. Each symmetry sector's block of ``W`` is
-the power of that block of one Trotter step by repeated squaring (then
-moved to the nearest unitary), which matches applying the steps one by one
-to roundoff, so seeded samples are
-those of step-by-step application unless a uniform lands within roundoff of
-a branch probability. The sampler applies the assembled dense ``W``, not the
-blocks, because the resets move a shot between sectors.
+Shots live in the frame ``F`` of the run's sectors (:class:`qmcmc.channel.Sectors`),
+where ``W`` is block-diagonal on sets of basis states. ``F`` acts on the
+system qubits alone and every ancilla letter of the sectors is I or Z, so
+neither the reset's outcome probabilities nor the excitation see it: a shot
+starts at ``F|i>`` and ``F^dag`` is applied once, at the terminal
+measurement and to :func:`run_trajectories`' output. For a graph ``F`` is
+the identity. Column ``(x, b)`` lies in the sector labeled ``l(x) xor
+l(b)`` (the labels are linear over GF(2)), so each sector holds ``k =
+2^N_s / sectors`` of the columns at ``b``, one for every graph, and the
+period's sum takes ``k`` terms per entry of ``out``. The sampler's table
+holds, for each distinct comb value, only those columns, gathered from the
+sector blocks that the comb walk of :mod:`qmcmc.channel` yields for the
+exact cycle map: ``4^(N_s+M) / sectors`` entries per value, the size of the
+blocks themselves (:class:`_Layout` gives their order). The table is built
+once per run, before any batch starts, and is only read afterwards; every
+burn-in cycle reads each entry again.
+
+A batch's shots are grouped by their excited index, so each group reads one
+slice of the table, and each shot's sum is formed entry by entry in a fixed
+order of its ``k`` terms, so a shot's arithmetic does not depend on the
+batch it runs in. The next reset's outcome probabilities and the norm-drift
+check both read ``|out|^2``; no shot is renormalized, since the reset
+divides by the outcome's probability. Averaged over trajectories, steps 1-2
+reproduce the reset-plus-excitation preparation of the channel module. Each
+symmetry sector's block of ``W`` is the power of that block of one Trotter
+step by repeated squaring (then moved to the nearest unitary), which matches
+applying the steps one by one to roundoff, so seeded samples are those of
+step-by-step application unless a uniform lands within roundoff of a branch
+probability.
 
 Randomness comes exclusively from the fixed generator in :mod:`qmcmc.rng`;
 shot ``s`` under master seed ``seed`` owns the stream seeded by
@@ -40,10 +57,11 @@ are therefore independent of how they are batched, and identical
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .channel import _period_table, _thread_map, admit_run
+from .channel import Sectors, _period_table, _sectors, _thread_map, admit_run
 from .errors import NormalizationLoss
 from .hamiltonians import HamiltonianSpec
 from .rng import derive_streams, next_uniform
@@ -69,56 +87,180 @@ class SampleSet:
         return p
 
 
-def _apply_unitary(amps: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # BLAS takes a one-row product through gemv, which rounds differently from
-    # the gemm of wider batches; a duplicated row keeps a shot's amplitudes
-    # independent of the batch it runs in
-    if amps.shape[0] == 1:
-        return (np.concatenate([amps, amps]) @ w.T)[:1]
-    return amps @ w.T
+class _Layout(NamedTuple):
+    """Where a shot keeps its amplitudes, and the order of the column tables.
+
+    A system state ``x`` of the frame has a label ``l(x)``, the sector of
+    ``(x, 0)``, and a rank among the ``k`` states of its label; ``psi`` is
+    held as (sectors, k) in (label, rank) order. After a period with excited
+    index ``b``, a shot's amplitudes are held as (sectors, k, 2^M): ``[t, i,
+    a]`` is the entry ``(x, a)`` of label ``t ^ labels[a] ^ labels[b]`` and
+    rank ``i``, where ``labels[a] = l(a)``, the sector of ``(0, a)``. So
+    ``out[t, i', a] = sum_i psi[t, i] C_b[i, t, i', a]``: each entry reads
+    the ``k`` amplitudes of one label of ``psi``.
+
+    ``index`` holds the flat positions in the (sectors, size, size) W blocks
+    of the column tables ``C[b, i, t, 0, i', a]`` (axis 3 is the batch's).
+    ``place[x, a] = (t ^ labels[a]) k + i``, for the label ``t`` and the rank
+    ``i`` of ``x``, is where the entry ``(x, a)`` sits for ``b = 0``; ``b``
+    moves it by xor with ``labels[b] k``. ``start`` holds the states ``F|i>``
+    as rows in (label, rank) order, and ``gates`` the one-qubit factors of
+    ``F``."""
+
+    m_count: int
+    k: int
+    labels: np.ndarray
+    index: np.ndarray
+    place: np.ndarray
+    start: np.ndarray
+    gates: list
+
+    @classmethod
+    def of(cls, sectors: Sectors) -> _Layout:
+        ds, da = 2**sectors.n_s, 2**sectors.m_count
+        count, size = sectors.states.shape
+        sector = np.empty(ds * da, dtype=np.intp)
+        sector[sectors.states] = np.arange(count)[:, np.newaxis]
+        pos = np.empty(ds * da, dtype=np.intp)
+        pos[sectors.states] = np.arange(size)
+        k = ds // count
+        order = np.argsort(sector[::da], kind="stable")  # the state x at each t k + i
+        place = np.empty(ds, dtype=np.intp)
+        place[order] = np.arange(ds)
+        labels = sector[:da]
+        b, i, t, j, a = np.ix_(*map(np.arange, (da, k, count, k, da)))
+        column = order[t * k + i] * da + b
+        row = order[(t ^ labels[a] ^ labels[b]) * k + j] * da + a
+        index = (sector[column] * size + pos[row]) * size + pos[column]
+        start = _apply_frame(np.eye(ds, dtype=complex), sectors.gates)[:, order]
+        return cls(sectors.m_count, k, labels, index[:, :, :, np.newaxis],
+                   place[:, np.newaxis] ^ labels * k, start, sectors.gates)
+
+    def columns(self, blocks: np.ndarray) -> np.ndarray:
+        """The column table ``C[b, i, t, 0, i', a]`` of one comb value's
+        (sectors, size, size) W blocks: one gather."""
+        return np.take(blocks.reshape(-1), self.index)
 
 
-def _period(amps: np.ndarray, states: np.ndarray, w: np.ndarray, p0: float,
-            m_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Advance a batch of trajectories by one interaction period with period
-    unitary ``w`` and ancilla ground probability ``p0`` (each shot's row of
-    the amplitude buffer is overwritten with its reset outcome's normalized
-    system amplitudes at its excited index; a fresh buffer is returned)."""
-    batch, rows = amps.shape[0], np.arange(amps.shape[0])
-    grid = amps.reshape(batch, -1, 2**m_count)
-    probs = (np.abs(grid) ** 2).sum(axis=1)
+class _Shots(NamedTuple):
+    """A batch of shots: ``amps`` (sectors, batch, k, 2^M), each shot's in
+    the layout keyed by its ``excited`` index (:class:`_Layout`), ``probs``
+    (batch, 2^M) their ancilla outcome probabilities, ``states`` their
+    streams, and ``shot`` the index of each shot, since a period sorts the
+    batch by excited index."""
+
+    amps: np.ndarray
+    probs: np.ndarray
+    excited: np.ndarray
+    states: np.ndarray
+    shot: np.ndarray
+
+
+def _apply_frame(v: np.ndarray, gates) -> np.ndarray:
+    """The (batch, 2^N_s, ...) ``v``, system qubits first, overwritten with
+    the one-qubit ``gates`` ``(q, g)`` applied to each row, entry by
+    entry."""
+    for q, g in gates:
+        t = v.reshape(len(v), 2**q, 2, -1)
+        zero, one = t[:, :, 0], t[:, :, 1]
+        kept = zero.copy()
+        zero *= g[0, 0]
+        zero += g[0, 1] * one
+        one *= g[1, 1]
+        one += g[1, 0] * kept
+    return v
+
+
+def _probabilities(amps: np.ndarray) -> np.ndarray:
+    """The (batch, 2^M) ancilla outcome probabilities of a batch's
+    amplitudes, each shot's added in the same order whatever its batch: over
+    the labels, then the ranks, then the real and imaginary parts."""
+    squares = np.square(amps.view(float)).sum(axis=0).sum(axis=1)
+    return squares[:, 0::2] + squares[:, 1::2]
+
+
+def _start(layout: _Layout, system: np.ndarray, states: np.ndarray) -> _Shots:
+    """Shots at ``F|i> (x) |0>`` for each basis state ``i`` of ``system``."""
+    batch, k = len(system), layout.k
+    amps = np.zeros((len(layout.start) // k, batch, k, 2**layout.m_count), dtype=complex)
+    amps[..., 0] = layout.start[system].reshape(batch, -1, k).swapaxes(0, 1)
+    zero = np.zeros(batch, dtype=int)
+    return _Shots(amps, _probabilities(amps), zero, states, np.arange(batch))
+
+
+def _period(shots: _Shots, columns: np.ndarray, p0: float, layout: _Layout) -> _Shots:
+    """Advance a batch of trajectories by one interaction period with the
+    column table ``columns`` and the ancilla ground probability ``p0``: the
+    batch after it, sorted by excited index, whose amplitudes overwrite
+    those of ``shots``."""
+    amps, probs, excited, states, _ = shots
+    count, batch, k, da = amps.shape
+    m_count, labels = layout.m_count, layout.labels
+    rows = np.arange(batch)
+    # the marginals of the first m + 1 ancillas, m = M - 1 down to 0
+    levels = [probs]
+    for _ in range(m_count - 1):
+        levels.append(levels[-1][:, 0::2] + levels[-1][:, 1::2])
     outcome = np.zeros(batch, dtype=int)
-    for m in range(m_count):
-        pair = probs.reshape(batch, 2**m, 2, -1).sum(axis=3)[rows, outcome]
+    for level in reversed(levels):
+        at = rows * level.shape[1] + 2 * outcome
+        p_zero, p_one = level.reshape(-1)[at], level.reshape(-1)[at + 1]
         u, states = next_uniform(states)
         # u < P(1 | outcomes drawn so far), scaled by their probability so
         # that a zero-probability prefix divides nothing by zero
-        outcome = 2 * outcome + (u * pair.sum(axis=1) < pair[:, 1])
-    excited = np.zeros(batch, dtype=int)
+        outcome = 2 * outcome + (u * (p_zero + p_one) < p_one)
+    new = np.zeros(batch, dtype=int)
     for _ in range(m_count):
         u, states = next_uniform(states)
-        excited = 2 * excited + (u < 1.0 - p0)
-    norms = np.sqrt(probs[rows, outcome])
+        new = 2 * new + (u < 1.0 - p0)
+    # the shots grouped by excited index, in a stable order
+    group = np.argsort(new, kind="stable")
+    outcome, excited, new, states = outcome[group], excited[group], new[group], states[group]
+    norms = np.sqrt(probs.reshape(-1)[group * da + outcome])
     if not norms.min() > 1e-150:
         raise NormalizationLoss("trajectory collapsed onto a zero-probability branch")
-    kept = grid[rows, :, outcome] / norms[:, np.newaxis]
-    grid[...] = 0.0
-    grid[rows, :, excited] = kept
-    amps = _apply_unitary(grid.reshape(batch, -1), w)
-    norms = np.linalg.norm(amps, axis=1)
-    drift = np.abs(norms - 1.0).max()
+    label = np.arange(count)[:, np.newaxis] ^ labels[outcome] ^ labels[excited]
+    kept = ((label * batch + group)[:, :, np.newaxis] * k + np.arange(k)) * da
+    psi = np.take(amps.reshape(-1), kept + outcome[:, np.newaxis]) / norms[:, np.newaxis]
+    # each group reads one slice of the table, and each shot's sum is formed
+    # term by term, into the amplitudes just read
+    out = amps
+    ends = np.cumsum(np.bincount(new, minlength=da))
+    for table, lo, hi in zip(columns, [0, *ends[:-1].tolist()], ends.tolist()):
+        if lo == hi:
+            continue
+        part = out[:, lo:hi]
+        np.multiply(psi[:, lo:hi, 0, np.newaxis, np.newaxis], table[0], out=part)
+        for i in range(1, k):
+            part += psi[:, lo:hi, i, np.newaxis, np.newaxis] * table[i]
+    probs = _probabilities(out)
+    drift = np.abs(np.sqrt(probs.sum(axis=1)) - 1.0).max()
     if not drift <= 1e-6:
         raise NormalizationLoss(f"norm drifted by {drift:.3e} over one period")
-    amps /= norms[:, np.newaxis]
-    return amps, states
+    return _Shots(out, probs, new, states, shots.shot[group])
+
+
+def _composite(shots: _Shots, layout: _Layout) -> tuple[np.ndarray, np.ndarray]:
+    """The computational-basis (batch, 2^(N_s+M)) amplitudes of a batch and
+    its streams, in shot order: each entry gathered from its place, then
+    ``F^dag`` applied one qubit at a time."""
+    _, batch, k, da = shots.amps.shape
+    order = np.argsort(shots.shot)
+    label, rank = np.divmod(layout.place, k)
+    excited = layout.labels[shots.excited[order], np.newaxis, np.newaxis]
+    out = np.take(shots.amps, ((label ^ excited) * batch + order[:, np.newaxis, np.newaxis])
+                  * (k * da) + rank * da + np.arange(da))
+    out = _apply_frame(out, [(q, v.conj().T) for q, v in layout.gates])
+    return out.reshape(batch, -1), shots.states[order]
 
 
 def _run_shots(spec: HamiltonianSpec, cfg: ProtocolConfig, cycles: int, shots: int,
                seed: int, system_index: int | None, workers: int | None, finish) -> list:
     """The one shot driver of :func:`run_trajectories` and :func:`sample_gibbs`:
     ``finish(amps, states)`` for each batch of shots after ``cycles`` comb
-    cycles, in batch order, once ``admit_run`` admits the run. Batches of up
-    to ``_CHUNK_ELEMS`` amplitudes run across the threads it admits."""
+    cycles, with their computational-basis amplitudes, in batch order, once
+    ``admit_run`` admits the run. Batches of up to ``_CHUNK_ELEMS``
+    amplitudes run across the threads it admits."""
     if cycles < 0:
         raise ValueError(f"cycles must be >= 0, got {cycles}")
     if shots < 1:
@@ -129,8 +271,9 @@ def _run_shots(spec: HamiltonianSpec, cfg: ProtocolConfig, cycles: int, shots: i
         raise ValueError(f"system_index {system_index} outside 0..{ds - 1}")
     chunk = max(1, _CHUNK_ELEMS // (ds * da))
     workers = admit_run(spec, cfg, "sample", workers=workers, batch=min(chunk, shots) * ds * da)
+    layout = _Layout.of(_sectors(spec, cfg))
     _, omegas, walk = _period_table(
-        spec, cfg, lambda omega, sectors, w: (sectors.unitary(w),
+        spec, cfg, lambda omega, sectors, w: (layout.columns(w),
                                               ground_probability(omega, cfg.beta)), workers)
     by_omega = dict(walk)
     periods = [by_omega[omega] for omega in omegas]
@@ -143,12 +286,11 @@ def _run_shots(spec: HamiltonianSpec, cfg: ProtocolConfig, cycles: int, shots: i
             idx = np.minimum((u * ds).astype(int), ds - 1)
         else:
             idx = np.full(batch, system_index, dtype=int)
-        amps = np.zeros((batch, ds * da), dtype=complex)
-        amps[np.arange(batch), idx * da] = 1.0
+        live = _start(layout, idx, states)
         for _ in range(cycles):
-            for w, p0 in periods:
-                amps, states = _period(amps, states, w, p0, m)
-        return finish(amps, states)
+            for columns, p0 in periods:
+                live = _period(live, columns, p0, layout)
+        return finish(*_composite(live, layout))
 
     return list(_thread_map(run_chunk, range(0, shots, chunk), workers))
 

@@ -10,7 +10,10 @@ integer arithmetic. It also holds the state-level helpers that only the
 tests need: direct Kraus application, the partial trace and the ensemble
 average of a trajectory batch. ``collapse_period`` is the sampler's period
 as a sequence of whole-batch collapses, renormalizations and swaps, one per
-ancilla, which the library's outcome-index form must reproduce. The pair
+ancilla, and ``dense_period`` the same period as outcome and excited
+indices with one product with the dense period unitary; the library's
+period, which applies only the excited index's columns of W in the
+sectors' frame, must reproduce both. The pair
 basis is built as a dense matrix from its definition (``pair_matrix``), and
 its split stacks are checked against the padded layout they replaced, by
 plain matrix products with that matrix (``padded_split``,
@@ -196,6 +199,51 @@ def collapse_period(amps, states, w, p0, m_count):
     norms = np.linalg.norm(amps, axis=1)
     drift = np.abs(norms - 1.0).max()
     if drift > 1e-6:
+        raise NormalizationLoss(f"norm drifted by {drift:.3e} over one period")
+    amps /= norms[:, np.newaxis]
+    return amps, states
+
+
+def apply_unitary(amps, w):
+    """``amps @ w.T``; BLAS takes a one-row product through gemv, which
+    rounds differently from the gemm of wider batches, so a duplicated row
+    keeps a shot's amplitudes independent of the batch it runs in."""
+    if amps.shape[0] == 1:
+        return (np.concatenate([amps, amps]) @ w.T)[:1]
+    return amps @ w.T
+
+
+def dense_period(amps, states, w, p0, m_count):
+    """One sampler period on a batch of composite amplitudes with the dense
+    period unitary ``w``: the M reset outcomes drawn into one outcome index
+    per shot (each ancilla's marginal given the outcomes already drawn,
+    outcome 1 when ``u P(prefix) < P(prefix, 1)``), the M excitations into an
+    excited index, the outcome's normalized system amplitudes re-embedded at
+    that index in a zeroed buffer, one product with ``w``, and the whole
+    vector renormalized. Overwrites ``amps``; returns fresh amplitudes and
+    the states."""
+    batch, rows = amps.shape[0], np.arange(amps.shape[0])
+    grid = amps.reshape(batch, -1, 2**m_count)
+    probs = (np.abs(grid) ** 2).sum(axis=1)
+    outcome = np.zeros(batch, dtype=int)
+    for m in range(m_count):
+        pair = probs.reshape(batch, 2**m, 2, -1).sum(axis=3)[rows, outcome]
+        u, states = next_uniform(states)
+        outcome = 2 * outcome + (u * pair.sum(axis=1) < pair[:, 1])
+    excited = np.zeros(batch, dtype=int)
+    for _ in range(m_count):
+        u, states = next_uniform(states)
+        excited = 2 * excited + (u < 1.0 - p0)
+    norms = np.sqrt(probs[rows, outcome])
+    if not norms.min() > 1e-150:
+        raise NormalizationLoss("trajectory collapsed onto a zero-probability branch")
+    kept = grid[rows, :, outcome] / norms[:, np.newaxis]
+    grid[...] = 0.0
+    grid[rows, :, excited] = kept
+    amps = apply_unitary(grid.reshape(batch, -1), w)
+    norms = np.linalg.norm(amps, axis=1)
+    drift = np.abs(norms - 1.0).max()
+    if not drift <= 1e-6:
         raise NormalizationLoss(f"norm drifted by {drift:.3e} over one period")
     amps /= norms[:, np.newaxis]
     return amps, states

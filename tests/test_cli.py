@@ -554,8 +554,9 @@ def test_main_refuses_bad_grid_value_in_any_position(argv, flag, bad, good, last
 
 
 def test_main_refuses_an_over_budget_sample_up_front(monkeypatch, capsys):
-    # at the default n_cycle of 500 the sampler's table holds 251 dense
-    # W(Omega) of 4^12 entries: 63 GiB
+    # at the default n_cycle of 500 the sampler's column tables hold the W
+    # blocks of 251 comb values, 4^12 entries over the chain's two sectors
+    # for each: 31 GiB
     def built_too_early(*args):
         raise AssertionError("period parts built before the byte check")
 
@@ -564,13 +565,15 @@ def test_main_refuses_an_over_budget_sample_up_front(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
-    assert f"{251 * 16 * 4**12} bytes" in captured.err
+    assert f"{251 * 16 * 4**12 // 2} bytes" in captured.err
 
 
+# the sampler's column tables: 251 comb values of 16 * 4^(2 n) / 2 bytes, the
+# chain's W blocks over its two sectors (0.5, 8 and 128 MiB per value)
 @pytest.mark.parametrize("model, line", [
-    (["--model", "tfim", "--n", "4"], "exact path 8.4 MiB, sampler 251.0 MiB"),
-    (["--model", "tfim", "--n", "5"], "exact path 134.1 MiB, sampler 4016.0 MiB"),
-    (["--model", "tfim", "--n", "6"], "exact path 2144.2 MiB, sampler 64256.0 MiB"),
+    (["--model", "tfim", "--n", "4"], "exact path 8.4 MiB, sampler 125.5 MiB"),
+    (["--model", "tfim", "--n", "5"], "exact path 134.1 MiB, sampler 2008.0 MiB"),
+    (["--model", "tfim", "--n", "6"], "exact path 2144.2 MiB, sampler 32128.0 MiB"),
 ], ids=["tfim-4", "tfim-5", "tfim-6"])
 def test_main_validate_prints_the_predicted_memory(model, line, capsys):
     assert main(["validate", "-q", *model, "--ncycle", "500"]) == 0

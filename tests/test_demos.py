@@ -1,9 +1,8 @@
-"""The demos import only names the package still has, and the fast ones run.
+"""The demos import only names the package still has, and every demo runs.
 
-Reading a demo's imports finds one broken by a removed or renamed name; the
-demos that take well under a second are also run, which finds one that calls
-a removed function or reads a removed attribute. The slower ones (03, 04)
-are import-checked only.
+Reading a demo's imports finds one broken by a removed or renamed name;
+running each demo, all of which take well under a second, finds one that
+calls a removed function or reads a removed attribute.
 """
 
 import ast
@@ -17,12 +16,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-FAST_DEMOS = [d for d in DEMOS if d.name[:2] in ("01", "02", "05")]
 
 
 def test_demos_found():
     assert DEMOS
-    assert len(FAST_DEMOS) == 3
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -37,8 +34,8 @@ def test_demo_imports_exist(demo):
                     f"{demo.name}:{node.lineno}: {node.module} has no {alias.name!r}")
 
 
-@pytest.mark.parametrize("demo", FAST_DEMOS, ids=[d.name for d in FAST_DEMOS])
-def test_fast_demo_runs(demo):
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qmcmc.channel as channel
@@ -16,13 +18,14 @@ from qmcmc.hamiltonians import (
     to_matrix,
 )
 from qmcmc.rng import Stream, derive_streams, next_uniform, splitmix64
-from qmcmc.schedule import ProtocolConfig
+from qmcmc.schedule import ProtocolConfig, comb_value
 from qmcmc.trajectory import run_trajectories, sample_gibbs
 
 import oracles
 from oracles import (
     collapse_period,
     composite_period_unitary,
+    dense_period,
     ensemble_reduced_state,
     random_unitary,
     splitmix64_py,
@@ -40,6 +43,39 @@ def field_config(spec, **overrides):
                   n_cycle=10, ancilla_map=tuple(range(spec.qubit_count)))
     params.update(overrides)
     return ProtocolConfig(**params)
+
+
+def sampler_period(spec, cfg, omega, amps, states, p0):
+    """One period of the library's sampler at comb value ``omega`` from the
+    computational-basis composite amplitudes ``amps`` (batch, 2^(n_s+M)):
+    they are moved into the sectors' frame and layout, advanced by
+    ``trajectory._period`` with the column table of W(omega), and brought
+    back by ``trajectory._composite``. Returns the amplitudes and states in
+    shot order."""
+    sectors = channel._sectors(spec, cfg)
+    layout = trajectory._Layout.of(sectors)
+    _, ab, weights = channel._trotter_parts(spec, cfg)
+    blocks = sectors.reflection.unsplit(
+        channel._period_unitary(sectors, ab, weights, cfg, [omega]))[0]
+    shots = to_shots(layout, amps, states)
+    out = trajectory._period(shots, layout.columns(blocks), p0, layout)
+    return trajectory._composite(out, layout)
+
+
+def to_shots(layout, amps, states):
+    """A batch of shots whose amplitudes are ``amps`` (batch, 2^(n_s+M)) in
+    the computational basis, keyed by the excited index 0: each row times
+    the inverse of the unitary that ``trajectory._composite`` applies."""
+    count, dim = len(layout.start) // layout.k, amps.shape[1]
+    basis = np.eye(dim, dtype=complex).reshape(dim, count, layout.k, -1).swapaxes(0, 1)
+    zero = np.zeros(dim, dtype=int)
+    to_composite, _ = trajectory._composite(
+        trajectory._Shots(basis, None, zero, zero, np.arange(dim)), layout)
+    held = (amps @ to_composite.conj().T).reshape(len(amps), count, layout.k, -1)
+    held = np.ascontiguousarray(held.swapaxes(0, 1))
+    batch = len(amps)
+    return trajectory._Shots(held, trajectory._probabilities(held), np.zeros(batch, dtype=int),
+                             states, np.arange(batch))
 
 
 # ------------------------------------------------------------------- rng
@@ -171,8 +207,7 @@ def test_forced_ground_branch_equals_period_unitary():
     w = build_period_unitary(spec, cfg, omega)
     amps = np.zeros((1, 4), dtype=complex)
     amps[0, 0] = 1.0
-    states = derive_streams(0, 1)
-    out, _ = trajectory._period(amps, states, w, p0=1.0, m_count=1)
+    out, _ = sampler_period(spec, cfg, omega, amps, derive_streams(0, 1), p0=1.0)
     expected = w @ np.eye(4)[:, 0]
     assert np.linalg.norm(out[0] - expected) < 1e-9
 
@@ -190,9 +225,7 @@ def test_forced_ground_period_equals_composite_oracle(omega):
     sys_part /= np.linalg.norm(sys_part, axis=1, keepdims=True)
     amps = np.zeros((3, 16), dtype=complex)
     amps[:, ::4] = sys_part  # both ancillas in |0>, so the reset keeps every shot
-    w = build_period_unitary(spec, cfg, omega)
-    out, _ = trajectory._period(amps.copy(), derive_streams(0, 3), w, p0=1.0,
-                                m_count=2)
+    out, _ = sampler_period(spec, cfg, omega, amps, derive_streams(0, 3), p0=1.0)
     assert np.abs(out - amps @ w_oracle.T).max() < 1e-9
 
 
@@ -206,17 +239,46 @@ def random_batch(rng, batch, dim):
        p0=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
        seed=st.integers(0, 2**32))
 def test_period_matches_collapse_oracle(n_s, m_count, batch, p0, seed):
-    # the outcome-index period makes the same 2M draws per shot and the same
-    # branches as collapsing, renormalizing and swapping ancilla by ancilla
+    # the outcome-index period of the dense oracle makes the same 2M draws
+    # per shot and the same branches as collapsing, renormalizing and
+    # swapping ancilla by ancilla, for any unitary
     rng = np.random.default_rng(seed)
     dim = 2**(n_s + m_count)
     amps = random_batch(rng, batch, dim)
     w = random_unitary(rng, dim)
     states = derive_streams(seed, batch)
     want, want_states = collapse_period(amps.copy(), states, w, p0, m_count)
-    got, got_states = trajectory._period(amps.copy(), states, w, p0, m_count)
+    got, got_states = dense_period(amps.copy(), states, w, p0, m_count)
     assert np.array_equal(got_states, want_states)
     assert np.abs(got - want).max() < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(protocol=small_protocols(), period=st.integers(0, 5), batch=st.integers(1, 6),
+       p0=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       seed=st.integers(0, 2**32))
+@example(protocol=(build_tfim(3, 1.0, 0.8), field_config(build_tfim(3, 1.0, 0.8), n_trotter=20)),
+         period=3, batch=5, p0=0.4, seed=1)
+def test_period_matches_the_dense_oracle(protocol, period, batch, p0, seed):
+    # the period on the excited index's columns of W, in the sectors' frame,
+    # draws what the dense period draws and ends where it ends; the example
+    # is the 3-spin chain, whose frame is Y on every spin
+    spec, cfg = protocol
+    omega = comb_value(cfg, period % cfg.n_cycle)
+    rng = np.random.default_rng(seed)
+    amps = random_batch(rng, batch, 2**(spec.qubit_count + cfg.m_count))
+    states = derive_streams(seed, batch)
+    want, want_states = dense_period(amps.copy(), states, build_period_unitary(spec, cfg, omega),
+                                     p0, cfg.m_count)
+    got, got_states = sampler_period(spec, cfg, omega, amps, states, p0)
+    assert np.array_equal(got_states, want_states)
+    assert np.abs(got - want).max() < 1e-12
+
+
+def test_period_oracle_example_runs_in_the_y_frame():
+    spec = build_tfim(3, 1.0, 0.8)
+    cfg = field_config(spec, n_trotter=20)
+    assert dict(channel._sectors(spec, cfg).frame) == {0: "Y", 1: "Y", 2: "Y"}
 
 
 @pytest.mark.parametrize("p0, excited", [(1.0, 0b00), (0.0, 0b11)])
@@ -230,12 +292,15 @@ def test_period_branch_rule_at_certain_marginals(u, p0, excited, monkeypatch):
 
     monkeypatch.setattr(trajectory, "next_uniform", fixed)
     monkeypatch.setattr(oracles, "next_uniform", fixed)
+    spec = build_tfim(1, 1.0, 1.0)
+    cfg = field_config(spec, ancilla_map=(0, 0))
+    omega = 0.8
+    w = build_period_unitary(spec, cfg, omega)
     sys_part = np.array([[0.6, 0.8j], [1.0, 0.0], [0.5 - 0.5j, 0.5 + 0.5j]])
     amps = np.zeros((3, 8), dtype=complex)
     amps[:, 0b10::4] = sys_part
-    w = random_unitary(np.random.default_rng(3), 8)
     states = derive_streams(0, 3)
-    got, got_states = trajectory._period(amps.copy(), states, w, p0, 2)
+    got, got_states = sampler_period(spec, cfg, omega, amps, states, p0)
     want, want_states = collapse_period(amps.copy(), states, w, p0, 2)
     product = np.zeros_like(amps)
     product[:, excited::4] = sys_part
@@ -248,10 +313,11 @@ def test_period_branch_rule_at_certain_marginals(u, p0, excited, monkeypatch):
 @pytest.mark.parametrize("bad", [0.0, np.nan])
 def test_period_rejects_a_row_with_no_outcome_to_keep(bad):
     # a zero or NaN row leaves no reset outcome of positive probability
+    spec = build_tfim(1, 1.0, 1.0)
     amps = np.full((2, 4), 0.5, dtype=complex)
     amps[1] = bad
     with pytest.raises(NormalizationLoss, match="zero-probability"):
-        trajectory._period(amps, derive_streams(0, 2), np.eye(4), 0.5, 1)
+        sampler_period(spec, field_config(spec), 0.5, amps, derive_streams(0, 2), 0.5)
 
 
 def test_single_shot_batch_matches_wider_batch_bitwise():
@@ -261,6 +327,32 @@ def test_single_shot_batch_matches_wider_batch_bitwise():
     wide = run_trajectories(spec, cfg, cycles=1, shots=5, seed=0)
     single = run_trajectories(spec, cfg, cycles=1, shots=1, seed=0)
     assert np.array_equal(single[0], wide[0])
+
+
+@pytest.mark.parametrize("model", ["graph", "chain"])
+def test_shot_alone_in_its_excited_group_matches_the_shot_run_alone(model, monkeypatch):
+    # shot j under seed s owns the stream of shot 0 under seed s + j, so each
+    # shot of a batch can also run alone. In some period of the batch one
+    # excited index holds exactly one shot, whose group then reads its slice
+    # of the table alone; the 4-spin chain runs in the Y frame with k = 8
+    # columns per sector
+    spec = (build_graph_ising(generate_er_instance(4, 0.5, 3)) if model == "graph"
+            else build_tfim(4, 1.0, 0.8))
+    cfg = field_config(spec, n_trotter=10, n_cycle=4)
+    groups = []
+    period = trajectory._period
+
+    def recorded(shots, *args):
+        out = period(shots, *args)
+        groups.append(np.bincount(out.excited))
+        return out
+
+    monkeypatch.setattr(trajectory, "_period", recorded)
+    wide = run_trajectories(spec, cfg, cycles=1, shots=6, seed=2)
+    assert any((count == 1).any() for count in groups)
+    for j in range(6):
+        alone = run_trajectories(spec, cfg, cycles=1, shots=1, seed=2 + j)
+        assert np.array_equal(alone[0], wide[j])
 
 
 def test_ensemble_matches_dense_cycle_map():
@@ -423,32 +515,58 @@ def admitted_threads(shots, workers, monkeypatch):
 
 
 def test_shot_driver_runs_no_more_threads_than_the_budget_holds(monkeypatch):
-    # the 5-spin chain's W table at n_cycle 500 is predicted at 4016 MiB and
-    # is shared by the threads, which leaves 4176 MiB of the 8 GiB. Each
-    # thread holds a walk chunk (40 MiB), two dense W for the frame change
-    # (32 MiB) and three buffers of its batch, 96 KiB for 2 shots: 57 fit
+    # the 5-spin chain's column tables at n_cycle 500 are 251 comb values of
+    # its two W blocks of 512^2 entries, 251 * 8 MiB = 2008 MiB, shared by
+    # the threads, which leaves 6184 MiB of the 8 GiB. Each thread holds a
+    # walk chunk (40 MiB) and three buffers of its batch, 96 KiB for 2 shots:
+    # 154 fit
     assert admitted_threads(2, (4, 2, None), monkeypatch) == [4, 2, 1]
 
 
 def test_shot_driver_budget_cuts_the_threads_of_full_batches(monkeypatch):
-    # as above, but three buffers of a full batch of 4096 shots take 192 MiB
-    # more per thread: 15 threads fit beside the table
-    assert admitted_threads(4096, (64, 16, 8), monkeypatch) == [15, 15, 8]
-    assert admitted_threads(2, (64,), monkeypatch) == [57]
+    # as above, but three buffers of a full batch of 4096 shots take 192 MiB:
+    # 6184 // (40 + 192) = 26 threads fit beside the tables
+    assert admitted_threads(4096, (64, 16, 8), monkeypatch) == [26, 16, 8]
+    assert admitted_threads(2, (256,), monkeypatch) == [154]
 
 
 @pytest.mark.parametrize("omega_m", [0.0, 2.0])
 @pytest.mark.parametrize("n_cycle", [1, 2, 3, 7])
 def test_sampler_builds_as_many_w_as_its_prediction_counts(omega_m, n_cycle, monkeypatch):
-    # at omega_m = 0 every comb value is 0.0, so the table holds one W
+    # the prediction is one column table per distinct comb value, each as
+    # large as the value's W blocks (two sectors of 8^2 entries here, 2 KiB);
+    # at omega_m = 0 every comb value is 0.0, so the table holds one
     built = []
-    unitary = channel.Sectors.unitary
-    monkeypatch.setattr(channel.Sectors, "unitary",
-                        lambda sectors, w: built.append(w) or unitary(sectors, w))
+    columns = trajectory._Layout.columns
+    monkeypatch.setattr(trajectory._Layout, "columns",
+                        lambda layout, w: built.append(w) or columns(layout, w))
     spec = build_tfim(2, 1.0, 1.0)
     cfg = field_config(spec, omega_m=omega_m, n_trotter=4, n_cycle=n_cycle)
     sample_gibbs(spec, cfg, burn_in_cycles=1, shots=2, seed=0)
-    assert len(built) * 16 * 4 ** (2 + cfg.m_count) == channel.run_bytes(spec, cfg, True)
+    assert all(w.nbytes == 2 * 16 * 8**2 for w in built)
+    assert len(built) * 2 * 16 * 8**2 == channel.run_bytes(spec, cfg, True)
+
+
+@pytest.mark.parametrize("model", ["graph", "chain"])
+def test_sampler_peak_memory_is_within_the_prediction(model):
+    # a fresh model, so that its sectors are built inside. One thread holds
+    # the column tables that run_bytes counts, a walk chunk and about three
+    # buffers of its shot batch; at n_cycle 4, 3 column tables of 0.5 MiB
+    # (graph) or 8 MiB (chain), a 2.5 MiB or 40 MiB walk chunk, and three
+    # buffers of 0.75 MiB for 16 shots
+    spec = (build_graph_ising(generate_er_instance(5, 0.5, 2)) if model == "graph"
+            else build_tfim(5, 1.0, 1.0))
+    cfg = field_config(spec, n_trotter=8, n_cycle=4)
+    shots = 16
+    tracemalloc.start()
+    try:
+        sample_gibbs(spec, cfg, 1, shots, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    predicted = (channel.run_bytes(spec, cfg, True) + channel._walk_bytes(spec, cfg)
+                 + 3 * 16 * shots * 2**(spec.qubit_count + cfg.m_count))
+    assert peak <= predicted
 
 
 def test_sample_set_probabilities():
