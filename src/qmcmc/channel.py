@@ -22,7 +22,9 @@ set of basis states. The reset leaves the ancillas in a diagonal state, so
 each period channel keeps the entry ``rho_jk`` in the sector of ``j xor k``
 under the strings' system letters, and the channels, the cycle map and its
 spectrum split into blocks as well. A model with no such string is the
-one-sector case.
+one-sector case. :class:`Sectors` keeps this bookkeeping once: each
+sector's states and coherences, and where each one sits, which the Gram
+reshuffle, the pairings below and the sampler's column tables read.
 
 Within the sectors, involutions change coordinates by one pair basis
 (:class:`_PairBasis`): a fixed position keeps its coordinate, and each pair
@@ -81,7 +83,7 @@ from .errors import (
     NoUnitEigenvalue,
 )
 from .hamiltonians import PAULIS, HamiltonianSpec, spectral_norm
-from .linalg import apply_gate, dominant_eigs, expm_hermitian, unvec
+from .linalg import _apply_frame, _bits, dominant_eigs, expm_hermitian, unvec
 from .schedule import ProtocolConfig, comb_value, ground_probability
 
 # Largest system a run admits: a cheap guard before the model matrix and its
@@ -96,6 +98,9 @@ MAX_RUN_BYTES = 8 << 30
 # per value go 8 to a call. The call's temporaries are about five times this,
 # so they stay small beside the rest of a run and do not grow with n_cycle.
 _CHUNK_BYTES = 1 << 16
+# Amplitudes of one shot batch: the sampler cuts its shots into batches of
+# about this many, and a sample run is admitted at entry as if it held one.
+_CHUNK_ELEMS = 1 << 22
 _PRUNE_TOL = 1e-14  # see build_period_channel
 _MAX_CLUSTER = 16  # see steady_state
 
@@ -107,20 +112,17 @@ _TO_Z = {"X": (np.array([[1, 1], [1, -1]]) / np.sqrt(2), "Z"),
 _SYMPLECTIC = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 
 
-def _conjugate(gates, a: np.ndarray, qubits: int) -> np.ndarray:
-    """``G^dag a G`` for ``G`` the product of the one-qubit ``gates``, given
-    as ``(qubit, V)`` on a register of ``qubits`` qubits. With ``_scatter``,
+def _conjugate(gates, a: np.ndarray) -> np.ndarray:
+    """The contiguous square ``a`` overwritten with ``G^dag a G``, for ``G``
+    the product of the one-qubit ``gates`` ``(qubit, V)``: a row pass of each
+    ``V^dag`` and a column pass of each ``V^T`` (``a V`` is ``(V^T a^T)^T``),
+    both by :func:`qmcmc.linalg._apply_frame`. With ``_scatter``,
     ``Sectors.frame_blocks`` and ``Sectors.superoperator`` it builds
     ``CycleMap.superoperator``, which ``bench/tracer.py`` reads in an
     observer under a non-reentrant lock, so none may call a public ``qmcmc``
     function: over ``apply_gate``, this one hung the tier-1 tests silently."""
-    if not gates:
-        return a
-    t = a.reshape((2,) * (2 * qubits))  # row qubits, then column qubits
-    for q, v in gates:
-        t = np.moveaxis(np.tensordot(v.conj().T, t, axes=(1, q)), 0, q)
-        t = np.moveaxis(np.tensordot(t, v, axes=(qubits + q, 0)), -1, qubits + q)
-    return t.reshape(a.shape)
+    _apply_frame(a[np.newaxis], [(q, v.conj().T) for q, v in gates])
+    return _apply_frame(a, [(q, v.T) for q, v in gates])
 
 
 def _nullspace(rows: list[int], width: int) -> list[int]:
@@ -154,10 +156,11 @@ def _commuting_words(letters: list[dict[int, str]], n: int) -> list[str]:
             for v in _nullspace(rows, 2 * n)]
 
 
-def _gram_gather(pairs: np.ndarray, d: int) -> np.ndarray:
+def _gram_gather(pairs: np.ndarray, at: np.ndarray) -> np.ndarray:
     """For each entry of the blocks of a superoperator split by ``pairs``,
     its flat position in the stacked Gram matrices of
-    :func:`_superoperator_blocks`.
+    :func:`_superoperator_blocks`; ``at`` is the inverse of ``pairs``, each
+    entry's ``sector * size + position``.
 
     Entry ``[(i, i'), (j, j')]`` of ``sum_K kron(conj(K), K)`` is the Gram
     entry ``sum_K conj(K_ij) K_i'j'``; the Kraus elements ``(i, j)`` and
@@ -165,15 +168,10 @@ def _gram_gather(pairs: np.ndarray, d: int) -> np.ndarray:
     ``i' xor j'`` share their sector whenever ``i xor i'`` and ``j xor j'``
     do.
     """
-    count, size = pairs.shape
-    sector = np.empty(d * d, dtype=np.intp)
-    sector[pairs] = np.arange(count)[:, np.newaxis]
-    pos = np.empty(d * d, dtype=np.intp)
-    pos[pairs] = np.arange(size)
+    size, d = pairs.shape[1], math.isqrt(at.size)
     i, i2 = np.divmod(pairs[:, :, np.newaxis], d)
     j, j2 = np.divmod(pairs[:, np.newaxis, :], d)
-    first, second = i * d + j, i2 * d + j2
-    return (sector[first] * size + pos[first]) * size + pos[second]
+    return at[i * d + j] * size + at[i2 * d + j2] % size
 
 
 def _sector_entries(operators: np.ndarray, pairs: np.ndarray) -> np.ndarray:
@@ -214,7 +212,7 @@ def _real_gather(sectors: Sectors) -> tuple[np.ndarray, np.ndarray]:
     entries of ``R`` each: four terms, each (entries,), over half the entries.
     """
     a, partner = sectors.hermitian.a, sectors.hermitian.image
-    gram = _gram_gather(sectors.pairs, 2**sectors.n_s)
+    gram = _gram_gather(sectors.pairs, sectors.pair_at)
     index = np.stack([gram, np.take_along_axis(gram, partner[:, np.newaxis, :], axis=2)])
     del gram
     coef = np.empty(index.shape)
@@ -438,7 +436,12 @@ class Sectors:
     ``rho_jk`` (column-stacked index ``k d + j``) lies in cycle-map sector
     ``s`` when ``j xor k`` does under the generators' system letters;
     ``pairs[s]`` lists them, and ``pairs[0]`` holds the diagonal. Every
-    sector of either kind has the same size.
+    sector of either kind has the same size. The labels are linear over
+    GF(2): a composite state's is the xor of its system and ancilla parts',
+    and ``rho_jk``'s that of ``j``'s and ``k``'s. ``state_at`` and
+    ``pair_at`` invert ``states`` and ``pairs``: for each basis state, and
+    each ``rho_jk`` by its column-stacked index, its ``sector * size +
+    position``.
 
     Pair bases (:class:`_PairBasis`) act within the sectors. In
     ``hermitian`` (phase i; ``rho_kj`` lies in the sector of ``rho_jk``) the
@@ -463,35 +466,37 @@ class Sectors:
     frame: tuple[tuple[int, str], ...] = field(init=False)
     states: np.ndarray = field(init=False, repr=False, compare=False)
     pairs: np.ndarray = field(init=False, repr=False, compare=False)
+    state_at: np.ndarray = field(init=False, repr=False, compare=False)
+    pair_at: np.ndarray = field(init=False, repr=False, compare=False)
     hermitian: _PairBasis = field(init=False, repr=False, compare=False)
     reflection: _PairBasis = field(init=False, repr=False, compare=False)
     map_reflection: _PairBasis = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         letters = {q: w[q] for w in self.generators for q in range(self.n_s) if w[q] != "I"}
-        frame = tuple((q, c) for q, c in sorted(letters.items()) if c in _TO_Z)
-
-        def labels(qubits: int) -> np.ndarray:
-            bits = (np.arange(2**qubits)[:, np.newaxis] >> np.arange(qubits - 1, -1, -1)) & 1
-            masks = np.array([[c != "I" for c in w[:qubits]] for w in self.generators],
-                             dtype=int).reshape(-1, qubits)
-            return ((bits @ masks.T) & 1) @ (1 << np.arange(len(self.generators)))
-
         count, d = 2 ** len(self.generators), 2**self.n_s
-        system = labels(self.n_s)
-        pairs = np.argsort((system[:, np.newaxis] ^ system).reshape(-1),
-                           kind="stable").reshape(count, -1)
-        index = np.empty(d * d, dtype=np.intp)  # of rho_jk in its sector
-        index[pairs] = np.arange(pairs.shape[1])
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "states", np.argsort(
-            labels(self.n_s + self.m_count), kind="stable").reshape(count, -1))
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "hermitian", _PairBasis.of(index[pairs % d * d + pairs // d], 1j))
+        masks = np.array([[c != "I" for c in w] for w in self.generators],
+                         dtype=int).reshape(-1, self.n_s + self.m_count)
+        # the parities under the generators of the system and of the ancilla
+        # states; a composite state's, and a coherence's, are an xor of two
+        system, ancilla = ((_bits(qubits) @ part.T & 1) @ (1 << np.arange(len(masks)))
+                           for qubits, part in ((self.n_s, masks[:, :self.n_s]),
+                                                (self.m_count, masks[:, self.n_s:])))
+        states, pairs = (np.argsort((system[:, np.newaxis] ^ part).reshape(-1), kind="stable")
+                         for part in (ancilla, system))
+        object.__setattr__(self, "states", states.reshape(count, -1))
+        object.__setattr__(self, "pairs", pairs.reshape(count, -1))
+        object.__setattr__(self, "state_at", np.argsort(states))  # the inverse permutations
+        object.__setattr__(self, "pair_at", np.argsort(pairs))
+        object.__setattr__(self, "frame",
+                           tuple((q, c) for q, c in sorted(letters.items()) if c in _TO_Z))
+        pairs = self.pairs
+        object.__setattr__(self, "hermitian", _PairBasis.of(
+            self.pair_at[pairs % d * d + pairs // d] % pairs.shape[1], 1j))
         reflection = _PairBasis.of(self._reflection_image(), 1)
         object.__setattr__(self, "reflection", reflection)
         object.__setattr__(self, "map_reflection", _PairBasis.of(
-            *self._map_reflection_image(index)) if reflection.order else reflection)
+            *self._map_reflection_image()) if reflection.order else reflection)
 
     def _reflection_image(self) -> np.ndarray:
         count, size = self.states.shape
@@ -503,25 +508,20 @@ class Sectors:
         n = self.n_s + self.m_count
         # qubit q moves to target[q]; qubit 0 is the most significant bit
         target = np.array([*range(self.n_s - 1, -1, -1), *(self.n_s + a for a in self.mirror)])
-        bits = np.arange(2**n)[:, np.newaxis] >> np.arange(n - 1, -1, -1) & 1
-        flat = np.empty(2**n, dtype=np.intp)  # each state's sector * size + position
-        flat[self.states] = np.arange(count * size).reshape(count, size)
-        image = flat[(bits @ (1 << (n - 1 - target)))[self.states]]
+        image = self.state_at[(_bits(n) @ (1 << (n - 1 - target)))[self.states]]
         return np.where((image // size == np.arange(count)[:, None]).all(), image % size, identity)
 
-    def _map_reflection_image(self, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _map_reflection_image(self) -> tuple[np.ndarray, np.ndarray]:
         """The reversal ``R`` of the system qubits on each cycle-map sector's
-        Hermitian coordinates, ``index`` the position of each ``rho_jk`` in
-        its sector: the coordinate at ``rho_jk`` goes to the one at
-        ``rho_R(j)R(k)``, or at ``rho_R(k)R(j)`` when ``R`` swaps the order
-        of j and k, and then, for j > k, changes sign."""
-        n, d = self.n_s, 2**self.n_s
-        bits = np.arange(d)[:, np.newaxis] >> np.arange(n) & 1
-        reverse = bits @ (1 << np.arange(n - 1, -1, -1))
+        Hermitian coordinates: the coordinate at ``rho_jk`` goes to the one
+        at ``rho_R(j)R(k)``, or at ``rho_R(k)R(j)`` when ``R`` swaps the
+        order of j and k, and then, for j > k, changes sign."""
+        d, size = 2**self.n_s, self.pairs.shape[1]
+        reverse = _bits(self.n_s) @ (1 << np.arange(self.n_s))
         k, j = np.divmod(self.pairs, d)
         swap = (j < k) != (reverse[j] < reverse[k])
         row, col = np.where(swap, reverse[k], reverse[j]), np.where(swap, reverse[j], reverse[k])
-        return index[col * d + row], np.where(swap & (j > k), -1.0, 1.0)
+        return self.pair_at[col * d + row] % size, np.where(swap & (j > k), -1.0, 1.0)
 
     @property
     def gates(self) -> list[tuple[int, np.ndarray]]:
@@ -546,7 +546,7 @@ class Sectors:
     def unitary(self, blocks: np.ndarray) -> np.ndarray:
         """The dense computational-basis composite matrix with these W
         blocks: ``F^dag W F``."""
-        return _conjugate(self.gates, _scatter(blocks, self.states), self.n_s + self.m_count)
+        return _conjugate(self.gates, _scatter(blocks, self.states))
 
     def superoperator(self, blocks: np.ndarray) -> np.ndarray:
         """The dense computational-basis superoperator with this real
@@ -554,7 +554,7 @@ class Sectors:
         kron(conj(F), F)``."""
         gates = ([(q, v.conj()) for q, v in self.gates]
                  + [(self.n_s + q, v) for q, v in self.gates])
-        return _conjugate(gates, _scatter(self.frame_blocks(blocks), self.pairs), 2 * self.n_s)
+        return _conjugate(gates, _scatter(self.frame_blocks(blocks), self.pairs))
 
     def state(self, v0: np.ndarray) -> np.ndarray:
         """The computational-basis matrix whose coordinates in the split
@@ -564,7 +564,7 @@ class Sectors:
         coords[0] = self.map_reflection.embed(v0[:, np.newaxis])
         flat = np.empty(4**self.n_s, dtype=complex)
         flat[self.pairs] = self.hermitian.dagger(coords)[..., 0]
-        return _conjugate(self.gates, unvec(flat), self.n_s)
+        return _conjugate(self.gates, unvec(flat))
 
 
 def _scatter(blocks: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -755,14 +755,15 @@ def _trotter_parts(spec: HamiltonianSpec, cfg: ProtocolConfig):
     n_s, m = spec.qubit_count, cfg.m_count
     # F u_s F^dag: conjugation by the inverse gates
     u_s = _conjugate([(q, v.conj().T) for q, v in sectors.gates],
-                     expm_hermitian(spec.spectrum, -1j * (cfg.t_g / cfg.n_trotter)), n_s)
+                     expm_hermitian(spec.spectrum, -1j * (cfg.t_g / cfg.n_trotter)))
     coupled = {q: _TO_Z[c][1] for q, c in sectors.frame}
     products = u_s[:, np.newaxis, :]
     for principal in cfg.ancilla_map:
-        flipped = apply_gate(PAULIS[coupled.get(principal, "X")], [principal], products, n_s)
+        flipped = _apply_frame(products[np.newaxis].copy(),
+                               [(principal, PAULIS[coupled.get(principal, "X")])])[0]
         products = np.stack([products, flipped], axis=2).reshape(2**n_s, -1, 2**n_s)
     theta = np.pi / cfg.n_trotter  # = g dt exactly
-    ones = (np.arange(2**m)[:, np.newaxis] >> np.arange(m) & 1).sum(axis=1)
+    ones = _bits(m).sum(axis=1)
     products *= (np.cos(theta) ** (m - ones) * (-1j * np.sin(theta)) ** ones)[:, np.newaxis]
     x, a = np.divmod(sectors.states, 2**m)
     blocks = products[x[:, :, np.newaxis], a[:, :, np.newaxis] ^ a[:, np.newaxis, :],
@@ -905,7 +906,7 @@ def _walk_bytes(spec: HamiltonianSpec, cfg: ProtocolConfig) -> int:
 
 
 def admit_run(spec: HamiltonianSpec, cfg: ProtocolConfig, kind: str, betas: int = 1,
-              workers: int | None = None, batch: int = 0) -> int:
+              workers: int | None = None, batch: int = _CHUNK_ELEMS) -> int:
     """The entry rule of every run. Refuses with InvalidSize a run of over
     ``MAX_SPINS`` spins; with ValueError a config whose Trotter step
     ``dt = t_g / n_trotter`` overflows a step's largest phase, ``omega_m dt
@@ -920,7 +921,9 @@ def admit_run(spec: HamiltonianSpec, cfg: ProtocolConfig, kind: str, betas: int 
     thread), or the sampler's column tables, :func:`run_bytes` with
     ``sample``, beside which each thread holds its own walk chunk
     (:func:`_walk_bytes`) and about three buffers of its shot batch of
-    ``batch`` amplitudes."""
+    ``batch`` amplitudes, by default the largest batch a thread runs, so that
+    the check at entry, before the shot count is known, refuses whatever the
+    run would."""
     if spec.qubit_count > MAX_SPINS:
         raise InvalidSize(f"system size {spec.qubit_count} exceeds the limit of {MAX_SPINS} spins")
     dt = cfg.t_g / cfg.n_trotter
@@ -946,10 +949,9 @@ def admit_run(spec: HamiltonianSpec, cfg: ProtocolConfig, kind: str, betas: int 
 def ancilla_preparation(omega: float, beta: float, m_count: int) -> np.ndarray:
     """Product distribution over the 2^M ancilla basis states after reset
     plus probabilistic excitation: ``P(b) = prod_m p0^(1-b_m) (1-p0)^(b_m)``,
-    one product over the M x 2^M bit table, ancilla 0 first."""
+    one product over the 2^M x M bit table, ancilla 0 first."""
     p0 = ground_probability(omega, beta)
-    bits = np.arange(2**m_count) >> np.arange(m_count - 1, -1, -1)[:, np.newaxis] & 1
-    return np.array([p0, 1.0 - p0])[bits].prod(axis=0, initial=1.0)
+    return np.array([p0, 1.0 - p0])[_bits(m_count)].prod(axis=1, initial=1.0)
 
 
 def build_period_channel(w: np.ndarray, prep: np.ndarray, n_s: int,
@@ -993,9 +995,9 @@ def to_superoperator(kraus: KrausSet) -> Superoperator:
     reshuffle of the Gram matrix of the flattened operators (one GEMM), the
     one-sector case of the cycle map's blocks."""
     d = kraus.dim
-    pairs = np.arange(d * d)[np.newaxis]
+    pairs = np.arange(d * d)[np.newaxis]  # one sector: its own inverse
     return Superoperator(
-        d * d, _superoperator_blocks(kraus.operators, pairs, _gram_gather(pairs, d))[0])
+        d * d, _superoperator_blocks(kraus.operators, pairs, _gram_gather(pairs, pairs[0]))[0])
 
 
 def superoperator_to_choi(s: Superoperator) -> np.ndarray:

@@ -20,7 +20,7 @@ from .errors import (
     InvalidSize,
     NonDiagonalHamiltonian,
 )
-from .linalg import hermitian_eig, kron_all
+from .linalg import _bits, hermitian_eig
 
 PAULIS = {
     "I": np.eye(2, dtype=complex),
@@ -147,11 +147,17 @@ def build_graph_ising(g: GraphInstance) -> HamiltonianSpec:
 
 
 def to_matrix(spec: HamiltonianSpec) -> np.ndarray:
-    """Dense matrix of the spec; Hermitian by construction."""
-    dim = 2**spec.qubit_count
-    out = np.zeros((dim, dim), dtype=complex)
+    """Dense matrix of the spec; Hermitian by construction. Each term is a
+    signed permutation: its word, with ``x`` the mask of its X and Y letters
+    and ``z`` that of its Z and Y letters, takes ``|v>`` to ``i^#Y
+    (-1)^popcount(v & z) |v xor x>``, the popcount read off the bit table."""
+    n = spec.qubit_count
+    bits, v = _bits(n), np.arange(2**n)
+    out = np.zeros((2**n, 2**n), dtype=complex)
     for t in spec.terms:
-        out += t.coefficient * kron_all(PAULIS[c] for c in t.letters)
+        x = sum(1 << (n - 1 - q) for q, c in enumerate(t.letters) if c in "XY")
+        z = np.array([c in "YZ" for c in t.letters])
+        out[v ^ x, v] += t.coefficient * 1j ** t.letters.count("Y") * (1 - 2 * (bits @ z & 1))
     return out
 
 

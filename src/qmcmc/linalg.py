@@ -7,7 +7,13 @@ Conventions fixed here and used consistently across the package:
 * Density matrices are vectorized by column stacking, so the map
   ``rho -> A rho B^†`` has superoperator matrix ``kron(conj(B), A)``.
 
-All functions are pure and safe to call concurrently.
+The bookkeeping of the qubit order lives here once: :func:`_bits` is the
+package's one bit table, read by the sector labels, the reflections, the
+ancilla preparation and the model matrix, and :func:`_apply_frame` its one
+entrywise one-qubit kernel, for the shots' frame, the Trotter step's Pauli
+flips and both passes of the frame's conjugation. ``_apply_frame``
+overwrites its argument; all public functions are pure and safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -76,6 +82,29 @@ def expm_hermitian(eig: tuple[np.ndarray, np.ndarray], c: complex) -> np.ndarray
     """
     w, v = eig
     return (v * np.exp(c * w)) @ v.conj().T
+
+
+def _bits(n: int) -> np.ndarray:
+    """The (2^n, n) bits of every basis index, qubit 0 (the most significant
+    bit) first: the one bit table of the package."""
+    return np.arange(2**n)[:, np.newaxis] >> np.arange(n - 1, -1, -1) & 1
+
+
+def _apply_frame(v: np.ndarray, gates) -> np.ndarray:
+    """The contiguous (batch, 2^n, ...) ``v``, overwritten with the
+    one-qubit ``gates`` ``(q, g)`` applied to each row, entry by entry, for
+    qubit ``q`` the ``q``-th most significant bit of a row's flat index. The
+    one one-qubit kernel of the package: the shots' frame, the Trotter
+    step's Pauli flips, and the row and column passes of a conjugation."""
+    for q, g in gates:
+        t = v.reshape(len(v), 2**q, 2, -1)
+        zero, one = t[:, :, 0], t[:, :, 1]
+        kept = zero.copy()
+        zero *= g[0, 0]
+        zero += g[0, 1] * one
+        one *= g[1, 1]
+        one += g[1, 0] * kept
+    return v
 
 
 def apply_gate(gate: np.ndarray, qubits, arr: np.ndarray, qubit_count: int) -> np.ndarray:

@@ -51,14 +51,15 @@ def derive_streams(seed: int, count: int, start: int = 0) -> np.ndarray:
 
 
 def next_uniform(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Advance every stream one step; returns (uniforms in [0,1), new states)."""
-    with np.errstate(over="ignore"):
-        s = states
-        s = s ^ (s >> np.uint64(12))
-        s = s ^ (s << np.uint64(25))
-        s = s ^ (s >> np.uint64(27))
-        out = s * _STAR
-    return (out >> np.uint64(11)).astype(np.float64) * _INV_2_53, s
+    """Advance every stream one step; returns (uniforms in [0,1), new states).
+
+    ``states`` is a uint64 array, whose shifts, xors and products wrap mod
+    2**64 without a warning, so no error-state block is needed here, unlike
+    :func:`splitmix64`, which also takes scalars."""
+    s = states ^ (states >> np.uint64(12))
+    s = s ^ (s << np.uint64(25))
+    s = s ^ (s >> np.uint64(27))
+    return ((s * _STAR) >> np.uint64(11)).astype(np.float64) * _INV_2_53, s
 
 
 class Stream:

@@ -20,7 +20,8 @@ where ``W`` is block-diagonal on sets of basis states. ``F`` acts on the
 system qubits alone and every ancilla letter of the sectors is I or Z, so
 neither the reset's outcome probabilities nor the excitation see it: a shot
 starts at ``F|i>`` and ``F^dag`` is applied once, at the terminal
-measurement and to :func:`run_trajectories`' output. For a graph ``F`` is
+measurement and to :func:`run_trajectories`' output, both by the package's
+one one-qubit kernel, :func:`qmcmc.linalg._apply_frame`. For a graph ``F`` is
 the identity. Column ``(x, b)`` lies in the sector labeled ``l(x) xor
 l(b)`` (the labels are linear over GF(2)), so each sector holds ``k =
 2^N_s / sectors`` of the columns at ``b``, one for every graph, and the
@@ -28,7 +29,8 @@ period's sum takes ``k`` terms per entry of ``out``. The sampler's table
 holds, for each distinct comb value, only those columns, gathered from the
 sector blocks that the comb walk of :mod:`qmcmc.channel` yields for the
 exact cycle map: ``4^(N_s+M) / sectors`` entries per value, the size of the
-blocks themselves (:class:`_Layout` gives their order). The table is built
+blocks themselves (:class:`_Layout` gives their order, from where
+:attr:`Sectors.state_at` puts each state). The table is built
 once per run, before any batch starts, and is only read afterwards; every
 burn-in cycle reads each entry again.
 
@@ -61,14 +63,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import Sectors, _period_table, _sectors, _thread_map, admit_run
+from .channel import _CHUNK_ELEMS, Sectors, _period_table, _sectors, _thread_map, admit_run
 from .errors import NormalizationLoss
 from .hamiltonians import HamiltonianSpec
+from .linalg import _apply_frame
 from .rng import derive_streams, next_uniform
 from .schedule import ProtocolConfig, ground_probability
-
-# shots per batch are capped so a batch stays around 2^22 amplitudes
-_CHUNK_ELEMS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -119,19 +119,15 @@ class _Layout(NamedTuple):
     def of(cls, sectors: Sectors) -> _Layout:
         ds, da = 2**sectors.n_s, 2**sectors.m_count
         count, size = sectors.states.shape
-        sector = np.empty(ds * da, dtype=np.intp)
-        sector[sectors.states] = np.arange(count)[:, np.newaxis]
-        pos = np.empty(ds * da, dtype=np.intp)
-        pos[sectors.states] = np.arange(size)
+        at = sectors.state_at
         k = ds // count
-        order = np.argsort(sector[::da], kind="stable")  # the state x at each t k + i
-        place = np.empty(ds, dtype=np.intp)
-        place[order] = np.arange(ds)
-        labels = sector[:da]
+        order = np.argsort(at[::da] // size, kind="stable")  # the state x at each t k + i
+        place = np.argsort(order)
+        labels = at[:da] // size
         b, i, t, j, a = np.ix_(*map(np.arange, (da, k, count, k, da)))
         column = order[t * k + i] * da + b
         row = order[(t ^ labels[a] ^ labels[b]) * k + j] * da + a
-        index = (sector[column] * size + pos[row]) * size + pos[column]
+        index = at[row] * size + at[column] % size  # row and column share a sector
         start = _apply_frame(np.eye(ds, dtype=complex), sectors.gates)[:, order]
         return cls(sectors.m_count, k, labels, index[:, :, :, np.newaxis],
                    place[:, np.newaxis] ^ labels * k, start, sectors.gates)
@@ -154,21 +150,6 @@ class _Shots(NamedTuple):
     excited: np.ndarray
     states: np.ndarray
     shot: np.ndarray
-
-
-def _apply_frame(v: np.ndarray, gates) -> np.ndarray:
-    """The (batch, 2^N_s, ...) ``v``, system qubits first, overwritten with
-    the one-qubit ``gates`` ``(q, g)`` applied to each row, entry by
-    entry."""
-    for q, g in gates:
-        t = v.reshape(len(v), 2**q, 2, -1)
-        zero, one = t[:, :, 0], t[:, :, 1]
-        kept = zero.copy()
-        zero *= g[0, 0]
-        zero += g[0, 1] * one
-        one *= g[1, 1]
-        one += g[1, 0] * kept
-    return v
 
 
 def _probabilities(amps: np.ndarray) -> np.ndarray:

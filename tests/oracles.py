@@ -429,7 +429,7 @@ def two_term_real_gather(sectors):
     Gram stack: ``2 Re(a_p conj(a_q) S[p, q] + a_p a_q S[p, q'])``, built
     from the whole Gram gather."""
     a, partner = sectors.hermitian.a, sectors.hermitian.image
-    gram = _gram_gather(sectors.pairs, 2**sectors.n_s)
+    gram = _gram_gather(sectors.pairs, sectors.pair_at)
     index = np.stack([gram, np.take_along_axis(gram, partner[:, np.newaxis, :], axis=2)])
     coef = np.empty(index.shape)
     for t, right in enumerate((a.conj(), a)):

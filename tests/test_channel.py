@@ -894,7 +894,7 @@ def test_real_blocks_map_back_to_the_complex_superoperator_blocks(protocol, omeg
     grams = channel._grams(channel._sector_entries(ops, sectors.pairs))
     real = channel._real_blocks(channel._real_gather(sectors), grams[np.newaxis])[0]
     assert real.dtype == np.float64 and real.size == sum(w * w for w in sectors.widths[1])
-    gather = channel._gram_gather(sectors.pairs, 2**spec.qubit_count)
+    gather = channel._gram_gather(sectors.pairs, sectors.pair_at)
     complex_blocks = channel._superoperator_blocks(ops, sectors.pairs, gather)
     assert np.abs(sectors.frame_blocks(real) - complex_blocks).max() < 1e-12
 

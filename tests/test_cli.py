@@ -568,6 +568,22 @@ def test_main_refuses_an_over_budget_sample_up_front(monkeypatch, capsys):
     assert f"{251 * 16 * 4**12 // 2} bytes" in captured.err
 
 
+def test_main_refuses_at_entry_a_sample_whose_full_batch_would_not_fit(monkeypatch, capsys):
+    # the 5-spin chain's column tables at n_cycle 2000 are 1001 comb values of
+    # 8 MiB; with a thread's walk chunk (40 MiB) they fit 8 GiB, but not with
+    # three buffers of its batch of 4096 shots (192 MiB) as well
+    def built_too_early(*args):
+        raise AssertionError("period parts built before the byte check")
+
+    monkeypatch.setattr("qmcmc.channel._trotter_parts", built_too_early)
+    assert main(["sample", "-q", "--model", "tfim", "--n", "5", "--beta", "1",
+                 "--ncycle", "2000", "--shots", "4096"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert f"{1001 * 8 << 20} bytes" in captured.err
+
+
 # the sampler's column tables: 251 comb values of 16 * 4^(2 n) / 2 bytes, the
 # chain's W blocks over its two sectors (0.5, 8 and 128 MiB per value)
 @pytest.mark.parametrize("model, line", [

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmcmc.errors import (
     DimensionMismatch,
@@ -11,6 +13,7 @@ from qmcmc.errors import (
     NonDiagonalHamiltonian,
 )
 from qmcmc.hamiltonians import (
+    PAULIS,
     GraphInstance,
     HamiltonianSpec,
     PauliString,
@@ -181,6 +184,31 @@ def test_gibbs_distribution_rejects_negative_beta():
     for beta in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError):
             gibbs_distribution(HamiltonianSpec(1, (PauliString(1.0, "Z"),)), beta)
+
+
+def kron_sum(spec):
+    """The dense matrix of ``spec`` as a sum of Kronecker products, term by
+    term in order."""
+    out = np.zeros((2**spec.qubit_count,) * 2, dtype=complex)
+    for t in spec.terms:
+        out += t.coefficient * kron_all(PAULIS[c] for c in t.letters)
+    return out
+
+
+@st.composite
+def pauli_sums(draw):
+    n = draw(st.integers(1, 5))
+    words = st.text("IXYZ", min_size=n, max_size=n)
+    terms = draw(st.lists(st.tuples(st.floats(-3.0, 3.0), words), min_size=1, max_size=6))
+    return HamiltonianSpec(n, tuple(PauliString(c, w) for c, w in terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.one_of(
+    pauli_sums(),
+    st.builds(build_tfim, st.integers(1, 6), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))))
+def test_to_matrix_is_bitwise_the_kron_sum(spec):
+    assert to_matrix(spec).tobytes() == kron_sum(spec).tobytes()
 
 
 def test_thermal_eigenvalues_are_boltzmann_weights():

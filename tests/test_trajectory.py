@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import qmcmc.channel as channel
 import qmcmc.trajectory as trajectory
 from qmcmc.channel import build_cycle_map, build_cycle_maps, build_period_unitary
 from qmcmc.errors import InvalidSize, NormalizationLoss
-from qmcmc.experiments import generate_er_instance
+from qmcmc.experiments import generate_er_instance, make_points
 from qmcmc.hamiltonians import (
     GraphInstance,
     build_graph_ising,
@@ -100,6 +101,21 @@ def test_derive_streams_offset_consistency():
     whole = derive_streams(7, 10)
     tail = derive_streams(7, 4, start=6)
     assert np.array_equal(whole[6:], tail)
+
+
+def test_streams_advance_across_the_top_bit_without_a_warning():
+    # states with the top bit set: the shifts, xors and the product wrap mod
+    # 2**64, which numpy does silently for uint64 arrays
+    start = [(1 << 64) - 1, 1 << 63, 0xFEDCBA9876543210]
+    states, expected = np.array(start, dtype=np.uint64), list(start)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(50):
+            u, states = next_uniform(states)
+            steps = [xorshift64star_py(state) for state in expected]
+            expected = [state for _, state in steps]
+            assert u.tolist() == [v for v, _ in steps]
+            assert states.tolist() == expected
 
 
 def test_batched_uniforms_match_scalar_streams():
@@ -528,6 +544,32 @@ def test_shot_driver_budget_cuts_the_threads_of_full_batches(monkeypatch):
     # 6184 // (40 + 192) = 26 threads fit beside the tables
     assert admitted_threads(4096, (64, 16, 8), monkeypatch) == [26, 16, 8]
     assert admitted_threads(2, (256,), monkeypatch) == [154]
+
+
+def test_a_sample_admitted_at_entry_is_admitted_by_its_run(monkeypatch):
+    # the 5-spin chain with 4096 shots, whose column tables of 8 MiB per comb
+    # value, a walk chunk of 40 MiB and three buffers of a full batch of 4096
+    # shots (192 MiB) cross 8 GiB inside this n_cycle window; the entry check
+    # counts a full batch too, so every value it admits reaches the walk
+    class Walked(Exception):
+        pass
+
+    def walk(spec, cfg, per_omega, workers=None):
+        raise Walked
+
+    monkeypatch.setattr(channel, "_trotter_parts", built_too_early)
+    monkeypatch.setattr(trajectory, "_period_table", walk)
+    admitted = 0
+    for n_cycle in range(1980, 2031):
+        try:
+            point, = make_points("sample", "tfim", 5, [1.0], g=0.005, n_trotter=5000,
+                                 n_cycle=n_cycle)
+        except InvalidSize:
+            continue
+        admitted += 1
+        with pytest.raises(Walked):
+            sample_gibbs(point.spec, point.config, 20, 4096, seed=0)
+    assert 0 < admitted < 51
 
 
 @pytest.mark.parametrize("omega_m", [0.0, 2.0])
