@@ -905,10 +905,18 @@ def _walk_bytes(spec: HamiltonianSpec, cfg: ProtocolConfig) -> int:
     return 5 * len(_walk_plan(cfg, sectors)[1][0]) * _w_bytes(sectors)
 
 
+def admit_spins(n_s: int) -> None:
+    """Refuses with InvalidSize a system of over ``MAX_SPINS`` spins: the one
+    spin cap, checked before the model is built and again by
+    :func:`admit_run`."""
+    if n_s > MAX_SPINS:
+        raise InvalidSize(f"system size {n_s} exceeds the limit of {MAX_SPINS} spins")
+
+
 def admit_run(spec: HamiltonianSpec, cfg: ProtocolConfig, kind: str, betas: int = 1,
               workers: int | None = None, batch: int = _CHUNK_ELEMS) -> int:
-    """The entry rule of every run. Refuses with InvalidSize a run of over
-    ``MAX_SPINS`` spins; with ValueError a config whose Trotter step
+    """The entry rule of every run. Refuses a run of over ``MAX_SPINS`` spins
+    (:func:`admit_spins`); with ValueError a config whose Trotter step
     ``dt = t_g / n_trotter`` overflows a step's largest phase, ``omega_m dt
     M / 2`` on the ancillas or ``||H_s|| dt`` on the system; and with
     InvalidSize a ``kind`` run that would exceed ``MAX_RUN_BYTES`` on one
@@ -924,8 +932,7 @@ def admit_run(spec: HamiltonianSpec, cfg: ProtocolConfig, kind: str, betas: int 
     ``batch`` amplitudes, by default the largest batch a thread runs, so that
     the check at entry, before the shot count is known, refuses whatever the
     run would."""
-    if spec.qubit_count > MAX_SPINS:
-        raise InvalidSize(f"system size {spec.qubit_count} exceeds the limit of {MAX_SPINS} spins")
+    admit_spins(spec.qubit_count)
     dt = cfg.t_g / cfg.n_trotter
     if not all(map(math.isfinite, (cfg.omega_m * dt * cfg.m_count, spectral_norm(spec) * dt))):
         raise ValueError(f"omega_m = {cfg.omega_m:g} and ||H_s|| = {spectral_norm(spec):g} "

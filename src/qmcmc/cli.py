@@ -7,8 +7,9 @@ Commands: ``thermalize`` (steady state and metrics for one model),
 A config file (``--config``) holds one ``key = value`` per line with ``#``
 comments, keys mirroring the command's own flag names; explicit flags
 override file values.
-Energies are quoted in units of the chain coupling J and times in 1/J; graph
-models carry absolute weights, so there g and beta are absolute.
+The chain is built at coupling J = 1, so its energies are in units of J and
+times in 1/J (``--hj`` is h/J, ``--beta`` is beta*J); graphs and Hamiltonian
+files are read in their own coefficients.
 
 Exit codes: 0 success; 2 for a bad value from a flag, a config file or
 ``QMCMC_WORKERS``, or a model or protocol that refuses its parameters; 1 for
@@ -90,11 +91,10 @@ _OPTIONS = {
     "model": _Option(str, "tfim", "tfim, graph, or a Hamiltonian file path"),
     "n": _Option(_list_of(int), (2,), "system size(s), comma separated"),
     "hj": _Option(_list_of(float), (1.0,), "transverse field(s) h/J, comma separated"),
-    "jj": _Option(float, 1.0, "chain coupling J (energy unit)"),
     "beta": _Option(_list_of(float), None, "inverse temperature(s) beta*J, comma separated"),
     "g": _Option(float, 0.005, "system-ancilla coupling g/J"),
     "nt": _Option(int, 5000, "Trotter steps per period"),
-    "ncycle": _Option(int, None, "periods per comb cycle"),
+    "ncycle": _Option(int, None, "periods per comb cycle (default 500, 100 for experiment graph)"),
     "pe": _Option(_list_of(float), (0.4,), "edge probability(ies), comma separated"),
     "seed": _Option(int, 0, "master seed"),
     "shots": _Option(_checked(int, "positive int", lambda v: v > 0), 1000,
@@ -135,7 +135,7 @@ def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
                             choices=opt.choices, help=opt.help)
 
 
-_MODEL_FLAGS = ("model", "n", "hj", "jj", "pe", "seed")
+_MODEL_FLAGS = ("model", "n", "hj", "pe", "seed")
 _PROTO_FLAGS = ("beta", "g", "nt", "ncycle")
 _IO_FLAGS = ("format", "out", "workers")
 
@@ -158,7 +158,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a sweep")
     p.add_argument("experiment_kind", choices=["tfim", "magnetization", "graph"])
-    _add_common(p, "n", "hj", "jj", "pe", "seed", *_PROTO_FLAGS,
+    _add_common(p, "n", "hj", "pe", "seed", *_PROTO_FLAGS,
                 "mode", "sweeps", *_IO_FLAGS)
 
     p = sub.add_parser("validate", help="hierarchy check and Trotter suggestion only")
@@ -293,7 +293,7 @@ def emit_samples(samples: SampleSet, output_format: str, sink) -> None:
 # List options of which the single-point commands take exactly one value.
 _POINT_LISTS = ("n", "hj", "beta", "pe")
 # The model flags each generated model reads; a Hamiltonian file reads none.
-_MODEL_FLAGS_READ = {"tfim": ("n", "hj", "jj"), "graph": ("n", "pe")}
+_MODEL_FLAGS_READ = {"tfim": ("n", "hj"), "graph": ("n", "pe")}
 
 
 def _prepare(run_cfg: RunConfig) -> tuple[Point, ExperimentPlan | None]:
@@ -310,13 +310,13 @@ def _prepare(run_cfg: RunConfig) -> tuple[Point, ExperimentPlan | None]:
     kind = run_cfg.experiment_kind
     try:
         model = o["model"] if kind is None else "graph" if kind == "graph" else "tfim"
-        for key in ("n", "hj", "jj", "pe"):
+        for key in ("n", "hj", "pe"):
             if key in run_cfg.given and key not in _MODEL_FLAGS_READ.get(model, ()):
                 raise UsageError(f"--{key} does not apply to model {model}")
         if kind is not None:
             plan = ExperimentPlan(
                 kind=ExperimentKind(kind), n_list=o["n"], beta=o["beta"],
-                h_over_j=o["hj"], p_e=o["pe"], j=o["jj"], g=o["g"],
+                h_over_j=o["hj"], p_e=o["pe"], g=o["g"],
                 n_trotter=o["nt"], n_cycle=o["ncycle"], seed=o["seed"],
                 mode=o["mode"], n_sweeps=o["sweeps"], workers=o["workers"],
             )
@@ -327,7 +327,7 @@ def _prepare(run_cfg: RunConfig) -> tuple[Point, ExperimentPlan | None]:
                                  f"got {len(o[key])}")
         point, = make_points(
             run_cfg.command, model, o["n"][0], o["beta"], h_over_j=o["hj"][0],
-            p_e=o["pe"][0], j=o["jj"], g=o["g"], n_trotter=o["nt"], n_cycle=o["ncycle"],
+            p_e=o["pe"][0], g=o["g"], n_trotter=o["nt"], n_cycle=o["ncycle"],
             seed=o["seed"])
         return point, None
     except (ValueError, QmcmcError) as exc:

@@ -9,10 +9,14 @@ diagonalized and its symmetry sectors are found once. ``solve_point`` solves
 one point for ``qmcmc thermalize``; ``run_plan`` solves a sweep. Both score
 a point's cycle map through one scorer.
 
-Units: for the chain model, the coupling ``j`` sets the energy scale, so
-``g`` is g/J and ``beta`` entries are beta*J. Graph instances and
-Hamiltonian files carry raw weights, so there ``g`` and ``beta`` are
-absolute.
+Units: the chain is built at coupling J = 1, its energy unit, so ``g`` is
+g/J, ``beta`` entries are beta*J and ``h_over_j`` is h/J. Graph instances
+and Hamiltonian files carry their own coefficients, in which ``g`` and
+``beta`` are read. A run is the same in any unit: scaling every
+coefficient, ``g`` and the comb amplitude by s and ``beta`` by 1/s leaves
+every phase of the protocol, and so every result, as it was; only the
+rate-hierarchy report's ``slope / g``, an energy squared over an energy,
+reads the unit.
 
 W(Omega) does not depend on the inverse temperature, so ``run_plan`` groups
 consecutive points that differ only in beta (beta is the grid's innermost
@@ -39,10 +43,10 @@ import numpy as np
 
 from .channel import (
     MAX_RUN_BYTES,
-    MAX_SPINS,
     CycleMap,
     _thread_map,
     admit_run,
+    admit_spins,
     build_cycle_map,
     build_cycle_maps,
     run_bytes,
@@ -100,7 +104,6 @@ class ExperimentPlan:
     beta: tuple[float, ...]
     h_over_j: tuple[float, ...] = (1.0,)
     p_e: tuple[float, ...] = ()
-    j: float = 1.0
     g: float = 0.005
     n_trotter: int = 5000
     n_cycle: int = 500
@@ -138,7 +141,7 @@ class ExperimentPlan:
         for pair, (n, x) in enumerate(models):
             points += make_points(
                 self.kind.value, "graph" if graph else "tfim", n, self.beta, **{axis: x},
-                j=self.j, g=self.g, n_trotter=self.n_trotter, n_cycle=self.n_cycle,
+                g=self.g, n_trotter=self.n_trotter, n_cycle=self.n_cycle,
                 seed=self.seed + pair if graph else self.seed, mode=mode)
         if self.mode == "evolve":
             for index, point in enumerate(points):
@@ -222,42 +225,37 @@ class Point:
 
 
 def make_points(kind: str, model: str, n: int, betas, *, h_over_j: float = 1.0,
-                p_e: float = 0.0, j: float = 1.0, g: float, n_trotter: int, n_cycle: int,
+                p_e: float = 0.0, g: float, n_trotter: int, n_cycle: int,
                 seed: int = 0, mode: str | None = None) -> list[Point]:
     """Build the points of one model, one per inverse temperature of
     ``betas`` in order, for a run whose rows are of ``kind``. The points
     share one ``HamiltonianSpec`` and differ only in beta.
 
-    ``model`` is ``"tfim"`` (chain of ``n`` spins, field ``h_over_j``,
-    coupling ``j``), ``"graph"`` (``generate_er_instance(n, p_e, seed)``) or a
-    Hamiltonian file path. The chain's coupling is its energy unit, by which
-    ``g`` and ``beta`` are scaled into the protocol config: comb amplitude
-    the width of ``spec.spectrum`` and one ancilla per spin. Raises ValueError or a
-    package error for a value the model or protocol refuses, a coupling that
-    is not positive, a spectral width that is not finite, more than
-    ``MAX_SPINS`` spins, or a one-beta run that ``channel.admit_run``
+    ``model`` is ``"tfim"`` (chain of ``n`` spins at coupling 1 and field
+    ``h_over_j``), ``"graph"`` (``generate_er_instance(n, p_e, seed)``) or a
+    Hamiltonian file path. ``g`` and ``beta`` enter the protocol config as
+    given, with comb amplitude the width of ``spec.spectrum`` and one ancilla
+    per spin. Raises ValueError or a package error for a value the model or
+    protocol refuses, a spectral width that is not finite, more than
+    ``MAX_SPINS`` spins (InvalidSize from ``channel.admit_spins``, before
+    the model is built), or a one-beta run that ``channel.admit_run``
     refuses (among them a Trotter step ``dt = pi / (g n_trotter)`` that
     overflows), before anything is built.
     """
     chain, graph = model == "tfim", model == "graph"
     spec = None if chain or graph else load_hamiltonian(model)
-    n_s = n if spec is None else spec.qubit_count
-    if n_s > MAX_SPINS:
-        raise ValueError(f"system size {n_s} exceeds the limit of {MAX_SPINS} spins")
+    admit_spins(n if spec is None else spec.qubit_count)
     if chain:
-        if not (math.isfinite(j) and j > 0):
-            raise ValueError(f"coupling J must be finite and > 0, got {j}")
-        spec = build_tfim(n, j, h_over_j * j)
+        spec = build_tfim(n, 1.0, h_over_j)
     elif graph:
         spec = build_graph_ising(generate_er_instance(n, p_e, seed))
     width = spectral_width(spec)
-    what = f"the chain at h/J = {h_over_j:g}, J = {j:g}" if chain else f"model {model}"
+    what = f"the chain at h/J = {h_over_j:g}" if chain else f"model {model}"
     if not math.isfinite(width):
         raise ValueError(f"{what} has an infinite spectral width")
-    unit = j if chain else 1.0
     configs = [ProtocolConfig(
-        g=g * unit,
-        beta=beta / unit,
+        g=g,
+        beta=beta,
         omega_m=width,
         n_trotter=n_trotter,
         n_cycle=n_cycle,
@@ -265,7 +263,7 @@ def make_points(kind: str, model: str, n: int, betas, *, h_over_j: float = 1.0,
     ) for beta in betas]
     admit_run(spec, configs[0], kind)  # the entry rule does not read beta
     columns = dict(
-        kind=kind, n_s=spec.qubit_count, j=unit, h=h_over_j * j if chain else None,
+        kind=kind, n_s=spec.qubit_count, j=1.0, h=h_over_j if chain else None,
         p_e=p_e if graph else None, instance_seed=seed if graph else None,
         g=g, n_trotter=n_trotter, n_cycle=n_cycle, mode=mode,
     )

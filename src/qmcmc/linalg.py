@@ -11,7 +11,8 @@ The bookkeeping of the qubit order lives here once: :func:`_bits` is the
 package's one bit table, read by the sector labels, the reflections, the
 ancilla preparation and the model matrix, and :func:`_apply_frame` its one
 entrywise one-qubit kernel, for the shots' frame, the Trotter step's Pauli
-flips and both passes of the frame's conjugation. ``_apply_frame``
+flips, both passes of the frame's conjugation and the magnetization's
+``Y_i rho``. ``_apply_frame``
 overwrites its argument; all public functions are pure and safe to call
 concurrently.
 """
@@ -95,7 +96,8 @@ def _apply_frame(v: np.ndarray, gates) -> np.ndarray:
     one-qubit ``gates`` ``(q, g)`` applied to each row, entry by entry, for
     qubit ``q`` the ``q``-th most significant bit of a row's flat index. The
     one one-qubit kernel of the package: the shots' frame, the Trotter
-    step's Pauli flips, and the row and column passes of a conjugation."""
+    step's Pauli flips, the row and column passes of a conjugation, and
+    ``Y_i rho`` for the magnetization."""
     for q, g in gates:
         t = v.reshape(len(v), 2**q, 2, -1)
         zero, one = t[:, :, 0], t[:, :, 1]

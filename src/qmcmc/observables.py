@@ -7,7 +7,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotADistribution, NotAState
 from .hamiltonians import PAULIS
-from .linalg import apply_gate
+from .linalg import _apply_frame
 
 _EIG_TOL = -1e-9
 _TRACE_TOL = 1e-8
@@ -64,13 +64,14 @@ def tvd(p: np.ndarray, q: np.ndarray) -> float:
 
 
 def site_magnetizations(rho: np.ndarray, n_s: int) -> np.ndarray:
-    """``tr(rho Y_i)`` for each site i."""
+    """``tr(rho Y_i)`` for each site i, ``Y_i rho`` from the one one-qubit
+    kernel."""
     rho = _check_state(rho, "rho")
     if rho.shape != (2**n_s, 2**n_s):
         raise NotAState(f"state shape {rho.shape} does not match {n_s} qubits")
     vals = np.empty(n_s, dtype=complex)
     for i in range(n_s):
-        vals[i] = np.trace(apply_gate(PAULIS["Y"], [i], rho, n_s))
+        vals[i] = np.trace(_apply_frame(rho[np.newaxis].copy(), [(i, PAULIS["Y"])])[0])
     if np.abs(vals.imag).max() > 1e-10:
         raise NotAState(
             f"magnetization has imaginary residue {np.abs(vals.imag).max():.3e}"

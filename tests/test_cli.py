@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -459,6 +460,7 @@ def test_main_missing_beta_exit_code():
       "--sweeps", "3"], None, None),
     (["experiment", "magnetization", "-q", "--n", "1", "--beta", "1", "--nt", "30",
       "--ncycle", "8", "--sweeps", "3"], None, None),
+    # the chain is built at J = 1, so --jj, like --qubit-cap, is no flag or key
     (["thermalize", "-q", "--n", "1", "--jj", "0", "--beta", "1", "--nt", "30",
       "--ncycle", "8"], None, None),
     (["thermalize", "-q", "--n", "1", "--jj", "-1", "--beta", "1", "--nt", "30",
@@ -735,7 +737,7 @@ def _subcommand_flags() -> dict:
 def test_subcommand_flag_sets_are_pinned():
     common = {"-h", "--help", "--config", "-q", "--quiet", "--beta", "--g",
               "--nt", "--ncycle",
-              "--n", "--hj", "--jj", "--pe", "--seed"}
+              "--n", "--hj", "--pe", "--seed"}
     io = {"--format", "--out", "--workers"}
     assert _subcommand_flags() == {
         "thermalize": common | io | {"--model"},
@@ -743,6 +745,19 @@ def test_subcommand_flag_sets_are_pinned():
         "experiment": common | io | {"--mode", "--sweeps"},
         "validate": common | {"--model", "--epsilon"},
     }
+
+
+def test_readme_flag_list_is_the_parsers():
+    # each option of a subcommand, by any of its names, and nothing else
+    sub = next(a for a in cli._parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {tuple(a.option_strings) for p in sub.choices.values() for a in p._actions
+               if a.option_strings and not isinstance(a, argparse._HelpAction)}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = readme.split("\nFlags: ", 1)[1].split("\n\n", 1)[0]
+    listed = set(re.findall(r"`(--?[a-z]+)", paragraph))
+    assert listed <= {name for names in options for name in names}
+    assert [names for names in options if listed.isdisjoint(names)] == []
 
 
 _TEXT = st.text(alphabet="abcxyz0123456789._-/", min_size=1, max_size=8)

@@ -8,18 +8,20 @@ import pytest
 
 from qmcmc import channel, experiments
 from qmcmc.channel import MAX_RUN_BYTES, run_bytes
-from qmcmc.errors import NoUnitEigenvalue
+from qmcmc.errors import InvalidSize, NoUnitEigenvalue
 from qmcmc.experiments import (
     FOUR_VERTEX_FIELD_PRESETS,
     ExperimentKind,
     ExperimentPlan,
     generate_er_instance,
     preset_graph_instance,
+    make_points,
     run_plan,
     solve_point,
 )
-from qmcmc.hamiltonians import build_graph_ising, gibbs_distribution, to_matrix
+from qmcmc.hamiltonians import build_graph_ising, build_tfim, gibbs_distribution, to_matrix
 from qmcmc.observables import transverse_magnetization, tvd
+from qmcmc.schedule import ProtocolConfig
 
 from oracles import composite_cycle_oracle, series_expm
 
@@ -77,10 +79,30 @@ def test_plan_validation():
         small_plan(ExperimentKind.TFIM_INFIDELITY, beta=())
     with pytest.raises(ValueError):
         small_plan(ExperimentKind.GRAPH_SAMPLING, p_e=())
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSize):
         small_plan(ExperimentKind.TFIM_INFIDELITY, n_list=(7,))  # more than 6 spins
     with pytest.raises(ValueError):
         small_plan(ExperimentKind.TFIM_INFIDELITY, mode="bogus")
+
+
+def test_the_spin_cap_is_one_check_before_the_model_is_built(monkeypatch):
+    refused = "^system size 7 exceeds the limit of 6 spins$"
+    spec = build_tfim(7, 1.0, 1.0)
+    cfg = ProtocolConfig(g=0.05, beta=1.0, omega_m=1.0, n_trotter=10, n_cycle=2,
+                         ancilla_map=tuple(range(7)))
+    with pytest.raises(InvalidSize, match=refused):
+        channel.admit_run(spec, cfg, "exact")
+    monkeypatch.setattr(experiments, "build_tfim", None)  # any build would fail
+    with pytest.raises(InvalidSize, match=refused):
+        make_points("tfim", "tfim", 7, (1.0,), g=0.05, n_trotter=10, n_cycle=2)
+
+
+def test_the_chain_has_no_coupling_parameter():
+    # the chain is built at J = 1, its energy unit
+    with pytest.raises(TypeError):
+        small_plan(ExperimentKind.TFIM_INFIDELITY, j=2.0)
+    with pytest.raises(TypeError):
+        make_points("tfim", "tfim", 2, (1.0,), j=2.0, g=0.05, n_trotter=10, n_cycle=2)
 
 
 @pytest.mark.parametrize("field, overrides", [
@@ -104,9 +126,6 @@ def test_plan_rejects_non_finite(field, overrides):
     (ExperimentKind.GRAPH_SAMPLING, dict(p_e=(0.5, 1.5)), "edge probability must be in"),
     (ExperimentKind.GRAPH_SAMPLING, dict(p_e=(-0.1,)), "edge probability must be in"),
     (ExperimentKind.GRAPH_SAMPLING, dict(p_e=(math.nan,)), "edge probability must be in"),
-    (ExperimentKind.TFIM_INFIDELITY, dict(j=0.0), "coupling J must be finite and > 0"),
-    (ExperimentKind.MAGNETIZATION_SWEEP, dict(j=-1.0), "coupling J must be finite and > 0"),
-    (ExperimentKind.TFIM_INFIDELITY, dict(j=math.inf), "coupling J must be finite and > 0"),
     (ExperimentKind.MAGNETIZATION_SWEEP, dict(mode="evolve", n_sweeps=0),
      "n_sweeps must be >= 1"),
 ])
