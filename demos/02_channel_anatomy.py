@@ -23,7 +23,6 @@ from qmcmc import (
     spectral_width,
     superoperator_to_choi,
     to_superoperator,
-    vec,
 )
 
 spec = build_tfim(1, j=1.0, h=1.0)
@@ -56,10 +55,10 @@ print(f"\nsuperoperator: {s.dim}x{s.dim} (column-stacking convention)")
 eigs = np.sort(np.abs(np.linalg.eigvals(s.matrix)))[::-1]
 print(f"eigenvalue moduli: {np.round(eigs, 6)}")
 
-# complete positivity: the reshuffled superoperator (= sum of vec outer
-# products of the Kraus operators) must be positive semidefinite
+# complete positivity: the reshuffled superoperator (= sum of the outer
+# products of the column-stacked Kraus operators) must be positive semidefinite
 choi_a = superoperator_to_choi(s)
-choi_b = sum(np.outer(vec(op), vec(op).conj()) for op in kraus.operators)
+choi_b = sum(np.outer(op.T.reshape(-1), op.T.reshape(-1).conj()) for op in kraus.operators)
 print(f"\nChoi via reshuffle vs via Kraus: {np.linalg.norm(choi_a - choi_b):.2e}")
 print(f"Choi minimum eigenvalue: {np.linalg.eigvalsh(choi_a).min():+.2e} (>= -1e-8 required)")
 

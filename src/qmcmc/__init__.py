@@ -49,9 +49,7 @@ from .linalg import (
     dominant_eigs,
     expm_hermitian,
     hermitian_eig,
-    kron_all,
     unvec,
-    vec,
 )
 from .observables import (
     fidelity,

@@ -45,11 +45,14 @@ step and each period channel (:meth:`_PairBasis.split_gather`). Only W's
 chunks (by one precomputed gather), :meth:`Sectors.superoperator` and
 :meth:`Sectors.state` map back.
 
-The comb walk (:func:`_period_table`) streams the distinct comb values in
-period order. It powers the W blocks of several values in one stacked call,
-as many as fit ``_CHUNK_BYTES``, and drops them once their channels are
-built. ``comb_value`` makes the comb symmetric, ``Omega_(n-k) = Omega_k``, so
-the cycle ``S_(n-1)...S_1 S_0`` is a palindrome. :func:`build_cycle_maps`
+The comb walk (:func:`_period_table`) yields one result per period of the
+half cycle, in period order. Over k = 0..n // 2 the comb never decreases,
+so equal values are neighbours: :func:`_walk_plan` finds these runs once, W
+is built once per run, and the run's result is repeated for each of its
+periods and then dropped. The walk powers the W blocks of several values in
+one stacked call, as many as fit ``_CHUNK_BYTES``, and drops them once their
+channels are built. ``comb_value`` makes the comb symmetric, ``Omega_(n-k)
+= Omega_k``, so the cycle ``S_(n-1)...S_1 S_0`` is a palindrome. :func:`build_cycle_maps`
 folds it as the channels arrive: it grows ``L = S_k L`` and ``R = R S_k`` for
 k = 1..ceil(n/2)-1 and returns ``R M L S_0``, with ``M = S_(n/2)`` for even n.
 A run then holds a fixed handful of block sets whatever ``n_cycle``.
@@ -68,6 +71,7 @@ convention (see :mod:`qmcmc.linalg`).
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from collections.abc import Iterator
@@ -807,6 +811,10 @@ def build_period_unitary(spec: HamiltonianSpec, cfg: ProtocolConfig,
     interactions; each symmetry sector's block of the power is computed by
     repeated squaring, which reproduces the step-by-step product to working
     precision, and the blocks are assembled into the dense matrix.
+
+    Over ``T_g = pi / g`` a resonant exchange under ``g X X`` completes a
+    full 2 pi turn and moves no population; detuned ones move it, most at
+    ``|Delta| = 2.05 g`` (see :mod:`qmcmc.schedule`).
     """
     sectors, ab, weights = _trotter_parts(spec, cfg)
     w = sectors.reflection.unsplit(_period_unitary(sectors, ab, weights, cfg, [omega]))
@@ -818,44 +826,43 @@ def _period_table(spec: HamiltonianSpec, cfg: ProtocolConfig, per_omega,
     """The one walk over a comb cycle, for the exact map and the sampler:
     ``(sectors, omegas, walk)`` with the run's sectors and
     ``Omega_k = comb_value(cfg, k)`` for each period k. ``walk`` yields
-    ``(Omega_k, per_omega(Omega_k, sectors, blocks of W(Omega_k)))`` for
-    k = 0..n_cycle // 2 in order; the symmetric comb repeats these
-    backwards. W is built once per distinct value, one
-    :func:`_period_unitary` call per chunk of :func:`_walk_plan`, and
-    unsplit by the one gather that the walk builds before its threads
-    start; with ``workers`` threads at most that many chunks are in flight.
-    A chunk's W blocks are dropped once its values' ``per_omega`` results
-    are built, and each result once the walk has passed its last period."""
+    ``per_omega(Omega_k, sectors, blocks of W(Omega_k))`` for k = 0..n_cycle
+    // 2 in order; the symmetric comb repeats these backwards. W is built
+    once per run of equal values (:func:`_walk_plan`), one
+    :func:`_period_unitary` call per chunk of runs, and unsplit by the one
+    gather that the walk builds before its threads start; with ``workers``
+    threads at most that many chunks are in flight. A chunk's W blocks are
+    dropped once its values' ``per_omega`` results are built, and each
+    result is yielded once per period of its run and then dropped."""
     sectors, ab, weights = _trotter_parts(spec, cfg)
-    half, chunks = _walk_plan(cfg, sectors)
+    lengths, chunks = _walk_plan(cfg, sectors)
     gather = sectors.reflection.unsplit_gather()
 
-    def build(chunk: list[float]) -> dict:
+    def build(chunk: tuple[float, ...]) -> list:
         w = sectors.reflection.unsplit(_period_unitary(sectors, ab, weights, cfg, chunk), gather)
-        return {omega: per_omega(omega, sectors, w_k) for omega, w_k in zip(chunk, w)}
+        # reversed, so that the walk pops each result in turn
+        return [per_omega(omega, sectors, w_k) for omega, w_k in zip(chunk, w)][::-1]
 
     def walk():
-        last = {omega: k for k, omega in enumerate(half)}
-        held, k = {}, 0
+        runs = iter(lengths)
         for built in _thread_map(build, chunks, workers):
-            held.update(built)
-            del built
-            while k < len(half) and half[k] in held:
-                omega = half[k]
-                yield omega, (held[omega] if last[omega] > k else held.pop(omega))
-                k += 1
+            while built:
+                yield from itertools.repeat(built.pop(), next(runs))
 
     return sectors, tuple(comb_value(cfg, k) for k in range(cfg.n_cycle)), walk()
 
 
-def _walk_plan(cfg: ProtocolConfig, sectors: Sectors) -> tuple[list[float], list[list[float]]]:
-    """``Omega_k = comb_value(cfg, k)`` for k = 0..n_cycle // 2, and their
-    distinct values in order, in chunks of as many as their W blocks
-    (:func:`_w_bytes`) fit ``_CHUNK_BYTES``, at least one: the plan that
-    :func:`_period_table` walks and :func:`run_bytes` counts."""
-    half = [comb_value(cfg, k) for k in range(cfg.n_cycle // 2 + 1)]
-    distinct, per_chunk = list(dict.fromkeys(half)), max(1, _CHUNK_BYTES // _w_bytes(sectors))
-    return half, [distinct[i:i + per_chunk] for i in range(0, len(distinct), per_chunk)]
+def _walk_plan(cfg: ProtocolConfig, sectors: Sectors) -> tuple[tuple[int, ...], list[tuple]]:
+    """The runs of equal values among ``Omega_k = comb_value(cfg, k)`` for k
+    = 0..n_cycle // 2, which never decrease, so that equal values are
+    neighbours: each run's length, and the runs' values in order, in chunks
+    of as many as their W blocks (:func:`_w_bytes`) fit ``_CHUNK_BYTES``, at
+    least one: the plan that :func:`_period_table` walks and
+    :func:`run_bytes` counts."""
+    half = (comb_value(cfg, k) for k in range(cfg.n_cycle // 2 + 1))
+    values, lengths = zip(*((omega, len(list(run))) for omega, run in itertools.groupby(half)))
+    per_chunk = max(1, _CHUNK_BYTES // _w_bytes(sectors))
+    return lengths, [values[i:i + per_chunk] for i in range(0, len(values), per_chunk)]
 
 
 def run_bytes(spec: HamiltonianSpec, cfg: ProtocolConfig, sample: bool,
@@ -865,8 +872,9 @@ def run_bytes(spec: HamiltonianSpec, cfg: ProtocolConfig, sample: bool,
     else the exact path folding the cycle maps of ``betas`` inverse
     temperatures at once.
 
-    The sampler keeps one column table per distinct comb value, its W
-    blocks' entries in the order the shots read them (:func:`_w_bytes`).
+    The sampler keeps one column table per run of equal comb values
+    (:func:`_walk_plan`), its W blocks' entries in the order the shots read
+    them (:func:`_w_bytes`).
     The exact path holds one walk chunk (:func:`_walk_bytes`) while it
     powers it, three dense 4^(n_s+M) arrays while one value's W
     becomes its Kraus sets and channel blocks, the tables that each walk
@@ -1057,11 +1065,10 @@ def build_cycle_maps(spec: HamiltonianSpec, cfg: ProtocolConfig, betas,
         del dense
         return _real_blocks(gather, grams)
 
-    sectors, omegas, walk = _period_table(spec, cfg, superops, workers)
+    sectors, omegas, factors = _period_table(spec, cfg, superops, workers)
     # S_(n-k) = S_k, so the cycle S_(n-1)...S_1 S_0 is R M L S_0 with
     # L = S_h...S_1 and R = S_1...S_h for h = ceil(n/2) - 1, and M = S_(n/2)
     # for even n, the identity for odd n: each S_k is used twice and dropped
-    factors = (s for _, s in walk)
     total = next(factors)
     left = right = None
     for _ in range((cfg.n_cycle + 1) // 2 - 1):

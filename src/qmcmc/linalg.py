@@ -19,6 +19,8 @@ concurrently.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ConvergenceFailure, DimensionMismatch, NonHermitianInput
@@ -26,21 +28,9 @@ from .errors import ConvergenceFailure, DimensionMismatch, NonHermitianInput
 _HERM_RTOL = 1e-10
 
 
-def kron_all(mats) -> np.ndarray:
-    """Kronecker product of a sequence of matrices, left to right."""
-    out = np.eye(1, dtype=complex)
-    for m in mats:
-        out = np.kron(out, m)
-    return out
-
-
-def vec(mat: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(mat).T.reshape(-1)
-
-
 def unvec(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vec` for square matrices."""
+    """The square matrix whose column stacking is ``v``: the inverse of
+    ``m.T.reshape(-1)``."""
     v = np.asarray(v)
     dim = int(round(np.sqrt(v.size)))
     if dim * dim != v.size:
@@ -85,10 +75,14 @@ def expm_hermitian(eig: tuple[np.ndarray, np.ndarray], c: complex) -> np.ndarray
     return (v * np.exp(c * w)) @ v.conj().T
 
 
+@functools.cache
 def _bits(n: int) -> np.ndarray:
     """The (2^n, n) bits of every basis index, qubit 0 (the most significant
-    bit) first: the one bit table of the package."""
-    return np.arange(2**n)[:, np.newaxis] >> np.arange(n - 1, -1, -1) & 1
+    bit) first: the one bit table of the package, built once per ``n`` and
+    read-only."""
+    bits = np.arange(2**n)[:, np.newaxis] >> np.arange(n - 1, -1, -1) & 1
+    bits.flags.writeable = False
+    return bits
 
 
 def _apply_frame(v: np.ndarray, gates) -> np.ndarray:

@@ -3,6 +3,14 @@
 The ancilla splitting is swept as ``Omega(t) = omega_m * f(t)`` with
 ``f(t) = sin^2(pi t / T_cycle)``, held constant over each interaction period
 of length ``T_g = pi / g`` and sampled at the period start ``t_k = k T_g``.
+
+Under the ``g X_s X_a`` coupling, a single exchange ``|1,0> <-> |0,1>``
+between a system transition and an ancilla is a two-level system with
+coupling ``g`` and detuning ``Delta``. At resonance it turns through a full
+2 pi in ``T_g`` and moves no population; the transfer over one period,
+``g^2 / (g^2 + Delta^2 / 4) sin^2(sqrt(g^2 + Delta^2 / 4) T_g)``, is largest
+at ``|Delta| = 2.05 g``, about 0.47 (0.45 at 2.2 g). Population moves
+through these detuned transitions as the comb sweeps past each system gap.
 """
 
 from __future__ import annotations

@@ -27,12 +27,14 @@ l(b)`` (the labels are linear over GF(2)), so each sector holds ``k =
 2^N_s / sectors`` of the columns at ``b``, one for every graph, and the
 period's sum takes ``k`` terms per entry of ``out``. The sampler's table
 holds, for each distinct comb value, only those columns, gathered from the
-sector blocks that the comb walk of :mod:`qmcmc.channel` yields for the
+sector blocks that the comb walk of :mod:`qmcmc.channel` builds for the
 exact cycle map: ``4^(N_s+M) / sectors`` entries per value, the size of the
 blocks themselves (:class:`_Layout` gives their order, from where
-:attr:`Sectors.state_at` puts each state). The table is built
-once per run, before any batch starts, and is only read afterwards; every
-burn-in cycle reads each entry again.
+:attr:`Sectors.state_at` puts each state). The walk yields one table per
+period k = 0..n_cycle // 2, a run of equal values sharing one, and period k
+reads the table at ``min(k, n_cycle - k)``. The table is built once per
+run, before any batch starts, and is only read afterwards; every burn-in
+cycle reads each entry again.
 
 A batch's shots are grouped by their excited index, so each group reads one
 slice of the table, and each shot's sum is formed entry by entry in a fixed
@@ -253,11 +255,9 @@ def _run_shots(spec: HamiltonianSpec, cfg: ProtocolConfig, cycles: int, shots: i
     chunk = max(1, _CHUNK_ELEMS // (ds * da))
     workers = admit_run(spec, cfg, "sample", workers=workers, batch=min(chunk, shots) * ds * da)
     layout = _Layout.of(_sectors(spec, cfg))
-    _, omegas, walk = _period_table(
-        spec, cfg, lambda omega, sectors, w: (layout.columns(w),
-                                              ground_probability(omega, cfg.beta)), workers)
-    by_omega = dict(walk)
-    periods = [by_omega[omega] for omega in omegas]
+    half = list(_period_table(spec, cfg, lambda omega, sectors, w: (
+        layout.columns(w), ground_probability(omega, cfg.beta)), workers)[2])
+    periods = [half[min(k, cfg.n_cycle - k)] for k in range(cfg.n_cycle)]
 
     def run_chunk(lo: int):
         batch = min(chunk, shots - lo)

