@@ -374,6 +374,8 @@ def _cmd_validate(run_cfg: RunConfig, point: Point, plan) -> int:
     print(f"Lambda = max(||H_i||, ||H_s||, ||H_b||) = {lam:.6g}")
     print(f"suggested Trotter steps for error {o['epsilon']:g}: {steps}")
     print(f"configured n_trotter: {cfg.n_trotter}")
+    print(f"Trotter aliasing omega_m dt / pi = {cfg.aliasing_ratio:.3f} "
+          "(from 1 on, two energy differences can share a step's phase)")
     sectors = _sectors(point.spec, cfg)  # kept with the spec for run_bytes below
 
     def blocks(widths: list[int]) -> str:

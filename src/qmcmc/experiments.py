@@ -53,7 +53,7 @@ from .channel import (
     spectral_gap,
     steady_state,
 )
-from .errors import QmcmcError
+from .errors import NoUnitEigenvalue, QmcmcError
 from .hamiltonians import (
     GraphInstance,
     HamiltonianSpec,
@@ -287,10 +287,18 @@ def _score(point: Point, cm: CycleMap) -> ResultRow:
     and compares that state with the exact thermal state of the model:
     ``"infidelity"``, ``"tvd"`` (computational-basis populations against the
     Boltzmann distribution) and ``"magnetization"`` (exact, algorithm and
-    error columns), as the row kind asks. A failure raises.
+    error columns), as the row kind asks. A failure raises; a
+    ``NoUnitEigenvalue`` of a Trotter step that aliases
+    (``ProtocolConfig.aliasing_ratio`` of 1 or more) names the ratio.
     """
     spec, cfg = point.spec, point.config
-    rho, lam1 = steady_state(cm)
+    try:
+        rho, lam1 = steady_state(cm)
+    except NoUnitEigenvalue as exc:
+        if cfg.aliasing_ratio < 1:
+            raise
+        raise NoUnitEigenvalue(f"{exc}; the Trotter step aliases, omega_m dt / pi = "
+                               f"{cfg.aliasing_ratio:.3f}") from exc
     gap, _ = spectral_gap(cm)
     if point.evolve is not None:
         start, sweeps = point.evolve

@@ -27,6 +27,7 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _STAR = np.uint64(0x2545F4914F6CDD1D)
 _INV_2_53 = 2.0 ** -53
+_11, _12, _25, _27 = map(np.uint64, (11, 12, 25, 27))
 
 
 def splitmix64(x):
@@ -42,7 +43,12 @@ def splitmix64(x):
 
 
 def derive_streams(seed: int, count: int, start: int = 0) -> np.ndarray:
-    """Initial xorshift64* states for streams ``start .. start+count-1``."""
+    """Initial xorshift64* states for streams ``start .. start+count-1``.
+
+    Stream ``s`` of ``seed`` is seeded by ``splitmix64(seed + s)``, so it is
+    stream ``s - 1`` of ``seed + 1``: N streams of seeds ``S`` and ``S + 1``
+    share N - 1. Runs meant to be independent should step their seeds by at
+    least their stream (shot) count."""
     base = np.uint64(seed % (1 << 64))
     idx = np.arange(start, start + count, dtype=np.uint64)
     states = splitmix64(base + idx)
@@ -50,16 +56,38 @@ def derive_streams(seed: int, count: int, start: int = 0) -> np.ndarray:
     return states
 
 
-def next_uniform(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Advance every stream one step; returns (uniforms in [0,1), new states).
+def next_uniforms(states: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Advance every stream ``count`` steps; returns the (count, *states.shape)
+    uniforms in [0, 1), step by step, and the new states.
 
-    ``states`` is a uint64 array, whose shifts, xors and products wrap mod
-    2**64 without a warning, so no error-state block is needed here, unlike
-    :func:`splitmix64`, which also takes scalars."""
-    s = states ^ (states >> np.uint64(12))
-    s = s ^ (s << np.uint64(25))
-    s = s ^ (s >> np.uint64(27))
-    return ((s * _STAR) >> np.uint64(11)).astype(np.float64) * _INV_2_53, s
+    The xorshift steps run in place in one uint64 buffer, whose rows are the
+    states after each step; the ``_STAR`` product, the shift to 53 bits and
+    the scaling then run once over the whole buffer. ``states`` is a uint64
+    array, whose shifts, xors and products wrap mod 2**64 without a warning,
+    so no error-state block is needed here, unlike :func:`splitmix64`, which
+    also takes scalars."""
+    out = np.empty((count, *np.shape(states)), dtype=np.uint64)
+    scratch = np.empty(np.shape(states), dtype=np.uint64)
+    s = states
+    for row in out:
+        np.right_shift(s, _12, out=row)
+        row ^= s
+        np.left_shift(row, _25, out=scratch)
+        row ^= scratch
+        np.right_shift(row, _27, out=scratch)
+        row ^= scratch
+        s = row
+    s = s.copy()
+    out *= _STAR
+    out >>= _11
+    return out.astype(np.float64) * _INV_2_53, s
+
+
+def next_uniform(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Advance every stream one step; returns (uniforms in [0,1), new states):
+    the one-step case of :func:`next_uniforms`."""
+    u, s = next_uniforms(states, 1)
+    return u[0], s
 
 
 class Stream:

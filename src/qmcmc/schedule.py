@@ -75,6 +75,13 @@ class ProtocolConfig:
         """Full comb sweep time T_g * n_cycle."""
         return self.t_g * self.n_cycle
 
+    @property
+    def aliasing_ratio(self) -> float:
+        """``omega_m dt / pi`` for the Trotter step ``dt = T_g / n_trotter``.
+        Energy differences span ``[-omega_m, omega_m]``, so from 1 on two of
+        them can take the same phase per step."""
+        return self.omega_m * (self.t_g / self.n_trotter) / math.pi
+
 
 def comb_value(cfg: ProtocolConfig, k: int) -> float:
     """Ancilla splitting ``Omega(t_k)`` for period ``k``.

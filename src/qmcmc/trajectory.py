@@ -36,14 +36,22 @@ reads the table at ``min(k, n_cycle - k)``. The table is built once per
 run, before any batch starts, and is only read afterwards; every burn-in
 cycle reads each entry again.
 
-A batch's shots are grouped by their excited index, so each group reads one
-slice of the table, and each shot's sum is formed entry by entry in a fixed
-order of its ``k`` terms, so a shot's arithmetic does not depend on the
-batch it runs in. The next reset's outcome probabilities and the norm-drift
-check both read ``|out|^2``; no shot is renormalized, since the reset
-divides by the outcome's probability. Averaged over trajectories, steps 1-2
-reproduce the reset-plus-excitation preparation of the channel module. Each
-symmetry sector's block of ``W`` is the power of that block of one Trotter
+A shot holds a row of ``k 2^M`` amplitudes for each label it spans, and
+carries the label of each row. A period moves every label: the system
+amplitudes of a row of label ``l``, after a reset with outcome ``a`` from a
+period with excited index ``b``, have the label ``l ^ l(a) ^ l(b)``, and the
+row's sum reads the table's rows at ``b`` and that label, one gather per
+term. A framed shot starts at ``F|i>``, which spans every label; with no
+frame (every graph, and every model whose sectors need none) a shot starts
+in a basis state ``|i>``, which lies in the one label ``l(i)``, and so holds
+one row for good: a graph period touches ``2^M`` amplitudes per shot, not
+``2^(N_s+M)``. Each row's sum is formed entry by entry in a fixed order of
+its ``k`` terms, so a shot's arithmetic does not depend on the batch it
+runs in, nor on how many labels it holds. The next reset's outcome
+probabilities and the norm-drift check both read ``|out|^2``; no shot is
+renormalized, since the reset divides by the outcome's probability.
+Averaged over trajectories, steps 1-2 reproduce the reset-plus-excitation
+preparation of the channel module. Each symmetry sector's block of ``W`` is the power of that block of one Trotter
 step by repeated squaring (then moved to the nearest unitary), which matches
 applying the steps one by one to roundoff, so seeded samples are those of
 step-by-step application unless a uniform lands within roundoff of a branch
@@ -52,10 +60,12 @@ probability.
 Randomness comes exclusively from the fixed generator in :mod:`qmcmc.rng`;
 shot ``s`` under master seed ``seed`` owns the stream seeded by
 ``splitmix64(seed + s)`` and consumes, in order: one draw for its initial
-basis state when no ``system_index`` is given, ``2 M`` draws per period,
-and, in :func:`sample_gibbs`, one draw for the terminal measurement. Shots
-are therefore independent of how they are batched, and identical
-``(spec, cfg, seed)`` reproduce identical samples bit for bit.
+basis state when no ``system_index`` is given, ``2 M`` draws per period
+(taken in one :func:`qmcmc.rng.next_uniforms` call), and, in
+:func:`sample_gibbs`, one draw for the terminal measurement. Shots are
+therefore independent of how they are batched, and identical ``(spec, cfg,
+seed)`` reproduce identical samples bit for bit. Seeds ``S`` and ``S + 1``
+share all streams but one; :func:`qmcmc.rng.derive_streams` says more.
 """
 
 from __future__ import annotations
@@ -69,7 +79,7 @@ from .channel import _CHUNK_ELEMS, Sectors, _period_table, _sectors, _thread_map
 from .errors import NormalizationLoss
 from .hamiltonians import HamiltonianSpec
 from .linalg import _apply_frame
-from .rng import derive_streams, next_uniform
+from .rng import derive_streams, next_uniform, next_uniforms
 from .schedule import ProtocolConfig, ground_probability
 
 
@@ -107,7 +117,12 @@ class _Layout(NamedTuple):
     ``i`` of ``x``, is where the entry ``(x, a)`` sits for ``b = 0``; ``b``
     moves it by xor with ``labels[b] k``. ``start`` holds the states ``F|i>``
     as rows in (label, rank) order, and ``gates`` the one-qubit factors of
-    ``F``."""
+    ``F``.
+
+    A shot may hold only some labels (:class:`_Shots`): one row of the
+    (sectors, k, 2^M) above for each, and its sum at a row of label ``t``
+    reads ``C_b[i, t]`` alone. ``place[x, 0]`` gives the label and rank of
+    a start ``|x>``."""
 
     m_count: int
     k: int
@@ -141,100 +156,111 @@ class _Layout(NamedTuple):
 
 
 class _Shots(NamedTuple):
-    """A batch of shots: ``amps`` (sectors, batch, k, 2^M), each shot's in
-    the layout keyed by its ``excited`` index (:class:`_Layout`), ``probs``
+    """A batch of shots: ``amps`` (rows, batch, k, 2^M), each shot's in the
+    layout keyed by its ``excited`` index (:class:`_Layout`), ``probs``
     (batch, 2^M) their ancilla outcome probabilities, ``states`` their
-    streams, and ``shot`` the index of each shot, since a period sorts the
-    batch by excited index."""
+    streams, and ``label`` (rows, batch) the label ``t`` of the layout whose
+    entries each row holds; a shot's labels without a row are zero. A shot
+    of an unframed model has one row. By default there is a row for every
+    label, row ``t`` holding label ``t``."""
 
     amps: np.ndarray
     probs: np.ndarray
     excited: np.ndarray
     states: np.ndarray
-    shot: np.ndarray
+    label: np.ndarray | None = None
 
 
 def _probabilities(amps: np.ndarray) -> np.ndarray:
     """The (batch, 2^M) ancilla outcome probabilities of a batch's
     amplitudes, each shot's added in the same order whatever its batch: over
-    the labels, then the ranks, then the real and imaginary parts."""
+    the rows, then the ranks, then the real and imaginary parts."""
     squares = np.square(amps.view(float)).sum(axis=0).sum(axis=1)
     return squares[:, 0::2] + squares[:, 1::2]
 
 
 def _start(layout: _Layout, system: np.ndarray, states: np.ndarray) -> _Shots:
-    """Shots at ``F|i> (x) |0>`` for each basis state ``i`` of ``system``."""
+    """Shots at ``F|i> (x) |0>`` for each basis state ``i`` of ``system``:
+    with no frame ``|i>`` is a basis state of one label, and each shot holds
+    that label alone."""
     batch, k = len(system), layout.k
-    amps = np.zeros((len(layout.start) // k, batch, k, 2**layout.m_count), dtype=complex)
-    amps[..., 0] = layout.start[system].reshape(batch, -1, k).swapaxes(0, 1)
     zero = np.zeros(batch, dtype=int)
-    return _Shots(amps, _probabilities(amps), zero, states, np.arange(batch))
+    if layout.gates:
+        amps = np.zeros((len(layout.start) // k, batch, k, 2**layout.m_count), dtype=complex)
+        amps[..., 0] = layout.start[system].reshape(batch, -1, k).swapaxes(0, 1)
+        return _Shots(amps, _probabilities(amps), zero, states)
+    label, rank = np.divmod(layout.place[system, 0], k)
+    amps = np.zeros((1, batch, k, 2**layout.m_count), dtype=complex)
+    amps[0, np.arange(batch), rank, 0] = 1.0
+    return _Shots(amps, _probabilities(amps), zero, states, label[np.newaxis])
 
 
 def _period(shots: _Shots, columns: np.ndarray, p0: float, layout: _Layout) -> _Shots:
     """Advance a batch of trajectories by one interaction period with the
     column table ``columns`` and the ancilla ground probability ``p0``: the
-    batch after it, sorted by excited index, whose amplitudes overwrite
-    those of ``shots``."""
-    amps, probs, excited, states, _ = shots
+    batch after it, in the same order, whose amplitudes overwrite those of
+    ``shots``. Each row of a shot reads the table's rows at the shot's
+    excited index and the row's label, one gather per term."""
+    amps, probs, excited, states, label = shots
     count, batch, k, da = amps.shape
     m_count, labels = layout.m_count, layout.labels
+    if label is None:
+        label = np.arange(count)[:, np.newaxis]
     rows = np.arange(batch)
     # the marginals of the first m + 1 ancillas, m = M - 1 down to 0
     levels = [probs]
     for _ in range(m_count - 1):
         levels.append(levels[-1][:, 0::2] + levels[-1][:, 1::2])
+    u, states = next_uniforms(states, 2 * m_count)
     outcome = np.zeros(batch, dtype=int)
-    for level in reversed(levels):
+    for level, draw in zip(reversed(levels), u):
         at = rows * level.shape[1] + 2 * outcome
         p_zero, p_one = level.reshape(-1)[at], level.reshape(-1)[at + 1]
-        u, states = next_uniform(states)
         # u < P(1 | outcomes drawn so far), scaled by their probability so
         # that a zero-probability prefix divides nothing by zero
-        outcome = 2 * outcome + (u * (p_zero + p_one) < p_one)
+        outcome = 2 * outcome + (draw * (p_zero + p_one) < p_one)
     new = np.zeros(batch, dtype=int)
-    for _ in range(m_count):
-        u, states = next_uniform(states)
-        new = 2 * new + (u < 1.0 - p0)
-    # the shots grouped by excited index, in a stable order
-    group = np.argsort(new, kind="stable")
-    outcome, excited, new, states = outcome[group], excited[group], new[group], states[group]
-    norms = np.sqrt(probs.reshape(-1)[group * da + outcome])
+    for draw in u[m_count:]:
+        new = 2 * new + (draw < 1.0 - p0)
+    norms = np.sqrt(probs[rows, outcome])
     if not norms.min() > 1e-150:
         raise NormalizationLoss("trajectory collapsed onto a zero-probability branch")
-    label = np.arange(count)[:, np.newaxis] ^ labels[outcome] ^ labels[excited]
-    kept = ((label * batch + group)[:, :, np.newaxis] * k + np.arange(k)) * da
-    psi = np.take(amps.reshape(-1), kept + outcome[:, np.newaxis]) / norms[:, np.newaxis]
-    # each group reads one slice of the table, and each shot's sum is formed
-    # term by term, into the amplitudes just read
+    psi = amps[:, rows, :, outcome].swapaxes(0, 1) / norms[:, np.newaxis]
+    # psi's label is the row's, moved by the reset's outcome and the excited
+    # index; each shot's sum reads its rows C[b, i, t] of (k, 2^M) entries
+    # and is formed term by term, into the amplitudes just read
+    label = label ^ labels[outcome] ^ labels[excited]
+    tables = columns.reshape(da, k, -1, k * da)
     out = amps
-    ends = np.cumsum(np.bincount(new, minlength=da))
-    for table, lo, hi in zip(columns, [0, *ends[:-1].tolist()], ends.tolist()):
-        if lo == hi:
-            continue
-        part = out[:, lo:hi]
-        np.multiply(psi[:, lo:hi, 0, np.newaxis, np.newaxis], table[0], out=part)
-        for i in range(1, k):
-            part += psi[:, lo:hi, i, np.newaxis, np.newaxis] * table[i]
+    part = out.reshape(count, batch, -1)
+    np.multiply(psi[:, :, 0, np.newaxis], tables[new, 0, label], out=part)
+    for i in range(1, k):
+        term = tables[new, i, label]
+        part += np.multiply(psi[:, :, i, np.newaxis], term, out=term)
     probs = _probabilities(out)
     drift = np.abs(np.sqrt(probs.sum(axis=1)) - 1.0).max()
     if not drift <= 1e-6:
         raise NormalizationLoss(f"norm drifted by {drift:.3e} over one period")
-    return _Shots(out, probs, new, states, shots.shot[group])
+    return _Shots(out, probs, new, states, label)
 
 
 def _composite(shots: _Shots, layout: _Layout) -> tuple[np.ndarray, np.ndarray]:
     """The computational-basis (batch, 2^(N_s+M)) amplitudes of a batch and
-    its streams, in shot order: each entry gathered from its place, then
-    ``F^dag`` applied one qubit at a time."""
-    _, batch, k, da = shots.amps.shape
-    order = np.argsort(shots.shot)
-    label, rank = np.divmod(layout.place, k)
-    excited = layout.labels[shots.excited[order], np.newaxis, np.newaxis]
-    out = np.take(shots.amps, ((label ^ excited) * batch + order[:, np.newaxis, np.newaxis])
-                  * (k * da) + rank * da + np.arange(da))
+    its streams: each held entry put at its state, every other entry zero,
+    then ``F^dag`` applied one qubit at a time."""
+    amps, _, excited, states, label = shots
+    count, batch, k, da = amps.shape
+    if label is None:
+        label = np.arange(count)[:, np.newaxis]
+    order = np.argsort(layout.place[:, 0])  # the state x at each t k + i
+    # the label of each held entry (row, shot, 1, a), and its state
+    held = (label[:, :, np.newaxis, np.newaxis] ^ layout.labels
+            ^ layout.labels[excited, np.newaxis, np.newaxis])
+    state = order[held * k + np.arange(k)[:, np.newaxis]]
+    out = np.zeros((batch, len(order), da), dtype=complex)
+    out[np.arange(batch)[:, np.newaxis, np.newaxis], state, np.arange(da)] = amps
     out = _apply_frame(out, [(q, v.conj().T) for q, v in layout.gates])
-    return out.reshape(batch, -1), shots.states[order]
+    return out.reshape(batch, -1), states
 
 
 def _run_shots(spec: HamiltonianSpec, cfg: ProtocolConfig, cycles: int, shots: int,
@@ -292,7 +318,12 @@ def run_trajectories(spec: HamiltonianSpec, cfg: ProtocolConfig, cycles: int,
 def sample_gibbs(spec: HamiltonianSpec, cfg: ProtocolConfig, burn_in_cycles: int,
                  shots: int, seed: int, workers: int | None = None) -> SampleSet:
     """Run the sampler: per shot, start from a random basis state, burn in,
-    and measure the system register once."""
+    and measure the system register once.
+
+    Shot ``s`` runs on stream ``s`` of ``seed``, which is stream ``s - 1`` of
+    ``seed + 1`` (:func:`qmcmc.rng.derive_streams`), so the samples of
+    adjacent seeds share all shots but one. For independent samples, step
+    the seed by at least ``shots``."""
     n_s = spec.qubit_count
 
     def measure(amps, states):

@@ -599,6 +599,25 @@ def test_main_validate_prints_the_predicted_memory(model, line, capsys):
     assert f"predicted peak memory: {line} (limit 8 GiB)" in lines
 
 
+# omega_m dt / pi: the chain at the reference point, whose spectral width
+# grows with n_s, and the 2-spin file model -YY -YI -IY (levels -3, 1, 1, 1)
+# at g 0.05 and n_trotter 20, which steps by dt = pi across a width of 4
+_REFERENCE = "--model tfim --n {} --hj 1 --beta 10 --g 0.005 --nt 5000 --ncycle 500"
+
+
+@pytest.mark.parametrize("model, ratio", [
+    *((_REFERENCE.format(n), ratio) for n, ratio in
+      [(2, "0.179"), (3, "0.280"), (4, "0.381"), (5, "0.482"), (6, "0.584")]),
+    ("--model {ham} --beta 1 --g 0.05 --nt 20 --ncycle 2", "4.000"),
+])
+def test_main_validate_prints_the_aliasing_ratio(model, ratio, tmp_path, capsys):
+    ham = tmp_path / "model.ham"
+    ham.write_text("-1 YY\n-1 YI\n-1 IY\n")
+    assert main(["validate", "-q", *model.format(ham=ham).split()]) == 0
+    assert (f"Trotter aliasing omega_m dt / pi = {ratio} (from 1 on, two energy differences "
+            "can share a step's phase)") in capsys.readouterr().out.splitlines()
+
+
 _NO_SCIPY_SCRIPT = """
 import sys
 sys.modules["scipy"] = None  # any import of scipy or a submodule now fails
@@ -723,6 +742,30 @@ def test_main_output_is_pinned(name, tmp_path):
                     float(want_row[field]), rel=1e-10, abs=1e-12), field
             else:
                 assert got_row[field] == want_row[field], field
+
+
+# the stdout of the benchmark's sample argv at three seeds, and of a 5-spin
+# graph, recorded before a graph shot held one sector label: outcome,count
+# pairs, one per line
+_SAMPLE_ARGV = ("sample -q --model graph --n {n} --pe 0.5 --beta 1 --g 0.02 --nt 200 "
+                "--ncycle 5 --shots 256 --burnin 1 --seed {seed}")
+_PINNED_SAMPLES = {
+    (3, 0): "000,33 001,25 010,34 011,42 100,35 101,34 110,24 111,29",
+    (3, 7): "000,27 001,30 010,40 011,43 100,27 101,18 110,27 111,44",
+    (3, 11): "000,33 001,35 010,29 011,39 100,20 101,39 110,12 111,49",
+    (5, 3): ("00000,3 00001,8 00010,8 00011,7 00100,7 00101,9 00110,10 "
+             "00111,12 01000,13 01001,4 01010,17 01011,7 01100,12 01101,4 "
+             "01110,16 01111,5 10000,10 10001,12 10010,8 10011,12 10100,4 "
+             "10101,2 10110,4 10111,8 11000,8 11001,3 11010,2 11011,11 "
+             "11100,9 11101,9 11110,8 11111,4"),
+}
+
+
+@pytest.mark.parametrize("n, seed", list(_PINNED_SAMPLES))
+def test_main_sample_output_is_pinned(n, seed, capsys):
+    assert main(_SAMPLE_ARGV.format(n=n, seed=seed).split()) == 0
+    rows = _PINNED_SAMPLES[n, seed].split()
+    assert capsys.readouterr().out == "".join(f"{row}\n" for row in ["outcome,count", *rows])
 
 
 # ------------------------------------------------------- the option table

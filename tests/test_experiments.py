@@ -19,7 +19,15 @@ from qmcmc.experiments import (
     run_plan,
     solve_point,
 )
-from qmcmc.hamiltonians import build_graph_ising, build_tfim, gibbs_distribution, to_matrix
+from qmcmc.hamiltonians import (
+    HamiltonianSpec,
+    PauliString,
+    build_graph_ising,
+    build_tfim,
+    gibbs_distribution,
+    spectral_width,
+    to_matrix,
+)
 from qmcmc.observables import transverse_magnetization, tvd
 from qmcmc.schedule import ProtocolConfig
 
@@ -213,6 +221,25 @@ def test_beta_sweep_powers_each_comb_value_once_per_model(monkeypatch):
     assert len(calls) == 2
     for values in calls.values():
         assert len(values) == len(set(values)) == plan.n_cycle // 2 + 1
+
+
+@pytest.mark.parametrize("n_trotter, aliased", [(20, "4.000"), (40, "2.000"), (200, None)])
+def test_a_unit_cluster_of_an_aliased_step_names_the_ratio(n_trotter, aliased):
+    # the 2-spin model -YY -YI -IY has levels -3, 1, 1, 1: at g 0.05 a step
+    # of dt = pi or pi / 2 makes exp(-i H_s dt) a global phase, and every
+    # dominant eigenvalue of the cycle map is 1; at n_trotter 200 the step
+    # does not alias and the fixed point is unique
+    spec = HamiltonianSpec(2, (PauliString(-1.0, "YY"), PauliString(-1.0, "YI"),
+                               PauliString(-1.0, "IY")))
+    cfg = ProtocolConfig(g=0.05, beta=1.0, omega_m=spectral_width(spec), n_trotter=n_trotter,
+                         n_cycle=2 if aliased else 20, ancilla_map=(0, 1))
+    assert cfg.aliasing_ratio == pytest.approx(80 / n_trotter)
+    if aliased is None:
+        assert abs(channel.steady_state(channel.build_cycle_map(spec, cfg))[1] - 1.0) < 1e-6
+        return
+    with pytest.raises(NoUnitEigenvalue, match="not meaningfully defined; the Trotter step "
+                                               f"aliases, omega_m dt / pi = {aliased}$"):
+        solve_point(experiments.Point(spec, cfg, {}))
 
 
 def test_group_failures_mark_only_the_rows_they_touch(monkeypatch):

@@ -15,12 +15,14 @@ from qmcmc.errors import InvalidSize, NormalizationLoss
 from qmcmc.experiments import generate_er_instance, make_points
 from qmcmc.hamiltonians import (
     GraphInstance,
+    HamiltonianSpec,
+    PauliString,
     build_graph_ising,
     build_tfim,
     spectral_width,
     to_matrix,
 )
-from qmcmc.rng import Stream, derive_streams, next_uniform, splitmix64
+from qmcmc.rng import Stream, derive_streams, next_uniform, next_uniforms, splitmix64
 from qmcmc.schedule import ProtocolConfig, comb_value
 from qmcmc.trajectory import run_trajectories, sample_gibbs
 
@@ -76,12 +78,12 @@ def to_shots(layout, amps, states):
     basis = np.eye(dim, dtype=complex).reshape(dim, count, layout.k, -1).swapaxes(0, 1)
     zero = np.zeros(dim, dtype=int)
     to_composite, _ = trajectory._composite(
-        trajectory._Shots(basis, None, zero, zero, np.arange(dim)), layout)
+        trajectory._Shots(basis, None, zero, zero), layout)
     held = (amps @ to_composite.conj().T).reshape(len(amps), count, layout.k, -1)
     held = np.ascontiguousarray(held.swapaxes(0, 1))
     batch = len(amps)
     return trajectory._Shots(held, trajectory._probabilities(held), np.zeros(batch, dtype=int),
-                             states, np.arange(batch))
+                             states)
 
 
 # ------------------------------------------------------------------- rng
@@ -121,6 +123,23 @@ def test_streams_advance_across_the_top_bit_without_a_warning():
             expected = [state for _, state in steps]
             assert u.tolist() == [v for v, _ in steps]
             assert states.tolist() == expected
+
+
+@pytest.mark.parametrize("count", range(1, 13))
+def test_steps_drawn_in_one_buffer_match_the_scalar_reference(count):
+    # count steps of every stream at once, from states with and without the
+    # top bit set, give the reference's uniforms row by row and its states
+    start = [(1 << 64) - 1, 1 << 63, 0xFEDCBA9876543210, 1, 12345]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u, states = next_uniforms(np.array(start, dtype=np.uint64), count)
+    rows, expected = [], list(start)
+    for _ in range(count):
+        steps = [xorshift64star_py(state) for state in expected]
+        rows.append([v for v, _ in steps])
+        expected = [state for _, state in steps]
+    assert u.tolist() == rows
+    assert states.tolist() == expected
 
 
 def test_batched_uniforms_match_scalar_streams():
@@ -308,11 +327,12 @@ def test_period_branch_rule_at_certain_marginals(u, p0, excited, monkeypatch):
     # ancilla 0 reads |1> and ancilla 1 reads |0> with probability one; under
     # "outcome 1 when u < P(1)" the smallest and largest uniforms keep both
     # outcomes, and p0 of 1 or 0 never or always excites
-    def fixed(states):
-        return np.full(states.shape, u), states + np.uint64(1)
+    def fixed(states, count):
+        return np.full((count, *states.shape), u), states + np.uint64(count)
 
-    monkeypatch.setattr(trajectory, "next_uniform", fixed)
-    monkeypatch.setattr(oracles, "next_uniform", fixed)
+    monkeypatch.setattr(trajectory, "next_uniforms", fixed)
+    monkeypatch.setattr(oracles, "next_uniform", lambda states: (fixed(states, 1)[0][0],
+                                                                 states + np.uint64(1)))
     spec = build_tfim(1, 1.0, 1.0)
     cfg = field_config(spec, ancilla_map=(0, 0))
     omega = 0.8
@@ -339,6 +359,62 @@ def test_period_rejects_a_row_with_no_outcome_to_keep(bad):
     amps[1] = bad
     with pytest.raises(NormalizationLoss, match="zero-probability"):
         sampler_period(spec, field_config(spec), 0.5, amps, derive_streams(0, 2), 0.5)
+
+
+def spread(shots, layout):
+    """One-label shots held in the layout of all labels, as a framed model's
+    are: each shot's amplitudes at its label's row, every other row zero."""
+    amps = np.zeros((len(layout.start) // layout.k, *shots.amps.shape[1:]), dtype=complex)
+    amps[shots.label[0], np.arange(len(shots.states))] = shots.amps[0]
+    return trajectory._Shots(amps, shots.probs, shots.excited, shots.states)
+
+
+def file_model(*terms):
+    return HamiltonianSpec(len(terms[0][1]), tuple(PauliString(c, w) for c, w in terms))
+
+
+# two unframed file models with k > 1 columns per sector: XX + YY hopping
+# with Z fields (the generator ZZZZ, 2 sectors, k = 8) and a ZZ chain with
+# one X field (8 sectors, k = 2)
+HOPPING = file_model((0.7, "XXII"), (0.7, "YYII"), (0.5, "IXXI"), (0.5, "IYYI"),
+                     (0.9, "IIXX"), (0.9, "IIYY"), (0.3, "ZIII"), (-0.4, "IZII"),
+                     (0.2, "IIZI"), (0.6, "IIIZ"))
+ZZ_X = file_model((1.0, "ZZII"), (0.8, "IZZI"), (1.1, "IIZZ"), (0.6, "IXII"))
+
+
+@settings(max_examples=25, deadline=None)
+@given(model=st.one_of(st.tuples(st.integers(2, 4), st.integers(0, 99)),
+                       st.sampled_from([HOPPING, ZZ_X])),
+       periods=st.integers(1, 6), batch=st.integers(1, 12), p0=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32))
+def test_shots_of_one_label_match_shots_of_all_labels(model, periods, batch, p0, seed):
+    # an unframed model's shots hold one label each; held with a row for
+    # every label, the same shots end each period with the same composite
+    # amplitudes and streams, and both follow the dense period
+    spec = (build_graph_ising(generate_er_instance(model[0], 0.5, model[1]))
+            if isinstance(model, tuple) else model)
+    cfg = field_config(spec, n_trotter=10, n_cycle=4)
+    layout = trajectory._Layout.of(channel._sectors(spec, cfg))
+    half = list(channel._period_table(spec, cfg, lambda omega, sectors, w: layout.columns(w))[2])
+    system = np.random.default_rng(seed).integers(0, 2**spec.qubit_count, batch)
+    one = trajectory._start(layout, system, derive_streams(seed, batch))
+    assert not layout.gates and one.amps.shape[0] == 1
+    many = spread(one, layout)
+    dense, dense_states = trajectory._composite(one, layout)
+    for k in range(periods):
+        period = k % cfg.n_cycle
+        columns = half[min(period, cfg.n_cycle - period)]
+        one = trajectory._period(one, columns, p0, layout)
+        many = trajectory._period(many, columns, p0, layout)
+        dense, dense_states = dense_period(
+            dense, dense_states, build_period_unitary(spec, cfg, comb_value(cfg, period)), p0,
+            cfg.m_count)
+        got, got_states = trajectory._composite(one, layout)
+        want, want_states = trajectory._composite(many, layout)
+        assert np.array_equal(got_states, want_states)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got_states, dense_states)
+        assert np.abs(got - dense).max() < 1e-12
 
 
 def test_single_shot_batch_matches_wider_batch_bitwise():
