@@ -46,16 +46,18 @@ chunks (by one precomputed gather), :meth:`Sectors.superoperator` and
 :meth:`Sectors.state` map back.
 
 The comb walk (:func:`_period_table`) yields one result per period of the
-half cycle, in period order. Over k = 0..n // 2 the comb never decreases,
-so equal values are neighbours: :func:`_walk_plan` finds these runs once, W
-is built once per run, and the run's result is repeated for each of its
-periods and then dropped. The walk powers the W blocks of several values in
-one stacked call, as many as fit ``_CHUNK_BYTES``, and drops them once their
-channels are built. ``comb_value`` makes the comb symmetric, ``Omega_(n-k)
-= Omega_k``, so the cycle ``S_(n-1)...S_1 S_0`` is a palindrome. :func:`build_cycle_maps`
-folds it as the channels arrive: it grows ``L = S_k L`` and ``R = R S_k`` for
-k = 1..ceil(n/2)-1 and returns ``R M L S_0``, with ``M = S_(n/2)`` for even n.
-A run then holds a fixed handful of block sets whatever ``n_cycle``.
+half cycle, in period order, and nothing else: its callers look up the
+sectors and the comb values that they need. Over k = 0..n // 2 the comb
+never decreases, so equal values are neighbours: :func:`_walk_plan` finds
+these runs once, W is built once per run, and the run's result is repeated
+for each of its periods and then dropped. The walk powers the W blocks of
+several values in one stacked call, as many as fit ``_CHUNK_BYTES``, and
+drops them once their channels are built. ``comb_value`` makes the comb
+symmetric, ``Omega_(n-k) = Omega_k``, so the cycle ``S_(n-1)...S_1 S_0`` is
+a palindrome. :func:`build_cycle_maps` folds it as the channels arrive: it
+grows ``L = S_k L`` and ``R = R S_k`` for k = 1..ceil(n/2)-1 and returns
+``R M L S_0``, with ``M = S_(n/2)`` for even n. A run then holds a fixed
+handful of block sets whatever ``n_cycle``.
 
 W does not depend on the inverse temperature: beta enters a period only
 through the ancilla preparation. So :func:`build_cycle_maps` walks the comb
@@ -822,18 +824,17 @@ def build_period_unitary(spec: HamiltonianSpec, cfg: ProtocolConfig,
 
 
 def _period_table(spec: HamiltonianSpec, cfg: ProtocolConfig, per_omega,
-                  workers: int | None = None) -> tuple[Sectors, tuple[float, ...], Iterator]:
+                  workers: int | None = None) -> Iterator:
     """The one walk over a comb cycle, for the exact map and the sampler:
-    ``(sectors, omegas, walk)`` with the run's sectors and
-    ``Omega_k = comb_value(cfg, k)`` for each period k. ``walk`` yields
-    ``per_omega(Omega_k, sectors, blocks of W(Omega_k))`` for k = 0..n_cycle
-    // 2 in order; the symmetric comb repeats these backwards. W is built
-    once per run of equal values (:func:`_walk_plan`), one
-    :func:`_period_unitary` call per chunk of runs, and unsplit by the one
-    gather that the walk builds before its threads start; with ``workers``
-    threads at most that many chunks are in flight. A chunk's W blocks are
-    dropped once its values' ``per_omega`` results are built, and each
-    result is yielded once per period of its run and then dropped."""
+    yields ``per_omega(Omega_k, blocks of W(Omega_k))`` for k = 0..n_cycle
+    // 2 in order, with ``Omega_k = comb_value(cfg, k)``; the symmetric comb
+    repeats these backwards. W is built once per run of equal values
+    (:func:`_walk_plan`), one :func:`_period_unitary` call per chunk of
+    runs, and unsplit by the one gather that the walk builds before its
+    threads start; with ``workers`` threads at most that many chunks are in
+    flight. A chunk's W blocks are dropped once its values' ``per_omega``
+    results are built, and each result is yielded once per period of its run
+    and then dropped."""
     sectors, ab, weights = _trotter_parts(spec, cfg)
     lengths, chunks = _walk_plan(cfg, sectors)
     gather = sectors.reflection.unsplit_gather()
@@ -841,15 +842,12 @@ def _period_table(spec: HamiltonianSpec, cfg: ProtocolConfig, per_omega,
     def build(chunk: tuple[float, ...]) -> list:
         w = sectors.reflection.unsplit(_period_unitary(sectors, ab, weights, cfg, chunk), gather)
         # reversed, so that the walk pops each result in turn
-        return [per_omega(omega, sectors, w_k) for omega, w_k in zip(chunk, w)][::-1]
+        return [per_omega(omega, w_k) for omega, w_k in zip(chunk, w)][::-1]
 
-    def walk():
-        runs = iter(lengths)
-        for built in _thread_map(build, chunks, workers):
-            while built:
-                yield from itertools.repeat(built.pop(), next(runs))
-
-    return sectors, tuple(comb_value(cfg, k) for k in range(cfg.n_cycle)), walk()
+    runs = iter(lengths)
+    for built in _thread_map(build, chunks, workers):
+        while built:
+            yield from itertools.repeat(built.pop(), next(runs))
 
 
 def _walk_plan(cfg: ProtocolConfig, sectors: Sectors) -> tuple[tuple[int, ...], list[tuple]]:
@@ -1027,10 +1025,11 @@ def build_cycle_maps(spec: HamiltonianSpec, cfg: ProtocolConfig, betas,
     ``betas``, in order; ``cfg.beta`` is not read.
 
     Period k uses ``Omega_k = comb_value(cfg, k)`` both in the unitary and in
-    the ancilla preparation. W does not depend on beta, so
-    :func:`_period_table` builds it once per distinct Omega (across
-    ``workers`` threads when requested), and each beta's channel is built
-    from it, in the frame of the run's sectors, as its cycle-map split stack:
+    the ancilla preparation; the maps carry these values. W does not depend
+    on beta, so :func:`_period_table` builds it once per distinct Omega
+    (across ``workers`` threads when requested), and each beta's channel is
+    built from it, in the frame of the run's sectors (:func:`_sectors`,
+    looked up once here), as its cycle-map split stack:
     the dense W is scattered once per Omega, every beta's Gram blocks are
     stacked, and the stack becomes real blocks, split by the reflection's
     parity where there is one, in one :func:`_real_blocks` call, with the
@@ -1048,11 +1047,12 @@ def build_cycle_maps(spec: HamiltonianSpec, cfg: ProtocolConfig, betas,
     if not betas:
         raise ValueError("betas must be nonempty")
     workers = admit_run(spec, cfg, "exact", len(betas), workers)
+    sectors = _sectors(spec, cfg)
     # built here, on the calling thread, before the walk's threads share it
-    gather = _real_gather(_sectors(spec, cfg))
-    mul = _sectors(spec, cfg).map_reflection.matmul
+    gather = _real_gather(sectors)
+    mul = sectors.map_reflection.matmul
 
-    def superops(omega: float, sectors: Sectors, w: np.ndarray) -> np.ndarray:
+    def superops(omega: float, w: np.ndarray) -> np.ndarray:
         dense = _scatter(w, sectors.states)
         count, size = sectors.pairs.shape
         grams = np.empty((len(betas), count, size, size), dtype=complex)
@@ -1065,7 +1065,7 @@ def build_cycle_maps(spec: HamiltonianSpec, cfg: ProtocolConfig, betas,
         del dense
         return _real_blocks(gather, grams)
 
-    sectors, omegas, factors = _period_table(spec, cfg, superops, workers)
+    factors = _period_table(spec, cfg, superops, workers)
     # S_(n-k) = S_k, so the cycle S_(n-1)...S_1 S_0 is R M L S_0 with
     # L = S_h...S_1 and R = S_1...S_h for h = ceil(n/2) - 1, and M = S_(n/2)
     # for even n, the identity for odd n: each S_k is used twice and dropped
@@ -1079,6 +1079,7 @@ def build_cycle_maps(spec: HamiltonianSpec, cfg: ProtocolConfig, betas,
     for factor in (left, next(factors, None), right):
         if factor is not None:
             total = mul(factor, total)
+    omegas = tuple(comb_value(cfg, k) for k in range(cfg.n_cycle))
     return [CycleMap(blocks, sectors, omegas) for blocks in total]
 
 

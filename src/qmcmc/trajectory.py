@@ -29,30 +29,31 @@ period's sum takes ``k`` terms per entry of ``out``. The sampler's table
 holds, for each distinct comb value, only those columns, gathered from the
 sector blocks that the comb walk of :mod:`qmcmc.channel` builds for the
 exact cycle map: ``4^(N_s+M) / sectors`` entries per value, the size of the
-blocks themselves (:class:`_Layout` gives their order, from where
-:attr:`Sectors.state_at` puts each state). The walk yields one table per
-period k = 0..n_cycle // 2, a run of equal values sharing one, and period k
-reads the table at ``min(k, n_cycle - k)``. The table is built once per
-run, before any batch starts, and is only read afterwards; every burn-in
-cycle reads each entry again.
+blocks themselves (:class:`_Layout` gives their order, one order of the
+system states by label, from where :attr:`Sectors.state_at` puts each
+state). The walk yields one table per period k = 0..n_cycle // 2, a run of
+equal values sharing one, and period k reads the table at ``min(k, n_cycle
+- k)``. The table is built once per run, before any batch starts, and is
+only read afterwards; every burn-in cycle reads each entry again.
 
 A shot holds a row of ``k 2^M`` amplitudes for each label it spans, and
-carries the label of each row. A period moves every label: the system
+names the label of each row. A period moves every label: the system
 amplitudes of a row of label ``l``, after a reset with outcome ``a`` from a
 period with excited index ``b``, have the label ``l ^ l(a) ^ l(b)``, and the
 row's sum reads the table's rows at ``b`` and that label, one gather per
-term. A framed shot starts at ``F|i>``, which spans every label; with no
-frame (every graph, and every model whose sectors need none) a shot starts
-in a basis state ``|i>``, which lies in the one label ``l(i)``, and so holds
-one row for good: a graph period touches ``2^M`` amplitudes per shot, not
-``2^(N_s+M)``. Each row's sum is formed entry by entry in a fixed order of
-its ``k`` terms, so a shot's arithmetic does not depend on the batch it
-runs in, nor on how many labels it holds. The next reset's outcome
-probabilities and the norm-drift check both read ``|out|^2``; no shot is
-renormalized, since the reset divides by the outcome's probability.
-Averaged over trajectories, steps 1-2 reproduce the reset-plus-excitation
-preparation of the channel module. Each symmetry sector's block of ``W`` is the power of that block of one Trotter
-step by repeated squaring (then moved to the nearest unitary), which matches
+term. A framed shot starts at ``F|i>``, which spans every label, row ``t``
+holding label ``t``; with no frame (every graph, and every model whose
+sectors need none) a shot starts in a basis state ``|i>``, which lies in
+the one label ``l(i)``, and so holds one row for good: a graph period
+touches ``2^M`` amplitudes per shot, not ``2^(N_s+M)``. Each row's sum is
+formed entry by entry in a fixed order of its ``k`` terms, so a shot's
+arithmetic does not depend on the batch it runs in, nor on how many labels
+it holds. The next reset's outcome probabilities and the norm-drift check
+both read ``|out|^2``; no shot is renormalized, since the reset divides by
+the outcome's probability. Averaged over trajectories, steps 1-2 reproduce
+the reset-plus-excitation preparation of the channel module. Each symmetry
+sector's block of ``W`` is the power of that block of one Trotter step by
+repeated squaring (then moved to the nearest unitary), which matches
 applying the steps one by one to roundoff, so seeded samples are those of
 step-by-step application unless a uniform lands within roundoff of a branch
 probability.
@@ -103,31 +104,30 @@ class _Layout(NamedTuple):
     """Where a shot keeps its amplitudes, and the order of the column tables.
 
     A system state ``x`` of the frame has a label ``l(x)``, the sector of
-    ``(x, 0)``, and a rank among the ``k`` states of its label; ``psi`` is
-    held as (sectors, k) in (label, rank) order. After a period with excited
-    index ``b``, a shot's amplitudes are held as (sectors, k, 2^M): ``[t, i,
-    a]`` is the entry ``(x, a)`` of label ``t ^ labels[a] ^ labels[b]`` and
-    rank ``i``, where ``labels[a] = l(a)``, the sector of ``(0, a)``. So
-    ``out[t, i', a] = sum_i psi[t, i] C_b[i, t, i', a]``: each entry reads
-    the ``k`` amplitudes of one label of ``psi``.
+    ``(x, 0)``, and a rank among the ``k`` states of its label: ``order[t k
+    + i]`` is the state of label ``t`` and rank ``i``, and ``place`` is its
+    inverse, ``place[x] = l(x) k + i``. ``psi`` is held as (sectors, k) in
+    this order. After a period with excited index ``b``, a shot's
+    amplitudes are held as (sectors, k, 2^M): ``[t, i, a]`` is the entry
+    ``(x, a)`` of label ``t ^ labels[a] ^ labels[b]`` and rank ``i``, where
+    ``labels[a] = l(a)``, the sector of ``(0, a)``. So ``out[t, i', a] =
+    sum_i psi[t, i] C_b[i, t, i', a]``: each entry reads the ``k``
+    amplitudes of one label of ``psi``.
 
     ``index`` holds the flat positions in the (sectors, size, size) W blocks
     of the column tables ``C[b, i, t, 0, i', a]`` (axis 3 is the batch's).
-    ``place[x, a] = (t ^ labels[a]) k + i``, for the label ``t`` and the rank
-    ``i`` of ``x``, is where the entry ``(x, a)`` sits for ``b = 0``; ``b``
-    moves it by xor with ``labels[b] k``. ``start`` holds the states ``F|i>``
-    as rows in (label, rank) order, and ``gates`` the one-qubit factors of
-    ``F``.
+    ``start`` holds the states ``F|i>`` as rows in (label, rank) order, and
+    ``gates`` the one-qubit factors of ``F``.
 
-    A shot may hold only some labels (:class:`_Shots`): one row of the
+    A shot holds some of the labels (:class:`_Shots`): one row of the
     (sectors, k, 2^M) above for each, and its sum at a row of label ``t``
-    reads ``C_b[i, t]`` alone. ``place[x, 0]`` gives the label and rank of
-    a start ``|x>``."""
+    reads ``C_b[i, t]`` alone."""
 
     m_count: int
     k: int
     labels: np.ndarray
     index: np.ndarray
+    order: np.ndarray
     place: np.ndarray
     start: np.ndarray
     gates: list
@@ -138,16 +138,15 @@ class _Layout(NamedTuple):
         count, size = sectors.states.shape
         at = sectors.state_at
         k = ds // count
-        order = np.argsort(at[::da] // size, kind="stable")  # the state x at each t k + i
-        place = np.argsort(order)
+        order = np.argsort(at[::da] // size, kind="stable")
         labels = at[:da] // size
         b, i, t, j, a = np.ix_(*map(np.arange, (da, k, count, k, da)))
         column = order[t * k + i] * da + b
         row = order[(t ^ labels[a] ^ labels[b]) * k + j] * da + a
         index = at[row] * size + at[column] % size  # row and column share a sector
         start = _apply_frame(np.eye(ds, dtype=complex), sectors.gates)[:, order]
-        return cls(sectors.m_count, k, labels, index[:, :, :, np.newaxis],
-                   place[:, np.newaxis] ^ labels * k, start, sectors.gates)
+        return cls(sectors.m_count, k, labels, index[:, :, :, np.newaxis], order,
+                   np.argsort(order), start, sectors.gates)
 
     def columns(self, blocks: np.ndarray) -> np.ndarray:
         """The column table ``C[b, i, t, 0, i', a]`` of one comb value's
@@ -159,16 +158,16 @@ class _Shots(NamedTuple):
     """A batch of shots: ``amps`` (rows, batch, k, 2^M), each shot's in the
     layout keyed by its ``excited`` index (:class:`_Layout`), ``probs``
     (batch, 2^M) their ancilla outcome probabilities, ``states`` their
-    streams, and ``label`` (rows, batch) the label ``t`` of the layout whose
-    entries each row holds; a shot's labels without a row are zero. A shot
-    of an unframed model has one row. By default there is a row for every
-    label, row ``t`` holding label ``t``."""
+    streams, and ``label`` the label ``t`` of the layout whose entries each
+    row holds, (rows, batch) or, shared by the batch, (rows, 1); a shot's
+    labels without a row are zero. A shot of an unframed model has one row,
+    and a framed shot a row for every label."""
 
     amps: np.ndarray
     probs: np.ndarray
     excited: np.ndarray
     states: np.ndarray
-    label: np.ndarray | None = None
+    label: np.ndarray
 
 
 def _probabilities(amps: np.ndarray) -> np.ndarray:
@@ -181,18 +180,19 @@ def _probabilities(amps: np.ndarray) -> np.ndarray:
 
 def _start(layout: _Layout, system: np.ndarray, states: np.ndarray) -> _Shots:
     """Shots at ``F|i> (x) |0>`` for each basis state ``i`` of ``system``:
-    with no frame ``|i>`` is a basis state of one label, and each shot holds
-    that label alone."""
+    a framed shot holds every label, row ``t`` label ``t``; with no frame
+    ``|i>`` is a basis state of one label, and each shot holds that label
+    alone."""
     batch, k = len(system), layout.k
-    zero = np.zeros(batch, dtype=int)
     if layout.gates:
-        amps = np.zeros((len(layout.start) // k, batch, k, 2**layout.m_count), dtype=complex)
-        amps[..., 0] = layout.start[system].reshape(batch, -1, k).swapaxes(0, 1)
-        return _Shots(amps, _probabilities(amps), zero, states)
-    label, rank = np.divmod(layout.place[system, 0], k)
-    amps = np.zeros((1, batch, k, 2**layout.m_count), dtype=complex)
-    amps[0, np.arange(batch), rank, 0] = 1.0
-    return _Shots(amps, _probabilities(amps), zero, states, label[np.newaxis])
+        start = layout.start[system].reshape(batch, -1, k).swapaxes(0, 1)
+        label = np.arange(len(start))[:, np.newaxis]
+    else:
+        label, rank = np.divmod(layout.place[system][np.newaxis], k)
+        start = rank[..., np.newaxis] == np.arange(k)
+    amps = np.zeros((*start.shape, 2**layout.m_count), dtype=complex)
+    amps[..., 0] = start
+    return _Shots(amps, _probabilities(amps), np.zeros(batch, dtype=int), states, label)
 
 
 def _period(shots: _Shots, columns: np.ndarray, p0: float, layout: _Layout) -> _Shots:
@@ -204,8 +204,6 @@ def _period(shots: _Shots, columns: np.ndarray, p0: float, layout: _Layout) -> _
     amps, probs, excited, states, label = shots
     count, batch, k, da = amps.shape
     m_count, labels = layout.m_count, layout.labels
-    if label is None:
-        label = np.arange(count)[:, np.newaxis]
     rows = np.arange(batch)
     # the marginals of the first m + 1 ancillas, m = M - 1 down to 0
     levels = [probs]
@@ -249,15 +247,12 @@ def _composite(shots: _Shots, layout: _Layout) -> tuple[np.ndarray, np.ndarray]:
     its streams: each held entry put at its state, every other entry zero,
     then ``F^dag`` applied one qubit at a time."""
     amps, _, excited, states, label = shots
-    count, batch, k, da = amps.shape
-    if label is None:
-        label = np.arange(count)[:, np.newaxis]
-    order = np.argsort(layout.place[:, 0])  # the state x at each t k + i
+    _, batch, k, da = amps.shape
     # the label of each held entry (row, shot, 1, a), and its state
     held = (label[:, :, np.newaxis, np.newaxis] ^ layout.labels
             ^ layout.labels[excited, np.newaxis, np.newaxis])
-    state = order[held * k + np.arange(k)[:, np.newaxis]]
-    out = np.zeros((batch, len(order), da), dtype=complex)
+    state = layout.order[held * k + np.arange(k)[:, np.newaxis]]
+    out = np.zeros((batch, len(layout.order), da), dtype=complex)
     out[np.arange(batch)[:, np.newaxis, np.newaxis], state, np.arange(da)] = amps
     out = _apply_frame(out, [(q, v.conj().T) for q, v in layout.gates])
     return out.reshape(batch, -1), states
@@ -281,8 +276,8 @@ def _run_shots(spec: HamiltonianSpec, cfg: ProtocolConfig, cycles: int, shots: i
     chunk = max(1, _CHUNK_ELEMS // (ds * da))
     workers = admit_run(spec, cfg, "sample", workers=workers, batch=min(chunk, shots) * ds * da)
     layout = _Layout.of(_sectors(spec, cfg))
-    half = list(_period_table(spec, cfg, lambda omega, sectors, w: (
-        layout.columns(w), ground_probability(omega, cfg.beta)), workers)[2])
+    half = list(_period_table(spec, cfg, lambda omega, w: (
+        layout.columns(w), ground_probability(omega, cfg.beta)), workers))
     periods = [half[min(k, cfg.n_cycle - k)] for k in range(cfg.n_cycle)]
 
     def run_chunk(lo: int):

@@ -768,6 +768,28 @@ def test_main_sample_output_is_pinned(n, seed, capsys):
     assert capsys.readouterr().out == "".join(f"{row}\n" for row in ["outcome,count", *rows])
 
 
+# the stdout of framed models' samples, with no burn-in (the measurement
+# reads each shot at its start) and with two cycles, recorded before every
+# shot named its labels: outcome,count pairs, one per line
+_FRAMED_ARGV = ("sample -q --model {model} --beta 1 --g 0.05 --nt 40 --ncycle 4 "
+                "--shots 256 --burnin {burnin} --seed 5")
+_FRAMED_SAMPLES = {
+    ("tfim --n 3 --hj 1", 0): "000,36 001,31 010,32 011,40 100,35 101,27 110,24 111,31",
+    ("tfim --n 3 --hj 1", 2): "000,57 001,27 010,5 011,29 100,25 101,13 110,32 111,68",
+    ("{ham}", 0): "00,67 01,72 10,62 11,55",
+}
+
+
+@pytest.mark.parametrize("model, burnin", list(_FRAMED_SAMPLES))
+def test_main_framed_sample_output_is_pinned(model, burnin, tmp_path, capsys):
+    ham = tmp_path / "model.ham"
+    ham.write_text("0.7 ZZ\n-0.4 XI\n0.3 IY\n")
+    argv = _FRAMED_ARGV.format(model=model.format(ham=ham), burnin=burnin).split()
+    assert main(argv) == 0
+    rows = _FRAMED_SAMPLES[model, burnin].split()
+    assert capsys.readouterr().out == "".join(f"{row}\n" for row in ["outcome,count", *rows])
+
+
 # ------------------------------------------------------- the option table
 
 def _subcommand_flags() -> dict:

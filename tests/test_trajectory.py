@@ -77,13 +77,14 @@ def to_shots(layout, amps, states):
     count, dim = len(layout.start) // layout.k, amps.shape[1]
     basis = np.eye(dim, dtype=complex).reshape(dim, count, layout.k, -1).swapaxes(0, 1)
     zero = np.zeros(dim, dtype=int)
+    every = np.arange(count)[:, np.newaxis]  # a row for every label
     to_composite, _ = trajectory._composite(
-        trajectory._Shots(basis, None, zero, zero), layout)
+        trajectory._Shots(basis, None, zero, zero, every), layout)
     held = (amps @ to_composite.conj().T).reshape(len(amps), count, layout.k, -1)
     held = np.ascontiguousarray(held.swapaxes(0, 1))
     batch = len(amps)
     return trajectory._Shots(held, trajectory._probabilities(held), np.zeros(batch, dtype=int),
-                             states)
+                             states, every)
 
 
 # ------------------------------------------------------------------- rng
@@ -159,6 +160,17 @@ def test_run_trajectories_deterministic_and_normalized():
     out2 = run_trajectories(spec, cfg, cycles=1, shots=1, seed=9, system_index=0)
     assert np.array_equal(out1, out2)
     assert abs(np.linalg.norm(out1[0]) - 1.0) < 1e-9
+
+
+def test_run_trajectories_at_zero_cycles_is_pinned():
+    # the 2-spin chain runs in the Y frame: each shot is F|i> (x) |0> taken
+    # back by F^dag, its start state up to the frame's roundoff; recorded
+    # before every shot named its labels
+    spec = build_tfim(2, 1.0, 1.0)
+    amps = run_trajectories(spec, field_config(spec), cycles=0, shots=4, seed=3)
+    want = np.zeros((4, 16), dtype=complex)
+    want[np.arange(4), [12, 4, 0, 4]] = 0.9999999999999997
+    assert np.array_equal(amps, want)
 
 
 def test_run_trajectories_rejects_norm_drift(monkeypatch):
@@ -364,9 +376,11 @@ def test_period_rejects_a_row_with_no_outcome_to_keep(bad):
 def spread(shots, layout):
     """One-label shots held in the layout of all labels, as a framed model's
     are: each shot's amplitudes at its label's row, every other row zero."""
-    amps = np.zeros((len(layout.start) // layout.k, *shots.amps.shape[1:]), dtype=complex)
+    count = len(layout.start) // layout.k
+    amps = np.zeros((count, *shots.amps.shape[1:]), dtype=complex)
     amps[shots.label[0], np.arange(len(shots.states))] = shots.amps[0]
-    return trajectory._Shots(amps, shots.probs, shots.excited, shots.states)
+    return trajectory._Shots(amps, shots.probs, shots.excited, shots.states,
+                             np.arange(count)[:, np.newaxis])
 
 
 def file_model(*terms):
@@ -395,7 +409,7 @@ def test_shots_of_one_label_match_shots_of_all_labels(model, periods, batch, p0,
             if isinstance(model, tuple) else model)
     cfg = field_config(spec, n_trotter=10, n_cycle=4)
     layout = trajectory._Layout.of(channel._sectors(spec, cfg))
-    half = list(channel._period_table(spec, cfg, lambda omega, sectors, w: layout.columns(w))[2])
+    half = list(channel._period_table(spec, cfg, lambda omega, w: layout.columns(w)))
     system = np.random.default_rng(seed).integers(0, 2**spec.qubit_count, batch)
     one = trajectory._start(layout, system, derive_streams(seed, batch))
     assert not layout.gates and one.amps.shape[0] == 1
@@ -415,6 +429,40 @@ def test_shots_of_one_label_match_shots_of_all_labels(model, periods, batch, p0,
         assert np.array_equal(got, want)
         assert np.array_equal(got_states, dense_states)
         assert np.abs(got - dense).max() < 1e-12
+
+
+@pytest.mark.parametrize("model", [
+    *(("graph", n) for n in (2, 3, 4)), *(("chain", n) for n in (2, 3, 4)), HOPPING, ZZ_X,
+], ids=[*(f"graph{n}" for n in (2, 3, 4)), *(f"chain{n}" for n in (2, 3, 4)), "hopping",
+        "zz_x"])
+def test_layout_keeps_one_state_order(model):
+    # order and place are inverse permutations of the system states, place
+    # gives each state's label, that of (x, 0) among the sectors, and a
+    # shot starts in the labels of its start state
+    if isinstance(model, tuple):
+        kind, n = model
+        spec = (build_graph_ising(generate_er_instance(n, 0.5, n)) if kind == "graph"
+                else build_tfim(n, 1.0, 0.8))
+    else:
+        spec = model
+    cfg = field_config(spec, n_trotter=10, n_cycle=4)
+    sectors = channel._sectors(spec, cfg)
+    layout = trajectory._Layout.of(sectors)
+    ds, da = 2**spec.qubit_count, 2**cfg.m_count
+    states = np.arange(ds)
+    assert np.array_equal(layout.order[layout.place], states)
+    assert np.array_equal(layout.place[layout.order], states)
+    label = sectors.state_at[states * da] // sectors.states.shape[1]
+    assert np.array_equal(layout.place // layout.k, label)
+    shots = trajectory._start(layout, states, derive_streams(0, ds))
+    count = len(layout.start) // layout.k
+    rows = np.broadcast_to(shots.label, (len(shots.amps), ds))
+    if layout.gates:
+        assert np.array_equal(rows, np.repeat(np.arange(count)[:, np.newaxis], ds, axis=1))
+    else:
+        assert np.array_equal(rows, label[np.newaxis])
+    composite, _ = trajectory._composite(shots, layout)
+    assert np.abs(composite - np.eye(ds * da)[states * da]).max() < 1e-12
 
 
 def test_single_shot_batch_matches_wider_batch_bitwise():
