@@ -164,8 +164,8 @@ def _commuting_words(letters: list[dict[int, str]], n: int) -> list[str]:
 
 def _gram_gather(pairs: np.ndarray, at: np.ndarray) -> np.ndarray:
     """For each entry of the blocks of a superoperator split by ``pairs``,
-    its flat position in the stacked Gram matrices of
-    :func:`_superoperator_blocks`; ``at`` is the inverse of ``pairs``, each
+    its flat position in the stacked :func:`_grams` of the operators'
+    :func:`_sector_entries`; ``at`` is the inverse of ``pairs``, each
     entry's ``sector * size + position``.
 
     Entry ``[(i, i'), (j, j')]`` of ``sum_K kron(conj(K), K)`` is the Gram
@@ -192,14 +192,6 @@ def _grams(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     a (sectors, size, size) stack from one stacked GEMM, into ``out`` when
     given."""
     return np.matmul(x.conj().transpose(0, 2, 1), x, out=out)
-
-
-def _superoperator_blocks(operators: np.ndarray, pairs: np.ndarray,
-                          gather: np.ndarray) -> np.ndarray:
-    """The blocks of ``sum_K kron(conj(K), K)`` on the sectors ``pairs``, as
-    a complex (sectors, size, size) stack: the stacked :func:`_grams`, then
-    the reshuffle ``gather``."""
-    return _grams(_sector_entries(operators, pairs)).reshape(-1)[gather]
 
 
 def _real_gather(sectors: Sectors) -> tuple[np.ndarray, np.ndarray]:
@@ -549,11 +541,6 @@ class Sectors:
         left = h.dagger(self.map_reflection.unsplit(blocks).astype(complex))
         return h.dagger(left.conj().swapaxes(-1, -2)).conj().swapaxes(-1, -2)
 
-    def unitary(self, blocks: np.ndarray) -> np.ndarray:
-        """The dense computational-basis composite matrix with these W
-        blocks: ``F^dag W F``."""
-        return _conjugate(self.gates, _scatter(blocks, self.states))
-
     def superoperator(self, blocks: np.ndarray) -> np.ndarray:
         """The dense computational-basis superoperator with this real
         cycle-map split stack: ``U^dag T^dag R T U`` for ``U =
@@ -820,7 +807,7 @@ def build_period_unitary(spec: HamiltonianSpec, cfg: ProtocolConfig,
     """
     sectors, ab, weights = _trotter_parts(spec, cfg)
     w = sectors.reflection.unsplit(_period_unitary(sectors, ab, weights, cfg, [omega]))
-    return sectors.unitary(w[0])
+    return _conjugate(sectors.gates, _scatter(w[0], sectors.states))  # F^dag W F
 
 
 def _period_table(spec: HamiltonianSpec, cfg: ProtocolConfig, per_omega,
@@ -1009,8 +996,8 @@ def to_superoperator(kraus: KrausSet) -> Superoperator:
     one-sector case of the cycle map's blocks."""
     d = kraus.dim
     pairs = np.arange(d * d)[np.newaxis]  # one sector: its own inverse
-    return Superoperator(
-        d * d, _superoperator_blocks(kraus.operators, pairs, _gram_gather(pairs, pairs[0]))[0])
+    gram = _grams(_sector_entries(kraus.operators, pairs))
+    return Superoperator(d * d, gram.reshape(-1)[_gram_gather(pairs, pairs[0])[0]])
 
 
 def superoperator_to_choi(s: Superoperator) -> np.ndarray:

@@ -197,7 +197,7 @@ def _read_config_file(path: str, ns: argparse.Namespace) -> dict:
             key = key.strip()
             if key not in _OPTIONS:
                 raise UnknownKey(f"{path}:{lineno}: unknown config key {key!r}")
-            if not hasattr(ns, key.replace("-", "_")):
+            if not hasattr(ns, key):
                 raise UsageError(f"{path}:{lineno}: config key {key!r} does not apply "
                                  f"to {ns.command}")
             values[key] = _convert(key, value.strip(), f"{path}:{lineno}: config key {key!r}")
@@ -215,7 +215,7 @@ def parse_args(argv=None) -> RunConfig:
     file_values = _read_config_file(ns.config, ns) if ns.config else {}
 
     flags = {key: value for key in _OPTIONS
-             if (value := getattr(ns, key.replace("-", "_"), None)) is not None}
+             if (value := getattr(ns, key, None)) is not None}
     options = {key: opt.default for key, opt in _OPTIONS.items()} | file_values | flags
     if options["workers"] is None and os.environ.get("QMCMC_WORKERS"):
         options["workers"] = _convert("workers", os.environ["QMCMC_WORKERS"], "QMCMC_WORKERS")

@@ -25,10 +25,10 @@ axis) and builds each group's cycle maps from one comb walk
 that each fit a thread's share of ``MAX_RUN_BYTES``, one point at least.
 Groups run across the worker threads that ``admit_run`` admits; threads that
 no group takes run the chunks of a group's walk and its scorings. A failure
-with a package error, a ValueError or a LinAlgError is recorded in the rows
-it touches and the sweep continues: a failed walk marks every row of its
-group, a failed scoring only its own. Any other exception is a bug and
-propagates.
+with a package error or a ValueError (numpy's LinAlgError is one) is
+recorded in the rows it touches and the sweep continues: a failed walk marks
+every row of its group, a failed scoring only its own. Any other exception
+is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -333,7 +333,7 @@ def solve_point(point: Point, workers: int | None = None) -> ResultRow:
 
 
 # What a failing point records in its row instead of propagating.
-_POINT_ERRORS = (QmcmcError, ValueError, np.linalg.LinAlgError)
+_POINT_ERRORS = (QmcmcError, ValueError)
 
 
 def _failed(point: Point, exc: Exception) -> ResultRow:
@@ -347,17 +347,11 @@ def _groups(points, workers: int | None = None) -> list[list[Point]]:
     ``MAX_RUN_BYTES`` (at least one). With ``workers`` threads a thread's
     share is ``MAX_RUN_BYTES // workers``, as that many walks, or threads of
     one walk, may hold their arrays at once."""
-    runs: list[list[Point]] = []
-    for point in points:
-        last = runs[-1][-1] if runs else None
-        if (last is not None and point.spec is last.spec
-                and replace(last.config, beta=point.config.beta) == point.config):
-            runs[-1].append(point)
-        else:
-            runs.append([point])
     budget = MAX_RUN_BYTES // max(1, workers or 1)
     groups = []
-    for run in runs:
+    for _, run in itertools.groupby(
+            points, lambda p: (id(p.spec), replace(p.config, beta=0.0))):
+        run = list(run)
         spec, cfg = run[0].spec, run[0].config
         fixed = run_bytes(spec, cfg, False, betas=0)
         per_beta = run_bytes(spec, cfg, False, betas=1) - fixed
@@ -400,8 +394,9 @@ def run_plan(plan: ExperimentPlan) -> list[ResultRow]:
     solved in the groups of :func:`_groups`, each from one comb walk, across
     the threads of ``plan.workers`` that ``admit_run`` admits for the largest
     group; threads that no group takes go to the walks and
-    scorings inside the groups. A point that fails with a package error, a
-    ValueError or a LinAlgError gets a row of its parameters and the error."""
+    scorings inside the groups. A point that fails with a package error or a
+    ValueError (numpy's LinAlgError is one) gets a row of its parameters and
+    the error."""
     groups = _groups(plan.points, plan.workers)
     workers = min(admit_run(group[0].spec, group[0].config, plan.kind.value, len(group),
                             plan.workers) for group in groups)

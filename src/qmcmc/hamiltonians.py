@@ -176,12 +176,14 @@ def thermal_state(spec: HamiltonianSpec, beta: float) -> np.ndarray:
     """Gibbs state ``exp(-beta H) / Z``.
 
     Uses ``spec.spectrum`` with a max-exponent shift so that arbitrarily
-    large beta underflows gracefully instead of overflowing.
+    large beta underflows gracefully instead of overflowing: an exponent
+    ``-beta (E - E_0)`` that overflows is ``-inf``, whose weight is 0.
     """
     if not (math.isfinite(beta) and beta >= 0):
         raise ValueError(f"beta must be finite and >= 0, got {beta}")
     w, v = spec.spectrum
-    weights = np.exp(-beta * (w - w[0]))
+    with np.errstate(over="ignore"):
+        weights = np.exp(-beta * (w - w[0]))
     weights /= weights.sum()
     return (v * weights) @ v.conj().T
 

@@ -13,7 +13,11 @@ _EIG_TOL = -1e-9
 _TRACE_TOL = 1e-8
 
 
-def _check_state(rho: np.ndarray, name: str) -> np.ndarray:
+def _check_state(rho: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rho, w, v)``: ``rho`` as a complex array and the eigendecomposition
+    of its Hermitian part, once the state is checked to be a square,
+    Hermitian, unit-trace matrix whose eigenvalues ``w`` are not below
+    ``_EIG_TOL``; a ``NotAState`` otherwise."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise NotAState(f"{name}: not a square matrix (shape {rho.shape})")
@@ -23,17 +27,12 @@ def _check_state(rho: np.ndarray, name: str) -> np.ndarray:
     tr = np.trace(rho).real
     if abs(tr - 1.0) > _TRACE_TOL:
         raise NotAState(f"{name}: trace {tr} deviates from 1 by more than {_TRACE_TOL:g}")
-    w = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
+    w, v = np.linalg.eigh((rho + rho.conj().T) / 2.0)
     if w.min() < _EIG_TOL:
         raise NotAState(
             f"{name}: minimum eigenvalue {w.min():.3e} below tolerance {_EIG_TOL:g}"
         )
-    return rho
-
-
-def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh((rho + rho.conj().T) / 2.0)
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    return rho, w, v
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -41,13 +40,16 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
 
     Computed as the squared sum of singular values of
     ``sqrt(rho) sqrt(sigma)``, which avoids the outer matrix square root;
-    clamped to [0, 1].
+    each root comes from the eigendecomposition that checks its state.
+    Clamped to [0, 1].
     """
-    rho = _check_state(rho, "rho")
-    sigma = _check_state(sigma, "sigma")
+    rho, w_rho, v_rho = _check_state(rho, "rho")
+    sigma, w_sigma, v_sigma = _check_state(sigma, "sigma")
     if rho.shape != sigma.shape:
         raise DimensionMismatch(f"state shapes differ: {rho.shape} vs {sigma.shape}")
-    s = np.linalg.svd(_psd_sqrt(rho) @ _psd_sqrt(sigma), compute_uv=False)
+    a, b = ((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+            for w, v in ((w_rho, v_rho), (w_sigma, v_sigma)))
+    s = np.linalg.svd(a @ b, compute_uv=False)
     return float(min(1.0, max(0.0, s.sum() ** 2)))
 
 
@@ -66,7 +68,7 @@ def tvd(p: np.ndarray, q: np.ndarray) -> float:
 def site_magnetizations(rho: np.ndarray, n_s: int) -> np.ndarray:
     """``tr(rho Y_i)`` for each site i, ``Y_i rho`` from the one one-qubit
     kernel."""
-    rho = _check_state(rho, "rho")
+    rho, _, _ = _check_state(rho, "rho")
     if rho.shape != (2**n_s, 2**n_s):
         raise NotAState(f"state shape {rho.shape} does not match {n_s} qubits")
     vals = np.empty(n_s, dtype=complex)

@@ -16,6 +16,7 @@ through these detuned transitions as the comb sweeps past each system gap.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, InvalidTolerance
@@ -41,7 +42,15 @@ class ProtocolConfig:
     ancilla_map: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "ancilla_map", tuple(int(q) for q in self.ancilla_map))
+        for name in ("n_trotter", "n_cycle", "ancilla_map"):
+            value = getattr(self, name)
+            try:
+                value = (tuple(map(operator.index, value)) if name == "ancilla_map"
+                         else operator.index(value))
+            except TypeError:
+                kind = "integers" if name == "ancilla_map" else "an integer"
+                raise ValueError(f"{name} must be {kind}, got {value!r}") from None
+            object.__setattr__(self, name, value)
         for name in ("g", "beta", "omega_m"):
             value = getattr(self, name)
             if not math.isfinite(value):

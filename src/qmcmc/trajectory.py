@@ -115,7 +115,7 @@ class _Layout(NamedTuple):
     amplitudes of one label of ``psi``.
 
     ``index`` holds the flat positions in the (sectors, size, size) W blocks
-    of the column tables ``C[b, i, t, 0, i', a]`` (axis 3 is the batch's).
+    of the column tables ``C[b, i, t, i', a]``.
     ``start`` holds the states ``F|i>`` as rows in (label, rank) order, and
     ``gates`` the one-qubit factors of ``F``.
 
@@ -145,11 +145,11 @@ class _Layout(NamedTuple):
         row = order[(t ^ labels[a] ^ labels[b]) * k + j] * da + a
         index = at[row] * size + at[column] % size  # row and column share a sector
         start = _apply_frame(np.eye(ds, dtype=complex), sectors.gates)[:, order]
-        return cls(sectors.m_count, k, labels, index[:, :, :, np.newaxis], order,
-                   np.argsort(order), start, sectors.gates)
+        return cls(sectors.m_count, k, labels, index, order, np.argsort(order), start,
+                   sectors.gates)
 
     def columns(self, blocks: np.ndarray) -> np.ndarray:
-        """The column table ``C[b, i, t, 0, i', a]`` of one comb value's
+        """The column table ``C[b, i, t, i', a]`` of one comb value's
         (sectors, size, size) W blocks: one gather."""
         return np.take(blocks.reshape(-1), self.index)
 

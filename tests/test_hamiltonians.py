@@ -158,6 +158,20 @@ def test_thermal_state_zero_temperature_limit():
     assert np.linalg.norm(thermal_state(spec, 1e6) - projector) < 1e-9
 
 
+def test_thermal_state_at_the_largest_finite_beta_is_the_ground_state():
+    # -beta (E - E_0) overflows to -inf there, whose weight is 0; the suite
+    # turns an overflow warning into an error
+    spec = build_tfim(2, 1.0, 1.0)
+    _, v = np.linalg.eigh(to_matrix(spec))
+    projector = np.outer(v[:, 0], v[:, 0].conj())
+    assert np.abs(thermal_state(spec, 1e308) - projector).max() < 1e-12
+    graph = build_graph_ising(GraphInstance(3, (0.1, -0.3, 0.5), ((0, 1, 0.7), (1, 2, -0.2))))
+    energies = np.diag(to_matrix(graph)).real
+    assert np.sort(energies)[1] > energies.min()  # one ground state
+    assert np.array_equal(gibbs_distribution(graph, 1e308),
+                          np.eye(8)[np.argmin(energies)])
+
+
 def test_thermal_state_vs_series_oracle():
     spec = build_tfim(2, 1.0, 1.0)
     mat = to_matrix(spec)

@@ -20,6 +20,40 @@ def test_fidelity_with_itself():
         assert abs(fidelity(rho, rho) - 1.0) < 1e-9
 
 
+def _fidelity_diagonalizing_twice(rho, sigma):
+    # a state's eigenvalues checked by eigvalsh, then its root from eigh
+    def root(r):
+        w, v = np.linalg.eigh((r + r.conj().T) / 2.0)
+        return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+
+    for r in (rho, sigma):
+        assert np.linalg.eigvalsh((r + r.conj().T) / 2.0).min() >= -1e-9
+    s = np.linalg.svd(root(rho) @ root(sigma), compute_uv=False)
+    return float(min(1.0, max(0.0, s.sum() ** 2)))
+
+
+def test_fidelity_diagonalizes_each_state_once(monkeypatch):
+    rng = np.random.default_rng(3)
+    pairs = []
+    for n in range(1, 7):
+        for rank in sorted({1, 2**n // 2 or 1, 2**n}):
+            states = []
+            for _ in range(2):
+                a = rng.standard_normal((2**n, rank)) + 1j * rng.standard_normal((2**n, rank))
+                states.append(a @ a.conj().T / np.linalg.norm(a) ** 2)
+            pairs.append(states)
+    expected = [_fidelity_diagonalizing_twice(rho, sigma) for rho, sigma in pairs]
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, real=real, **k: calls.append(real) or real(*a, **k))
+    for (rho, sigma), value in zip(pairs, expected):
+        calls.clear()
+        assert fidelity(rho, sigma) == value
+        assert len(calls) == 2
+
+
 def test_fidelity_orthogonal_pure_states():
     a = np.diag([1.0, 0.0]).astype(complex)
     b = np.diag([0.0, 1.0]).astype(complex)

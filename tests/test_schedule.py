@@ -39,6 +39,21 @@ def test_config_validation(bad):
 
 
 @pytest.mark.parametrize("field, value", [
+    ("n_trotter", 2.5), ("n_trotter", "3"), ("n_cycle", 4.5), ("n_cycle", np.float64(4.0)),
+    ("ancilla_map", (1.9,)), ("ancilla_map", ("0", "1")), ("ancilla_map", (0, 1.0)),
+])
+def test_config_refuses_non_integer_counts_and_ancillas(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be"):
+        make_config(**{field: value})
+
+
+def test_config_keeps_integer_counts_and_ancillas():
+    cfg = make_config(n_trotter=np.int64(7), n_cycle=np.int32(3), ancilla_map=np.array([2, 0]))
+    assert (cfg.n_trotter, cfg.n_cycle, cfg.ancilla_map) == (7, 3, (2, 0))
+    assert all(type(v) is int for v in (cfg.n_trotter, cfg.n_cycle, *cfg.ancilla_map))
+
+
+@pytest.mark.parametrize("field, value", [
     ("g", math.nan), ("beta", math.nan), ("omega_m", math.nan),
     ("g", math.inf), ("g", -math.inf), ("omega_m", math.inf),
     ("omega_m", -math.inf), ("beta", math.inf),

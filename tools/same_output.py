@@ -36,6 +36,12 @@ ARGVS = (
     "experiment magnetization -q --n 1,2 --beta 0.3,1 --g 0.05 --nt 30 --ncycle 8 --mode evolve "
     "--sweeps 5 --seed 4",
     "experiment graph -q --n 2 --pe 0.5 --beta 1 --g 1e308 --nt 30 --ncycle 8",
+    # the fidelity and magnetization of a framed state, and a sweep of four
+    # models at two betas each, on one thread and on two
+    "thermalize -q --model {ham} --beta 0.7 --g 0.05 --nt 40 --ncycle 8",
+    "experiment tfim -q --n 1,2 --hj 0.5,1 --beta 0.5,2 --g 0.05 --nt 30 --ncycle 8",
+    "experiment tfim -q --n 1,2 --hj 0.5,1 --beta 0.5,2 --g 0.05 --nt 30 --ncycle 8 "
+    "--workers 2",
     # framed samples with no burn-in period and with two
     _FRAMED.format(model="tfim --n 3 --hj 1", burnin=0),
     _FRAMED.format(model="tfim --n 3 --hj 1", burnin=2),
